@@ -108,10 +108,18 @@ OWNERSHIP_CONTRACTS: Dict[str, str] = {
         "kind discriminator registry, populated by "
         "ResultBase.__init_subclass__ at class-definition time"
     ),
+    "repro.qpdo.lockstep:_PLAN_CACHE": (
+        "bounded FIFO cache of compiled slot plans keyed by circuit "
+        "structure (operations, bypass flag, noise support, register "
+        "width); a plan is a pure function of its key and draws no "
+        "randomness, clear_plan_cache() owns invalidation"
+    ),
     "repro.sim.refcache:_REFERENCE_CACHE": (
-        "bounded FIFO reference-trace cache; entries are pure "
-        "functions of (structure, seed) keys, replay is "
-        "bit-identical, clear_reference_cache() owns invalidation"
+        "bounded FIFO cache of symbolic reference traces keyed by "
+        "protocol structure alone; a trace is a pure function of the "
+        "key, and replay draws each seed's outcomes from that seed's "
+        "own reference stream, bit-identical to the live tableau; "
+        "clear_reference_cache() owns invalidation"
     ),
 }
 

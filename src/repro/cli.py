@@ -42,6 +42,10 @@ import argparse
 import sys
 from typing import Callable, List, Optional, Union
 
+#: Logical-error quota per loop-mode run when ``--errors`` is absent.
+LER_DEFAULT_ERRORS = 10
+SWEEP_DEFAULT_ERRORS = 4
+
 
 def _add_output_arguments(
     parser: argparse.ArgumentParser, suppress: bool = True
@@ -177,7 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
         "ler", help="one logical-error-rate point, both arms (section 5.3)"
     )
     ler.add_argument("--per", type=float, default=5e-3)
-    ler.add_argument("--errors", type=int, default=10)
+    ler.add_argument(
+        "--errors",
+        type=int,
+        help="stop each run after this many logical errors (loop mode "
+        f"only; default {LER_DEFAULT_ERRORS})",
+    )
     ler.add_argument("--kind", choices=["x", "z"], default="x")
     ler.add_argument("--seed", type=int, default=0)
     ler.add_argument(
@@ -219,7 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="PER grid",
     )
     sweep.add_argument("--samples", type=int, default=3)
-    sweep.add_argument("--errors", type=int, default=4)
+    sweep.add_argument(
+        "--errors",
+        type=int,
+        help="stop each run after this many logical errors (loop mode "
+        f"only; default {SWEEP_DEFAULT_ERRORS})",
+    )
     sweep.add_argument("--kind", choices=["x", "z"], default="x")
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument(
@@ -534,6 +548,28 @@ def _arm_report(aggregator, use_pauli_frame: bool):
     )
 
 
+def _errors_or_default(args, default: int) -> Optional[int]:
+    """The ``--errors`` quota, or ``None`` (after printing to stderr)
+    when it is combined with ``--batch``.
+
+    The batched protocol runs a fixed number of windows per shot and
+    has no logical-error stopping rule, so an explicit ``--errors``
+    there would be silently ignored.  Without the flag the default is
+    still passed on: it is part of the parallel checkpoint header.
+    """
+    if args.errors is None:
+        return default
+    if args.batch is not None:
+        print(
+            "--errors applies to the per-shot loop only; --batch runs "
+            "a fixed number of windows per shot (drop --errors, or "
+            "set the windows instead)",
+            file=sys.stderr,
+        )
+        return None
+    return args.errors
+
+
 def _require_batch_for_engine(args) -> bool:
     """Engines other than framesim exist only behind --batch."""
     if args.engine != "framesim" and args.batch is None:
@@ -587,6 +623,9 @@ def cmd_ler(args) -> int:
 
     if not _require_batch_for_engine(args):
         return 2
+    errors = _errors_or_default(args, LER_DEFAULT_ERRORS)
+    if errors is None:
+        return 2
     decoder = _parse_decoder(args)
     if decoder is None:
         return 2
@@ -602,7 +641,7 @@ def cmd_ler(args) -> int:
             windows=args.windows if args.batch is not None else None,
             seed=args.seed,
             config=_parallel_config(args),
-            max_logical_errors=args.errors,
+            max_logical_errors=errors,
             engine=args.engine,
             decoder=decoder_name,
             decoder_params=decoder_params,
@@ -634,7 +673,7 @@ def cmd_ler(args) -> int:
                 args.per,
                 use_pauli_frame=use_frame,
                 error_kind=args.kind,
-                max_logical_errors=args.errors,
+                max_logical_errors=errors,
                 seed=args.seed,
             ).run()
             arms.append(
@@ -667,6 +706,9 @@ def cmd_sweep(args) -> int:
 
     if not _require_batch_for_engine(args):
         return 2
+    errors = _errors_or_default(args, SWEEP_DEFAULT_ERRORS)
+    if errors is None:
+        return 2
     if args.per_shot_decoder:
         if args.decoder != "lut":
             print(
@@ -698,7 +740,7 @@ def cmd_sweep(args) -> int:
             windows=args.batch,
             seed=args.seed,
             config=_parallel_config(args),
-            max_logical_errors=args.errors,
+            max_logical_errors=errors,
             engine=args.engine,
             decoder=decoder_name,
             decoder_params=decoder_params,
@@ -726,7 +768,7 @@ def cmd_sweep(args) -> int:
             per_values=args.per,
             error_kind=args.kind,
             samples=args.samples,
-            max_logical_errors=args.errors,
+            max_logical_errors=errors,
             seed=args.seed,
             batch_windows=args.batch,
             decoder_impl=decoder_name,

@@ -511,13 +511,13 @@ class BatchedLerExperiment:
     word planes (:class:`~repro.decoders.batched.
     PackedWindowedLutDecoder`) and only unpack at the LUT gather.
 
-    ``reference_cache`` (default on, requires a ``seed``) records the
-    run's noiseless reference trajectory in the process-level trace
-    cache (:mod:`repro.sim.refcache`), keyed by the protocol structure
-    plus the seed entropy, and replays it on any later run with the
-    same key — identical :class:`BatchCounts`, minus the whole tableau
-    pass.  This is what keeps a long-lived worker fleet from
-    re-simulating the reference for repeated-structure jobs.
+    ``reference_cache`` (default on) records the run's noiseless
+    reference as a symbolic trace in the process-level cache
+    (:mod:`repro.sim.refcache`), keyed by the protocol structure alone,
+    and replays it on every later run of that structure, whatever its
+    seed — identical :class:`BatchCounts`, minus the whole tableau
+    pass.  Shards, arms and serve jobs of one protocol share one
+    entry.
     """
 
     def __init__(
@@ -563,12 +563,12 @@ class BatchedLerExperiment:
             self.physical_error_rate,
             active_qubits=range(NUM_QUBITS),
         )
-        # The reference trajectory is a pure function of the protocol
-        # structure and the seed's reference stream — every parameter
-        # that only shapes the *frames* (shots, arm, noise rate,
-        # decoder, rng_mode) is deliberately absent from the key.
+        # The symbolic reference trace is a pure function of the
+        # protocol structure — the seed and every parameter that only
+        # shapes the *frames* (shots, arm, noise rate, decoder,
+        # rng_mode) are deliberately absent from the key.
         reference_key = None
-        if reference_cache and seed is not None:
+        if reference_cache:
             reference_key = reference_trace_key(
                 (
                     "batched_ler",
@@ -576,8 +576,7 @@ class BatchedLerExperiment:
                     self.windows,
                     self.rounds_per_window,
                     self.init_rounds,
-                ),
-                seed,
+                )
             )
         if self._packed:
             self.core = PackedStabilizerCore(
@@ -629,6 +628,12 @@ class BatchedLerExperiment:
             self.decoders = None
         self.qubit_map = list(range(NUM_QUBITS))
         self.probe_ancilla = NUM_QUBITS
+        # Every round of the protocol re-executes one of these circuit
+        # objects, so each structure is built (and compiled) once.
+        self._esm = parallel_esm(self.qubit_map, name="esm")
+        self._bypass_esm = parallel_esm(self.qubit_map, name="esm")
+        self._bypass_esm.circuit.bypass = True
+        self._probe, self._probe_measure = self._probe_circuit()
         self.preflight_analyses = (
             self.run_preflight() if preflight else None
         )
@@ -645,10 +650,7 @@ class BatchedLerExperiment:
         from ..analysis.verifier import FRAME_FORBID, verify_circuit
 
         analyses = []
-        for circuit in (
-            parallel_esm(self.qubit_map, name="esm").circuit,
-            self._probe_circuit()[0],
-        ):
+        for circuit in (self._esm.circuit, self._probe):
             analysis = verify_circuit(
                 circuit,
                 target=self.core,
@@ -675,8 +677,7 @@ class BatchedLerExperiment:
         per species instead; syndromes stay bit-packed all the way to
         the decoder's LUT gather.
         """
-        esm = parallel_esm(self.qubit_map, name="esm")
-        esm.circuit.bypass = bypass
+        esm = self._bypass_esm if bypass else self._esm
         result = self.core.run(esm.circuit)
         if self._packed:
             x_bits = np.stack(
@@ -824,8 +825,7 @@ class BatchedLerExperiment:
 
     def _measure_logical_eigenvalues(self) -> np.ndarray:
         """Per-shot ±1 eigenvalue bits of the logical stabilizer."""
-        circuit, measure = self._probe_circuit()
-        return self.core.run(circuit).bits_of(measure)
+        return self.core.run(self._probe).bits_of(self._probe_measure)
 
     def _clean_shots(self) -> np.ndarray:
         """Perfect diagnostic round: which shots show no syndrome."""

@@ -33,26 +33,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..circuits.circuit import Circuit
 from ..circuits.operation import Operation
-from ..sim.framesim import (
-    OP_DEPOL1,
-    OP_DEPOL2,
-    OP_XERR,
-    FrameArray,
-    NoiseParameters,
-    _PAULI_NAMES,
-    _SINGLE_CLIFFORD_OPS,
-    _TWO_QUBIT_OPS,
-    _seed_sequence,
-    _slot_noise_events,
-)
-from ..sim.refcache import ReferenceTableau
-from ..sim.state import State
+from ..sim.framesim import FrameArray, NoiseParameters
 from .. import telemetry
-from .core import CAP_BATCH, Core, ExecutionResult
-
-SeedLike = object  # see repro.sim.framesim.SeedLike
+from .core import CAP_BATCH, ExecutionResult
+from .lockstep import LockstepCore, SeedLike
 
 
 @dataclass
@@ -82,7 +67,7 @@ class BatchedExecutionResult(ExecutionResult):
             self.bit_arrays.update(other.bit_arrays)
 
 
-class BatchedStabilizerCore(Core):
+class BatchedStabilizerCore(LockstepCore[BatchedExecutionResult]):
     """Clifford core executing ``num_shots`` noisy shots in lockstep.
 
     Parameters
@@ -97,23 +82,15 @@ class BatchedStabilizerCore(Core):
         gauge randomness (two independent child streams).
     reference_key:
         Optional :func:`~repro.sim.refcache.reference_trace_key`
-        digest.  With a key, the reference trajectory is recorded on
-        first execution and *replayed* from the process-level trace
-        cache on subsequent runs with the same key — bit-identical
-        results without re-simulating the noiseless tableau.  The
-        experiment owning the core must call
-        :meth:`commit_reference_trace` once its circuit stream is
-        complete.
+        digest.  With a key, the symbolic reference trace is recorded
+        on first execution and *replayed* from the process-level cache
+        by every later run with the same key, whatever its seed --
+        bit-identical results without a tableau.  The experiment
+        owning the core must call :meth:`commit_reference_trace` once
+        its circuit stream is complete.
 
-    Notes
-    -----
-    The executed circuit stream must be shot-independent apart from
-    Pauli feedback: a measurement's *reference* outcome is decided
-    once on the shared tableau, and per-shot outcomes differ from it
-    only through the error frames.  Branching on a single shot's
-    outcome and commanding different non-Pauli circuits per shot is
-    not expressible here — use the per-shot :class:`StabilizerCore`
-    loop for that.
+    Circuits run through compiled slot plans (:mod:`repro.qpdo.
+    lockstep`), with the lockstep restrictions documented there.
     """
 
     def __init__(
@@ -125,56 +102,10 @@ class BatchedStabilizerCore(Core):
     ) -> None:
         if num_shots < 1:
             raise ValueError("num_shots must be positive")
-        reference_ss, frame_ss = _seed_sequence(seed).spawn(2)
-        self.simulator = ReferenceTableau(
-            np.random.default_rng(reference_ss), key=reference_key
+        super().__init__(
+            FrameArray(num_shots, 0), noise, seed, reference_key,
+            blocked=True,
         )
-        self.frames = FrameArray(num_shots, 0)
-        self.noise = noise
-        self._frame_rng = np.random.default_rng(frame_ss)
-        self._queue: List[Circuit] = []
-        self._state = State(0)
-        self._num_qubits = 0
-
-    # -- register -------------------------------------------------------
-    @property
-    def num_shots(self) -> int:
-        return self.frames.num_shots
-
-    @property
-    def num_qubits(self) -> int:
-        return self._num_qubits
-
-    def createqubit(self, size: int = 1) -> int:
-        first = self._num_qubits
-        self._num_qubits += int(size)
-        self.simulator.add_qubits(int(size))
-        self.frames.add_qubits(int(size), self._frame_rng)
-        self._state.resize(self._num_qubits)
-        for qubit in range(first, self._num_qubits):
-            self._state.set_bit(qubit, 0)
-        return first
-
-    def removequbit(self, size: int = 1) -> None:
-        if size > self._num_qubits:
-            raise ValueError("cannot remove more qubits than allocated")
-        self._num_qubits -= int(size)
-        self._state.resize(self._num_qubits)
-        # Like the scalar cores, the tableau keeps its registers; the
-        # frame columns are dropped so re-created qubits start fresh.
-        self.frames.remove_qubits(
-            self.frames.num_qubits - self._num_qubits
-        )
-
-    # -- execution ------------------------------------------------------
-    def add(self, circuit: Circuit) -> None:
-        top = circuit.max_qubit()
-        if top >= self._num_qubits:
-            raise ValueError(
-                f"circuit addresses qubit {top} but only "
-                f"{self._num_qubits} are allocated"
-            )
-        self._queue.append(circuit)
 
     def execute(self) -> BatchedExecutionResult:
         t = telemetry.ACTIVE
@@ -188,143 +119,20 @@ class BatchedStabilizerCore(Core):
         ):
             return self._execute()
 
-    def _execute(self) -> BatchedExecutionResult:
-        result = BatchedExecutionResult()
-        for circuit in self._queue:
-            noisy = (
-                self.noise is not None
-                and self.noise.probability > 0.0
-                and not circuit.bypass
-            )
-            active = (
-                self.noise.active_set(self._num_qubits) if noisy else set()
-            )
-            for slot in circuit:
-                if noisy:
-                    pre, post = _slot_noise_events(
-                        slot, active, self._num_qubits
-                    )
-                    self._inject(pre)
-                for operation in slot:
-                    self._apply(operation, result)
-                if noisy:
-                    self._inject(post)
-        self._queue.clear()
-        return result
-
-    def getstate(self) -> State:
-        """Binary state as seen by shot 0 (the scalar-Core view)."""
-        return self._state.copy()
-
     def supports(self, capability: str) -> bool:
         return capability == CAP_BATCH or super().supports(capability)
 
-    def commit_reference_trace(self) -> None:
-        """Store the recorded reference trace in the process cache.
+    def _new_result(self) -> BatchedExecutionResult:
+        return BatchedExecutionResult()
 
-        Call exactly once, after the experiment's full circuit stream
-        has executed; no-op without a ``reference_key`` or on a run
-        that replayed a cached trace.
-        """
-        self.simulator.commit()
-
-    # -- per-shot Pauli feedback ----------------------------------------
-    def apply_pauli_frame(
-        self, x_mask: np.ndarray, z_mask: np.ndarray
-    ) -> None:
-        """XOR per-shot Pauli masks (decoder corrections) into the
-        frames.
-
-        Masks have shape ``(num_shots, num_qubits)``; ``x_mask`` marks
-        shots/qubits receiving an X gate, ``z_mask`` a Z gate (Y sets
-        both).  This is the batched analogue of commanding per-shot
-        correction circuits: a Pauli gate is exactly a frame update,
-        so the shared reference is untouched.
-        """
-        self.frames.apply_pauli_masks(x_mask, z_mask)
-
-    def inject_depolarizing(
+    def _store_measurements(
         self,
-        qubits,
-        shot_mask: Optional[np.ndarray] = None,
-        probability: Optional[float] = None,
+        result: BatchedExecutionResult,
+        flips: np.ndarray,
+        reference: np.ndarray,
+        uids: List[int],
     ) -> None:
-        """Charge one depolarizing slot to ``qubits``, optionally only
-        on the shots selected by ``shot_mask``.
-
-        Experiments use this for shot-dependent circuits the lockstep
-        stream cannot express — e.g. the frame-less arm's physical
-        correction slot, which only exists on shots whose decoder
-        commanded corrections.  The probability defaults to the core's
-        noise model; without a noise model this is a no-op.
-        """
-        if probability is None:
-            probability = (
-                self.noise.probability if self.noise is not None else 0.0
-            )
-        if probability <= 0.0:
-            return
-        for qubit in qubits:
-            self.frames.depolarize1(
-                qubit, probability, self._frame_rng, shot_mask=shot_mask
-            )
-
-    # -- internals ------------------------------------------------------
-    def _inject(self, events) -> None:
-        frames, rng = self.frames, self._frame_rng
-        p = self.noise.probability
-        for event in events:
-            if event[0] == OP_DEPOL1:
-                frames.depolarize1(event[1], p, rng)
-            elif event[0] == OP_XERR:
-                frames.xerr(event[1], p, rng)
-            elif event[0] == OP_DEPOL2:
-                frames.depolarize2(event[1], event[2], p, rng)
-
-    def _apply(
-        self, operation: Operation, result: BatchedExecutionResult
-    ) -> None:
-        name = operation.name
-        if operation.is_preparation:
-            qubit = operation.qubits[0]
-            self.simulator.reset(qubit)
-            self.frames.reset(qubit, self._frame_rng)
-            self._state.set_bit(qubit, 0)
-            return
-        if operation.is_measurement:
-            qubit = operation.qubits[0]
-            reference_bit = self.simulator.measure(qubit)
-            flips = self.frames.measure_flips(qubit, self._frame_rng)
-            bits = flips if not reference_bit else ~flips
-            result.bit_arrays[operation.uid] = bits
-            result.measurements[operation.uid] = int(bits[0])
-            self._state.set_bit(qubit, int(bits[0]))
-            return
-        if name in _PAULI_NAMES:
-            # Paulis move the shared reference; frames are untouched
-            # (conjugation by a Pauli is the identity mod phase).
-            self.simulator.apply_gate(name, operation.qubits)
-        elif name in _SINGLE_CLIFFORD_OPS:
-            self.simulator.apply_gate(name, operation.qubits)
-            qubit = operation.qubits[0]
-            if name == "h":
-                self.frames.h(qubit)
-            else:
-                self.frames.s(qubit)
-        elif name in _TWO_QUBIT_OPS:
-            self.simulator.apply_gate(name, operation.qubits)
-            first, second = operation.qubits
-            if name in ("cnot", "cx"):
-                self.frames.cnot(first, second)
-            elif name == "cz":
-                self.frames.cz(first, second)
-            else:
-                self.frames.swap(first, second)
-        else:
-            raise ValueError(
-                f"batched stabilizer core cannot execute non-Clifford "
-                f"gate {name!r}"
-            )
-        if name != "i":
-            for qubit in operation.qubits:
-                self._state.invalidate(qubit)
+        bits = flips ^ reference
+        for column, uid in enumerate(uids):
+            result.bit_arrays[uid] = bits[:, column]
+            result.measurements[uid] = int(bits[0, column])

@@ -33,26 +33,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..circuits.circuit import Circuit
 from ..circuits.operation import Operation
-from ..sim.framesim import (
-    OP_DEPOL1,
-    OP_DEPOL2,
-    OP_XERR,
-    NoiseParameters,
-    _PAULI_NAMES,
-    _SINGLE_CLIFFORD_OPS,
-    _TWO_QUBIT_OPS,
-    _seed_sequence,
-    _slot_noise_events,
-)
+from ..sim.framesim import NoiseParameters
 from ..sim.packedsim import PackedFrameArray, unpack_bits
-from ..sim.refcache import ReferenceTableau
-from ..sim.state import State
 from .. import telemetry
-from .core import CAP_BATCH, CAP_PACKED, Core, ExecutionResult
-
-SeedLike = object  # see repro.sim.framesim.SeedLike
+from .core import CAP_BATCH, CAP_PACKED, ExecutionResult
+from .lockstep import LockstepCore, SeedLike
 
 
 @dataclass
@@ -88,7 +74,7 @@ class PackedExecutionResult(ExecutionResult):
             self.num_shots = other.num_shots or self.num_shots
 
 
-class PackedStabilizerCore(Core):
+class PackedStabilizerCore(LockstepCore[PackedExecutionResult]):
     """Clifford core executing ``num_shots`` noisy shots on packed
     frames.
 
@@ -110,13 +96,14 @@ class PackedStabilizerCore(Core):
     reference_key:
         Optional reference-trace cache key (see the unpacked core and
         :mod:`repro.sim.refcache`).  The reference stream is identical
-        across all engines — ``rng_mode`` only changes the *frame*
-        stream — so packed and unpacked runs of one protocol/seed
-        share one cached trace.
+        across all engines -- ``rng_mode`` only changes the *frame*
+        stream -- so packed and unpacked runs of one protocol share
+        one cached trace.
 
-    The lockstep restrictions of the unpacked batched core apply
+    The lockstep restrictions of :mod:`repro.qpdo.lockstep` apply
     unchanged: the circuit stream must be shot-independent apart from
-    Pauli feedback (:meth:`apply_pauli_frame`).
+    Pauli feedback (:meth:`apply_pauli_frame`, which also accepts
+    pre-packed ``uint64`` planes of shape ``(num_qubits, num_words)``).
     """
 
     def __init__(
@@ -129,57 +116,12 @@ class PackedStabilizerCore(Core):
     ) -> None:
         if num_shots < 1:
             raise ValueError("num_shots must be positive")
-        reference_ss, frame_ss = _seed_sequence(seed).spawn(2)
-        self.simulator = ReferenceTableau(
-            np.random.default_rng(reference_ss), key=reference_key
+        frames = PackedFrameArray(num_shots, 0, rng_mode=rng_mode)
+        super().__init__(
+            frames, noise, seed, reference_key,
+            blocked=rng_mode == "exact",
         )
-        self.frames = PackedFrameArray(num_shots, 0, rng_mode=rng_mode)
-        self.noise = noise
         self.rng_mode = rng_mode
-        self._frame_rng = np.random.default_rng(frame_ss)
-        self._queue: List[Circuit] = []
-        self._state = State(0)
-        self._num_qubits = 0
-
-    # -- register -------------------------------------------------------
-    @property
-    def num_shots(self) -> int:
-        return self.frames.num_shots
-
-    @property
-    def num_qubits(self) -> int:
-        return self._num_qubits
-
-    def createqubit(self, size: int = 1) -> int:
-        first = self._num_qubits
-        self._num_qubits += int(size)
-        self.simulator.add_qubits(int(size))
-        self.frames.add_qubits(int(size), self._frame_rng)
-        self._state.resize(self._num_qubits)
-        for qubit in range(first, self._num_qubits):
-            self._state.set_bit(qubit, 0)
-        return first
-
-    def removequbit(self, size: int = 1) -> None:
-        if size > self._num_qubits:
-            raise ValueError("cannot remove more qubits than allocated")
-        self._num_qubits -= int(size)
-        self._state.resize(self._num_qubits)
-        # Like the unpacked core: the tableau keeps its registers, the
-        # frame rows are dropped so re-created qubits start fresh.
-        self.frames.remove_qubits(
-            self.frames.num_qubits - self._num_qubits
-        )
-
-    # -- execution ------------------------------------------------------
-    def add(self, circuit: Circuit) -> None:
-        top = circuit.max_qubit()
-        if top >= self._num_qubits:
-            raise ValueError(
-                f"circuit addresses qubit {top} but only "
-                f"{self._num_qubits} are allocated"
-            )
-        self._queue.append(circuit)
 
     def execute(self) -> PackedExecutionResult:
         t = telemetry.ACTIVE
@@ -194,137 +136,23 @@ class PackedStabilizerCore(Core):
         ):
             return self._execute()
 
-    def _execute(self) -> PackedExecutionResult:
-        result = PackedExecutionResult(num_shots=self.num_shots)
-        for circuit in self._queue:
-            noisy = (
-                self.noise is not None
-                and self.noise.probability > 0.0
-                and not circuit.bypass
-            )
-            active = (
-                self.noise.active_set(self._num_qubits) if noisy else set()
-            )
-            for slot in circuit:
-                if noisy:
-                    pre, post = _slot_noise_events(
-                        slot, active, self._num_qubits
-                    )
-                    self._inject(pre)
-                for operation in slot:
-                    self._apply(operation, result)
-                if noisy:
-                    self._inject(post)
-        self._queue.clear()
-        return result
-
-    def getstate(self) -> State:
-        """Binary state as seen by shot 0 (the scalar-Core view)."""
-        return self._state.copy()
-
     def supports(self, capability: str) -> bool:
         return capability in (CAP_BATCH, CAP_PACKED) or super().supports(
             capability
         )
 
-    def commit_reference_trace(self) -> None:
-        """Store the recorded reference trace in the process cache
-        (see the unpacked core's docstring)."""
-        self.simulator.commit()
+    def _new_result(self) -> PackedExecutionResult:
+        return PackedExecutionResult(num_shots=self.num_shots)
 
-    # -- per-shot Pauli feedback ----------------------------------------
-    def apply_pauli_frame(
-        self, x_mask: np.ndarray, z_mask: np.ndarray
-    ) -> None:
-        """XOR per-shot Pauli masks (decoder corrections) into the
-        frames.
-
-        Masks are bool arrays of shape ``(num_shots, num_qubits)`` or
-        pre-packed ``uint64`` planes of shape
-        ``(num_qubits, num_words)``; the shared reference is untouched
-        either way (a Pauli gate *is* a frame update).
-        """
-        self.frames.apply_pauli_masks(x_mask, z_mask)
-
-    def inject_depolarizing(
+    def _store_measurements(
         self,
-        qubits,
-        shot_mask: Optional[np.ndarray] = None,
-        probability: Optional[float] = None,
+        result: PackedExecutionResult,
+        flips: np.ndarray,
+        reference: np.ndarray,
+        uids: List[int],
     ) -> None:
-        """Charge one depolarizing slot to ``qubits``, optionally only
-        on the shots selected by ``shot_mask`` (see the unpacked
-        core's docstring for the experiment-side use)."""
-        if probability is None:
-            probability = (
-                self.noise.probability if self.noise is not None else 0.0
-            )
-        if probability <= 0.0:
-            return
-        for qubit in qubits:
-            self.frames.depolarize1(
-                qubit, probability, self._frame_rng, shot_mask=shot_mask
-            )
-
-    # -- internals ------------------------------------------------------
-    def _inject(self, events) -> None:
-        frames, rng = self.frames, self._frame_rng
-        p = self.noise.probability
-        for event in events:
-            if event[0] == OP_DEPOL1:
-                frames.depolarize1(event[1], p, rng)
-            elif event[0] == OP_XERR:
-                frames.xerr(event[1], p, rng)
-            elif event[0] == OP_DEPOL2:
-                frames.depolarize2(event[1], event[2], p, rng)
-
-    def _apply(
-        self, operation: Operation, result: PackedExecutionResult
-    ) -> None:
-        name = operation.name
-        if operation.is_preparation:
-            qubit = operation.qubits[0]
-            self.simulator.reset(qubit)
-            self.frames.reset(qubit, self._frame_rng)
-            self._state.set_bit(qubit, 0)
-            return
-        if operation.is_measurement:
-            qubit = operation.qubits[0]
-            reference_bit = self.simulator.measure(qubit)
-            flips = self.frames.measure_flips(qubit, self._frame_rng)
-            if reference_bit:
-                # NOT over the valid shots; tail bits stay zero.
-                flips = flips ^ self.frames.full_words
-            result.bit_words[operation.uid] = flips
-            shot0 = int(flips[0] & np.uint64(1))
-            result.measurements[operation.uid] = shot0
-            self._state.set_bit(qubit, shot0)
-            return
-        if name in _PAULI_NAMES:
-            # Paulis move the shared reference; frames are untouched
-            # (conjugation by a Pauli is the identity mod phase).
-            self.simulator.apply_gate(name, operation.qubits)
-        elif name in _SINGLE_CLIFFORD_OPS:
-            self.simulator.apply_gate(name, operation.qubits)
-            qubit = operation.qubits[0]
-            if name == "h":
-                self.frames.h(qubit)
-            else:
-                self.frames.s(qubit)
-        elif name in _TWO_QUBIT_OPS:
-            self.simulator.apply_gate(name, operation.qubits)
-            first, second = operation.qubits
-            if name in ("cnot", "cx"):
-                self.frames.cnot(first, second)
-            elif name == "cz":
-                self.frames.cz(first, second)
-            else:
-                self.frames.swap(first, second)
-        else:
-            raise ValueError(
-                f"packed stabilizer core cannot execute non-Clifford "
-                f"gate {name!r}"
-            )
-        if name != "i":
-            for qubit in operation.qubits:
-                self._state.invalidate(qubit)
+        # NOT over the valid shots of reference-1 rows; tails stay zero.
+        flips[reference] ^= self.frames.full_words
+        for row, uid in enumerate(uids):
+            result.bit_words[uid] = flips[row]
+            result.measurements[uid] = int(flips[row, 0] & np.uint64(1))

@@ -4,10 +4,13 @@ One :class:`WorkerFleet` wraps one persistent
 :class:`~concurrent.futures.ProcessPoolExecutor` that outlives
 individual jobs.  That persistence is the whole point of the service:
 worker processes accumulate process-level caches — the dense LUT
-gather tables (:mod:`repro.decoders.batched`) and the per-structure
-reference traces (:mod:`repro.sim.refcache`) — so the second job with
-a familiar structure skips the cold work entirely.  A throwaway
-per-job pool would pay the cold start every time.
+gather tables (:mod:`repro.decoders.batched`), the compiled slot plans
+of the batched cores (:mod:`repro.qpdo.lockstep`) and the symbolic
+reference traces (:mod:`repro.sim.refcache`).  All three are keyed on
+structure alone, never on a seed, so every later shard of a job and
+every later job with a familiar structure skips the cold work, even
+though each job draws its own derived seed.  A throwaway per-job pool
+would pay the cold start every time.
 
 **Graceful degradation.**  A worker that dies mid-shard (OOM-killed,
 segfaulted, ``kill -9``) breaks the whole executor —
@@ -235,9 +238,20 @@ class WorkerFleet:
         self.executor().submit(_noop).result()
 
     def respawn(self) -> None:
-        """Discard a broken pool and count the degradation event."""
+        """Discard a broken pool and count the degradation event.
+
+        The broken pool's workers are killed here rather than left to
+        the pool's own teardown.  A worker the pool started while it
+        was breaking can miss that teardown's SIGTERM and wait forever
+        on a queue lock the dead worker held; the pool's management
+        thread then waits forever on that worker, and interpreter exit
+        waits on the thread.
+        """
         if self._pool is not None:
+            workers = list((self._pool._processes or {}).values())
             self._pool.shutdown(wait=False, cancel_futures=True)
+            for worker in workers:
+                worker.kill()
             self._pool = None
         self.respawns += 1
         t = telemetry.ACTIVE

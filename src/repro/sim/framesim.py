@@ -42,7 +42,8 @@ Three public entry points:
 The streaming variant (adaptive circuits with per-shot Pauli feedback,
 used by the batched LER experiments) lives in
 :class:`repro.qpdo.batched_core.BatchedStabilizerCore` on top of the
-same :class:`FrameArray` kernels.
+same :class:`FrameArray` kernels, which it calls once per same-kind
+group of a time slot (:mod:`repro.qpdo.lockstep`).
 """
 
 from __future__ import annotations
@@ -107,6 +108,17 @@ TWO_QUBIT_ERROR_BITS = np.array(
 )
 
 
+#: One qubit, or an array of distinct qubits (a slot's same-kind group).
+Qubits = Union[int, np.ndarray]
+
+#: What a random frame kernel consumes: a Generator to draw from now,
+#: or its rows of a uniform block drawn ahead -- one row of
+#: ``num_shots`` floats per qubit (or pair), the same numbers the
+#: Generator would have produced, because ``Generator.random`` fills a
+#: ``(k, n)`` block exactly like ``k`` consecutive ``(n,)`` draws.
+Draws = Union[np.random.Generator, np.ndarray]
+
+
 @dataclass(frozen=True)
 class NoiseParameters:
     """Symmetric depolarizing noise for compiled programs.
@@ -146,6 +158,17 @@ class NoiseParameters:
         return set(self.active_qubits)
 
 
+def uniforms(draws: Draws, shape: Tuple[int, ...]) -> np.ndarray:
+    """The uniforms a random kernel consumes, of ``shape``.
+
+    ``draws`` is either a Generator, drawn from now, or the kernel's
+    rows of a block drawn ahead (see :data:`Draws`).
+    """
+    if isinstance(draws, np.random.Generator):
+        return draws.random(shape)
+    return draws
+
+
 class FrameArray:
     """``num_shots`` Pauli frames as two bool matrices.
 
@@ -153,6 +176,10 @@ class FrameArray:
     column ``q`` of ``x``/``z`` holds the ``has X``/``has Z`` record
     bits of qubit ``q`` for every shot.  All updates are the mod-phase
     conjugation rules of Tables 3.4/3.5, vectorized over shots.
+
+    Every kernel takes one qubit or an array of distinct qubits (one
+    time slot's same-kind group); random kernels consume one row of
+    uniforms per qubit (or qubit pair), in order.
     """
 
     __slots__ = ("x", "z")
@@ -189,68 +216,73 @@ class FrameArray:
         self.z = self.z[:, :keep].copy()
 
     # -- Clifford conjugation (Tables 3.4/3.5, vectorized) --------------
-    def h(self, qubit: int) -> None:
+    def h(self, qubits: Qubits) -> None:
         """H exchanges the X and Z record bits."""
-        tmp = self.x[:, qubit].copy()
-        self.x[:, qubit] = self.z[:, qubit]
-        self.z[:, qubit] = tmp
+        tmp = self.x[:, qubits].copy()
+        self.x[:, qubits] = self.z[:, qubits]
+        self.z[:, qubits] = tmp
 
-    def s(self, qubit: int) -> None:
+    def s(self, qubits: Qubits) -> None:
         """S (and, mod phase, S^dagger): ``X -> XZ``, ``Z -> Z``."""
-        self.z[:, qubit] ^= self.x[:, qubit]
+        self.z[:, qubits] ^= self.x[:, qubits]
 
-    def cnot(self, control: int, target: int) -> None:
+    def cnot(self, control: Qubits, target: Qubits) -> None:
         """X propagates control->target, Z propagates target->control."""
         self.x[:, target] ^= self.x[:, control]
         self.z[:, control] ^= self.z[:, target]
 
-    def cz(self, control: int, target: int) -> None:
+    def cz(self, control: Qubits, target: Qubits) -> None:
         """X on either qubit acquires a Z on the other."""
         new_zc = self.z[:, control] ^ self.x[:, target]
         self.z[:, target] ^= self.x[:, control]
         self.z[:, control] = new_zc
 
-    def swap(self, first: int, second: int) -> None:
+    def swap(self, first: Qubits, second: Qubits) -> None:
         """SWAP exchanges the two record columns."""
-        self.x[:, [first, second]] = self.x[:, [second, first]]
-        self.z[:, [first, second]] = self.z[:, [second, first]]
+        for plane in (self.x, self.z):
+            tmp = plane[:, first].copy()
+            plane[:, first] = plane[:, second]
+            plane[:, second] = tmp
 
     # -- state transitions ----------------------------------------------
-    def reset(self, qubit: int, rng: np.random.Generator) -> None:
+    def reset(self, qubits: Qubits, draws: Draws) -> None:
         """Reset clears the record; the Z gauge is randomized."""
-        self.x[:, qubit] = False
-        self.z[:, qubit] = rng.random(self.num_shots) < 0.5
+        u = uniforms(draws, np.shape(qubits) + (self.num_shots,))
+        self.x[:, qubits] = False
+        self.z[:, qubits] = (u < 0.5).T
 
-    def measure_flips(
-        self, qubit: int, rng: np.random.Generator
-    ) -> np.ndarray:
+    def measure_flips(self, qubits: Qubits, draws: Draws) -> np.ndarray:
         """Per-shot outcome flips of a Z measurement (Table 3.2).
 
-        Returns the ``X``-component column (a copy), then randomizes
-        the now-gauge ``Z`` component.
+        Returns the ``X``-component columns (a copy; ``(shots,)`` for
+        one qubit, ``(shots, k)`` for ``k``), then randomizes the
+        now-gauge ``Z`` components.
         """
         t = telemetry.ACTIVE
         if t is None:
-            flips = self.x[:, qubit].copy()
-            self.z[:, qubit] = rng.random(self.num_shots) < 0.5
-            return flips
+            return self._measure_flips(qubits, draws)
         with t.span("sim.framesim", "FrameArray.measure_flips"):
-            flips = self.x[:, qubit].copy()
-            self.z[:, qubit] = rng.random(self.num_shots) < 0.5
-            return flips
+            return self._measure_flips(qubits, draws)
+
+    def _measure_flips(self, qubits: Qubits, draws: Draws) -> np.ndarray:
+        u = uniforms(draws, np.shape(qubits) + (self.num_shots,))
+        flips = self.x[:, qubits].copy()
+        self.z[:, qubits] = (u < 0.5).T
+        return flips
 
     # -- noise channels (vectorized) ------------------------------------
     def xerr(
-        self, qubit: int, probability: float, rng: np.random.Generator
+        self, qubits: Qubits, probability: float, draws: Draws
     ) -> None:
         """Bit-flip channel: X with probability ``p`` on every shot."""
-        self.x[:, qubit] ^= rng.random(self.num_shots) < probability
+        u = uniforms(draws, np.shape(qubits) + (self.num_shots,))
+        self.x[:, qubits] ^= (u < probability).T
 
     def depolarize1(
         self,
-        qubit: int,
+        qubits: Qubits,
         probability: float,
-        rng: np.random.Generator,
+        draws: Draws,
         shot_mask: Optional[np.ndarray] = None,
     ) -> None:
         """Single-qubit depolarizing: X/Y/Z with probability ``p/3``.
@@ -264,30 +296,30 @@ class FrameArray:
         e.g. per-shot correction circuits); the stream consumption is
         the same with or without a mask.
         """
-        u = rng.random(self.num_shots)
+        u = uniforms(draws, np.shape(qubits) + (self.num_shots,))
         hit = u < probability
         if shot_mask is not None:
             hit &= shot_mask
         kind = np.minimum((u * (3.0 / probability)).astype(np.int64), 2)
-        self.x[:, qubit] ^= hit & (kind != 2)  # X or Y
-        self.z[:, qubit] ^= hit & (kind != 0)  # Y or Z
+        self.x[:, qubits] ^= (hit & (kind != 2)).T  # X or Y
+        self.z[:, qubits] ^= (hit & (kind != 0)).T  # Y or Z
 
     def depolarize2(
         self,
-        first: int,
-        second: int,
+        first: Qubits,
+        second: Qubits,
         probability: float,
-        rng: np.random.Generator,
+        draws: Draws,
     ) -> None:
         """Two-qubit depolarizing: one of 15 pairs, ``p/15`` each."""
-        u = rng.random(self.num_shots)
+        u = uniforms(draws, np.shape(first) + (self.num_shots,))
         hit = u < probability
         kind = np.minimum((u * (15.0 / probability)).astype(np.int64), 14)
         bits = TWO_QUBIT_ERROR_BITS[kind]
-        self.x[:, first] ^= hit & bits[:, 0]
-        self.z[:, first] ^= hit & bits[:, 1]
-        self.x[:, second] ^= hit & bits[:, 2]
-        self.z[:, second] ^= hit & bits[:, 3]
+        self.x[:, first] ^= (hit & bits[..., 0]).T
+        self.z[:, first] ^= (hit & bits[..., 1]).T
+        self.x[:, second] ^= (hit & bits[..., 2]).T
+        self.z[:, second] ^= (hit & bits[..., 3]).T
 
     def apply_pauli_masks(
         self, x_mask: np.ndarray, z_mask: np.ndarray

@@ -27,8 +27,9 @@ into a handful of word-wide bitwise kernels:
     results, are bit-identical to :class:`~repro.sim.framesim.
     BatchedFrameSampler` / ``BatchedStabilizerCore`` — the conformance
     contract the golden values and the differential-fuzz corpus pin.
-    The speedup comes from doing the hit→kind arithmetic sparsely
-    (only at the hit indices) and all frame algebra on words.
+    The speedup comes from doing all frame algebra on words; the
+    uniforms may be drawn ahead as one block per time slot (see
+    :data:`~repro.sim.framesim.Draws`).
 
 ``"fast"``
     Stim-style word-level randomness: a channel draws its hit *count*
@@ -52,7 +53,7 @@ and unpacks never see ghost shots.
 from __future__ import annotations
 
 import sys
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -71,11 +72,14 @@ from .framesim import (
     OP_XERR,
     _OP_COUNTER_NAMES,
     TWO_QUBIT_ERROR_BITS,
+    Draws,
     FrameProgram,
     NoiseParameters,
+    Qubits,
     SeedLike,
     _seed_sequence,
     compile_frame_program,
+    uniforms,
 )
 
 #: All-ones word (numpy uint64 cannot take ``~0`` directly).
@@ -207,6 +211,13 @@ def packed_majority(planes: np.ndarray) -> np.ndarray:
     return greater | equal
 
 
+def _generator(draws: Draws) -> np.random.Generator:
+    """Fast mode samples at word level, so it needs the Generator."""
+    if not isinstance(draws, np.random.Generator):
+        raise TypeError("rng_mode='fast' kernels draw from a Generator")
+    return draws
+
+
 def _scatter(indices: np.ndarray, num_shots: int) -> np.ndarray:
     """Packed row with bits set at the given shot indices."""
     bits = np.zeros(num_shots, dtype=bool)
@@ -299,72 +310,80 @@ class PackedFrameArray:
         self.z = self.z[:keep].copy()
 
     # -- Clifford conjugation (word kernels) ----------------------------
-    def h(self, qubit: int) -> None:
+    def h(self, qubits: Qubits) -> None:
         """H exchanges the X and Z record rows."""
-        tmp = self.x[qubit].copy()
-        self.x[qubit] = self.z[qubit]
-        self.z[qubit] = tmp
+        tmp = self.x[qubits].copy()
+        self.x[qubits] = self.z[qubits]
+        self.z[qubits] = tmp
 
-    def s(self, qubit: int) -> None:
+    def s(self, qubits: Qubits) -> None:
         """S (and, mod phase, S^dagger): ``X -> XZ``, ``Z -> Z``."""
-        self.z[qubit] ^= self.x[qubit]
+        self.z[qubits] ^= self.x[qubits]
 
-    def cnot(self, control: int, target: int) -> None:
+    def cnot(self, control: Qubits, target: Qubits) -> None:
         """X propagates control->target, Z propagates target->control."""
         self.x[target] ^= self.x[control]
         self.z[control] ^= self.z[target]
 
-    def cz(self, control: int, target: int) -> None:
+    def cz(self, control: Qubits, target: Qubits) -> None:
         """X on either qubit acquires a Z on the other."""
         new_zc = self.z[control] ^ self.x[target]
         self.z[target] ^= self.x[control]
         self.z[control] = new_zc
 
-    def swap(self, first: int, second: int) -> None:
+    def swap(self, first: Qubits, second: Qubits) -> None:
         """SWAP exchanges the two record rows."""
-        self.x[[first, second]] = self.x[[second, first]]
-        self.z[[first, second]] = self.z[[second, first]]
+        for plane in (self.x, self.z):
+            tmp = plane[first].copy()
+            plane[first] = plane[second]
+            plane[second] = tmp
 
     # -- state transitions ----------------------------------------------
-    def reset(self, qubit: int, rng: np.random.Generator) -> None:
+    def reset(self, qubits: Qubits, draws: Draws) -> None:
         """Reset clears the record; the Z gauge is randomized."""
-        self.x[qubit] = 0
-        self.z[qubit] = self._gauge_row(rng)
+        self.x[qubits] = 0
+        self.z[qubits] = self._gauge_rows(np.shape(qubits), draws)
 
-    def measure_flips(
-        self, qubit: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Per-shot outcome flips of a Z measurement, as one word row.
+    def measure_flips(self, qubits: Qubits, draws: Draws) -> np.ndarray:
+        """Per-shot outcome flips of a Z measurement, as word rows.
 
-        Returns the packed ``X``-component row (a copy), then
-        randomizes the now-gauge ``Z`` component.
+        Returns the packed ``X``-component rows (a copy; ``(words,)``
+        for one qubit, ``(k, words)`` for ``k``), then randomizes the
+        now-gauge ``Z`` components.
         """
-        flips = self.x[qubit].copy()
-        self.z[qubit] = self._gauge_row(rng)
+        t = telemetry.ACTIVE
+        if t is None:
+            return self._measure_flips(qubits, draws)
+        with t.span("sim.packedsim", "PackedFrameArray.measure_flips"):
+            return self._measure_flips(qubits, draws)
+
+    def _measure_flips(self, qubits: Qubits, draws: Draws) -> np.ndarray:
+        flips = self.x[qubits].copy()
+        self.z[qubits] = self._gauge_rows(np.shape(qubits), draws)
         return flips
 
     # -- noise channels --------------------------------------------------
+    # Exact mode turns one uniform row per channel into packed hit rows;
+    # fast mode samples each channel from the Generator at word level,
+    # channel after channel in group order.
     def xerr(
-        self, qubit: int, probability: float, rng: np.random.Generator
+        self, qubits: Qubits, probability: float, draws: Draws
     ) -> None:
         """Bit-flip channel: X with probability ``p`` on every shot."""
         if self.rng_mode == "exact":
-            self.x[qubit] ^= pack_bits(
-                rng.random(self.num_shots) < probability
-            )
+            u = uniforms(draws, np.shape(qubits) + (self.num_shots,))
+            self.x[qubits] ^= pack_bits(u < probability)
             return
-        hits = int(rng.binomial(self.num_shots, probability))
-        if hits:
-            positions = rng.choice(
-                self.num_shots, size=hits, replace=False
-            )
-            self.x[qubit] ^= _scatter(positions, self.num_shots)
+        for qubit in np.atleast_1d(qubits):
+            hits = self._fast_hits(probability, draws, kinds=1)
+            if hits is not None:
+                self.x[qubit] ^= _scatter(hits[0], self.num_shots)
 
     def depolarize1(
         self,
-        qubit: int,
+        qubits: Qubits,
         probability: float,
-        rng: np.random.Generator,
+        draws: Draws,
         shot_mask: Optional[np.ndarray] = None,
     ) -> None:
         """Single-qubit depolarizing: X/Y/Z with probability ``p/3``.
@@ -374,57 +393,56 @@ class PackedFrameArray:
         mask-independent, exactly like the unpacked kernel.
         """
         if self.rng_mode == "exact":
-            # Same double-duty draw as FrameArray.depolarize1 — but the
-            # kind arithmetic runs only at the (sparse) hit indices.
-            u = rng.random(self.num_shots)
+            # Same double-duty draw as FrameArray.depolarize1.
+            u = uniforms(draws, np.shape(qubits) + (self.num_shots,))
             hit = u < probability
             if shot_mask is not None:
                 hit &= shot_mask
-            indices = np.flatnonzero(hit)
-            if indices.size == 0:
-                return
-            kind = np.minimum(
-                (u[indices] * (3.0 / probability)).astype(np.int64), 2
-            )
-        else:
-            hits = int(rng.binomial(self.num_shots, probability))
-            if hits == 0:
-                return
-            indices = rng.choice(self.num_shots, size=hits, replace=False)
-            kind = rng.integers(0, 3, size=hits)
+            kind = np.minimum((u * (3.0 / probability)).astype(np.int64), 2)
+            self.x[qubits] ^= pack_bits(hit & (kind != 2))
+            self.z[qubits] ^= pack_bits(hit & (kind != 0))
+            return
+        for qubit in np.atleast_1d(qubits):
+            hits = self._fast_hits(probability, draws, kinds=3)
+            if hits is None:
+                continue
+            indices, kind = hits
             if shot_mask is not None:
                 keep = shot_mask[indices]
                 indices, kind = indices[keep], kind[keep]
-        self.x[qubit] ^= _scatter(indices[kind != 2], self.num_shots)
-        self.z[qubit] ^= _scatter(indices[kind != 0], self.num_shots)
+            self.x[qubit] ^= _scatter(indices[kind != 2], self.num_shots)
+            self.z[qubit] ^= _scatter(indices[kind != 0], self.num_shots)
 
     def depolarize2(
         self,
-        first: int,
-        second: int,
+        first: Qubits,
+        second: Qubits,
         probability: float,
-        rng: np.random.Generator,
+        draws: Draws,
     ) -> None:
         """Two-qubit depolarizing: one of 15 pairs, ``p/15`` each."""
         if self.rng_mode == "exact":
-            u = rng.random(self.num_shots)
-            indices = np.flatnonzero(u < probability)
-            if indices.size == 0:
-                return
+            u = uniforms(draws, np.shape(first) + (self.num_shots,))
+            hit = u < probability
             kind = np.minimum(
-                (u[indices] * (15.0 / probability)).astype(np.int64), 14
+                (u * (15.0 / probability)).astype(np.int64), 14
             )
-        else:
-            hits = int(rng.binomial(self.num_shots, probability))
-            if hits == 0:
-                return
-            indices = rng.choice(self.num_shots, size=hits, replace=False)
-            kind = rng.integers(0, 15, size=hits)
-        bits = TWO_QUBIT_ERROR_BITS[kind]
-        self.x[first] ^= _scatter(indices[bits[:, 0]], self.num_shots)
-        self.z[first] ^= _scatter(indices[bits[:, 1]], self.num_shots)
-        self.x[second] ^= _scatter(indices[bits[:, 2]], self.num_shots)
-        self.z[second] ^= _scatter(indices[bits[:, 3]], self.num_shots)
+            bits = TWO_QUBIT_ERROR_BITS[kind]
+            self.x[first] ^= pack_bits(hit & bits[..., 0])
+            self.z[first] ^= pack_bits(hit & bits[..., 1])
+            self.x[second] ^= pack_bits(hit & bits[..., 2])
+            self.z[second] ^= pack_bits(hit & bits[..., 3])
+            return
+        for a, b in zip(np.atleast_1d(first), np.atleast_1d(second)):
+            hits = self._fast_hits(probability, draws, kinds=15)
+            if hits is None:
+                continue
+            indices, kind = hits
+            bits = TWO_QUBIT_ERROR_BITS[kind]
+            self.x[a] ^= _scatter(indices[bits[:, 0]], self.num_shots)
+            self.z[a] ^= _scatter(indices[bits[:, 1]], self.num_shots)
+            self.x[b] ^= _scatter(indices[bits[:, 2]], self.num_shots)
+            self.z[b] ^= _scatter(indices[bits[:, 3]], self.num_shots)
 
     def apply_pauli_masks(
         self, x_mask: np.ndarray, z_mask: np.ndarray
@@ -446,11 +464,31 @@ class PackedFrameArray:
             return mask
         return pack_bits(np.asarray(mask, dtype=bool).T)
 
-    def _gauge_row(self, rng: np.random.Generator) -> np.ndarray:
-        """One uniformly random packed row (the Z-gauge trick)."""
+    def _gauge_rows(self, shape: Tuple[int, ...], draws: Draws) -> np.ndarray:
+        """Uniformly random packed rows (the Z-gauge trick), ``shape``
+        of them; fast mode draws words (a ``(k, words)`` block fills
+        like ``k`` consecutive rows)."""
         if self.rng_mode == "exact":
-            return pack_bits(rng.random(self.num_shots) < 0.5)
-        return self._random_words(self.num_words, rng)
+            u = uniforms(draws, shape + (self.num_shots,))
+            return pack_bits(u < 0.5)
+        return self._random_words(shape + (self.num_words,), _generator(draws))
+
+    def _fast_hits(
+        self, probability: float, draws: Draws, kinds: int
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """One word-level channel: distinct hit positions and kinds.
+
+        Draws a binomial hit count, then (when nonzero) that many
+        distinct positions and, for ``kinds > 1``, a kind per hit.
+        """
+        rng = _generator(draws)
+        hits = int(rng.binomial(self.num_shots, probability))
+        if hits == 0:
+            return None
+        positions = rng.choice(self.num_shots, size=hits, replace=False)
+        if kinds == 1:
+            return positions, np.zeros(hits, dtype=np.int64)
+        return positions, rng.integers(0, kinds, size=hits)
 
     def _random_words(self, shape, rng: np.random.Generator) -> np.ndarray:
         words = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)

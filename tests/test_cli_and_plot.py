@@ -133,6 +133,41 @@ class TestCommands:
         assert "without Pauli frame" in output
 
 
+class TestErrorsFlagNeedsTheLoop:
+    """``--errors`` is a loop-mode stopping rule; ``--batch`` runs a
+    fixed number of windows, so the combination is refused."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ler", "--batch", "4", "--windows", "2", "--errors", "3"],
+            ["sweep", "--samples", "4", "--batch", "2", "--errors", "3"],
+        ],
+        ids=["ler", "sweep"],
+    )
+    def test_batch_with_errors_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--errors applies to the per-shot loop only" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ler", "--per", "1e-2", "--batch", "4", "--windows", "2"],
+            ["sweep", "--per", "1e-2", "--samples", "4", "--batch", "2"],
+        ],
+        ids=["ler", "sweep"],
+    )
+    def test_batch_without_errors_runs(self, argv, capsys):
+        assert main(argv) == 0
+
+    def test_loop_mode_still_honours_errors(self):
+        args = build_parser().parse_args(["ler", "--errors", "3"])
+        assert args.errors == 3
+        assert build_parser().parse_args(["ler"]).errors is None
+
+
 class TestScatterPlot:
     def test_basic_rendering(self):
         text = scatter_plot(
