@@ -53,12 +53,12 @@ def test_bench_e21_batched_decode_speedup(benchmark):
     dense_lut(Z_CHECK_MATRIX)
 
     start = time.perf_counter()
-    per_shot_counts = _run("per-shot")
+    per_shot_counts = _run("per-shot-lut")
     per_shot_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     batched_counts = benchmark.pedantic(
-        lambda: _run("batched"), rounds=1, iterations=1
+        lambda: _run("lut"), rounds=1, iterations=1
     )
     batched_seconds = time.perf_counter() - start
 

@@ -1,7 +1,7 @@
 """Whole-program determinism & concurrency analyzer.
 
 The per-file determinism linter (:mod:`repro.tools.lint`, rules
-``REP001``-``REP006``) checks what a single line can prove.  This
+``REP001``-``REP005``) checks what a single line can prove.  This
 module is its interprocedural counterpart: it parses *every* source
 file under a root at once, builds a program-wide index of functions,
 call sites, imports and module-level state, and checks the properties
@@ -99,10 +99,6 @@ OWNERSHIP_CONTRACTS: Dict[str, str] = {
         "decoder registry, populated at import time by "
         "register_decoder; runtime mutation only via the "
         "register/unregister test hooks"
-    ),
-    "repro.decoders.registry:_ALIASES": (
-        "alias table of the decoder registry; same ownership as "
-        "_REGISTRY"
     ),
     "repro.experiments.results:RESULT_KINDS": (
         "kind discriminator registry, populated by "

@@ -106,10 +106,6 @@ REP_TELEMETRY_BYPASS = register_code(
     "telemetry.ACTIVE used directly, bypassing the null-object fast "
     "path",
 )
-REP_DEPRECATED_ALIAS = register_code(
-    "REP006",
-    "in-package use of a deprecated result-class alias",
-)
 
 # ----------------------------------------------------------------------
 # Whole-program dataflow analyzer codes (REP1xx)

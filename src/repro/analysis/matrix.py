@@ -1,26 +1,17 @@
 """Static capability-matrix verification (``repro analyze matrix``).
 
-The decoder registry (PR 8) made decoder selection declarative:
-capability flags plus builder callables, negotiated against a core's
-:meth:`~repro.qpdo.core.Core.supports`.  That turned "which decoder
-works where" into *data* -- which means it can be checked statically,
-the same move the circuit pre-flight made for frame rules.  This
-module enumerates every registered decoder x engine x experiment
-combination and verifies the contracts between them **without
-sampling a single shot**:
+The decoder registry made decoder selection declarative: capability
+flags plus builder callables.  That turned "which decoder works
+where" into *data* -- which means it can be checked statically, the
+same move the circuit pre-flight made for frame rules.  This module
+enumerates every registered decoder x experiment combination and
+verifies the contracts between them **without sampling a single
+shot**:
 
 * **registry consistency** -- a capability flag and its builder must
   agree (``windowed`` <-> ``window_builder``, ``spacetime`` <-> both
-  graph builders), graph parameters are identifiers, aliases resolve
-  back to their canonical name (with the mandated
-  ``DeprecationWarning``), names are well-formed CLI tokens;
-* **engine matrix** -- for each decoder x engine (``framesim`` /
-  ``packed`` / ``packed-fast``), the capability algebra predicts
-  compatibility (a :data:`~repro.qpdo.core.CAP_PACKED` core needs
-  :data:`~repro.decoders.registry.CAP_PACKED_SYNDROMES`) and
-  :func:`~repro.decoders.registry.negotiate` is called against the
-  engine's *actual* core class to prove it rules the same way; the
-  engine table itself is cross-checked against ``Core.supports()``;
+  graph builders), graph parameters are identifiers, names are
+  well-formed CLI tokens;
 * **experiment matrix** -- windowed experiments (``ler``, ``sweep``,
   serve jobs) require ``windowed``; graph experiments
   (``phenomenological``, ``distance``, ``memory``) require
@@ -30,48 +21,35 @@ sampling a single shot**:
   parameterized specs and the per-shot reference arm);
 * **documentation grammar** -- every ``--decoder NAME[:KEY=VALUE,...]``
   example in README.md / EXPERIMENTS.md parses, names a registered
-  canonical decoder (docs must not teach deprecated aliases), uses
-  only declared graph parameters, and round-trips through
-  :func:`~repro.decoders.registry.format_decoder_arg`.
+  decoder, uses only declared graph parameters, and round-trips
+  through :func:`~repro.decoders.registry.format_decoder_arg`.
+
+Every engine runs every windowed decoder: the batched experiment
+hands all of them the same ``(shots, rounds, checks)`` syndrome
+arrays, so there is no decoder x engine axis to check.
 
 The result is a :class:`~repro.experiments.results.MatrixReport`
 (``repro analyze matrix --json``), gated in CI next to the
 determinism linter.  A broken registry entry -- flag without builder,
-alias collision, serve contract drift -- turns into a named problem
-string and a non-zero exit.
+serve contract drift -- turns into a named problem string and a
+non-zero exit.
 """
 
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..decoders.registry import (
-    CAP_PACKED_SYNDROMES,
     CAP_SPACETIME,
     CAP_WINDOWED,
     RegisteredDecoder,
     format_decoder_arg,
     list_decoders,
-    negotiate,
     parse_decoder_arg,
-    resolve_decoder_name,
 )
-from ..qpdo.core import (
-    CAP_BATCH,
-    CAP_PACKED,
-    UnsupportedFeatureError,
-)
-
-#: engine name -> the capability set its core class must advertise.
-ENGINE_CAPABILITIES: Dict[str, frozenset] = {
-    "framesim": frozenset((CAP_BATCH,)),
-    "packed": frozenset((CAP_BATCH, CAP_PACKED)),
-    "packed-fast": frozenset((CAP_BATCH, CAP_PACKED)),
-}
 
 #: experiment context -> the decoder capability it requires.
 EXPERIMENT_REQUIREMENTS: Dict[str, str] = {
@@ -111,24 +89,10 @@ class MatrixCell:
         }
 
 
-def _engine_cores() -> Dict[str, Any]:
-    """One cheap live core instance per engine (1 shot, fixed seed)."""
-    from ..qpdo.batched_core import BatchedStabilizerCore
-    from ..qpdo.packed_core import PackedStabilizerCore
-
-    return {
-        "framesim": BatchedStabilizerCore(num_shots=1, seed=0),
-        "packed": PackedStabilizerCore(num_shots=1, seed=0),
-        "packed-fast": PackedStabilizerCore(
-            num_shots=1, seed=0, rng_mode="fast"
-        ),
-    }
-
-
 def check_registry(
     decoders: Sequence[RegisteredDecoder],
 ) -> List[str]:
-    """Flag/builder consistency + naming/alias problems."""
+    """Flag/builder consistency + naming problems."""
     problems: List[str] = []
     for spec in decoders:
         if not _NAME_PATTERN.match(spec.name):
@@ -171,81 +135,7 @@ def check_registry(
                 f"decoder {spec.name!r} declares graph parameters "
                 f"but not the {CAP_SPACETIME!r} capability"
             )
-        for alias in spec.aliases:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                try:
-                    resolve_decoder_name(alias)
-                except DeprecationWarning:
-                    pass  # the mandated alias behavior
-                except Exception as error:
-                    problems.append(
-                        f"alias {alias!r} of {spec.name!r} does "
-                        f"not resolve: {error}"
-                    )
-                else:
-                    problems.append(
-                        f"alias {alias!r} of {spec.name!r} "
-                        f"resolves without a DeprecationWarning"
-                    )
     return problems
-
-
-def check_engine_matrix(
-    decoders: Sequence[RegisteredDecoder],
-) -> Tuple[List[MatrixCell], List[str]]:
-    """Capability algebra vs :func:`negotiate` over live cores."""
-    cells: List[MatrixCell] = []
-    problems: List[str] = []
-    cores = _engine_cores()
-    for engine, claimed in sorted(ENGINE_CAPABILITIES.items()):
-        core = cores[engine]
-        for capability in sorted(claimed):
-            if not core.supports(capability):
-                problems.append(
-                    f"engine {engine!r}: {type(core).__name__}"
-                    f".supports({capability!r}) is False but the "
-                    f"engine table claims it"
-                )
-        for capability in (CAP_BATCH, CAP_PACKED):
-            if core.supports(capability) and capability not in claimed:
-                problems.append(
-                    f"engine {engine!r}: core advertises "
-                    f"{capability!r} but the engine table omits it"
-                )
-    for spec in decoders:
-        for engine, claimed in sorted(ENGINE_CAPABILITIES.items()):
-            expected = (
-                CAP_PACKED not in claimed
-                or CAP_PACKED_SYNDROMES in spec.capabilities
-            )
-            try:
-                negotiate(spec, cores[engine])
-                negotiated = True
-            except UnsupportedFeatureError:
-                negotiated = False
-            if negotiated != expected:
-                problems.append(
-                    f"negotiate({spec.name!r}, {engine!r}) "
-                    f"{'accepted' if negotiated else 'refused'} "
-                    f"but the capability algebra says "
-                    f"{'compatible' if expected else 'incompatible'}"
-                )
-            reason = (
-                "capabilities satisfied"
-                if expected
-                else f"{CAP_PACKED_SYNDROMES!r} missing for a "
-                f"{CAP_PACKED!r} core"
-            )
-            cells.append(
-                MatrixCell(
-                    decoder=spec.name,
-                    context=f"engine:{engine}",
-                    supported=expected,
-                    reason=reason,
-                )
-            )
-    return cells, problems
 
 
 def check_experiment_matrix(
@@ -353,8 +243,7 @@ def check_doc_grammar(
             if spec is None:
                 problems.append(
                     f"{where}: --decoder names {name!r}, not a "
-                    f"canonical registered decoder (docs must not "
-                    f"teach aliases)"
+                    f"registered decoder"
                 )
                 continue
             unknown = sorted(set(params) - set(spec.graph_params))
@@ -387,9 +276,7 @@ def verify_matrix(
     """Run every static matrix check; nothing is sampled or decoded."""
     decoders = list_decoders()
     problems = check_registry(decoders)
-    engine_cells, engine_problems = check_engine_matrix(decoders)
-    problems.extend(engine_problems)
-    experiment_cells, exp_problems = check_experiment_matrix(decoders)
+    cells, exp_problems = check_experiment_matrix(decoders)
     problems.extend(exp_problems)
     docs = (
         list(doc_paths)
@@ -400,9 +287,8 @@ def verify_matrix(
     problems.extend(doc_problems)
     return MatrixVerification(
         decoders=[spec.name for spec in decoders],
-        engines=sorted(ENGINE_CAPABILITIES),
         experiments=sorted(EXPERIMENT_REQUIREMENTS),
-        cells=engine_cells + experiment_cells,
+        cells=cells,
         doc_examples=examples,
         problems=problems,
     )
@@ -413,7 +299,6 @@ class MatrixVerification:
     """Everything :func:`verify_matrix` established."""
 
     decoders: List[str]
-    engines: List[str]
     experiments: List[str]
     cells: List[MatrixCell]
     doc_examples: int

@@ -247,23 +247,14 @@ def build_parser() -> argparse.ArgumentParser:
         "lockstep shot count per arm and each shot runs exactly this "
         "many windows",
     )
-    sweep.add_argument(
-        "--per-shot-decoder",
-        action="store_true",
-        help="deprecated spelling of --decoder per-shot-lut: in "
-        "--batch mode, decode with the per-shot reference engine "
-        "instead of the array-native batched decoder (bit-identical "
-        "results, for validation/benchmarking; incompatible with "
-        "--workers)",
-    )
     _add_engine_argument(sweep)
     _add_decoder_argument(sweep)
     _add_parallel_arguments(sweep)
 
     add_parser(
         "decoders",
-        help="list the registered decoders (names, aliases, "
-        "capabilities, parameters)",
+        help="list the registered decoders (names, capabilities, "
+        "parameters)",
     )
 
     add_parser(
@@ -459,9 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "what",
         choices=["matrix"],
-        help="matrix: verify every registered decoder x engine x "
-        "experiment combination, negotiate() contracts, serve "
-        "params validation and the documented --decoder grammar",
+        help="matrix: verify every registered decoder x experiment "
+        "combination, serve params validation and the documented "
+        "--decoder grammar",
     )
 
     return parser
@@ -593,13 +584,13 @@ def _parse_decoder(args, default: str = "lut"):
     """
     from .decoders.registry import (
         UnknownDecoderError,
+        get_decoder,
         parse_decoder_arg,
-        resolve_decoder_name,
     )
 
     try:
         name, params = parse_decoder_arg(args.decoder)
-        name = resolve_decoder_name(name)
+        name = get_decoder(name).name
     except (UnknownDecoderError, ValueError) as error:
         print(f"--decoder: {error}", file=sys.stderr)
         return None
@@ -709,16 +700,6 @@ def cmd_sweep(args) -> int:
     errors = _errors_or_default(args, SWEEP_DEFAULT_ERRORS)
     if errors is None:
         return 2
-    if args.per_shot_decoder:
-        if args.decoder != "lut":
-            print(
-                "--per-shot-decoder and --decoder are mutually "
-                "exclusive (the former is a deprecated spelling of "
-                "--decoder per-shot-lut)",
-                file=sys.stderr,
-            )
-            return 2
-        args.decoder = "per-shot-lut"
     decoder = _parse_decoder(args)
     if decoder is None:
         return 2
@@ -1143,7 +1124,6 @@ def cmd_analyze(args) -> int:
     verification = verify_matrix()
     report = MatrixReport(
         decoders=verification.decoders,
-        engines=verification.engines,
         experiments=verification.experiments,
         cells=[cell.to_json_dict() for cell in verification.cells],
         doc_examples=verification.doc_examples,

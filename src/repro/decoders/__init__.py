@@ -1,10 +1,13 @@
 """Error-syndrome decoders: LUT, matching, union-find, sparse.
 
 Scalar decoders (`LutDecoder`, `WindowedLutDecoder`, ...) decode one
-syndrome at a time; the :mod:`~repro.decoders.batched` layer decodes
-whole shot batches as numpy gathers over process-cached dense tables;
+syndrome at a time.  The batched experiments decode every shot of a
+window through one driver,
+:class:`~repro.decoders.batched.BatchedWindowedLutDecoder`: a numpy
+gather over two process-cached dense tables, which the LUT, MWPM,
+union-find and sparse-matching algorithms each fill in their own way.
 :mod:`~repro.decoders.unionfind` and :mod:`~repro.decoders.sparse`
-scale past the dense-table ceiling (d >= 15) over the same
+also scale past the dense-table ceiling (d >= 15) over the same
 ``(shots, rounds, checks)`` arrays.  All of them register in the
 :mod:`~repro.decoders.registry`, which is how experiments, the CLI
 and the serve fleet select decoders by name.
@@ -13,16 +16,12 @@ and the serve fleet select decoders by name.
 from .batched import (
     BatchedWindowDecision,
     BatchedWindowedLutDecoder,
-    BatchedWindowedMatchingDecoder,
     build_dense_lut,
     clear_lut_cache,
     dense_lut,
     lut_cache_size,
     mwpm_dense_lut,
     pack_syndromes,
-    pack_syndromes_words,
-    PackedWindowedLutDecoder,
-    PackedWindowedMatchingDecoder,
     unpack_syndromes,
 )
 from .lut import (
@@ -37,13 +36,11 @@ from .lut import (
 from .mwpm import MatchingGraph, MwpmDecoder, boundary_qubits_for
 from .registry import (
     CAP_EXACT,
-    CAP_PACKED_SYNDROMES,
     CAP_SPACETIME,
     CAP_SPARSE,
     CAP_WINDOWED,
     CapabilityError,
     DecoderRegistryError,
-    DecoderSpec,
     DuplicateDecoderError,
     RegisteredDecoder,
     UnknownDecoderError,
@@ -51,10 +48,8 @@ from .registry import (
     format_decoder_arg,
     get_decoder,
     list_decoders,
-    negotiate,
     parse_decoder_arg,
     register_decoder,
-    resolve_decoder_name,
     unregister_decoder,
 )
 from .rule_based import (
@@ -66,17 +61,13 @@ from .rule_based import (
 )
 from .spacetime import SpaceTimeMatchingDecoder
 from .sparse import (
-    BatchedWindowedSparseMatchingDecoder,
-    PackedWindowedSparseMatchingDecoder,
     SparseMatchingGraph,
     SparseMwpmDecoder,
     SparseSpaceTimeMatchingDecoder,
     sparse_mwpm_dense_lut,
 )
 from .unionfind import (
-    BatchedWindowedUnionFindDecoder,
     DecodingGraph,
-    PackedWindowedUnionFindDecoder,
     SpaceTimeUnionFindDecoder,
     UnionFindDecoder,
     build_space_graph,
@@ -106,10 +97,6 @@ __all__ = [
     "WindowedMatchingDecoder",
     "BatchedWindowDecision",
     "BatchedWindowedLutDecoder",
-    "BatchedWindowedMatchingDecoder",
-    "PackedWindowedLutDecoder",
-    "PackedWindowedMatchingDecoder",
-    "pack_syndromes_words",
     "build_dense_lut",
     "dense_lut",
     "mwpm_dense_lut",
@@ -127,22 +114,16 @@ __all__ = [
     "UnionFindDecoder",
     "SpaceTimeUnionFindDecoder",
     "unionfind_dense_lut",
-    "BatchedWindowedUnionFindDecoder",
-    "PackedWindowedUnionFindDecoder",
     # sparse matching
     "SparseMatchingGraph",
     "SparseMwpmDecoder",
     "SparseSpaceTimeMatchingDecoder",
     "sparse_mwpm_dense_lut",
-    "BatchedWindowedSparseMatchingDecoder",
-    "PackedWindowedSparseMatchingDecoder",
     # registry
     "CAP_EXACT",
     "CAP_SPARSE",
-    "CAP_PACKED_SYNDROMES",
     "CAP_WINDOWED",
     "CAP_SPACETIME",
-    "DecoderSpec",
     "RegisteredDecoder",
     "WindowContext",
     "DecoderRegistryError",
@@ -153,8 +134,6 @@ __all__ = [
     "unregister_decoder",
     "get_decoder",
     "list_decoders",
-    "resolve_decoder_name",
-    "negotiate",
     "parse_decoder_arg",
     "format_decoder_arg",
 ]

@@ -1,13 +1,13 @@
-"""Array-native batched decoding: all shots through the LUT at once.
+"""Array-native batched decoding: all shots through one gather table.
 
-The batched Pauli-frame sampler (PR 1) made *sampling* vectorized, so
-the batched LER experiment became decode-bound: every shot owned a
+The batched Pauli-frame sampler made *sampling* vectorized, so the
+batched LER experiment became decode-bound: every shot owned a
 :class:`~repro.decoders.rule_based.WindowedLutDecoder` that re-ran the
 brute-force minimum-weight table build, and every window decoded
-shot-by-shot in Python.  This module keeps the whole sample→decode
-pipeline in packed array form (the lesson of Stim,
-arXiv:2103.02202) while leaving the decoding *principle* exactly
-Tomita–Svore (PRA 90, 062320), as the paper prescribes:
+shot-by-shot in Python.  This module decodes every shot of a window
+as a handful of numpy operations while leaving the decoding
+*principle* exactly Tomita–Svore (PRA 90, 062320), as the paper
+prescribes:
 
 * the dict-based LUT becomes a **dense gather table** — a
   ``(2^num_checks, num_qubits)`` bool array built by one vectorized
@@ -17,11 +17,19 @@ Tomita–Svore (PRA 90, 062320), as the paper prescribes:
 * tables live behind a **process-level cache** keyed by the
   check-matrix digest, so any number of decoder instances — batched or
   scalar — share one build (``clear_lut_cache`` empties it);
-* :class:`BatchedWindowedLutDecoder` (and the matching-table variant
-  :class:`BatchedWindowedMatchingDecoder`) consume syndrome arrays of
-  shape ``(shots, rounds, checks)`` and run majority vote, syndrome
-  packing, LUT gather and the windowed carry-state as pure numpy,
-  returning per-shot decision arrays.
+* :class:`BatchedWindowedLutDecoder` is the one window driver of every
+  batched experiment.  It consumes syndrome arrays of shape
+  ``(shots, rounds, checks)`` and runs majority vote, syndrome
+  packing, table gather and the windowed carry-state as pure numpy.
+  The decoding algorithm only decides which two tables it gathers
+  from: the minimum-weight tables here, or the Blossom
+  (:func:`mwpm_dense_lut`), union-find and sparse-matching tables the
+  decoder registry hands it.
+
+The packed engine emits syndromes as ``uint64`` word planes; the
+batched LER experiment unpacks them into the same ``(shots, rounds,
+checks)`` bools once per window, so this module sees one syndrome
+layout only.
 
 Bit-for-bit equivalence with the per-shot
 :class:`~repro.decoders.rule_based.WindowedLutDecoder` on identical
@@ -34,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,30 +110,6 @@ def unpack_syndromes(packed: np.ndarray, num_checks: int) -> np.ndarray:
     return (
         (packed[..., np.newaxis] >> _bit_index(num_checks)) & 1
     ).astype(bool)
-
-
-def pack_syndromes_words(
-    planes: np.ndarray, num_shots: int
-) -> np.ndarray:
-    """Packed-word fast path of :func:`pack_syndromes`.
-
-    ``planes`` holds one bit-packed row per check — shape
-    ``(num_checks, num_words)`` ``uint64``, bit ``s & 63`` of word
-    ``s >> 6`` being shot ``s``'s syndrome bit (the
-    :mod:`repro.sim.packedsim` layout).  Returns the same
-    ``(num_shots,)`` int64 packed syndromes that
-    ``pack_syndromes(bits)`` would produce from the equivalent
-    ``(num_shots, num_checks)`` bool array.
-    """
-    from ..sim.packedsim import unpack_bits
-
-    planes = np.asarray(planes, dtype=np.uint64)
-    packed = np.zeros(num_shots, dtype=np.int64)
-    for check in range(planes.shape[0]):
-        packed |= unpack_bits(planes[check], num_shots).astype(
-            np.int64
-        ) << np.int64(check)
-    return packed
 
 
 # ----------------------------------------------------------------------
@@ -304,9 +288,9 @@ class BatchedWindowedLutDecoder:
     """All-shots-at-once counterpart of ``WindowedLutDecoder``.
 
     Same protocol as the scalar decoder — three-round majority vote
-    (Tomita–Svore rule), two-LUT minimum-weight decoding, corrected-
-    frame carry-state — but every step is one numpy operation over the
-    shot axis: the vote is a sum along the rounds axis, the LUT lookup
+    (Tomita–Svore rule), two-table decoding, corrected-frame
+    carry-state — but every step is one numpy operation over the shot
+    axis: the vote is a sum along the rounds axis, the table lookup
     is a gather ``table[packed]``, and the carry-state re-expression
     is a batched matmul-XOR.
 
@@ -318,6 +302,12 @@ class BatchedWindowedLutDecoder:
     use_majority_vote:
         Ablation knob, as in the scalar decoder: with ``False`` only
         the last round of each window is decoded.
+    tables:
+        ``(x_table, z_table)``: the dense gather tables that decode
+        the X-check and the Z-check syndromes, each of shape
+        ``(2^checks, num_qubits)``.  Defaults to the minimum-weight
+        :func:`dense_lut` tables; the decoder registry passes the
+        tables of the selected algorithm.
 
     Syndrome arrays are passed as ``(shots, rounds, checks)`` (one
     array per species); decisions come back as
@@ -330,26 +320,20 @@ class BatchedWindowedLutDecoder:
         x_check_matrix: np.ndarray,
         z_check_matrix: np.ndarray,
         use_majority_vote: bool = True,
+        tables: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         self.x_check_matrix = np.asarray(x_check_matrix, dtype=np.uint8)
         self.z_check_matrix = np.asarray(z_check_matrix, dtype=np.uint8)
         self.use_majority_vote = bool(use_majority_vote)
-        self._z_error_table = self._build_table(
-            self.x_check_matrix, "x"
-        )
-        self._x_error_table = self._build_table(
-            self.z_check_matrix, "z"
-        )
+        if tables is None:
+            tables = (
+                dense_lut(self.x_check_matrix)[0],
+                dense_lut(self.z_check_matrix)[0],
+            )
+        # X-type syndromes select Z corrections and vice versa.
+        self._z_error_table, self._x_error_table = tables
         self._previous_x: np.ndarray | None = None
         self._previous_z: np.ndarray | None = None
-
-    def _build_table(
-        self, check_matrix: np.ndarray, species: str
-    ) -> np.ndarray:
-        """The dense decoding table for one check species."""
-        del species  # used by the matching subclass
-        table, _ = dense_lut(check_matrix)
-        return table
 
     # ------------------------------------------------------------------
     def initialize(
@@ -477,267 +461,6 @@ class BatchedWindowedLutDecoder:
         """Forget all history (before re-initializing the batch)."""
         self._previous_x = None
         self._previous_z = None
-
-
-class BatchedWindowedMatchingDecoder(BatchedWindowedLutDecoder):
-    """Batched windowed decoding over dense MWPM tables.
-
-    The batched counterpart of
-    :class:`~repro.decoders.rule_based.WindowedMatchingDecoder`: the
-    same array-native vote/carry machinery, with the gather tables
-    filled by Blossom matching (:func:`mwpm_dense_lut`) instead of
-    minimum-weight enumeration — so the matching decoder's decisions
-    also become one gather per window.
-
-    Parameters
-    ----------
-    code:
-        A :class:`repro.codes.rotated.layout.RotatedSurfaceCode`.
-    x_check_matrix, z_check_matrix:
-        Optional explicit check matrices; default to the code's.  The
-        Surface-17 LER pipeline passes its own (row-permuted) layout
-        matrices while reusing the ``d = 3`` boundary geometry.
-    use_majority_vote:
-        Same ablation knob as the LUT variant.
-    """
-
-    def __init__(
-        self,
-        code,
-        x_check_matrix: np.ndarray | None = None,
-        z_check_matrix: np.ndarray | None = None,
-        use_majority_vote: bool = True,
-    ) -> None:
-        self._code = code
-        super().__init__(
-            code.x_check_matrix
-            if x_check_matrix is None
-            else x_check_matrix,
-            code.z_check_matrix
-            if z_check_matrix is None
-            else z_check_matrix,
-            use_majority_vote=use_majority_vote,
-        )
-
-    def _build_table(
-        self, check_matrix: np.ndarray, species: str
-    ) -> np.ndarray:
-        from .mwpm import boundary_qubits_for
-
-        table, _ = mwpm_dense_lut(
-            check_matrix, boundary_qubits_for(self._code, species)
-        )
-        return table
-
-
-class PackedWindowedLutDecoder(BatchedWindowedLutDecoder):
-    """Windowed LUT decoding over bit-packed syndrome planes.
-
-    The :class:`~repro.qpdo.packed_core.PackedStabilizerCore` hands
-    back syndromes as ``uint64`` word planes; this decoder keeps them
-    packed through the vote and the carry-state, unpacking only at the
-    LUT gather (the table is indexed per shot no matter what).  Round
-    arrays are passed as ``(rounds, checks, num_words)`` ``uint64`` —
-    leading rounds axis, the :func:`repro.sim.packedsim.packed_majority`
-    convention — instead of the parent's ``(shots, rounds, checks)``
-    bools:
-
-    * the majority vote is the bit-sliced popcount comparator of
-      :func:`~repro.sim.packedsim.packed_majority`;
-    * syndrome packing is :func:`pack_syndromes_words`;
-    * the carry-state is stored as word planes and re-expressed in the
-      corrected frame by packing the correction syndromes once.
-
-    Decisions (:class:`BatchedWindowDecision`) are bit-identical to the
-    parent decoder fed the unpacked equivalent of the same streams.
-    """
-
-    def __init__(
-        self,
-        x_check_matrix: np.ndarray,
-        z_check_matrix: np.ndarray,
-        num_shots: int,
-        use_majority_vote: bool = True,
-    ) -> None:
-        super().__init__(
-            x_check_matrix, z_check_matrix, use_majority_vote
-        )
-        if num_shots < 1:
-            raise ValueError("num_shots must be positive")
-        self.num_shots = int(num_shots)
-        self._previous_x_words: np.ndarray | None = None
-        self._previous_z_words: np.ndarray | None = None
-
-    # ------------------------------------------------------------------
-    def initialize(
-        self, x_rounds: np.ndarray, z_rounds: np.ndarray
-    ) -> BatchedWindowDecision:
-        """Consume the initialization rounds, packed layout.
-
-        ``x_rounds`` / ``z_rounds`` have shape
-        ``(rounds, checks, num_words)``; the round count must be odd.
-        """
-        from ..sim.packedsim import packed_majority
-
-        x_rounds = np.asarray(x_rounds, dtype=np.uint64)
-        z_rounds = np.asarray(z_rounds, dtype=np.uint64)
-        if x_rounds.shape[0] % 2 == 0:
-            raise ValueError("initialization needs an odd number of rounds")
-        return self._decide_words(
-            packed_majority(x_rounds),
-            packed_majority(z_rounds),
-            x_rounds[-1],
-            z_rounds[-1],
-        )
-
-    def decode_window(
-        self, x_rounds: np.ndarray, z_rounds: np.ndarray
-    ) -> BatchedWindowDecision:
-        """Decode one packed window of ESM rounds for every shot."""
-        t = telemetry.ACTIVE
-        if t is None:
-            return self._decode_window(x_rounds, z_rounds)
-        with t.span(
-            "decoder.batched",
-            type(self).__name__ + ".decode_window",
-            shots=self.num_shots,
-            rounds=int(np.asarray(x_rounds).shape[0]),
-        ):
-            return self._decode_window(x_rounds, z_rounds)
-
-    def _decode_window(
-        self, x_rounds: np.ndarray, z_rounds: np.ndarray
-    ) -> BatchedWindowDecision:
-        from ..sim.packedsim import packed_majority
-
-        if self._previous_x_words is None or self._previous_z_words is None:
-            raise RuntimeError("decoder not initialized; call initialize()")
-        x_rounds = np.asarray(x_rounds, dtype=np.uint64)
-        z_rounds = np.asarray(z_rounds, dtype=np.uint64)
-        if not self.use_majority_vote:
-            return self._decide_words(
-                x_rounds[-1],
-                z_rounds[-1],
-                x_rounds[-1],
-                z_rounds[-1],
-            )
-        history_x = np.concatenate(
-            [self._previous_x_words[np.newaxis], x_rounds], axis=0
-        )
-        history_z = np.concatenate(
-            [self._previous_z_words[np.newaxis], z_rounds], axis=0
-        )
-        if history_x.shape[0] % 2 == 0:
-            # Even total: drop the oldest round, as in the parent.
-            history_x = history_x[1:]
-            history_z = history_z[1:]
-        return self._decide_words(
-            packed_majority(history_x),
-            packed_majority(history_z),
-            x_rounds[-1],
-            z_rounds[-1],
-        )
-
-    # ------------------------------------------------------------------
-    def _decide_words(
-        self,
-        voted_x_words: np.ndarray,
-        voted_z_words: np.ndarray,
-        last_x_words: np.ndarray,
-        last_z_words: np.ndarray,
-    ) -> BatchedWindowDecision:
-        from ..sim.packedsim import pack_bits
-
-        packed_x = pack_syndromes_words(voted_x_words, self.num_shots)
-        packed_z = pack_syndromes_words(voted_z_words, self.num_shots)
-        z_corrections = self._z_error_table[packed_x]
-        x_corrections = self._x_error_table[packed_z]
-        # Carry-state, packed: XOR the newest round's word planes with
-        # the packed syndromes of the commanded corrections.
-        self._previous_x_words = last_x_words ^ pack_bits(
-            _syndromes_of(self.x_check_matrix, z_corrections).T
-        )
-        self._previous_z_words = last_z_words ^ pack_bits(
-            _syndromes_of(self.z_check_matrix, x_corrections).T
-        )
-        has_corrections = x_corrections.any(axis=1) | z_corrections.any(
-            axis=1
-        )
-        t = telemetry.ACTIVE
-        if t is not None:
-            name = type(self).__name__
-            t.count("decoder.batched", name, "batch_decisions")
-            t.count("decoder.batched", name, "shots", self.num_shots)
-            t.count(
-                "decoder.batched",
-                name,
-                "x_correction_weight",
-                int(x_corrections.sum()),
-            )
-            t.count(
-                "decoder.batched",
-                name,
-                "z_correction_weight",
-                int(z_corrections.sum()),
-            )
-        return BatchedWindowDecision(
-            x_corrections=x_corrections,
-            z_corrections=z_corrections,
-            has_corrections=has_corrections,
-            voted_x=unpack_syndromes(
-                packed_x, self.x_check_matrix.shape[0]
-            ),
-            voted_z=unpack_syndromes(
-                packed_z, self.z_check_matrix.shape[0]
-            ),
-        )
-
-    def reset(self) -> None:
-        """Forget all history (before re-initializing the batch)."""
-        super().reset()
-        self._previous_x_words = None
-        self._previous_z_words = None
-
-
-class PackedWindowedMatchingDecoder(PackedWindowedLutDecoder):
-    """Word-space windowed decoding over dense MWPM tables.
-
-    The packed counterpart of
-    :class:`BatchedWindowedMatchingDecoder`: syndromes stay as
-    ``uint64`` word planes through the vote and carry-state
-    (:class:`PackedWindowedLutDecoder` machinery) and the Blossom
-    gather table is indexed per shot at the decode.
-    """
-
-    def __init__(
-        self,
-        code,
-        num_shots: int,
-        x_check_matrix: np.ndarray | None = None,
-        z_check_matrix: np.ndarray | None = None,
-        use_majority_vote: bool = True,
-    ) -> None:
-        self._code = code
-        super().__init__(
-            code.x_check_matrix
-            if x_check_matrix is None
-            else x_check_matrix,
-            code.z_check_matrix
-            if z_check_matrix is None
-            else z_check_matrix,
-            num_shots,
-            use_majority_vote=use_majority_vote,
-        )
-
-    def _build_table(
-        self, check_matrix: np.ndarray, species: str
-    ) -> np.ndarray:
-        from .mwpm import boundary_qubits_for
-
-        table, _ = mwpm_dense_lut(
-            check_matrix, boundary_qubits_for(self._code, species)
-        )
-        return table
 
 
 def _vote(rounds: np.ndarray) -> np.ndarray:

@@ -1,24 +1,19 @@
 """First-class decoder registry: names, capabilities, builders.
 
-Decoder selection used to be stringly typed — ``decoder_impl``
-compared against literals inside :class:`~repro.experiments.ler.
-BatchedLerExperiment`, with each experiment hard-wiring its own
-decoder constructor calls.  This module replaces that with one
-registry:
+Every decoder registers a :class:`RegisteredDecoder` — canonical
+``name``, one-line ``summary``, a frozenset of **capability flags**
+and the builder callables for the contexts it supports.  Consumers
+call :func:`get_decoder`, then ``spec.build(code, window)`` for the
+Surface-17 windowed protocol or ``spec.build_space`` /
+``spec.build_spacetime`` for the code-capacity and phenomenological
+scaling experiments.
 
-* every decoder registers a :class:`RegisteredDecoder` — canonical
-  ``name``, one-line ``summary``, a frozenset of **capability flags**
-  and the builder callables for the contexts it supports;
-* consumers call :func:`get_decoder` (legacy names resolve through
-  deprecated aliases, warning once per use, per the PR 3 pattern),
-  then ``spec.build(code, window)`` for the Surface-17 windowed
-  protocol or ``spec.build_space`` / ``spec.build_spacetime`` for the
-  code-capacity and phenomenological scaling experiments;
-* **capability negotiation**: :func:`negotiate` checks a decoder
-  against a stack element's :meth:`~repro.qpdo.core.Core.supports` —
-  a packed core (:data:`~repro.qpdo.core.CAP_PACKED`) requires
-  :data:`CAP_PACKED_SYNDROMES`, mirroring how the packed engine
-  refuses non-Clifford circuits.
+Every batched windowed decoder is the one
+:class:`~repro.decoders.batched.BatchedWindowedLutDecoder`: an
+algorithm contributes only its process-cached dense-table function
+(``dense_lut``, ``mwpm_dense_lut``, ``unionfind_dense_lut``,
+``sparse_mwpm_dense_lut``), and one generic window builder turns it
+into the decoder's two gather tables.
 
 Capability flags:
 
@@ -27,8 +22,6 @@ Capability flags:
                              LUT-identical corrections
 :data:`CAP_SPARSE`           scales past the dense-LUT check-count
                              ceiling (no ``2^checks`` tables)
-:data:`CAP_PACKED_SYNDROMES` consumable by a packed (word-plane)
-                             engine
 :data:`CAP_WINDOWED`         builds the SC17 windowed protocol form
 :data:`CAP_SPACETIME`        builds space / space-time graph forms
 =========================== =======================================
@@ -40,8 +33,8 @@ The CLI surfaces the registry as ``repro decoders`` and accepts
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -52,20 +45,16 @@ from typing import (
     Tuple,
 )
 
-try:  # pragma: no cover - typing_extensions not required at runtime
-    from typing import Protocol
-except ImportError:  # pragma: no cover - py3.7 fallback
-    Protocol = object  # type: ignore[assignment]
-
-from ..qpdo.core import CAP_PACKED, Core, UnsupportedFeatureError
+from .batched import BatchedWindowedLutDecoder, dense_lut, mwpm_dense_lut
+from .mwpm import boundary_qubits_for
+from .sparse import sparse_mwpm_dense_lut
+from .unionfind import unionfind_dense_lut
 
 #: Corrections are provably minimum-weight (or bit-identical to the
 #: reference LUT protocol) — what the golden digests pin.
 CAP_EXACT = "exact"
 #: No dense ``2^checks`` table anywhere: usable at d >= 15.
 CAP_SPARSE = "sparse"
-#: Has a word-plane form the packed engine can drive directly.
-CAP_PACKED_SYNDROMES = "packed-syndromes"
 #: Builds the Surface-17 windowed-protocol decoder.
 CAP_WINDOWED = "windowed"
 #: Builds single-species space / space-time graph decoders.
@@ -77,11 +66,11 @@ class DecoderRegistryError(ValueError):
 
 
 class UnknownDecoderError(DecoderRegistryError):
-    """No decoder (or alias) registered under the requested name."""
+    """No decoder registered under the requested name."""
 
 
 class DuplicateDecoderError(DecoderRegistryError):
-    """A decoder or alias name was registered twice."""
+    """A decoder name was registered twice."""
 
 
 class CapabilityError(DecoderRegistryError):
@@ -101,10 +90,6 @@ class WindowContext:
         The geometry provider for boundary lookups
         (:func:`~repro.decoders.mwpm.boundary_qubits_for` must accept
         it); data-qubit labelling must match the check matrices.
-    num_shots:
-        ``None`` for bool-array shots; set when the engine emits
-        packed ``uint64`` word planes (selects the packed decoder
-        form).
     use_majority_vote:
         The Tomita–Svore cross-round vote ablation knob.
     """
@@ -112,21 +97,7 @@ class WindowContext:
     x_check_matrix: Any
     z_check_matrix: Any
     code: Any
-    num_shots: Optional[int] = None
     use_majority_vote: bool = True
-
-
-class DecoderSpec(Protocol):
-    """What a registered decoder exposes (structural protocol)."""
-
-    name: str
-    summary: str
-    capabilities: frozenset
-
-    def build(
-        self, code: Any, window: Optional[WindowContext] = None, **p
-    ) -> Any:
-        """Construct the decoder for a windowed-protocol context."""
 
 
 @dataclass(frozen=True)
@@ -151,7 +122,6 @@ class RegisteredDecoder:
     #: The windowed build returns one *scalar per-shot* decoder that
     #: the experiment must replicate per shot (the reference arm).
     per_shot: bool = False
-    aliases: Tuple[str, ...] = field(default=())
 
     # ------------------------------------------------------------------
     def build(
@@ -163,7 +133,7 @@ class RegisteredDecoder:
         """Build the windowed-protocol decoder.
 
         ``code`` is the geometry provider; ``window`` carries the
-        protocol context (check matrices, packed shots, vote knob).
+        protocol context (check matrices, vote knob).
         """
         if self.window_builder is None:
             raise CapabilityError(
@@ -229,70 +199,40 @@ class RegisteredDecoder:
             "name": self.name,
             "summary": self.summary,
             "capabilities": sorted(self.capabilities),
-            "aliases": list(self.aliases),
             "params": list(self.graph_params),
         }
 
 
 _REGISTRY: Dict[str, RegisteredDecoder] = {}
-_ALIASES: Dict[str, str] = {}
 
 
-def register_decoder(
-    spec: RegisteredDecoder, aliases: Sequence[str] = ()
-) -> RegisteredDecoder:
-    """Add ``spec`` to the registry; ``aliases`` resolve with a
-    :class:`DeprecationWarning` (legacy ``decoder_impl`` strings).
+def register_decoder(spec: RegisteredDecoder) -> RegisteredDecoder:
+    """Add ``spec`` to the registry.
 
-    Raises :class:`DuplicateDecoderError` when the name or any alias
-    is already taken.
+    Raises :class:`DuplicateDecoderError` when the name is taken.
     """
-    all_aliases = tuple(spec.aliases) + tuple(aliases)
-    for name in (spec.name, *all_aliases):
-        if name in _REGISTRY or name in _ALIASES:
-            raise DuplicateDecoderError(
-                f"decoder name {name!r} already registered"
-            )
-    spec = RegisteredDecoder(
-        **{**spec.__dict__, "aliases": all_aliases}
-    )
+    if spec.name in _REGISTRY:
+        raise DuplicateDecoderError(
+            f"decoder name {spec.name!r} already registered"
+        )
     _REGISTRY[spec.name] = spec
-    for alias in all_aliases:
-        _ALIASES[alias] = spec.name
     return spec
 
 
 def unregister_decoder(name: str) -> None:
-    """Remove a decoder and its aliases (test hygiene helper)."""
-    spec = _REGISTRY.pop(name, None)
-    if spec is None:
+    """Remove a decoder (test hygiene helper)."""
+    if _REGISTRY.pop(name, None) is None:
         raise UnknownDecoderError(f"unknown decoder {name!r}")
-    for alias in spec.aliases:
-        _ALIASES.pop(alias, None)
-
-
-def resolve_decoder_name(name: str) -> str:
-    """Canonical name of ``name``; deprecated aliases warn."""
-    if name in _REGISTRY:
-        return name
-    target = _ALIASES.get(name)
-    if target is not None:
-        warnings.warn(
-            f"decoder name {name!r} is deprecated; use "
-            f"{target!r} instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return target
-    known = sorted(_REGISTRY) + sorted(_ALIASES)
-    raise UnknownDecoderError(
-        f"unknown decoder {name!r}; registered: {known}"
-    )
 
 
 def get_decoder(name: str) -> RegisteredDecoder:
-    """The :class:`RegisteredDecoder` under ``name`` (or alias)."""
-    return _REGISTRY[resolve_decoder_name(name)]
+    """The :class:`RegisteredDecoder` registered under ``name``."""
+    spec = _REGISTRY.get(name)
+    if spec is None:
+        raise UnknownDecoderError(
+            f"unknown decoder {name!r}; registered: {sorted(_REGISTRY)}"
+        )
+    return spec
 
 
 def list_decoders() -> List[RegisteredDecoder]:
@@ -300,35 +240,12 @@ def list_decoders() -> List[RegisteredDecoder]:
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
 
 
-def negotiate(
-    spec: RegisteredDecoder, core: Optional[Core] = None
-) -> RegisteredDecoder:
-    """Refuse decoder/engine pairings the capabilities rule out.
-
-    A core advertising :data:`~repro.qpdo.core.CAP_PACKED` emits
-    word-plane syndromes, so the decoder must carry
-    :data:`CAP_PACKED_SYNDROMES`.  Returns ``spec`` for chaining.
-    """
-    if (
-        core is not None
-        and core.supports(CAP_PACKED)
-        and CAP_PACKED_SYNDROMES not in spec.capabilities
-    ):
-        raise UnsupportedFeatureError(
-            f"decoder {spec.name!r} cannot consume the packed "
-            f"engine's word-plane syndromes (capability "
-            f"{CAP_PACKED_SYNDROMES!r} missing)"
-        )
-    return spec
-
-
 def parse_decoder_arg(value: str) -> Tuple[str, Dict[str, Any]]:
     """Parse a ``--decoder name[:key=value,...]`` CLI argument.
 
     Values coerce to ``int`` / ``float`` / ``bool`` when they look
-    like one, else stay strings.  The name may be a deprecated alias
-    (resolution — and its warning — happens at :func:`get_decoder`
-    time, not here).
+    like one, else stay strings.  The name is not looked up here
+    (:func:`get_decoder` does that).
     """
     name, _, tail = value.partition(":")
     name = name.strip()
@@ -380,29 +297,39 @@ def _coerce(raw: str) -> Any:
 # ----------------------------------------------------------------------
 # Built-in decoders
 # ----------------------------------------------------------------------
-def _window_matrices(window: WindowContext) -> Tuple[Any, Any]:
-    return window.x_check_matrix, window.z_check_matrix
+def _build_window(
+    dense_table: Callable[..., Tuple[Any, Any]],
+    code: Any,
+    window: WindowContext,
+) -> BatchedWindowedLutDecoder:
+    """The batched window decoder over ``dense_table``'s two tables.
 
-
-def _build_lut_window(code: Any, window: WindowContext) -> Any:
-    from .batched import (
-        BatchedWindowedLutDecoder,
-        PackedWindowedLutDecoder,
+    ``dense_table(check_matrix, boundary_qubits)`` is one algorithm's
+    process-cached table function; each species' boundary qubits come
+    from the window's geometry.
+    """
+    x_table, _ = dense_table(
+        window.x_check_matrix, boundary_qubits_for(window.code, "x")
     )
-
-    x_check, z_check = _window_matrices(window)
-    if window.num_shots is not None:
-        return PackedWindowedLutDecoder(
-            x_check,
-            z_check,
-            num_shots=window.num_shots,
-            use_majority_vote=window.use_majority_vote,
-        )
+    z_table, _ = dense_table(
+        window.z_check_matrix, boundary_qubits_for(window.code, "z")
+    )
     return BatchedWindowedLutDecoder(
-        x_check,
-        z_check,
+        window.x_check_matrix,
+        window.z_check_matrix,
         use_majority_vote=window.use_majority_vote,
+        tables=(x_table, z_table),
     )
+
+
+def _lut_table(
+    check_matrix: Any, boundary_qubits: Sequence[int]
+) -> Tuple[Any, Any]:
+    """:func:`dense_lut` in the table-function shape of the others.
+
+    Minimum-weight enumeration needs no boundary geometry.
+    """
+    return dense_lut(check_matrix)
 
 
 def _build_per_shot_lut_window(
@@ -410,79 +337,9 @@ def _build_per_shot_lut_window(
 ) -> Any:
     from .rule_based import WindowedLutDecoder
 
-    x_check, z_check = _window_matrices(window)
     return WindowedLutDecoder(
-        x_check,
-        z_check,
-        use_majority_vote=window.use_majority_vote,
-    )
-
-
-def _build_mwpm_window(code: Any, window: WindowContext) -> Any:
-    from .batched import (
-        BatchedWindowedMatchingDecoder,
-        PackedWindowedMatchingDecoder,
-    )
-
-    x_check, z_check = _window_matrices(window)
-    if window.num_shots is not None:
-        return PackedWindowedMatchingDecoder(
-            window.code,
-            num_shots=window.num_shots,
-            x_check_matrix=x_check,
-            z_check_matrix=z_check,
-            use_majority_vote=window.use_majority_vote,
-        )
-    return BatchedWindowedMatchingDecoder(
-        window.code,
-        x_check_matrix=x_check,
-        z_check_matrix=z_check,
-        use_majority_vote=window.use_majority_vote,
-    )
-
-
-def _build_unionfind_window(code: Any, window: WindowContext) -> Any:
-    from .unionfind import (
-        BatchedWindowedUnionFindDecoder,
-        PackedWindowedUnionFindDecoder,
-    )
-
-    x_check, z_check = _window_matrices(window)
-    if window.num_shots is not None:
-        return PackedWindowedUnionFindDecoder(
-            window.code,
-            num_shots=window.num_shots,
-            x_check_matrix=x_check,
-            z_check_matrix=z_check,
-            use_majority_vote=window.use_majority_vote,
-        )
-    return BatchedWindowedUnionFindDecoder(
-        window.code,
-        x_check_matrix=x_check,
-        z_check_matrix=z_check,
-        use_majority_vote=window.use_majority_vote,
-    )
-
-
-def _build_sparse_window(code: Any, window: WindowContext) -> Any:
-    from .sparse import (
-        BatchedWindowedSparseMatchingDecoder,
-        PackedWindowedSparseMatchingDecoder,
-    )
-
-    x_check, z_check = _window_matrices(window)
-    if window.num_shots is not None:
-        return PackedWindowedSparseMatchingDecoder(
-            window.code,
-            num_shots=window.num_shots,
-            x_check_matrix=x_check,
-            z_check_matrix=z_check,
-            use_majority_vote=window.use_majority_vote,
-        )
-    return BatchedWindowedSparseMatchingDecoder(
-        window.code,
-        x_check_matrix=x_check,
-        z_check_matrix=z_check,
+        window.x_check_matrix,
+        window.z_check_matrix,
         use_majority_vote=window.use_majority_vote,
     )
 
@@ -537,12 +394,9 @@ def _register_builtins() -> None:
                 "dense minimum-weight lookup tables, batched "
                 "gather decoding (exact, SC17-sized codes)"
             ),
-            capabilities=frozenset(
-                (CAP_EXACT, CAP_WINDOWED, CAP_PACKED_SYNDROMES)
-            ),
-            window_builder=_build_lut_window,
-        ),
-        aliases=("batched",),
+            capabilities=frozenset((CAP_EXACT, CAP_WINDOWED)),
+            window_builder=partial(_build_window, _lut_table),
+        )
     )
     register_decoder(
         RegisteredDecoder(
@@ -551,13 +405,10 @@ def _register_builtins() -> None:
                 "one scalar windowed LUT decoder per shot (the "
                 "bit-identical reference arm)"
             ),
-            capabilities=frozenset(
-                (CAP_EXACT, CAP_WINDOWED, CAP_PACKED_SYNDROMES)
-            ),
+            capabilities=frozenset((CAP_EXACT, CAP_WINDOWED)),
             window_builder=_build_per_shot_lut_window,
             per_shot=True,
-        ),
-        aliases=("per-shot",),
+        )
     )
     register_decoder(
         RegisteredDecoder(
@@ -567,14 +418,9 @@ def _register_builtins() -> None:
                 "(networkx; windowed tables + space-time graphs)"
             ),
             capabilities=frozenset(
-                (
-                    CAP_EXACT,
-                    CAP_WINDOWED,
-                    CAP_SPACETIME,
-                    CAP_PACKED_SYNDROMES,
-                )
+                (CAP_EXACT, CAP_WINDOWED, CAP_SPACETIME)
             ),
-            window_builder=_build_mwpm_window,
+            window_builder=partial(_build_window, mwpm_dense_lut),
             space_builder=_space_mwpm,
             spacetime_builder=_spacetime_mwpm,
             graph_params=("time_weight",),
@@ -588,14 +434,9 @@ def _register_builtins() -> None:
                 "peeling); almost-linear, scales to d >= 15"
             ),
             capabilities=frozenset(
-                (
-                    CAP_SPARSE,
-                    CAP_WINDOWED,
-                    CAP_SPACETIME,
-                    CAP_PACKED_SYNDROMES,
-                )
+                (CAP_SPARSE, CAP_WINDOWED, CAP_SPACETIME)
             ),
-            window_builder=_build_unionfind_window,
+            window_builder=partial(_build_window, unionfind_dense_lut),
             space_builder=_space_unionfind,
             spacetime_builder=_spacetime_unionfind,
             graph_params=("time_weight",),
@@ -609,14 +450,11 @@ def _register_builtins() -> None:
                 "exact subset-DP pairing (greedy past 16 defects)"
             ),
             capabilities=frozenset(
-                (
-                    CAP_SPARSE,
-                    CAP_WINDOWED,
-                    CAP_SPACETIME,
-                    CAP_PACKED_SYNDROMES,
-                )
+                (CAP_SPARSE, CAP_WINDOWED, CAP_SPACETIME)
             ),
-            window_builder=_build_sparse_window,
+            window_builder=partial(
+                _build_window, sparse_mwpm_dense_lut
+            ),
             space_builder=_space_sparse,
             spacetime_builder=_spacetime_sparse,
             graph_params=("time_weight",),

@@ -24,10 +24,8 @@ Graphs are the shared edge-list :class:`~repro.decoders.unionfind.
 DecodingGraph` structures, so space and space-time layouts come for
 free, and the batched frontends mirror the union-find ones:
 ``decode_batch`` over ``(shots, [rounds,] checks)`` arrays with
-``np.unique`` dedupe, plus dense-table windowed forms for the
-Surface-17 LER pipeline (:func:`sparse_mwpm_dense_lut`,
-:class:`BatchedWindowedSparseMatchingDecoder`,
-:class:`PackedWindowedSparseMatchingDecoder`).
+``np.unique`` dedupe, plus a dense-table form for the Surface-17 LER
+pipeline (:func:`sparse_mwpm_dense_lut`).
 """
 
 from __future__ import annotations
@@ -39,8 +37,6 @@ import numpy as np
 from .. import telemetry
 from .batched import (
     MAX_DENSE_CHECKS,
-    BatchedWindowedLutDecoder,
-    PackedWindowedLutDecoder,
     _cached_table,
     _check_digest,
     unpack_syndromes,
@@ -446,8 +442,8 @@ def sparse_mwpm_dense_lut(
     """Dense gather table filled by sparse local matching.
 
     Process-cached like the LUT / MWPM / union-find tables, so the
-    windowed batched/packed pipelines consume the sparse matcher as
-    one gather per window.
+    batched window decoder consumes the sparse matcher as one gather
+    per window.
     """
     check = np.ascontiguousarray(
         np.asarray(check_matrix, dtype=np.uint8)
@@ -472,69 +468,3 @@ def sparse_mwpm_dense_lut(
         return table, np.ones(size, dtype=bool)
 
     return _cached_table(key, build)
-
-
-class BatchedWindowedSparseMatchingDecoder(BatchedWindowedLutDecoder):
-    """Batched windowed decoding over dense sparse-matching tables."""
-
-    def __init__(
-        self,
-        code,
-        x_check_matrix: Optional[np.ndarray] = None,
-        z_check_matrix: Optional[np.ndarray] = None,
-        use_majority_vote: bool = True,
-    ) -> None:
-        self._code = code
-        super().__init__(
-            code.x_check_matrix
-            if x_check_matrix is None
-            else x_check_matrix,
-            code.z_check_matrix
-            if z_check_matrix is None
-            else z_check_matrix,
-            use_majority_vote=use_majority_vote,
-        )
-
-    def _build_table(
-        self, check_matrix: np.ndarray, species: str
-    ) -> np.ndarray:
-        from .mwpm import boundary_qubits_for
-
-        table, _ = sparse_mwpm_dense_lut(
-            check_matrix, boundary_qubits_for(self._code, species)
-        )
-        return table
-
-
-class PackedWindowedSparseMatchingDecoder(PackedWindowedLutDecoder):
-    """Word-space windowed decoding over sparse-matching tables."""
-
-    def __init__(
-        self,
-        code,
-        num_shots: int,
-        x_check_matrix: Optional[np.ndarray] = None,
-        z_check_matrix: Optional[np.ndarray] = None,
-        use_majority_vote: bool = True,
-    ) -> None:
-        self._code = code
-        super().__init__(
-            code.x_check_matrix
-            if x_check_matrix is None
-            else x_check_matrix,
-            code.z_check_matrix
-            if z_check_matrix is None
-            else z_check_matrix,
-            num_shots,
-            use_majority_vote=use_majority_vote,
-        )
-
-    def _build_table(
-        self, check_matrix: np.ndarray, species: str
-    ) -> np.ndarray:
-        from .mwpm import boundary_qubits_for
-
-        table, _ = sparse_mwpm_dense_lut(
-            check_matrix, boundary_qubits_for(self._code, species)
-        )
-        return table

@@ -489,10 +489,9 @@ class BatchedLerExperiment:
     it exists as the reference arm of the bit-identical equivalence
     gate (``tests/test_batched_ler_equivalence.py``, benchmark E21) —
     both engines produce the same :class:`BatchCounts` for the same
-    seed, bit for bit.  The legacy names ``"batched"`` and
-    ``"per-shot"`` still resolve, with a :class:`DeprecationWarning`.
-    ``decoder_params`` passes registry build parameters (the parsed
-    tail of a ``--decoder name:key=value`` CLI argument).
+    seed, bit for bit.  ``decoder_params`` passes registry build
+    parameters (the parsed tail of a ``--decoder name:key=value`` CLI
+    argument).
 
     ``engine`` picks the simulation core:
 
@@ -507,9 +506,9 @@ class BatchedLerExperiment:
       different stream — statistically identical, not bit-identical,
       and the fastest of the three (benchmark E22).
 
-    With a packed engine, syndromes flow to the decoder as ``uint64``
-    word planes (:class:`~repro.decoders.batched.
-    PackedWindowedLutDecoder`) and only unpack at the LUT gather.
+    The decoders see one syndrome layout, ``(shots, rounds, checks)``
+    bools, whatever the engine: a packed engine's ``uint64`` word
+    planes are unpacked once per window, in :meth:`_stack_window`.
 
     ``reference_cache`` (default on) records the run's noiseless
     reference as a symbolic trace in the process-level cache
@@ -594,23 +593,17 @@ class BatchedLerExperiment:
                 reference_key=reference_key,
             )
         self.core.createqubit(NUM_QUBITS + 1)  # + diagnostic ancilla
-        # Capability negotiation + registry-driven construction: the
-        # packed cores advertise CAP_PACKED, so only decoders carrying
-        # CAP_PACKED_SYNDROMES pass; the WindowContext carries the
+        # Registry-driven construction: the WindowContext carries the
         # SC17 check matrices plus the d=3 rotated geometry (the SC17
         # layout is a row permutation of it, identical data labels)
         # for the matching/union-find boundary lookups.
         from ..codes.rotated.layout import RotatedSurfaceCode
-        from ..decoders.registry import WindowContext, negotiate
+        from ..decoders.registry import WindowContext
 
-        negotiate(decoder_spec, core=self.core)
         window = WindowContext(
             X_CHECK_MATRIX,
             Z_CHECK_MATRIX,
             code=RotatedSurfaceCode(3),
-            num_shots=self.num_shots
-            if (self._packed and not decoder_spec.per_shot)
-            else None,
             use_majority_vote=use_majority_vote,
         )
         if decoder_spec.per_shot:
@@ -671,11 +664,9 @@ class BatchedLerExperiment:
 
         With the framesim engine, returns the stacked
         ``(x_bits, z_bits)`` syndrome arrays of shape
-        ``(num_shots, num_checks)`` — the array form the batched
-        decoder consumes directly.  With a packed engine, returns
+        ``(num_shots, num_checks)``.  With a packed engine, returns
         ``uint64`` word planes of shape ``(num_checks, num_words)``
-        per species instead; syndromes stay bit-packed all the way to
-        the decoder's LUT gather.
+        per species instead; :meth:`_stack_window` unpacks them.
         """
         esm = self._bypass_esm if bypass else self._esm
         result = self.core.run(esm.circuit)
@@ -698,32 +689,19 @@ class BatchedLerExperiment:
     def _stack_window(
         self, rounds: List[Tuple[np.ndarray, np.ndarray]]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Stack per-round syndromes into the decoder's window layout.
+        """Stack per-round syndromes into ``(shots, rounds, checks)``.
 
-        Framesim: ``(shots, rounds, checks)`` bools.  Packed:
-        ``(rounds, checks, num_words)`` ``uint64`` planes (the leading
-        rounds axis of :func:`~repro.sim.packedsim.packed_majority`).
+        The one place where a packed engine's syndromes leave word
+        space: each species' ``(rounds, checks, num_words)`` planes
+        are unpacked in a single pass per window.
         """
-        if self._packed:
-            return (
-                np.stack([x for x, _ in rounds], axis=0),
-                np.stack([z for _, z in rounds], axis=0),
-            )
-        return _stack_rounds(rounds)
-
-    def _unpack_window(self, planes: np.ndarray) -> np.ndarray:
-        """Packed ``(rounds, checks, words)`` -> ``(shots, rounds,
-        checks)`` bools (the per-shot decoder path's input)."""
-        num_rounds, num_checks, _ = planes.shape
-        bits = np.empty(
-            (self.num_shots, num_rounds, num_checks), dtype=bool
+        if not self._packed:
+            return _stack_rounds(rounds)
+        x_planes, z_planes = (np.stack(planes) for planes in zip(*rounds))
+        return (
+            np.moveaxis(unpack_bits(x_planes, self.num_shots), -1, 0),
+            np.moveaxis(unpack_bits(z_planes, self.num_shots), -1, 0),
         )
-        for round_index in range(num_rounds):
-            for check in range(num_checks):
-                bits[:, round_index, check] = unpack_bits(
-                    planes[round_index, check], self.num_shots
-                )
-        return bits
 
     def _decode_init(
         self, x_rounds: np.ndarray, z_rounds: np.ndarray
@@ -741,9 +719,6 @@ class BatchedLerExperiment:
                 decision.z_corrections,
                 decision.has_corrections,
             )
-        if self._packed:
-            x_rounds = self._unpack_window(x_rounds)
-            z_rounds = self._unpack_window(z_rounds)
         decisions = []
         for shot, decoder in enumerate(self.decoders):
             decoder.reset()
@@ -765,9 +740,6 @@ class BatchedLerExperiment:
                 decision.z_corrections,
                 decision.has_corrections,
             )
-        if self._packed:
-            x_rounds = self._unpack_window(x_rounds)
-            z_rounds = self._unpack_window(z_rounds)
         decisions = [
             decoder.decode_window(
                 _per_shot_rounds(x_rounds, z_rounds, shot)
@@ -976,22 +948,3 @@ def run_ler_point(
         )
         results.append(experiment.run())
     return results
-
-
-#: Historical result-class names (pre unified results API).
-_DEPRECATED_RESULTS = {
-    "LerResult": RunResult,
-    "BatchedLerCounts": BatchCounts,
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_RESULTS:
-        from .results import deprecated_alias
-
-        return deprecated_alias(
-            __name__, name, _DEPRECATED_RESULTS[name]
-        )
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )

@@ -158,7 +158,7 @@ def plan_shards(
     registry decoder (the loop mode has neither a batched core nor
     decoder selection and accepts only the defaults).
     """
-    from ..decoders.registry import resolve_decoder_name
+    from ..decoders.registry import get_decoder
 
     if shots < 1:
         raise ValueError("shots must be positive")
@@ -168,7 +168,7 @@ def plan_shards(
         raise ValueError(
             "engine must be 'framesim', 'packed' or 'packed-fast'"
         )
-    decoder = resolve_decoder_name(decoder)
+    decoder = get_decoder(decoder).name
     params = tuple(sorted((decoder_params or {}).items()))
     mode = "batch" if windows is not None else "loop"
     if mode == "batch" and windows < 1:
@@ -571,7 +571,7 @@ def _checkpoint_config(
     """
     from ..decoders.registry import (
         format_decoder_arg,
-        resolve_decoder_name,
+        get_decoder,
     )
 
     config = {
@@ -585,7 +585,7 @@ def _checkpoint_config(
         "max_windows": int(max_windows),
         "rng_stream": "fast" if engine == "packed-fast" else "exact",
     }
-    decoder = resolve_decoder_name(decoder)
+    decoder = get_decoder(decoder).name
     params = dict(decoder_params or {})
     if decoder != "lut" or params:
         config["decoder"] = format_decoder_arg(decoder, params)
@@ -868,12 +868,12 @@ def run_parallel_sweep(
 
     from ..decoders.registry import (
         format_decoder_arg,
-        resolve_decoder_name,
+        get_decoder,
     )
 
     decoder_label = (
         format_decoder_arg(
-            resolve_decoder_name(decoder), decoder_params or {}
+            get_decoder(decoder).name, decoder_params or {}
         )
         if windows is not None
         else None
@@ -926,20 +926,4 @@ def run_parallel_point(
         pool=pool,
         decoder=decoder,
         decoder_params=decoder_params,
-    )
-
-
-#: Historical result-class names (pre unified results API).
-_DEPRECATED_RESULTS = {"ShardRecord": ShardResult}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_RESULTS:
-        from .results import deprecated_alias
-
-        return deprecated_alias(
-            __name__, name, _DEPRECATED_RESULTS[name]
-        )
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
     )

@@ -10,10 +10,6 @@ round-trip and a ``kind`` discriminator, so any serialized result can
 be loaded back with :func:`result_from_json` without knowing its type
 up front.
 
-The old names survive as thin deprecated aliases
-(``LerResult = RunResult`` etc., emitting :class:`DeprecationWarning`
-on import from their historical modules).
-
 The CLI's ``--json`` mode builds exactly one document per invocation
 from the ``*Report`` dataclasses below, validated against the schemas
 in :mod:`repro.experiments.schemas`.
@@ -807,28 +803,8 @@ class MatrixReport(ResultBase):
     kind = "matrix_report"
 
     decoders: List[str]
-    engines: List[str]
     experiments: List[str]
     cells: List[Dict]
     doc_examples: int
     problems: List[str]
     passed: bool
-
-
-def deprecated_alias(
-    module: str, old_name: str, replacement: type
-) -> type:
-    """Emit the deprecation warning for a legacy result-class name.
-
-    Shared by the module-level ``__getattr__`` hooks that keep
-    ``LerResult`` & co importable from their historical homes.
-    """
-    import warnings
-
-    warnings.warn(
-        f"{module}.{old_name} is deprecated; use "
-        f"repro.experiments.results.{replacement.__name__} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return replacement

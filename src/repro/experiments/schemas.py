@@ -203,7 +203,6 @@ REPORT_SCHEMAS: Dict[str, Dict] = {
                         "name": _STRING,
                         "summary": _STRING,
                         "capabilities": _array(_STRING),
-                        "aliases": _array(_STRING),
                         "params": _array(_STRING),
                     }
                 )
@@ -413,7 +412,6 @@ REPORT_SCHEMAS: Dict[str, Dict] = {
         {
             "kind": _kind("matrix_report"),
             "decoders": _array(_STRING),
-            "engines": _array(_STRING),
             "experiments": _array(_STRING),
             "cells": _array(
                 _obj(

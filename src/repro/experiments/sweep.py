@@ -91,12 +91,12 @@ def run_ler_sweep(
     """
     from ..decoders.registry import (
         format_decoder_arg,
-        resolve_decoder_name,
+        get_decoder,
     )
 
     decoder_label = (
         format_decoder_arg(
-            resolve_decoder_name(decoder_impl), decoder_params or {}
+            get_decoder(decoder_impl).name, decoder_params or {}
         )
         if batch_windows is not None
         else None
@@ -155,22 +155,3 @@ def format_sweep_table(sweep: SweepResult) -> str:
             f"{100.0 * point.mean_saved_slots:11.3f}"
         )
     return "\n".join(lines)
-
-
-#: Historical result-class names (pre unified results API).
-_DEPRECATED_RESULTS = {
-    "SweepPoint": SweepPointResult,
-    "LerSweep": SweepResult,
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_RESULTS:
-        from .results import deprecated_alias
-
-        return deprecated_alias(
-            __name__, name, _DEPRECATED_RESULTS[name]
-        )
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )

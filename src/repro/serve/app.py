@@ -322,14 +322,14 @@ class ServeApp:
         shots = int(params.get("shots", 10))
         from ..decoders.registry import (
             format_decoder_arg,
+            get_decoder,
             parse_decoder_arg,
-            resolve_decoder_name,
         )
 
         decoder_name, decoder_params = parse_decoder_arg(
             params.get("decoder", "lut")
         )
-        decoder_name = resolve_decoder_name(decoder_name)
+        decoder_name = get_decoder(decoder_name).name
         decoder_label = format_decoder_arg(decoder_name, decoder_params)
         report = self.fleet.run_sweep_job(
             per_values,

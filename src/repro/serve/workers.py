@@ -38,6 +38,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..codes.surface17 import X_CHECK_MATRIX, Z_CHECK_MATRIX
 from ..experiments.parallel import (
     ParallelConfig,
     ParallelSweepReport,
@@ -101,9 +102,22 @@ def check_job_params(job_kind: str, params: Dict) -> None:
             raise JobParamsError(
                 "syndrome arrays must be 3-d (shots, rounds, checks)"
             )
-        if x_shape[0] != z_shape[0]:
+        if x_shape[:2] != z_shape[:2]:
             raise JobParamsError(
-                "x_rounds and z_rounds disagree on shot count"
+                "x_rounds and z_rounds disagree on shot or round count"
+            )
+        if x_shape[1] % 2 == 0:
+            raise JobParamsError(
+                "decode needs an odd number of rounds (majority vote)"
+            )
+        if (x_shape[2], z_shape[2]) != (
+            X_CHECK_MATRIX.shape[0],
+            Z_CHECK_MATRIX.shape[0],
+        ):
+            raise JobParamsError(
+                "syndrome arrays must hold the surface-17 check "
+                f"counts ({X_CHECK_MATRIX.shape[0]} X, "
+                f"{Z_CHECK_MATRIX.shape[0]} Z)"
             )
         return
     # ler / sweep: bounded simulation sizes with sane types.
@@ -141,13 +155,13 @@ def check_job_params(job_kind: str, params: Dict) -> None:
             )
         from ..decoders.registry import (
             UnknownDecoderError,
+            get_decoder,
             parse_decoder_arg,
-            resolve_decoder_name,
         )
 
         try:
             name, decoder_params = parse_decoder_arg(decoder)
-            name = resolve_decoder_name(name)
+            name = get_decoder(name).name
         except (UnknownDecoderError, ValueError) as error:
             raise JobParamsError(f"'decoder': {error}")
         if decoder_params:
@@ -174,7 +188,6 @@ def run_decode_job(params: Dict) -> Dict:
     check geometry), optional ``use_majority_vote``.  Returns the
     per-shot correction masks and voted syndromes as JSON-safe lists.
     """
-    from ..codes.surface17 import X_CHECK_MATRIX, Z_CHECK_MATRIX
     from ..decoders.batched import BatchedWindowedLutDecoder
 
     x_rounds = np.asarray(params["x_rounds"], dtype=bool)

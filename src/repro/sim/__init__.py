@@ -13,7 +13,6 @@ from .packedsim import (
     PackedFrameSampler,
     num_words,
     pack_bits,
-    packed_majority,
     popcount_words,
     sample_circuit_packed,
     unpack_bits,
@@ -48,6 +47,5 @@ __all__ = [
     "num_words",
     "pack_bits",
     "unpack_bits",
-    "packed_majority",
     "popcount_words",
 ]

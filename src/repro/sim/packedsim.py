@@ -14,9 +14,11 @@ into a handful of word-wide bitwise kernels:
   planes — 64 shots per instruction instead of one bool per shot;
 * measurement flips are a row copy; gauge randomization is one random
   word row;
-* noise channels scatter their (sparse) hits into packed rows;
-* the windowed majority vote is a bit-sliced ripple-carry counter plus
-  a bitwise magnitude comparator (:func:`packed_majority`).
+* noise channels scatter their (sparse) hits into packed rows.
+
+Consumers unpack where samples leave the simulator: the batched LER
+experiment turns each window's syndrome planes into bools once, in
+front of the decoder.
 
 **Two RNG regimes**, selected by ``rng_mode``:
 
@@ -169,46 +171,6 @@ def popcount_words(words: np.ndarray) -> np.ndarray:
     raw = np.ascontiguousarray(words).view(np.uint8)
     per_byte = _POPCOUNT_TABLE[raw].reshape(words.shape + (8,))
     return per_byte.sum(axis=-1, dtype=np.int64)
-
-
-def packed_majority(planes: np.ndarray) -> np.ndarray:
-    """Bitwise per-shot majority over the leading (rounds) axis.
-
-    ``planes`` has shape ``(rounds, ...)``; the result, shape
-    ``(...)``, has a bit set exactly where more than half of the
-    rounds set it — the packed equivalent of the batched decoder's
-    ``sum * 2 > rounds`` vote, computed without ever unpacking:
-    a bit-sliced ripple-carry counter accumulates the per-position
-    sums, then a bitwise magnitude comparator tests
-    ``count >= rounds // 2 + 1`` MSB-down.
-
-    Tail bits stay zero (the threshold has at least one set bit, so
-    the equality chain is ANDed with a zero-tail counter plane).
-    """
-    planes = np.asarray(planes, dtype=np.uint64)
-    rounds = planes.shape[0]
-    if rounds < 1:
-        raise ValueError("majority vote needs at least one round")
-    width = rounds.bit_length()
-    counters = [
-        np.zeros(planes.shape[1:], dtype=np.uint64) for _ in range(width)
-    ]
-    for plane in planes:
-        carry = plane
-        for index in range(width):
-            counters[index], carry = (
-                counters[index] ^ carry,
-                counters[index] & carry,
-            )
-    threshold = rounds // 2 + 1
-    greater = np.zeros(planes.shape[1:], dtype=np.uint64)
-    equal = np.full(planes.shape[1:], ALL_ONES, dtype=np.uint64)
-    for index in range(width - 1, -1, -1):
-        if (threshold >> index) & 1:
-            equal = equal & counters[index]
-        else:
-            greater = greater | (equal & counters[index])
-    return greater | equal
 
 
 def _generator(draws: Draws) -> np.random.Generator:

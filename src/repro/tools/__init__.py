@@ -4,7 +4,6 @@
   invocation per CLI subcommand and validate each document against
   its schema (:mod:`repro.experiments.schemas`) plus the unified
   results round-trip.
-* :mod:`repro.tools.check_deprecations` — import every ``repro``
-  module and fail on any :class:`DeprecationWarning` raised from
-  inside the package itself.
+* :mod:`repro.tools.lint` — the determinism linter behind
+  ``repro lint-code``.
 """

@@ -29,10 +29,6 @@ codes registered in :mod:`repro.analysis.findings`):
     ``telemetry.ACTIVE.<anything>`` used directly; the sanctioned
     idiom binds ``t = telemetry.ACTIVE`` and branches on ``None`` so
     the disabled path stays allocation-free.
-``REP006``
-    In-package reference to a deprecated result alias (``LerResult``,
-    ``SweepPoint``, ...); the package itself must use the canonical
-    names.
 
 Suppression
 -----------
@@ -119,17 +115,6 @@ _WALL_CLOCK_CHAINS = frozenset(
         ("datetime", "datetime", "today"),
         ("date", "today"),
         ("datetime", "date", "today"),
-    }
-)
-
-#: Deprecated result-class aliases the package itself must not use.
-DEPRECATED_ALIASES = frozenset(
-    {
-        "LerResult",
-        "BatchedLerCounts",
-        "SweepPoint",
-        "LerSweep",
-        "ShardRecord",
     }
 )
 
@@ -373,19 +358,6 @@ class _LintVisitor(ast.NodeVisitor):
                 )
         self.generic_visit(node)
 
-    def visit_Name(self, node: ast.Name) -> None:
-        if (
-            isinstance(node.ctx, ast.Load)
-            and node.id in DEPRECATED_ALIASES
-        ):
-            self._report(
-                F.REP_DEPRECATED_ALIAS,
-                node,
-                f"{node.id} is a deprecated result alias; the "
-                f"package itself must use the canonical class",
-            )
-        self.generic_visit(node)
-
 
 def default_root() -> Path:
     """The package source tree this module lives in (``src/repro``)."""
@@ -421,7 +393,7 @@ def lint_source(
 def lint_paths(root: Optional[Path] = None) -> List[Finding]:
     """Lint every source file under ``root`` (default: ``src/repro``).
 
-    Combines the per-file rules (``REP001``-``REP006``) with the
+    Combines the per-file rules (``REP001``-``REP005``) with the
     whole-program dataflow pass (``REP100``-``REP112``,
     :mod:`repro.analysis.dataflow`) whenever ``root`` is a directory;
     a single-file root runs the per-file rules only, since the

@@ -6,7 +6,6 @@ import textwrap
 import pytest
 
 from repro.analysis.matrix import (
-    ENGINE_CAPABILITIES,
     EXPERIMENT_REQUIREMENTS,
     check_doc_grammar,
     verify_matrix,
@@ -30,29 +29,24 @@ def test_builtin_registry_passes():
         "unionfind",
         "sparse-mwpm",
     }
-    assert verification.engines == sorted(ENGINE_CAPABILITIES)
     assert verification.experiments == sorted(
         EXPERIMENT_REQUIREMENTS
     )
-    # Every decoder x engine and decoder x experiment combination is
-    # enumerated -- no silent gaps.
-    expected = len(verification.decoders) * (
-        len(ENGINE_CAPABILITIES) + len(EXPERIMENT_REQUIREMENTS)
-    )
+    # Every decoder x experiment combination is enumerated -- no
+    # silent gaps.
+    expected = len(verification.decoders) * len(EXPERIMENT_REQUIREMENTS)
     assert len(verification.cells) == expected
     assert verification.doc_examples > 0
 
 
-def test_packed_engine_requires_packed_syndromes():
+def test_experiment_cells_follow_capabilities():
     verification = verify_matrix()
     cells = {
         (cell.decoder, cell.context): cell.supported
         for cell in verification.cells
     }
-    # All builtins carry packed-syndromes today, so every engine
-    # pairing is supported; the structure is what we pin here.
     for decoder in verification.decoders:
-        assert cells[(decoder, "engine:framesim")]
+        assert cells[(decoder, "experiment:ler")]
     assert not cells[("per-shot-lut", "experiment:serve")]
     assert not cells[("lut", "experiment:phenomenological")]
 
@@ -90,13 +84,6 @@ def test_doc_grammar_rejects_unknown_decoder(tmp_path):
     examples, problems = check_doc_grammar([doc])
     assert examples == 1
     assert any("bogus-decoder" in p for p in problems)
-
-
-def test_doc_grammar_rejects_alias(tmp_path):
-    doc = tmp_path / "README.md"
-    doc.write_text("run with --decoder batched\n")
-    _, problems = check_doc_grammar([doc])
-    assert any("alias" in p for p in problems)
 
 
 def test_doc_grammar_rejects_undeclared_param(tmp_path):
@@ -171,7 +158,6 @@ def test_matrix_report_round_trips():
     verification = verify_matrix()
     report = MatrixReport(
         decoders=verification.decoders,
-        engines=verification.engines,
         experiments=verification.experiments,
         cells=[c.to_json_dict() for c in verification.cells],
         doc_examples=verification.doc_examples,

@@ -7,10 +7,11 @@ Three pillars:
   process-level cache;
 * the vectorized syndrome packing round-trips and agrees with the
   scalar functions;
-* :class:`BatchedWindowedLutDecoder` (and the MWPM-table variant)
-  produce decisions bit-identical to running one scalar windowed
-  decoder per shot on the same syndrome streams — including
-  all-trivial batches, all-shots-correcting batches and ``shots=1``.
+* :class:`BatchedWindowedLutDecoder` (over the LUT tables or the
+  registry's MWPM tables) produces decisions bit-identical to running
+  one scalar windowed decoder per shot on the same syndrome streams —
+  including all-trivial batches, all-shots-correcting batches and
+  ``shots=1``.
 """
 
 import numpy as np
@@ -22,7 +23,6 @@ from repro.codes.steane import HAMMING_CHECK_MATRIX
 from repro.codes.surface17 import X_CHECK_MATRIX, Z_CHECK_MATRIX
 from repro.decoders import (
     BatchedWindowedLutDecoder,
-    BatchedWindowedMatchingDecoder,
     SyndromeRound,
     WindowedLutDecoder,
     WindowedMatchingDecoder,
@@ -431,14 +431,19 @@ class TestBatchedWindowedLutDecoder:
         ) in collector.span_totals
 
 
-class TestBatchedWindowedMatchingDecoder:
+class TestMatchingWindowDecoder:
     @pytest.mark.parametrize("shots", [1, 9])
     def test_equivalent_to_per_shot_matching(self, shots):
+        from repro.decoders import WindowContext, get_decoder
+
         code = RotatedSurfaceCode(3)
         num_x = code.x_check_matrix.shape[0]
         num_z = code.z_check_matrix.shape[0]
+        window = WindowContext(
+            code.x_check_matrix, code.z_check_matrix, code=code
+        )
         _run_equivalence(
-            lambda: BatchedWindowedMatchingDecoder(code),
+            lambda: get_decoder("mwpm").build(code, window),
             lambda: WindowedMatchingDecoder(code),
             num_checks_x=num_x,
             num_checks_z=num_z,
@@ -449,37 +454,40 @@ class TestBatchedWindowedMatchingDecoder:
 
 
 # ----------------------------------------------------------------------
-# Packed-word syndrome path (regression: per-call allocation fix)
+# Packed-word syndrome path: the one unpack boundary in front of the
+# decoder (BatchedLerExperiment._stack_window)
 # ----------------------------------------------------------------------
-def _pack_rounds(rounds):
-    """(shots, rounds, checks) bools -> (rounds, checks, words) uint64."""
-    from repro.sim.packedsim import pack_bits
+def _words_to_window(planes, shots):
+    """One round of ``(checks, words)`` planes, through the boundary."""
+    from repro.experiments.ler import BatchedLerExperiment
 
-    return np.stack(
-        [pack_bits(rounds[:, index, :].T) for index in range(rounds.shape[1])]
+    experiment = BatchedLerExperiment(
+        1e-3, num_shots=shots, windows=1, seed=0, engine="packed"
     )
+    window, _ = experiment._stack_window([(planes, planes)])
+    assert window.shape == (shots, 1, planes.shape[0])
+    return window[:, 0]
 
 
 class TestPackedSyndromeWords:
     @pytest.mark.parametrize("shots", [1, 63, 64, 65, 200])
     def test_words_path_matches_scalar_pack(self, shots):
-        from repro.decoders import pack_syndromes_words
         from repro.sim.packedsim import pack_bits
 
         rng = np.random.default_rng(31)
         bits = rng.integers(0, 2, size=(shots, 8)).astype(bool)
         planes = pack_bits(bits.T)
         assert np.array_equal(
-            pack_syndromes_words(planes, shots), pack_syndromes(bits)
+            pack_syndromes(_words_to_window(planes, shots)),
+            pack_syndromes(bits),
         )
 
     @pytest.mark.parametrize("shots", [1, 64, 65])
     def test_empty_syndromes(self, shots):
-        from repro.decoders import pack_syndromes_words
         from repro.sim.packedsim import num_words
 
         planes = np.zeros((8, num_words(shots)), dtype=np.uint64)
-        packed = pack_syndromes_words(planes, shots)
+        packed = pack_syndromes(_words_to_window(planes, shots))
         assert packed.shape == (shots,)
         assert not packed.any()
         assert np.array_equal(
@@ -488,11 +496,12 @@ class TestPackedSyndromeWords:
 
     @pytest.mark.parametrize("shots", [1, 64, 65])
     def test_all_ones_syndromes(self, shots):
-        from repro.decoders import pack_syndromes_words
         from repro.sim.packedsim import pack_bits
 
         bits = np.ones((shots, 8), dtype=bool)
-        packed = pack_syndromes_words(pack_bits(bits.T), shots)
+        packed = pack_syndromes(
+            _words_to_window(pack_bits(bits.T), shots)
+        )
         assert (packed == 255).all()
         assert np.array_equal(packed, pack_syndromes(bits))
 
@@ -502,99 +511,3 @@ class TestPackedSyndromeWords:
         assert _pack_weights(8) is _pack_weights(8)
         weights = _pack_weights(8)
         assert not weights.flags.writeable
-
-
-class TestPackedWindowedLutDecoder:
-    """Packed decoder == unpacked batched decoder, bit for bit."""
-
-    @pytest.mark.parametrize("shots", [1, 64, 65])
-    @pytest.mark.parametrize("vote", [True, False])
-    def test_equivalent_to_unpacked_batched(self, shots, vote):
-        from repro.decoders import PackedWindowedLutDecoder
-
-        rng = np.random.default_rng(17)
-        reference = BatchedWindowedLutDecoder(
-            X_CHECK_MATRIX, Z_CHECK_MATRIX, use_majority_vote=vote
-        )
-        packed = PackedWindowedLutDecoder(
-            X_CHECK_MATRIX,
-            Z_CHECK_MATRIX,
-            num_shots=shots,
-            use_majority_vote=vote,
-        )
-        init_x = _random_stream(rng, shots, 3, 4, 0.25)
-        init_z = _random_stream(rng, shots, 3, 4, 0.25)
-        decision_ref = reference.initialize(init_x, init_z)
-        decision_packed = packed.initialize(
-            _pack_rounds(init_x), _pack_rounds(init_z)
-        )
-        for attribute in (
-            "x_corrections",
-            "z_corrections",
-            "has_corrections",
-            "voted_x",
-            "voted_z",
-        ):
-            assert np.array_equal(
-                getattr(decision_ref, attribute),
-                getattr(decision_packed, attribute),
-            ), attribute
-        for _ in range(6):
-            x_rounds = _random_stream(rng, shots, 2, 4, 0.25)
-            z_rounds = _random_stream(rng, shots, 2, 4, 0.25)
-            decision_ref = reference.decode_window(x_rounds, z_rounds)
-            decision_packed = packed.decode_window(
-                _pack_rounds(x_rounds), _pack_rounds(z_rounds)
-            )
-            for attribute in (
-                "x_corrections",
-                "z_corrections",
-                "has_corrections",
-                "voted_x",
-                "voted_z",
-            ):
-                assert np.array_equal(
-                    getattr(decision_ref, attribute),
-                    getattr(decision_packed, attribute),
-                ), attribute
-
-    def test_requires_positive_shots(self):
-        from repro.decoders import PackedWindowedLutDecoder
-
-        with pytest.raises(ValueError):
-            PackedWindowedLutDecoder(
-                X_CHECK_MATRIX, Z_CHECK_MATRIX, num_shots=0
-            )
-
-    def test_rejects_even_initialization(self):
-        from repro.decoders import PackedWindowedLutDecoder
-
-        decoder = PackedWindowedLutDecoder(
-            X_CHECK_MATRIX, Z_CHECK_MATRIX, num_shots=4
-        )
-        rounds = _pack_rounds(np.zeros((4, 2, 4), dtype=bool))
-        with pytest.raises(ValueError, match="odd number"):
-            decoder.initialize(rounds, rounds)
-
-    def test_decode_before_initialize_raises(self):
-        from repro.decoders import PackedWindowedLutDecoder
-
-        decoder = PackedWindowedLutDecoder(
-            X_CHECK_MATRIX, Z_CHECK_MATRIX, num_shots=4
-        )
-        rounds = _pack_rounds(np.zeros((4, 2, 4), dtype=bool))
-        with pytest.raises(RuntimeError, match="not initialized"):
-            decoder.decode_window(rounds, rounds)
-
-    def test_reset_clears_word_state(self):
-        from repro.decoders import PackedWindowedLutDecoder
-
-        decoder = PackedWindowedLutDecoder(
-            X_CHECK_MATRIX, Z_CHECK_MATRIX, num_shots=4
-        )
-        init = _pack_rounds(np.zeros((4, 3, 4), dtype=bool))
-        decoder.initialize(init, init)
-        decoder.reset()
-        rounds = _pack_rounds(np.zeros((4, 2, 4), dtype=bool))
-        with pytest.raises(RuntimeError, match="not initialized"):
-            decoder.decode_window(rounds, rounds)

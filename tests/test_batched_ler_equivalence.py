@@ -2,7 +2,7 @@
 
 `BatchedLerExperiment` decodes with the array-native
 :class:`~repro.decoders.batched.BatchedWindowedLutDecoder` by default;
-``decoder_impl="per-shot"`` keeps the pre-vectorization reference (one
+``decoder_impl="per-shot-lut"`` keeps the pre-vectorization reference (one
 scalar :class:`~repro.decoders.rule_based.WindowedLutDecoder` per
 shot).  Because decoder decisions feed back into the cores' frame
 state, any divergence — in the tables, the vote, the carry-state or
@@ -45,40 +45,40 @@ class TestBitIdenticalCounts:
     @pytest.mark.parametrize("use_frame", [False, True])
     def test_both_arms(self, seed, use_frame):
         _assert_identical(
-            _counts("batched", seed, use_frame=use_frame),
-            _counts("per-shot", seed, use_frame=use_frame),
+            _counts("lut", seed, use_frame=use_frame),
+            _counts("per-shot-lut", seed, use_frame=use_frame),
         )
 
     @pytest.mark.parametrize("kind", ["x", "z"])
     def test_both_error_kinds(self, kind):
         _assert_identical(
-            _counts("batched", 42, kind=kind),
-            _counts("per-shot", 42, kind=kind),
+            _counts("lut", 42, kind=kind),
+            _counts("per-shot-lut", 42, kind=kind),
         )
 
     def test_single_shot_batch(self):
         _assert_identical(
-            _counts("batched", 3, num_shots=1),
-            _counts("per-shot", 3, num_shots=1),
+            _counts("lut", 3, num_shots=1),
+            _counts("per-shot-lut", 3, num_shots=1),
         )
 
     def test_without_majority_vote(self):
         _assert_identical(
-            _counts("batched", 5, use_majority_vote=False),
-            _counts("per-shot", 5, use_majority_vote=False),
+            _counts("lut", 5, use_majority_vote=False),
+            _counts("per-shot-lut", 5, use_majority_vote=False),
         )
 
     def test_three_round_windows(self):
         """Odd window size exercises the drop-oldest vote rule."""
         _assert_identical(
-            _counts("batched", 6, rounds_per_window=3),
-            _counts("per-shot", 6, rounds_per_window=3),
+            _counts("lut", 6, rounds_per_window=3),
+            _counts("per-shot-lut", 6, rounds_per_window=3),
         )
 
     def test_wider_batch_near_threshold(self):
         _assert_identical(
-            _counts("batched", 1, per=2e-2, num_shots=20, windows=6),
-            _counts("per-shot", 1, per=2e-2, num_shots=20, windows=6),
+            _counts("lut", 1, per=2e-2, num_shots=20, windows=6),
+            _counts("per-shot-lut", 1, per=2e-2, num_shots=20, windows=6),
         )
 
 
@@ -94,13 +94,6 @@ class TestDecoderImplWiring:
         assert experiment.decoder_impl == "lut"
         assert experiment.decoders is None
         assert experiment.decoder is not None
-
-    def test_legacy_names_resolve_with_deprecation(self):
-        with pytest.warns(DeprecationWarning):
-            experiment = BatchedLerExperiment(
-                5e-3, num_shots=2, seed=0, decoder_impl="batched"
-            )
-        assert experiment.decoder_impl == "lut"
 
     def test_lut_built_once_per_process_not_per_shot(self):
         """O(shots) brute-force builds collapse to O(1) cached ones."""

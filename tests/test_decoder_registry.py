@@ -1,9 +1,10 @@
 """Unit suite of the decoder registry (names, capabilities, parsing).
 
 The registry (:mod:`repro.decoders.registry`) is the single decoder
-selection point of the experiment stack: canonical names, deprecated
-aliases, capability negotiation against simulation cores, and the
-``--decoder name:key=value`` CLI argument grammar all live there.
+selection point of the experiment stack: names, capability flags,
+the builders that hand each algorithm's tables to the one batched
+window decoder, and the ``--decoder name:key=value`` CLI argument
+grammar all live there.
 """
 
 import warnings
@@ -11,10 +12,16 @@ import warnings
 import pytest
 
 from repro.codes.rotated import RotatedSurfaceCode
-from repro.decoders import boundary_qubits_for
+from repro.decoders import (
+    boundary_qubits_for,
+    dense_lut,
+    mwpm_dense_lut,
+    sparse_mwpm_dense_lut,
+    unionfind_dense_lut,
+    unpack_syndromes,
+)
 from repro.decoders.registry import (
     CAP_EXACT,
-    CAP_PACKED_SYNDROMES,
     CAP_SPACETIME,
     CAP_SPARSE,
     CAP_WINDOWED,
@@ -27,13 +34,10 @@ from repro.decoders.registry import (
     format_decoder_arg,
     get_decoder,
     list_decoders,
-    negotiate,
     parse_decoder_arg,
     register_decoder,
-    resolve_decoder_name,
     unregister_decoder,
 )
-from repro.qpdo.core import UnsupportedFeatureError
 
 
 class TestCatalogue:
@@ -70,46 +74,33 @@ class TestCatalogue:
         with pytest.raises(UnknownDecoderError):
             get_decoder("quantum")
 
-    def test_aliases_resolve_with_deprecation(self):
-        with pytest.warns(DeprecationWarning):
-            assert resolve_decoder_name("batched") == "lut"
-        with pytest.warns(DeprecationWarning):
-            assert resolve_decoder_name("per-shot") == "per-shot-lut"
-
     def test_canonical_names_resolve_silently(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_decoder_name("lut") == "lut"
-            assert resolve_decoder_name("unionfind") == "unionfind"
+            assert get_decoder("lut").name == "lut"
+            assert get_decoder("unionfind").name == "unionfind"
 
 
 class TestRegistration:
-    def _spec(self, name, aliases=()):
+    def _spec(self, name):
         return RegisteredDecoder(
             name=name,
             summary="test decoder",
             capabilities=frozenset((CAP_WINDOWED,)),
-            aliases=tuple(aliases),
         )
 
     def test_register_and_unregister(self):
-        register_decoder(self._spec("test-dec", aliases=("td",)))
+        register_decoder(self._spec("test-dec"))
         try:
-            assert get_decoder("td").name == "test-dec"
+            assert get_decoder("test-dec").name == "test-dec"
         finally:
             unregister_decoder("test-dec")
         with pytest.raises(UnknownDecoderError):
             get_decoder("test-dec")
-        with pytest.raises(UnknownDecoderError):
-            get_decoder("td")
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(DuplicateDecoderError):
             register_decoder(self._spec("lut"))
-
-    def test_duplicate_alias_rejected(self):
-        with pytest.raises(DuplicateDecoderError):
-            register_decoder(self._spec("fresh", aliases=("batched",)))
 
     def test_unregister_unknown_raises(self):
         with pytest.raises(UnknownDecoderError):
@@ -144,23 +135,6 @@ class TestCapabilityRefusal:
                 boundary_qubits_for(code, "z"),
                 growth_rate=3,
             )
-
-    def test_negotiate_packed_core(self):
-        from repro.qpdo.packed_core import PackedStabilizerCore
-
-        core = PackedStabilizerCore(num_shots=2, seed=0)
-        for name in ("lut", "unionfind", "sparse-mwpm"):
-            assert CAP_PACKED_SYNDROMES in get_decoder(
-                name
-            ).capabilities
-            negotiate(get_decoder(name), core=core)
-        hobbled = RegisteredDecoder(
-            name="no-packed",
-            summary="cannot consume word planes",
-            capabilities=frozenset((CAP_WINDOWED,)),
-        )
-        with pytest.raises(UnsupportedFeatureError):
-            negotiate(hobbled, core=core)
 
 
 class TestArgumentGrammar:
@@ -226,3 +200,36 @@ class TestExperimentWiring:
             time_weight=2.0,
         )
         assert decoder.time_weight == 2.0
+
+    @pytest.mark.parametrize(
+        "name, dense_table",
+        [
+            ("lut", lambda check, boundary: dense_lut(check)),
+            ("mwpm", mwpm_dense_lut),
+            ("unionfind", unionfind_dense_lut),
+            ("sparse-mwpm", sparse_mwpm_dense_lut),
+        ],
+    )
+    def test_window_builder_decodes_with_its_own_tables(
+        self, name, dense_table
+    ):
+        # Every one of the 16 syndromes of each SC17 species, fed as a
+        # single initialization round, must come back exactly as the
+        # algorithm's own dense table row.
+        import numpy as np
+
+        from repro.codes.surface17 import X_CHECK_MATRIX, Z_CHECK_MATRIX
+
+        code = RotatedSurfaceCode(3)
+        window = WindowContext(X_CHECK_MATRIX, Z_CHECK_MATRIX, code=code)
+        decoder = get_decoder(name).build(code, window)
+        syndromes = unpack_syndromes(np.arange(16), 4)[:, np.newaxis]
+        decision = decoder.initialize(syndromes, syndromes)
+        x_table, _ = dense_table(
+            X_CHECK_MATRIX, boundary_qubits_for(code, "x")
+        )
+        z_table, _ = dense_table(
+            Z_CHECK_MATRIX, boundary_qubits_for(code, "z")
+        )
+        assert np.array_equal(decision.z_corrections, x_table)
+        assert np.array_equal(decision.x_corrections, z_table)

@@ -13,7 +13,7 @@ from repro.experiments.analytic import (
     upper_bound_series,
     window_time_slots,
 )
-from repro.experiments.ler import LerResult
+from repro.experiments.results import RunResult
 from repro.experiments.schedule import (
     ScheduleParameters,
     compare_schedules,
@@ -28,7 +28,7 @@ from repro.experiments.stats import (
 
 
 def make_result(per, pf, windows, errors):
-    return LerResult(
+    return RunResult(
         physical_error_rate=per,
         error_kind="x",
         use_pauli_frame=pf,

@@ -203,29 +203,6 @@ def test_rep005_skipped_inside_telemetry_package():
 
 
 # ----------------------------------------------------------------------
-# REP006: deprecated aliases
-# ----------------------------------------------------------------------
-def test_rep006_deprecated_alias_load():
-    findings = lint(
-        """
-        from repro.experiments.results import LerResult
-
-        value = LerResult
-        """
-    )
-    assert F.REP_DEPRECATED_ALIAS in codes(findings)
-
-
-def test_rep006_assignment_target_is_not_a_use():
-    findings = lint(
-        """
-        LerResult = object()
-        """
-    )
-    assert codes(findings) == []
-
-
-# ----------------------------------------------------------------------
 # Suppressions
 # ----------------------------------------------------------------------
 def test_suppression_same_line_with_reason():

@@ -18,6 +18,7 @@ the bit level where possible:
 import numpy as np
 import pytest
 
+from repro.decoders.registry import CAP_WINDOWED, list_decoders
 from repro.experiments.ler import BatchedLerExperiment
 from repro.qpdo import BatchedStabilizerCore, PackedStabilizerCore
 from repro.sim import (
@@ -108,13 +109,30 @@ class TestBatchCountsBitIdentity:
         packed = run_counts("packed", **kwargs)
         assert counts_tuple(reference) == counts_tuple(packed)
 
-    def test_per_shot_decoder_path(self):
-        reference = run_counts(
-            "framesim", num_shots=5, decoder_impl="per-shot"
+    @pytest.mark.parametrize(
+        "decoder",
+        [
+            spec.name
+            for spec in list_decoders()
+            if CAP_WINDOWED in spec.capabilities
+        ],
+    )
+    def test_windowed_decoders(self, decoder):
+        """Every decoder reads the packed engine's syndromes exactly.
+
+        At PER 2e-2 corrections fire in most windows and union-find's
+        counts already differ from the LUT's, so each decoder's own
+        table rows are exercised.
+        """
+        kwargs = dict(
+            physical_error_rate=2e-2,
+            num_shots=16,
+            windows=8,
+            seed=2017,
+            decoder_impl=decoder,
         )
-        packed = run_counts(
-            "packed", num_shots=5, decoder_impl="per-shot"
-        )
+        reference = run_counts("framesim", **kwargs)
+        packed = run_counts("packed", **kwargs)
         assert counts_tuple(reference) == counts_tuple(packed)
 
     def test_thousand_shots(self):

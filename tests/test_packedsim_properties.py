@@ -9,7 +9,6 @@ exercised constantly, not just at hand-picked sizes):
   bits zero,
 * XOR/AND on packed words equal XOR/AND on the bool arrays,
 * ``popcount_words`` equals ``np.sum``,
-* ``packed_majority`` equals the ``sum * 2 > rounds`` vote,
 * a random Clifford+noise frame program advances
   :class:`PackedFrameArray` and the unpacked :class:`FrameArray`
   identically when fed identical RNG streams.
@@ -25,7 +24,6 @@ from repro.sim.packedsim import (
     full_mask,
     num_words,
     pack_bits,
-    packed_majority,
     popcount_words,
     unpack_bits,
 )
@@ -93,23 +91,6 @@ class TestWordKernels:
         bits = bool_rows(data.draw, num_shots, rows=rows)
         words = pack_bits(bits)
         assert popcount_words(words).sum() == bits.sum()
-
-    @given(st.data(), shot_counts, st.integers(1, 9))
-    @settings(deadline=None)
-    def test_majority_matches_sum_vote(self, data, num_shots, rounds):
-        planes = np.stack(
-            [
-                pack_bits(bool_rows(data.draw, num_shots))
-                for _ in range(rounds)
-            ]
-        )
-        voted = packed_majority(planes)
-        expected = (
-            unpack_bits(planes, num_shots).sum(axis=0) * 2 > rounds
-        )
-        assert np.array_equal(unpack_bits(voted, num_shots), expected)
-        # The vote itself must keep the tail clean.
-        assert np.all(voted & ~full_mask(num_shots) == 0)
 
 
 #: One random frame-program step: (kind, payload...).

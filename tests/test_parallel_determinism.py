@@ -16,7 +16,7 @@ from repro.cli import main as cli_main
 from repro.experiments.parallel import (
     ArmAggregator,
     ParallelConfig,
-    ShardRecord,
+    ShardResult,
     load_checkpoint,
     plan_shards,
     run_parallel_sweep,
@@ -228,7 +228,7 @@ class TestPackedEngineParallel:
 
 class TestAggregatorFrontier:
     def _record(self, shard_index, errors=1, windows=10):
-        return ShardRecord(
+        return ShardResult(
             point_index=0,
             physical_error_rate=1e-3,
             use_pauli_frame=True,

@@ -217,44 +217,7 @@ class TestDispatch:
 
 
 class TestDeprecatedAliases:
-    @pytest.mark.parametrize(
-        "module, old_name, new_name",
-        [
-            ("repro.experiments.ler", "LerResult", "RunResult"),
-            (
-                "repro.experiments.ler",
-                "BatchedLerCounts",
-                "BatchCounts",
-            ),
-            (
-                "repro.experiments.sweep",
-                "SweepPoint",
-                "SweepPointResult",
-            ),
-            ("repro.experiments.sweep", "LerSweep", "SweepResult"),
-            (
-                "repro.experiments.parallel",
-                "ShardRecord",
-                "ShardResult",
-            ),
-            ("repro.experiments", "LerResult", "RunResult"),
-            ("repro.experiments", "BatchedLerCounts", "BatchCounts"),
-            ("repro.experiments", "SweepPoint", "SweepPointResult"),
-            ("repro.experiments", "LerSweep", "SweepResult"),
-            ("repro.experiments", "ShardRecord", "ShardResult"),
-        ],
-    )
-    def test_old_names_warn_and_alias(
-        self, module, old_name, new_name
-    ):
-        import importlib
-
-        import repro.experiments.results as results
-
-        imported = importlib.import_module(module)
-        with pytest.warns(DeprecationWarning, match=new_name):
-            alias = getattr(imported, old_name)
-        assert alias is getattr(results, new_name)
+    """Canonical result names import silently; unknown names raise."""
 
     def test_new_names_do_not_warn(self):
         import repro.experiments as experiments

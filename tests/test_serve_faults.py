@@ -257,6 +257,30 @@ class TestMalformedDocuments:
                     },
                 },
                 {
+                    "job_kind": "decode",
+                    "params": {
+                        # even round count: no majority vote
+                        "x_rounds": [[[0, 0, 0, 0]] * 2],
+                        "z_rounds": [[[0, 0, 0, 0]] * 2],
+                    },
+                },
+                {
+                    "job_kind": "decode",
+                    "params": {
+                        # five checks per species, SC17 has four
+                        "x_rounds": [[[0, 0, 0, 0, 0]] * 3],
+                        "z_rounds": [[[0, 0, 0, 0, 0]] * 3],
+                    },
+                },
+                {
+                    "job_kind": "decode",
+                    "params": {
+                        # x and z disagree on the round count
+                        "x_rounds": [[[0, 0, 0, 0]]],
+                        "z_rounds": [[[0, 0, 0, 0]] * 3],
+                    },
+                },
+                {
                     "job_kind": "ler",
                     "params": {
                         "physical_error_rate": 0.01,
