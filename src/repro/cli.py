@@ -45,6 +45,14 @@ from typing import Callable, List, Optional, Union
 #: Logical-error quota per loop-mode run when ``--errors`` is absent.
 LER_DEFAULT_ERRORS = 10
 SWEEP_DEFAULT_ERRORS = 4
+#: ``--shard-shots``, ``ler --samples`` and ``ler --windows`` when the
+#: flag is absent.  The flags themselves default to ``None`` so that a
+#: mode which does not read one can refuse it.
+DEFAULT_SHARD_SHOTS = 100
+LER_DEFAULT_SAMPLES = 10
+LER_DEFAULT_WINDOWS = 200
+#: The sharded runner's flags.
+RUNNER_FLAGS = ("--checkpoint", "--resume", "--target-ci", "--shard-shots")
 
 
 def _add_output_arguments(
@@ -127,9 +135,9 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shard-shots",
         type=int,
-        default=100,
         metavar="SHOTS",
-        help="shots per shard of the parallel runner",
+        help="shots per shard of the parallel runner (default "
+        f"{DEFAULT_SHARD_SHOTS})",
     )
     parser.add_argument(
         "--checkpoint",
@@ -203,15 +211,15 @@ def build_parser() -> argparse.ArgumentParser:
     ler.add_argument(
         "--windows",
         type=int,
-        default=200,
-        help="windows per shot in --batch mode",
+        help="windows per shot in --batch mode (default "
+        f"{LER_DEFAULT_WINDOWS})",
     )
     ler.add_argument(
         "--samples",
         type=int,
-        default=10,
         help="independent per-shot runs per arm when the parallel "
-        "runner is used without --batch (loop mode)",
+        "runner is used without --batch (loop mode; default "
+        f"{LER_DEFAULT_SAMPLES})",
     )
     _add_engine_argument(ler)
     _add_decoder_argument(ler)
@@ -510,7 +518,11 @@ def _parallel_config(args):
 
     return ParallelConfig(
         workers=args.workers if args.workers is not None else 1,
-        shard_shots=args.shard_shots,
+        shard_shots=(
+            DEFAULT_SHARD_SHOTS
+            if args.shard_shots is None
+            else args.shard_shots
+        ),
         checkpoint=args.checkpoint,
         resume=args.resume,
         target_ci=args.target_ci,
@@ -559,6 +571,26 @@ def _errors_or_default(args, default: int) -> Optional[int]:
         )
         return None
     return args.errors
+
+
+def _refuse_unread_flags(args, checks) -> bool:
+    """Refuse a flag the selected mode would silently ignore.
+
+    ``checks`` holds ``(flags, read, mode)`` triples: when ``read`` is
+    false, the first of ``flags`` given on the command line is refused
+    with ``<flag> applies to <mode>`` on stderr, and ``True`` is
+    returned (callers exit 2).  The flags default to ``None``
+    (``--resume`` to ``False``), so any other value means it was given.
+    """
+    for flags, read, mode in checks:
+        if read:
+            continue
+        for flag in flags:
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if value is not None and value is not False:
+                print(f"{flag} applies to {mode}", file=sys.stderr)
+                return True
+    return False
 
 
 def _require_batch_for_engine(args) -> bool:
@@ -614,6 +646,30 @@ def cmd_ler(args) -> int:
 
     if not _require_batch_for_engine(args):
         return 2
+    batch, workers = args.batch is not None, args.workers is not None
+    if _refuse_unread_flags(
+        args,
+        [
+            (
+                RUNNER_FLAGS,
+                batch or workers,
+                "the sharded runner only; add --batch SHOTS or "
+                "--workers N to use it",
+            ),
+            (
+                ("--windows",),
+                batch,
+                "the batched sampler only; add --batch SHOTS to use it",
+            ),
+            (
+                ("--samples",),
+                workers and not batch,
+                "the sharded per-shot loop only (--workers N without "
+                "--batch); with --batch, SHOTS sets the shots per arm",
+            ),
+        ],
+    ):
+        return 2
     errors = _errors_or_default(args, LER_DEFAULT_ERRORS)
     if errors is None:
         return 2
@@ -621,15 +677,17 @@ def cmd_ler(args) -> int:
     if decoder is None:
         return 2
     decoder_name, decoder_params = decoder
-    if args.workers is not None or args.batch is not None:
+    if workers or batch:
         from .decoders.registry import format_decoder_arg
         from .experiments.parallel import run_parallel_point
 
+        samples = LER_DEFAULT_SAMPLES if args.samples is None else args.samples
+        windows = LER_DEFAULT_WINDOWS if args.windows is None else args.windows
         parallel = run_parallel_point(
             args.per,
             error_kind=args.kind,
-            shots=args.batch if args.batch is not None else args.samples,
-            windows=args.windows if args.batch is not None else None,
+            shots=args.batch if batch else samples,
+            windows=windows if batch else None,
             seed=args.seed,
             config=_parallel_config(args),
             max_logical_errors=errors,
@@ -696,6 +754,17 @@ def cmd_sweep(args) -> int:
     from .experiments.stats import mean_rho, significant_fraction
 
     if not _require_batch_for_engine(args):
+        return 2
+    if _refuse_unread_flags(
+        args,
+        [
+            (
+                RUNNER_FLAGS,
+                args.workers is not None,
+                "the sharded runner only; add --workers N to use it",
+            )
+        ],
+    ):
         return 2
     errors = _errors_or_default(args, SWEEP_DEFAULT_ERRORS)
     if errors is None:

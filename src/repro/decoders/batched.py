@@ -292,7 +292,7 @@ class BatchedWindowedLutDecoder:
     carry-state — but every step is one numpy operation over the shot
     axis: the vote is a sum along the rounds axis, the table lookup
     is a gather ``table[packed]``, and the carry-state re-expression
-    is a batched matmul-XOR.
+    XORs in the same row of a table of the corrections' parities.
 
     Parameters
     ----------
@@ -332,6 +332,16 @@ class BatchedWindowedLutDecoder:
             )
         # X-type syndromes select Z corrections and vice versa.
         self._z_error_table, self._x_error_table = tables
+        # Per table row: the parities its correction flips on the other
+        # species' checks, and whether it corrects anything at all.
+        self._z_error_flips = _syndromes_of(
+            self.x_check_matrix, self._z_error_table
+        )
+        self._x_error_flips = _syndromes_of(
+            self.z_check_matrix, self._x_error_table
+        )
+        self._z_error_any = self._z_error_table.any(axis=1)
+        self._x_error_any = self._x_error_table.any(axis=1)
         self._previous_x: np.ndarray | None = None
         self._previous_z: np.ndarray | None = None
 
@@ -413,19 +423,17 @@ class BatchedWindowedLutDecoder:
     ) -> BatchedWindowDecision:
         # LUT gather: X-type syndromes select Z corrections and vice
         # versa, exactly the TwoLutDecoder pairing.
-        z_corrections = self._z_error_table[pack_syndromes(voted_x)]
-        x_corrections = self._x_error_table[pack_syndromes(voted_z)]
+        x_rows = pack_syndromes(voted_x)
+        z_rows = pack_syndromes(voted_z)
+        z_corrections = self._z_error_table[x_rows]
+        x_corrections = self._x_error_table[z_rows]
         # Carry-state: the stored newest round is re-expressed in the
         # corrected frame — commanded Z corrections flip X-check
         # parities and commanded X corrections flip Z-check parities.
-        self._previous_x = last_x ^ _syndromes_of(
-            self.x_check_matrix, z_corrections
-        )
-        self._previous_z = last_z ^ _syndromes_of(
-            self.z_check_matrix, x_corrections
-        )
-        has_corrections = x_corrections.any(axis=1) | z_corrections.any(
-            axis=1
+        self._previous_x = last_x ^ self._z_error_flips[x_rows]
+        self._previous_z = last_z ^ self._x_error_flips[z_rows]
+        has_corrections = (
+            self._x_error_any[z_rows] | self._z_error_any[x_rows]
         )
         t = telemetry.ACTIVE
         if t is not None:

@@ -29,12 +29,13 @@ identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..circuits.operation import Operation
 from ..sim.framesim import FrameArray, NoiseParameters
+from ..sim.packedsim import pack_bits, unpack_bits
 from .. import telemetry
 from .core import CAP_BATCH, ExecutionResult
 from .lockstep import LockstepCore, SeedLike
@@ -89,9 +90,12 @@ class BatchedStabilizerCore(LockstepCore[BatchedExecutionResult]):
         owning the core must call :meth:`commit_reference_trace` once
         its circuit stream is complete.
 
-    Circuits run through compiled slot plans (:mod:`repro.qpdo.
-    lockstep`), with the lockstep restrictions documented there.
+    Circuits run through their compiled frame maps (:mod:`repro.qpdo.
+    lockstep`) on the frames packed into words, with the lockstep
+    restrictions documented there.
     """
+
+    _MAP_CATEGORY = "sim.framesim"
 
     def __init__(
         self,
@@ -122,6 +126,13 @@ class BatchedStabilizerCore(LockstepCore[BatchedExecutionResult]):
     def supports(self, capability: str) -> bool:
         return capability == CAP_BATCH or super().supports(capability)
 
+    def _frame_words(self) -> Tuple[np.ndarray, np.ndarray]:
+        return pack_bits(self.frames.x.T), pack_bits(self.frames.z.T)
+
+    def _load_frame_words(self, x: np.ndarray, z: np.ndarray) -> None:
+        self.frames.x = unpack_bits(x, self.num_shots).T
+        self.frames.z = unpack_bits(z, self.num_shots).T
+
     def _new_result(self) -> BatchedExecutionResult:
         return BatchedExecutionResult()
 
@@ -132,7 +143,8 @@ class BatchedStabilizerCore(LockstepCore[BatchedExecutionResult]):
         reference: np.ndarray,
         uids: List[int],
     ) -> None:
-        bits = flips ^ reference
-        for column, uid in enumerate(uids):
-            result.bit_arrays[uid] = bits[:, column]
-            result.measurements[uid] = int(bits[0, column])
+        bits = unpack_bits(flips, self.num_shots)
+        bits ^= reference[:, None]
+        for row, uid in enumerate(uids):
+            result.bit_arrays[uid] = bits[row]
+            result.measurements[uid] = int(bits[row, 0])

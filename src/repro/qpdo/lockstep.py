@@ -1,4 +1,4 @@
-"""Compiled slot plans and the lockstep core both batched engines share.
+"""Compiled circuit plans and the lockstep core both batched engines share.
 
 A batched core carries ``N`` shots at once: one shared noiseless
 reference on a :class:`~repro.sim.refcache.ReferenceTableau` plus a
@@ -17,16 +17,36 @@ process into a :class:`CircuitPlan`:
   per same-kind gate group (H, S, CNOT, CZ, SWAP), the post-slot gate,
   preparation and idle noise.  Operations of one slot touch disjoint
   qubits, so a group runs as one vectorized kernel call;
-* each random kernel's rows of the slot's uniform block.
+* each random kernel's rows of the slot's uniforms;
+* the slots' action on the frames as one :class:`FrameMap`.
 
 The random kernels consume the frame Generator in exactly the order
 the operation-by-operation loop did: pre-slot noise, then resets and
 measurements in slot order, then post-slot noise in event order, one
-row of ``num_shots`` uniforms per channel.  The exact regimes
-(framesim and packed-exact) draw a slot's rows as one
-``rng.random((rows, shots))`` block, which ``Generator.random`` fills
-exactly like the per-channel draws, so results stay bit-identical;
-packed-fast keeps its per-channel word-level draws, in the same order.
+row of ``num_shots`` uniforms per channel.  That order fixes every
+per-seed stream.
+
+The exact regimes (framesim and packed-exact) do not call the kernels.
+The kernels only copy and XOR frame bits, so a circuit acts on the
+frames as a fixed GF(2)-linear map of its incoming frame bits, its
+gauge bits and its noise bits -- the map SymPhase samples through and
+Stim samples detectors with.  A :class:`FrameMap` runs a circuit in
+three steps:
+
+1. draw the circuit's rows back to back, in runs of consecutive rows
+   capped at :data:`DRAW_CAP` elements (``Generator.random`` fills a
+   ``(k, n)`` block exactly like ``k`` consecutive ``(n,)`` draws, so
+   the stream is the kernels');
+2. find every noise hit with one comparison, and compute the error
+   kind only at the hits, with the kernels' own arithmetic;
+3. XOR the incoming-frame and gauge rows into the outputs with one
+   ``np.bitwise_xor.reduceat`` on packed words, and flip each hit's
+   outputs through the map's transpose.
+
+Results stay bit-identical to the kernels.  Packed-fast keeps the slot
+kernels: it draws noise per channel at word level (a binomial count,
+then positions, then kinds), a stream the map's one-uniform-per-shot
+rows cannot reproduce.
 """
 
 from __future__ import annotations
@@ -38,11 +58,13 @@ from typing import Dict, Generic, List, NamedTuple, Optional, Tuple, TypeVar
 
 import numpy as np
 
+from .. import telemetry
 from ..circuits.circuit import Circuit
 from ..sim.framesim import (
     OP_DEPOL1,
     OP_DEPOL2,
     OP_XERR,
+    TWO_QUBIT_ERROR_BITS,
     NoiseParameters,
     _PAULI_NAMES,
     _SINGLE_CLIFFORD_OPS,
@@ -50,6 +72,7 @@ from ..sim.framesim import (
     _seed_sequence,
     _slot_noise_events,
 )
+from ..sim.packedsim import pack_bits
 from ..sim.refcache import ReferenceOp, ReferenceTableau
 from ..sim.state import State
 from .core import Core, ExecutionResult
@@ -81,7 +104,22 @@ GATE, RESET, MEASURE, NOISE = "gate", "reset", "measure", "noise"
 #: ``final_bits`` effects other than a measurement column.
 PREPARED, UNKNOWN = -1, -2
 
+#: Most uniforms a frame map holds at once: it draws a circuit's rows
+#: in runs of consecutive rows of at most this many elements.
+DRAW_CAP = 1 << 20
+
+#: Which frame components each error kind of a noise kernel flips, in
+#: the kernels' variable order: the X bit for ``xerr``; X then Z for
+#: ``depolarize1`` (kinds X, Y, Z); X_a, Z_a, X_b, Z_b for
+#: ``depolarize2``.  The row count is the kernel's number of kinds.
+_KIND_COMPONENTS = {
+    "xerr": np.ones((1, 1), dtype=bool),
+    "depolarize1": np.array([[1, 0], [1, 1], [0, 1]], dtype=bool),
+    "depolarize2": TWO_QUBIT_ERROR_BITS,
+}
+
 _NO_COLUMNS = np.zeros(0, dtype=np.int64)
+_ONE = np.uint64(1)
 
 
 class Kernel(NamedTuple):
@@ -89,7 +127,7 @@ class Kernel(NamedTuple):
 
     ``method`` names the frame-array method; ``qubits`` holds one qubit
     array, or two for the two-qubit kernels; ``rows`` is the kernel's
-    slice of the slot's uniform block (``None`` for gates); ``columns``
+    slice of the slot's uniform rows (``None`` for gates); ``columns``
     are a measurement kernel's result columns.
     """
 
@@ -107,6 +145,153 @@ class SlotPlan:
 
     rows: int
     kernels: Tuple[Kernel, ...]
+
+
+@dataclass(frozen=True)
+class FrameMap:
+    """A circuit structure's action on the frames: one GF(2)-linear map.
+
+    The frame kernels only copy and XOR frame bits (Tables 3.4/3.5), so
+    a circuit maps its *variables* -- the incoming frame bits, one
+    gauge bit per reset or measurement row, and the noise bits (one
+    per ``xerr`` row, two per ``depolarize1`` row, four per
+    ``depolarize2`` row) -- linearly onto its *outputs*: the
+    measurement flips, then every frame bit the circuit changes.
+    Nothing here depends on the noise rate; :meth:`run` reads it.
+
+    Attributes
+    ----------
+    num_qubits:
+        Register width; frame bit ``x_q`` is source row ``q`` and
+        ``z_q`` row ``num_qubits + q``.
+    num_measurements:
+        Measurement outputs, in circuit order, ahead of the frame ones.
+    rows:
+        Uniform rows the circuit draws, in the slot plans' order.
+    gauge_rows:
+        Row of each gauge variable, ascending; gauge ``g`` is source
+        row ``2 * num_qubits + g``, and one zero row follows them.
+    noise_rows:
+        Bool per row: a noise channel (compared with the rate), or a
+        gauge (compared with 1/2).
+    kinds, caps:
+        Per noise row, its number of error kinds (1, 3 or 15, as a
+        float) and the largest kind index.
+    effect_base:
+        Per noise row, its first entry in the effect table: the effect
+        of kind ``k`` is entry ``effect_base + k``.
+    effect_starts, effect_outputs:
+        The effect table in CSR form: the outputs one noise hit of a
+        given row and kind flips (the map's transpose, XOR-ed over the
+        kind's components).
+    gather, starts:
+        The dense part in ``np.bitwise_xor.reduceat`` form: output
+        ``o`` XORs source rows ``gather[starts[o]:starts[o + 1]]``.
+    frame_rows:
+        The frame row each non-measurement output overwrites.
+    """
+
+    num_qubits: int
+    num_measurements: int
+    rows: int
+    gauge_rows: np.ndarray
+    noise_rows: np.ndarray
+    kinds: np.ndarray
+    caps: np.ndarray
+    effect_base: np.ndarray
+    effect_starts: np.ndarray
+    effect_outputs: np.ndarray
+    gather: np.ndarray
+    starts: np.ndarray
+    frame_rows: np.ndarray
+
+    def run(
+        self,
+        rng: np.random.Generator,
+        x: np.ndarray,
+        z: np.ndarray,
+        num_shots: int,
+        probability: float,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Execute the circuit on packed frames ``x`` and ``z``.
+
+        ``x`` and ``z`` are ``(num_qubits, words)`` ``uint64`` planes.
+        Draws the circuit's uniforms from ``rng`` exactly like the
+        slot kernels would, in runs of at most :data:`DRAW_CAP`
+        elements, and returns ``(flips, x, z, hits)``: the packed
+        measurement flips, the new planes and the number of noise hits.
+        """
+        nq, words = self.num_qubits, x.shape[1]
+        gauges = len(self.gauge_rows)
+        source = np.empty((2 * nq + gauges + 1, words), dtype=np.uint64)
+        source[:nq] = x
+        source[nq:2 * nq] = z
+        source[-1] = 0
+        rows, shots, kinds = self._draw(
+            rng, source[2 * nq:-1], num_shots, probability
+        )
+        out = np.bitwise_xor.reduceat(source[self.gather], self.starts)
+        if len(rows):
+            effects = self.effect_base[rows] + kinds
+            first = self.effect_starts[effects]
+            counts = self.effect_starts[effects + 1] - first
+            skip = np.cumsum(counts) - counts
+            targets = self.effect_outputs[
+                np.arange(counts.sum()) + np.repeat(first - skip, counts)
+            ]
+            shots = np.repeat(shots, counts)
+            np.bitwise_xor.at(
+                out,
+                (targets, shots >> 6),
+                np.left_shift(_ONE, (shots & 63).astype(np.uint64)),
+            )
+        source[self.frame_rows] = out[self.num_measurements:]
+        flips = out[:self.num_measurements]
+        return flips, source[:nq], source[nq:2 * nq], len(rows)
+
+    def _draw(
+        self,
+        rng: np.random.Generator,
+        gauge_words: np.ndarray,
+        num_shots: int,
+        probability: float,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Draw every row; pack the gauges into ``gauge_words`` and
+        return the noise hits as ``(rows, shots, kinds)``.
+
+        A hit is ``u < p`` and its kind the kernels' own arithmetic,
+        ``min(int(u * (kinds / p)), kinds - 1)``, so each channel
+        fires exactly where its kernel would have.
+        """
+        thresholds = np.where(self.noise_rows, probability, 0.0)
+        per_draw = max(1, DRAW_CAP // num_shots)
+        found: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        gauge = 0
+        for start in range(0, self.rows, per_draw):
+            block = rng.random((min(per_draw, self.rows - start), num_shots))
+            stop = start + len(block)
+            end = int(np.searchsorted(self.gauge_rows, stop))
+            if end > gauge:
+                gauge_words[gauge:end] = pack_bits(
+                    block[self.gauge_rows[gauge:end] - start] < 0.5
+                )
+                gauge = end
+            flat = np.flatnonzero(block < thresholds[start:stop, None])
+            rows = flat // num_shots
+            found.append(
+                (rows + start, flat - rows * num_shots, block.ravel()[flat])
+            )
+        if not found:
+            return _NO_COLUMNS, _NO_COLUMNS, _NO_COLUMNS
+        if len(found) == 1:
+            rows, shots, u = found[0]
+        else:
+            rows, shots, u = (np.concatenate(part) for part in zip(*found))
+        kinds = np.minimum(
+            (u * (self.kinds[rows] / probability)).astype(np.int64),
+            self.caps[rows],
+        )
+        return rows, shots, kinds
 
 
 @dataclass(frozen=True)
@@ -128,6 +313,9 @@ class CircuitPlan:
         ``(qubit, effect)`` for every qubit the circuit touches: the
         measurement column whose shot-0 bit it ends with, or
         :data:`PREPARED` / :data:`UNKNOWN`.
+    frame_map:
+        The slots' action on the frames as one :class:`FrameMap`; the
+        exact regimes run it in place of the slot kernels.
     """
 
     slots: Tuple[SlotPlan, ...]
@@ -135,6 +323,7 @@ class CircuitPlan:
     measured: np.ndarray
     positions: Tuple[Tuple[int, int], ...]
     final_bits: Tuple[Tuple[int, int], ...]
+    frame_map: FrameMap
 
 
 #: structure key -> compiled plan.  Insertion-ordered for FIFO eviction.
@@ -280,16 +469,156 @@ def _compile(
         measured=np.array(measured, dtype=np.int64),
         positions=tuple(positions),
         final_bits=tuple(sorted(final.items())),
+        frame_map=_compile_frame_map(slots, num_qubits, len(measured)),
+    )
+
+
+def _bits(mask: int) -> List[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return positions
+
+
+def _conjugate(method: str, x: List[int], z: List[int], qubits) -> None:
+    """One gate kernel on GF(2) forms (the FrameArray rules)."""
+    if method == "h":
+        for q in qubits[0]:
+            x[q], z[q] = z[q], x[q]
+    elif method == "s":
+        for q in qubits[0]:
+            z[q] ^= x[q]
+    else:
+        for a, b in zip(*qubits):
+            if method == "cnot":
+                x[b] ^= x[a]
+                z[a] ^= z[b]
+            elif method == "cz":
+                z[a], z[b] = z[a] ^ x[b], z[b] ^ x[a]
+            else:
+                x[a], x[b] = x[b], x[a]
+                z[a], z[b] = z[b], z[a]
+
+
+def _compile_frame_map(
+    slots: List[SlotPlan], num_qubits: int, num_measurements: int
+) -> FrameMap:
+    """Walk the slot kernels over GF(2) forms, then tabulate the map.
+
+    A form is a Python int bitset over the variables: incoming ``x_q``
+    and ``z_q`` are bits ``q`` and ``num_qubits + q``, gauge ``g`` is
+    bit ``2 * num_qubits + g`` -- so a form's low bits are its source
+    rows -- and the noise variables follow from bit
+    ``2 * num_qubits + rows`` on.
+    """
+    nq = num_qubits
+    rows = sum(slot.rows for slot in slots)
+    noise_base = 2 * nq + rows
+    x = [1 << q for q in range(nq)]
+    z = [1 << (nq + q) for q in range(nq)]
+    outputs = [0] * num_measurements
+    gauge_rows: List[int] = []
+    # (row, first noise variable, kind components) per noise row.
+    noise: List[Tuple[int, int, np.ndarray]] = []
+    variables = 0
+    offset = 0
+    for slot in slots:
+        for kernel in slot.kernels:
+            qubits = [column.tolist() for column in kernel.qubits]
+            if kernel.kind == GATE:
+                _conjugate(kernel.method, x, z, qubits)
+                continue
+            for i, q in enumerate(qubits[0]):
+                row = offset + kernel.rows.start + i
+                if kernel.kind == NOISE:
+                    components = _KIND_COMPONENTS[kernel.method]
+                    # The channel's frame bits in variable order:
+                    # x_a, z_a, then x_b, z_b for a pair.
+                    bits = [
+                        (plane, target)
+                        for target in [q] + [c[i] for c in qubits[1:]]
+                        for plane in (x, z)
+                    ]
+                    for j in range(components.shape[1]):
+                        plane, target = bits[j]
+                        plane[target] ^= 1 << (noise_base + variables + j)
+                    noise.append((row, variables, components))
+                    variables += components.shape[1]
+                    continue
+                if kernel.kind == MEASURE:
+                    outputs[kernel.columns[i]] = x[q]
+                else:
+                    x[q] = 0
+                z[q] = 1 << (2 * nq + len(gauge_rows))
+                gauge_rows.append(row)
+        offset += slot.rows
+    frame_rows = []
+    for index, form in enumerate(x + z):
+        if form != 1 << index:
+            outputs.append(form)
+            frame_rows.append(index)
+
+    # Dense part: each output's source rows (the zero row if none).
+    zero = 2 * nq + len(gauge_rows)
+    dense = (1 << noise_base) - 1
+    gather: List[int] = []
+    starts = []
+    reaches = [0] * variables  # the transpose: outputs per variable
+    for index, form in enumerate(outputs):
+        starts.append(len(gather))
+        gather.extend(_bits(form & dense) or [zero])
+        for variable in _bits(form >> noise_base):
+            reaches[variable] |= 1 << index
+
+    # Sparse part: the outputs one hit of each noise row and kind flips.
+    noise_rows = np.zeros(rows, dtype=bool)
+    kinds = np.zeros(rows)
+    effect_base = np.zeros(rows, dtype=np.int64)
+    effect_starts = [0]
+    effect_outputs: List[int] = []
+    for row, first, components in noise:
+        noise_rows[row] = True
+        kinds[row] = len(components)
+        effect_base[row] = len(effect_starts) - 1
+        for pattern in components:
+            mask = 0
+            for j in np.flatnonzero(pattern):
+                mask ^= reaches[first + j]
+            effect_outputs.extend(_bits(mask))
+            effect_starts.append(len(effect_outputs))
+
+    def index_array(values) -> np.ndarray:
+        return np.array(values, dtype=np.int64)
+
+    return FrameMap(
+        num_qubits=nq,
+        num_measurements=num_measurements,
+        rows=rows,
+        gauge_rows=index_array(gauge_rows),
+        noise_rows=noise_rows,
+        kinds=kinds,
+        caps=np.maximum(kinds.astype(np.int64) - 1, 0),
+        effect_base=effect_base,
+        effect_starts=index_array(effect_starts),
+        effect_outputs=index_array(effect_outputs),
+        gather=index_array(gather),
+        starts=index_array(starts),
+        frame_rows=index_array(frame_rows),
     )
 
 
 class LockstepCore(Core, Generic[R]):
     """The shared body of the two batched cores.
 
-    Subclasses provide the frame array and the result type:
+    Subclasses provide the frame array, its packed-word view and the
+    result type: :meth:`_frame_words`, :meth:`_load_frame_words`,
     :meth:`_new_result` and :meth:`_store_measurements`.  ``blocked``
-    says whether the frame kernels take pre-drawn uniform rows (the
-    exact regimes) or draw from the Generator themselves.
+    says whether circuits run through their :class:`FrameMap`, drawing
+    uniforms in blocks (the exact regimes), or through the slot
+    kernels, which draw from the Generator themselves (packed-fast).
 
     The executed circuit stream must be shot-independent apart from
     Pauli feedback: a measurement's *reference* outcome is decided once
@@ -369,7 +698,10 @@ class LockstepCore(Core, Generic[R]):
                 circuit.slots[slot].operations[index].uid
                 for slot, index in plan.positions
             ]
-            self._run_plan(plan, reference, uids, result)
+            if self._blocked:
+                self._run_map(plan.frame_map, reference, uids, result)
+            else:
+                self._run_plan(plan, reference, uids, result)
             for qubit, effect in plan.final_bits:
                 if effect == UNKNOWN:
                     self._state.invalidate(qubit)
@@ -382,6 +714,38 @@ class LockstepCore(Core, Generic[R]):
         self._queue.clear()
         return result
 
+    def _probability(self) -> float:
+        return self.noise.probability if self.noise is not None else 0.0
+
+    def _run_map(
+        self,
+        frame_map: FrameMap,
+        reference: np.ndarray,
+        uids: List[int],
+        result: R,
+    ) -> None:
+        x, z = self._frame_words()
+        args = (
+            self._frame_rng, x, z, self.num_shots, self._probability()
+        )
+        t = telemetry.ACTIVE
+        if t is None:
+            flips, x, z, _ = frame_map.run(*args)
+        else:
+            with t.span(
+                self._MAP_CATEGORY,
+                "FrameMap.run",
+                shots=self.num_shots,
+                rows=frame_map.rows,
+            ):
+                flips, x, z, hits = frame_map.run(*args)
+            # A span's attributes are written when it opens, before the
+            # draws, so the hits are tallied on the span's key instead.
+            t.count(self._MAP_CATEGORY, "FrameMap.run", "hits", hits)
+        self._load_frame_words(x, z)
+        if len(flips):
+            self._store_measurements(result, flips, reference, uids)
+
     def _run_plan(
         self,
         plan: CircuitPlan,
@@ -390,32 +754,35 @@ class LockstepCore(Core, Generic[R]):
         result: R,
     ) -> None:
         frames, rng = self.frames, self._frame_rng
-        probability = (
-            self.noise.probability if self.noise is not None else 0.0
-        )
+        probability = self._probability()
         for slot in plan.slots:
-            block = (
-                rng.random((slot.rows, self.num_shots))
-                if self._blocked and slot.rows
-                else None
-            )
             for kernel in slot.kernels:
                 method = getattr(frames, kernel.method)
                 if kernel.kind == GATE:
                     method(*kernel.qubits)
-                    continue
-                draws = rng if block is None else block[kernel.rows]
-                if kernel.kind == NOISE:
-                    method(*kernel.qubits, probability, draws)
+                elif kernel.kind == NOISE:
+                    method(*kernel.qubits, probability, rng)
                 elif kernel.kind == RESET:
-                    method(*kernel.qubits, draws)
+                    method(*kernel.qubits, rng)
                 else:
                     self._store_measurements(
                         result,
-                        method(*kernel.qubits, draws),
+                        method(*kernel.qubits, rng),
                         reference[kernel.columns],
                         [uids[column] for column in kernel.columns],
                     )
+
+    #: Telemetry category of the frame-map span (the engine's own).
+    _MAP_CATEGORY: str
+
+    @abc.abstractmethod
+    def _frame_words(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The X and Z frame planes as ``(num_qubits, words)`` packed
+        ``uint64`` rows."""
+
+    @abc.abstractmethod
+    def _load_frame_words(self, x: np.ndarray, z: np.ndarray) -> None:
+        """Replace the frames by packed planes (:meth:`_frame_words`)."""
 
     @abc.abstractmethod
     def _new_result(self) -> R:
@@ -429,8 +796,8 @@ class LockstepCore(Core, Generic[R]):
         reference: np.ndarray,
         uids: List[int],
     ) -> None:
-        """Record one measurement kernel's per-shot outcomes:
-        ``flips`` of its ``k`` qubits XOR their ``reference`` bits."""
+        """Record ``k`` measurements' per-shot outcomes: their packed
+        ``(k, words)`` ``flips`` XOR their ``reference`` bits."""
 
     def getstate(self) -> State:
         """Binary state as seen by shot 0 (the scalar-Core view)."""
@@ -474,9 +841,7 @@ class LockstepCore(Core, Generic[R]):
         noise model; without a noise model this is a no-op.
         """
         if probability is None:
-            probability = (
-                self.noise.probability if self.noise is not None else 0.0
-            )
+            probability = self._probability()
         if probability <= 0.0:
             return
         self.frames.depolarize1(

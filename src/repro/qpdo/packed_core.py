@@ -29,7 +29,7 @@ contract by exposing shot 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -104,7 +104,11 @@ class PackedStabilizerCore(LockstepCore[PackedExecutionResult]):
     unchanged: the circuit stream must be shot-independent apart from
     Pauli feedback (:meth:`apply_pauli_frame`, which also accepts
     pre-packed ``uint64`` planes of shape ``(num_qubits, num_words)``).
+    The exact regime runs each circuit through its compiled frame map;
+    the fast regime keeps the word-level slot kernels.
     """
+
+    _MAP_CATEGORY = "sim.packedsim"
 
     def __init__(
         self,
@@ -140,6 +144,12 @@ class PackedStabilizerCore(LockstepCore[PackedExecutionResult]):
         return capability in (CAP_BATCH, CAP_PACKED) or super().supports(
             capability
         )
+
+    def _frame_words(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self.frames.x, self.frames.z
+
+    def _load_frame_words(self, x: np.ndarray, z: np.ndarray) -> None:
+        self.frames.x, self.frames.z = x, z
 
     def _new_result(self) -> PackedExecutionResult:
         return PackedExecutionResult(num_shots=self.num_shots)

@@ -41,9 +41,13 @@ Three public entry points:
 
 The streaming variant (adaptive circuits with per-shot Pauli feedback,
 used by the batched LER experiments) lives in
-:class:`repro.qpdo.batched_core.BatchedStabilizerCore` on top of the
-same :class:`FrameArray` kernels, which it calls once per same-kind
-group of a time slot (:mod:`repro.qpdo.lockstep`).
+:class:`repro.qpdo.batched_core.BatchedStabilizerCore`.  It keeps its
+frames in a :class:`FrameArray` but runs each circuit through the
+circuit's compiled GF(2) frame map (:mod:`repro.qpdo.lockstep`): the
+same conjugation rules and the same uniforms as these kernels, applied
+at once on the frames packed into words.  Every random kernel here
+draws from the Generator it is given, one row of ``num_shots``
+uniforms per qubit (or pair).
 """
 
 from __future__ import annotations
@@ -111,13 +115,6 @@ TWO_QUBIT_ERROR_BITS = np.array(
 #: One qubit, or an array of distinct qubits (a slot's same-kind group).
 Qubits = Union[int, np.ndarray]
 
-#: What a random frame kernel consumes: a Generator to draw from now,
-#: or its rows of a uniform block drawn ahead -- one row of
-#: ``num_shots`` floats per qubit (or pair), the same numbers the
-#: Generator would have produced, because ``Generator.random`` fills a
-#: ``(k, n)`` block exactly like ``k`` consecutive ``(n,)`` draws.
-Draws = Union[np.random.Generator, np.ndarray]
-
 
 @dataclass(frozen=True)
 class NoiseParameters:
@@ -156,17 +153,6 @@ class NoiseParameters:
         if self.active_qubits is None:
             return set(range(num_qubits))
         return set(self.active_qubits)
-
-
-def uniforms(draws: Draws, shape: Tuple[int, ...]) -> np.ndarray:
-    """The uniforms a random kernel consumes, of ``shape``.
-
-    ``draws`` is either a Generator, drawn from now, or the kernel's
-    rows of a block drawn ahead (see :data:`Draws`).
-    """
-    if isinstance(draws, np.random.Generator):
-        return draws.random(shape)
-    return draws
 
 
 class FrameArray:
@@ -245,13 +231,15 @@ class FrameArray:
             plane[:, second] = tmp
 
     # -- state transitions ----------------------------------------------
-    def reset(self, qubits: Qubits, draws: Draws) -> None:
+    def reset(self, qubits: Qubits, rng: np.random.Generator) -> None:
         """Reset clears the record; the Z gauge is randomized."""
-        u = uniforms(draws, np.shape(qubits) + (self.num_shots,))
+        u = rng.random(np.shape(qubits) + (self.num_shots,))
         self.x[:, qubits] = False
         self.z[:, qubits] = (u < 0.5).T
 
-    def measure_flips(self, qubits: Qubits, draws: Draws) -> np.ndarray:
+    def measure_flips(
+        self, qubits: Qubits, rng: np.random.Generator
+    ) -> np.ndarray:
         """Per-shot outcome flips of a Z measurement (Table 3.2).
 
         Returns the ``X``-component columns (a copy; ``(shots,)`` for
@@ -260,29 +248,31 @@ class FrameArray:
         """
         t = telemetry.ACTIVE
         if t is None:
-            return self._measure_flips(qubits, draws)
+            return self._measure_flips(qubits, rng)
         with t.span("sim.framesim", "FrameArray.measure_flips"):
-            return self._measure_flips(qubits, draws)
+            return self._measure_flips(qubits, rng)
 
-    def _measure_flips(self, qubits: Qubits, draws: Draws) -> np.ndarray:
-        u = uniforms(draws, np.shape(qubits) + (self.num_shots,))
+    def _measure_flips(
+        self, qubits: Qubits, rng: np.random.Generator
+    ) -> np.ndarray:
+        u = rng.random(np.shape(qubits) + (self.num_shots,))
         flips = self.x[:, qubits].copy()
         self.z[:, qubits] = (u < 0.5).T
         return flips
 
     # -- noise channels (vectorized) ------------------------------------
     def xerr(
-        self, qubits: Qubits, probability: float, draws: Draws
+        self, qubits: Qubits, probability: float, rng: np.random.Generator
     ) -> None:
         """Bit-flip channel: X with probability ``p`` on every shot."""
-        u = uniforms(draws, np.shape(qubits) + (self.num_shots,))
+        u = rng.random(np.shape(qubits) + (self.num_shots,))
         self.x[:, qubits] ^= (u < probability).T
 
     def depolarize1(
         self,
         qubits: Qubits,
         probability: float,
-        draws: Draws,
+        rng: np.random.Generator,
         shot_mask: Optional[np.ndarray] = None,
     ) -> None:
         """Single-qubit depolarizing: X/Y/Z with probability ``p/3``.
@@ -296,7 +286,7 @@ class FrameArray:
         e.g. per-shot correction circuits); the stream consumption is
         the same with or without a mask.
         """
-        u = uniforms(draws, np.shape(qubits) + (self.num_shots,))
+        u = rng.random(np.shape(qubits) + (self.num_shots,))
         hit = u < probability
         if shot_mask is not None:
             hit &= shot_mask
@@ -309,10 +299,10 @@ class FrameArray:
         first: Qubits,
         second: Qubits,
         probability: float,
-        draws: Draws,
+        rng: np.random.Generator,
     ) -> None:
         """Two-qubit depolarizing: one of 15 pairs, ``p/15`` each."""
-        u = uniforms(draws, np.shape(first) + (self.num_shots,))
+        u = rng.random(np.shape(first) + (self.num_shots,))
         hit = u < probability
         kind = np.minimum((u * (15.0 / probability)).astype(np.int64), 14)
         bits = TWO_QUBIT_ERROR_BITS[kind]

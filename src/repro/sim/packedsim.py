@@ -29,9 +29,11 @@ front of the decoder.
     results, are bit-identical to :class:`~repro.sim.framesim.
     BatchedFrameSampler` / ``BatchedStabilizerCore`` — the conformance
     contract the golden values and the differential-fuzz corpus pin.
-    The speedup comes from doing all frame algebra on words; the
-    uniforms may be drawn ahead as one block per time slot (see
-    :data:`~repro.sim.framesim.Draws`).
+    The speedup comes from doing all frame algebra on words.  The
+    lockstep core runs exact-mode circuits through their compiled
+    frame map (:mod:`repro.qpdo.lockstep`), which draws the same
+    uniforms in blocks, so these kernels serve the per-instruction
+    sampler and per-shot noise injection.
 
 ``"fast"``
     Stim-style word-level randomness: a channel draws its hit *count*
@@ -55,7 +57,7 @@ and unpacks never see ghost shots.
 from __future__ import annotations
 
 import sys
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -74,18 +76,17 @@ from .framesim import (
     OP_XERR,
     _OP_COUNTER_NAMES,
     TWO_QUBIT_ERROR_BITS,
-    Draws,
     FrameProgram,
     NoiseParameters,
     Qubits,
     SeedLike,
     _seed_sequence,
     compile_frame_program,
-    uniforms,
 )
 
 #: All-ones word (numpy uint64 cannot take ``~0`` directly).
 ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+_ONE = np.uint64(1)
 
 #: The packing convention in one place: shot ``s`` -> word ``s >> 6``,
 #: bit ``s & 63``; within a word bit 0 is the lowest-index shot.
@@ -133,7 +134,8 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     ``(..., num_words(num_shots))`` with bit ``s & 63`` of word
     ``s >> 6`` equal to ``bits[..., s]``.  Tail bits are zero.
     """
-    bits = np.asarray(bits, dtype=bool)
+    # numpy packs a strided axis several times slower than a copy.
+    bits = np.ascontiguousarray(bits, dtype=bool)
     words = num_words(bits.shape[-1])
     packed = np.packbits(bits, axis=-1, bitorder="little")
     pad = words * 8 - packed.shape[-1]
@@ -173,18 +175,19 @@ def popcount_words(words: np.ndarray) -> np.ndarray:
     return per_byte.sum(axis=-1, dtype=np.int64)
 
 
-def _generator(draws: Draws) -> np.random.Generator:
-    """Fast mode samples at word level, so it needs the Generator."""
-    if not isinstance(draws, np.random.Generator):
-        raise TypeError("rng_mode='fast' kernels draw from a Generator")
-    return draws
-
-
-def _scatter(indices: np.ndarray, num_shots: int) -> np.ndarray:
-    """Packed row with bits set at the given shot indices."""
-    bits = np.zeros(num_shots, dtype=bool)
-    bits[indices] = True
-    return pack_bits(bits)
+def _toggle(
+    plane: np.ndarray, rows: List[int], hits: List[np.ndarray]
+) -> None:
+    """Flip bit ``s`` of ``plane[rows[i]]`` for every shot ``s`` in
+    ``hits[i]``: a fast-mode kernel's hits, in one scatter per plane."""
+    if not hits:
+        return
+    shots = np.concatenate(hits)
+    np.bitwise_xor.at(
+        plane,
+        (np.repeat(rows, [len(row) for row in hits]), shots >> 6),
+        np.left_shift(_ONE, (shots & 63).astype(np.uint64)),
+    )
 
 
 class PackedFrameArray:
@@ -301,12 +304,14 @@ class PackedFrameArray:
             plane[second] = tmp
 
     # -- state transitions ----------------------------------------------
-    def reset(self, qubits: Qubits, draws: Draws) -> None:
+    def reset(self, qubits: Qubits, rng: np.random.Generator) -> None:
         """Reset clears the record; the Z gauge is randomized."""
         self.x[qubits] = 0
-        self.z[qubits] = self._gauge_rows(np.shape(qubits), draws)
+        self.z[qubits] = self._gauge_rows(np.shape(qubits), rng)
 
-    def measure_flips(self, qubits: Qubits, draws: Draws) -> np.ndarray:
+    def measure_flips(
+        self, qubits: Qubits, rng: np.random.Generator
+    ) -> np.ndarray:
         """Per-shot outcome flips of a Z measurement, as word rows.
 
         Returns the packed ``X``-component rows (a copy; ``(words,)``
@@ -315,13 +320,15 @@ class PackedFrameArray:
         """
         t = telemetry.ACTIVE
         if t is None:
-            return self._measure_flips(qubits, draws)
+            return self._measure_flips(qubits, rng)
         with t.span("sim.packedsim", "PackedFrameArray.measure_flips"):
-            return self._measure_flips(qubits, draws)
+            return self._measure_flips(qubits, rng)
 
-    def _measure_flips(self, qubits: Qubits, draws: Draws) -> np.ndarray:
+    def _measure_flips(
+        self, qubits: Qubits, rng: np.random.Generator
+    ) -> np.ndarray:
         flips = self.x[qubits].copy()
-        self.z[qubits] = self._gauge_rows(np.shape(qubits), draws)
+        self.z[qubits] = self._gauge_rows(np.shape(qubits), rng)
         return flips
 
     # -- noise channels --------------------------------------------------
@@ -329,23 +336,27 @@ class PackedFrameArray:
     # fast mode samples each channel from the Generator at word level,
     # channel after channel in group order.
     def xerr(
-        self, qubits: Qubits, probability: float, draws: Draws
+        self, qubits: Qubits, probability: float, rng: np.random.Generator
     ) -> None:
         """Bit-flip channel: X with probability ``p`` on every shot."""
         if self.rng_mode == "exact":
-            u = uniforms(draws, np.shape(qubits) + (self.num_shots,))
+            u = rng.random(np.shape(qubits) + (self.num_shots,))
             self.x[qubits] ^= pack_bits(u < probability)
             return
+        rows: List[int] = []
+        flips: List[np.ndarray] = []
         for qubit in np.atleast_1d(qubits):
-            hits = self._fast_hits(probability, draws, kinds=1)
+            hits = self._fast_hits(probability, rng, kinds=1)
             if hits is not None:
-                self.x[qubit] ^= _scatter(hits[0], self.num_shots)
+                rows.append(qubit)
+                flips.append(hits[0])
+        _toggle(self.x, rows, flips)
 
     def depolarize1(
         self,
         qubits: Qubits,
         probability: float,
-        draws: Draws,
+        rng: np.random.Generator,
         shot_mask: Optional[np.ndarray] = None,
     ) -> None:
         """Single-qubit depolarizing: X/Y/Z with probability ``p/3``.
@@ -356,7 +367,7 @@ class PackedFrameArray:
         """
         if self.rng_mode == "exact":
             # Same double-duty draw as FrameArray.depolarize1.
-            u = uniforms(draws, np.shape(qubits) + (self.num_shots,))
+            u = rng.random(np.shape(qubits) + (self.num_shots,))
             hit = u < probability
             if shot_mask is not None:
                 hit &= shot_mask
@@ -364,27 +375,33 @@ class PackedFrameArray:
             self.x[qubits] ^= pack_bits(hit & (kind != 2))
             self.z[qubits] ^= pack_bits(hit & (kind != 0))
             return
+        rows: List[int] = []
+        x_flips: List[np.ndarray] = []
+        z_flips: List[np.ndarray] = []
         for qubit in np.atleast_1d(qubits):
-            hits = self._fast_hits(probability, draws, kinds=3)
+            hits = self._fast_hits(probability, rng, kinds=3)
             if hits is None:
                 continue
             indices, kind = hits
             if shot_mask is not None:
                 keep = shot_mask[indices]
                 indices, kind = indices[keep], kind[keep]
-            self.x[qubit] ^= _scatter(indices[kind != 2], self.num_shots)
-            self.z[qubit] ^= _scatter(indices[kind != 0], self.num_shots)
+            rows.append(qubit)
+            x_flips.append(indices[kind != 2])
+            z_flips.append(indices[kind != 0])
+        _toggle(self.x, rows, x_flips)
+        _toggle(self.z, rows, z_flips)
 
     def depolarize2(
         self,
         first: Qubits,
         second: Qubits,
         probability: float,
-        draws: Draws,
+        rng: np.random.Generator,
     ) -> None:
         """Two-qubit depolarizing: one of 15 pairs, ``p/15`` each."""
         if self.rng_mode == "exact":
-            u = uniforms(draws, np.shape(first) + (self.num_shots,))
+            u = rng.random(np.shape(first) + (self.num_shots,))
             hit = u < probability
             kind = np.minimum(
                 (u * (15.0 / probability)).astype(np.int64), 14
@@ -395,16 +412,20 @@ class PackedFrameArray:
             self.x[second] ^= pack_bits(hit & bits[..., 2])
             self.z[second] ^= pack_bits(hit & bits[..., 3])
             return
+        rows: List[int] = []
+        x_flips: List[np.ndarray] = []
+        z_flips: List[np.ndarray] = []
         for a, b in zip(np.atleast_1d(first), np.atleast_1d(second)):
-            hits = self._fast_hits(probability, draws, kinds=15)
+            hits = self._fast_hits(probability, rng, kinds=15)
             if hits is None:
                 continue
             indices, kind = hits
             bits = TWO_QUBIT_ERROR_BITS[kind]
-            self.x[a] ^= _scatter(indices[bits[:, 0]], self.num_shots)
-            self.z[a] ^= _scatter(indices[bits[:, 1]], self.num_shots)
-            self.x[b] ^= _scatter(indices[bits[:, 2]], self.num_shots)
-            self.z[b] ^= _scatter(indices[bits[:, 3]], self.num_shots)
+            rows += [a, b]
+            x_flips += [indices[bits[:, 0]], indices[bits[:, 2]]]
+            z_flips += [indices[bits[:, 1]], indices[bits[:, 3]]]
+        _toggle(self.x, rows, x_flips)
+        _toggle(self.z, rows, z_flips)
 
     def apply_pauli_masks(
         self, x_mask: np.ndarray, z_mask: np.ndarray
@@ -426,24 +447,25 @@ class PackedFrameArray:
             return mask
         return pack_bits(np.asarray(mask, dtype=bool).T)
 
-    def _gauge_rows(self, shape: Tuple[int, ...], draws: Draws) -> np.ndarray:
+    def _gauge_rows(
+        self, shape: Tuple[int, ...], rng: np.random.Generator
+    ) -> np.ndarray:
         """Uniformly random packed rows (the Z-gauge trick), ``shape``
         of them; fast mode draws words (a ``(k, words)`` block fills
         like ``k`` consecutive rows)."""
         if self.rng_mode == "exact":
-            u = uniforms(draws, shape + (self.num_shots,))
+            u = rng.random(shape + (self.num_shots,))
             return pack_bits(u < 0.5)
-        return self._random_words(shape + (self.num_words,), _generator(draws))
+        return self._random_words(shape + (self.num_words,), rng)
 
     def _fast_hits(
-        self, probability: float, draws: Draws, kinds: int
+        self, probability: float, rng: np.random.Generator, kinds: int
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """One word-level channel: distinct hit positions and kinds.
 
         Draws a binomial hit count, then (when nonzero) that many
         distinct positions and, for ``kinds > 1``, a kind per hit.
         """
-        rng = _generator(draws)
         hits = int(rng.binomial(self.num_shots, probability))
         if hits == 0:
             return None

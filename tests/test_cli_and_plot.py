@@ -168,6 +168,105 @@ class TestErrorsFlagNeedsTheLoop:
         assert build_parser().parse_args(["ler"]).errors is None
 
 
+class TestRunnerFlagsNeedTheirMode:
+    """A flag the selected mode would not read is refused with exit 2,
+    naming the flag and the mode it needs, before anything runs."""
+
+    LOOP = ["ler", "--per", "5e-2", "--errors", "1"]
+    SWEEP = ["sweep", "--per", "1e-2", "--batch", "2", "--samples", "2"]
+
+    @pytest.mark.parametrize(
+        "argv, flag, mode",
+        [
+            (LOOP + ["--checkpoint", "CK"], "--checkpoint", "--workers"),
+            (LOOP + ["--resume"], "--resume", "--workers"),
+            (LOOP + ["--target-ci", "0.01"], "--target-ci", "--workers"),
+            (LOOP + ["--shard-shots", "7"], "--shard-shots", "--workers"),
+            (LOOP + ["--samples", "3"], "--samples", "--workers"),
+            (LOOP + ["--windows", "2"], "--windows", "--batch"),
+            (
+                LOOP
+                + ["--checkpoint", "CK", "--target-ci", "0.01"]
+                + ["--samples", "3", "--shard-shots", "7"],
+                "--checkpoint",
+                "--workers",
+            ),
+            (
+                ["ler", "--batch", "20", "--windows", "2", "--samples", "7"],
+                "--samples",
+                "--workers",
+            ),
+            (
+                ["ler", "--workers", "1", "--samples", "2", "--windows", "2"],
+                "--windows",
+                "--batch",
+            ),
+            (SWEEP + ["--checkpoint", "CK"], "--checkpoint", "--workers"),
+            (SWEEP + ["--resume"], "--resume", "--workers"),
+            (SWEEP + ["--target-ci", "0.01"], "--target-ci", "--workers"),
+            (SWEEP + ["--shard-shots", "7"], "--shard-shots", "--workers"),
+            (
+                ["sweep", "--per", "1e-2", "--samples", "2", "--errors", "1"]
+                + ["--checkpoint", "CK"],
+                "--checkpoint",
+                "--workers",
+            ),
+        ],
+        ids=[
+            "ler-loop-checkpoint",
+            "ler-loop-resume",
+            "ler-loop-target-ci",
+            "ler-loop-shard-shots",
+            "ler-loop-samples",
+            "ler-loop-windows",
+            "ler-loop-all",
+            "ler-batch-samples",
+            "ler-workers-windows",
+            "sweep-batch-checkpoint",
+            "sweep-batch-resume",
+            "sweep-batch-target-ci",
+            "sweep-batch-shard-shots",
+            "sweep-loop-checkpoint",
+        ],
+    )
+    def test_unused_flag_exits_2(self, argv, flag, mode, tmp_path, capsys):
+        checkpoint = tmp_path / "ck.jsonl"
+        argv = [str(checkpoint) if arg == "CK" else arg for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{flag} applies to ")
+        assert mode in captured.err
+        assert captured.out == ""
+        assert not checkpoint.exists()
+
+    @pytest.mark.parametrize(
+        "argv, shots, windows",
+        [
+            (["ler", "--batch", "4"], 4, 200),
+            (["ler", "--workers", "1"], 10, None),
+        ],
+        ids=["batch", "workers"],
+    )
+    def test_defaults_reach_the_runner(
+        self, argv, shots, windows, monkeypatch
+    ):
+        """Absent flags still hand the runner (and so the checkpoint
+        header) 100 shots per shard, 10 samples and 200 windows."""
+        from repro.experiments import parallel
+
+        seen = {}
+
+        def record(per, **kwargs):
+            seen.update(kwargs)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(parallel, "run_parallel_point", record)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert (seen["shots"], seen["windows"]) == (shots, windows)
+        assert seen["config"].shard_shots == 100
+
+
 class TestScatterPlot:
     def test_basic_rendering(self):
         text = scatter_plot(

@@ -157,6 +157,16 @@ class TestBatchedCoreDeterminism:
     def test_different_seeds_differ(self):
         assert not np.array_equal(self._run_core(31), self._run_core(32))
 
+    @pytest.mark.parametrize("rows_per_draw", [1, 3])
+    def test_capped_draws_are_invisible(self, rows_per_draw, monkeypatch):
+        """A draw cap of a few rows splits every circuit's uniforms,
+        and its slots, into many blocks without changing a bit."""
+        from repro.qpdo import lockstep
+
+        whole = self._run_core(31)
+        monkeypatch.setattr(lockstep, "DRAW_CAP", rows_per_draw * 250)
+        assert np.array_equal(self._run_core(31), whole)
+
     def test_batched_ler_experiment_reproducible(self):
         def run():
             results = BatchedLerExperiment(

@@ -1,8 +1,8 @@
 """Tests for the batched cores' compiled slot plans (repro.qpdo.lockstep).
 
 The cores run each circuit structure through a cached plan: one frame
-kernel per same-kind group of a time slot, one uniform block per slot
-in the exact regimes.  The reference below is the operation-by-operation
+kernel per same-kind group of a time slot, or, in the exact regimes,
+the plan's GF(2) frame map.  The reference below is the operation-by-operation
 loop the plans replace -- a live tableau plus one kernel call and one
 draw per operation and noise channel -- and every engine must match it
 bit for bit on random noisy circuits with mixed slots.
@@ -117,6 +117,43 @@ def loop_frames(engine, shots):
     return PackedFrameArray(shots, 0, rng_mode=mode)
 
 
+#: Noise rates of the random-circuit examples; 0.9 reaches the caps of
+#: the error-kind arithmetic.
+RATES = (1e-3, 0.05, 0.2, 0.9)
+
+
+def check_against_loop(engine, seed, noise, circuits, shape, rng):
+    """Run ``circuits`` on a fresh core and on the operation loop."""
+    shots, num_qubits = shape
+    core = ENGINES[engine](shots, noise, seed)
+    core.createqubit(num_qubits)
+    reference_ss, frame_ss = _seed_sequence(seed).spawn(2)
+    reference = StabilizerSimulator(
+        num_qubits, rng=np.random.default_rng(reference_ss)
+    )
+    frame_rng = np.random.default_rng(frame_ss)
+    frames = loop_frames(engine, shots)
+    frames.add_qubits(num_qubits, frame_rng)
+
+    for circuit in circuits:
+        result = core.run(circuit)
+        expected = loop_execute(
+            frames, reference, frame_rng, noise, circuit, num_qubits
+        )
+        assert sorted(expected) == sorted(result.measurements)
+        for uid, bits in expected.items():
+            op = next(o for o in circuit.operations() if o.uid == uid)
+            assert np.array_equal(result.bits_of(op), bits)
+        mask = rng.random(shots) < 0.5
+        core.inject_depolarizing(range(num_qubits), shot_mask=mask)
+        frames.depolarize1(
+            np.arange(num_qubits),
+            noise.probability,
+            frame_rng,
+            shot_mask=mask,
+        )
+
+
 class TestPlansMatchTheOperationLoop:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     @given(st.integers(0, 2**32 - 1))
@@ -130,36 +167,17 @@ class TestPlansMatchTheOperationLoop:
             if rng.random() < 0.5
             else rng.choice(num_qubits, size=num_qubits - 1, replace=False)
         )
-        noise = NoiseParameters(0.2, active_qubits=active)
         circuits = [
             random_circuit(rng, num_qubits) for _ in range(3)
         ]
-
-        core = ENGINES[engine](shots, noise, seed)
-        core.createqubit(num_qubits)
-        reference_ss, frame_ss = _seed_sequence(seed).spawn(2)
-        reference = StabilizerSimulator(
-            num_qubits, rng=np.random.default_rng(reference_ss)
-        )
-        frame_rng = np.random.default_rng(frame_ss)
-        frames = loop_frames(engine, shots)
-        frames.add_qubits(num_qubits, frame_rng)
-
-        for circuit in circuits:
-            result = core.run(circuit)
-            expected = loop_execute(
-                frames, reference, frame_rng, noise, circuit, num_qubits
+        # Two cores at two rates share the circuits' compiled plans,
+        # whose cache key has no rate.
+        for probability in rng.choice(RATES, size=2, replace=False):
+            noise = NoiseParameters(
+                float(probability), active_qubits=active
             )
-            assert sorted(expected) == sorted(result.measurements)
-            for uid, bits in expected.items():
-                op = next(
-                    o for o in circuit.operations() if o.uid == uid
-                )
-                assert np.array_equal(result.bits_of(op), bits)
-            mask = rng.random(shots) < 0.5
-            core.inject_depolarizing(range(num_qubits), shot_mask=mask)
-            frames.depolarize1(
-                np.arange(num_qubits), 0.2, frame_rng, shot_mask=mask
+            check_against_loop(
+                engine, seed, noise, circuits, (shots, num_qubits), rng
             )
 
 

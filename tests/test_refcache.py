@@ -288,7 +288,8 @@ class TestSymbolicReplayDifferential:
 
 
 class TestBlockDrawPins:
-    """The exact regimes draw a time slot's uniforms as one block."""
+    """The exact regimes draw a circuit's uniforms as blocks: runs of
+    consecutive rows, slot after slot."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 300))
     @settings(deadline=None, max_examples=30)

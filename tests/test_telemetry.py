@@ -198,6 +198,44 @@ class TestInstrumentationIntegration:
         assert "sim.framesim" in categories
         assert any(c.startswith("decoder.") for c in categories)
 
+    @pytest.mark.parametrize(
+        "engine, category",
+        [
+            ("framesim", "sim.framesim"),
+            ("packed", "sim.packedsim"),
+            ("packed-fast", None),
+        ],
+    )
+    def test_frame_map_span_per_execution(self, engine, category):
+        from repro.experiments.ler import BatchedLerExperiment
+
+        sink = MemorySink()
+        with telemetry.enabled(TelemetryCollector([sink])) as collector:
+            BatchedLerExperiment(
+                5e-2, num_shots=70, windows=2, seed=3, engine=engine
+            ).run_counts()
+        runs = [
+            record
+            for record in sink.of_type("span_begin")
+            if record["name"] == "FrameMap.run"
+        ]
+        executes = sum(
+            calls
+            for (kind, _), (calls, _) in collector.span_totals.items()
+            if kind == "qpdo"
+        )
+        if category is None:  # packed-fast keeps its slot kernels
+            assert runs == []
+            return
+        assert len(runs) == executes
+        assert {record["category"] for record in runs} == {category}
+        assert all(
+            set(record["meta"]) == {"shots", "rows"}
+            and record["meta"]["shots"] == 70
+            for record in runs
+        )
+        assert collector.counters[(category, "FrameMap.run")]["hits"] > 0
+
     def test_disabled_run_records_nothing(self):
         from repro.experiments.ler import BatchedLerExperiment
 
