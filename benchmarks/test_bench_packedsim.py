@@ -1,10 +1,10 @@
-"""E22 -- bit-packed frame-differential engine vs the batched sampler.
+"""E22 -- word-level noise draws vs the exact frame stream.
 
-The acceptance bar for the packed engine: on the full SC17 adaptive
-LER workload at 100,000 lockstep shots, ``engine="packed-fast"`` must
-beat ``framesim`` by at least ``REQUIRED_SPEEDUP``.  The CI gate is
-4x (shared runners are noisy and slow); on a quiet local machine the
-measured speedup is ~11x, which is the paper-facing E22 number.
+The acceptance bar for the packed-fast engine: on the full SC17
+adaptive LER workload at 100,000 lockstep shots,
+``engine="packed-fast"`` must beat ``framesim`` by at least
+``REQUIRED_SPEEDUP``.  The CI gate is 4x (shared runners are noisy and
+slow).
 
 Two measurements:
 
@@ -15,8 +15,11 @@ Two measurements:
   in passing); the fast mode carries the speedup,
 * the full adaptive LER workload (sample + majority vote + LUT decode
   + frame feedback every window) through
-  :class:`~repro.experiments.ler.BatchedLerExperiment`, where the
-  packed engines keep syndromes as ``uint64`` words end to end.
+  :class:`~repro.experiments.ler.BatchedLerExperiment`.  Both engines
+  run on the one lockstep core's packed ``uint64`` frames; the
+  reference is ``framesim``, the exact regime, which runs each circuit
+  through its compiled GF(2) frame map with one uniform per shot and
+  channel, against packed-fast's word-level draws.
 
 Environment knobs (CI uses the defaults):
 
@@ -120,13 +123,6 @@ def test_bench_e22_ler_workload_speedup(benchmark):
         ).run_counts()
 
     reference, reference_rate = _rate(lambda: run("framesim"))
-    exact, exact_rate = _rate(lambda: run("packed"))
-    # Conformance, asserted in passing: the exact engine's counts are
-    # bit-identical to framesim at full benchmark scale.
-    assert np.array_equal(
-        reference.logical_errors, exact.logical_errors
-    )
-    assert np.array_equal(reference.clean_windows, exact.clean_windows)
 
     start = time.perf_counter()
     fast = benchmark.pedantic(
@@ -137,7 +133,6 @@ def test_bench_e22_ler_workload_speedup(benchmark):
     speedup = fast_rate / reference_rate
     print("\n[E22] SC17 adaptive LER workload, shots/second:")
     print(f"  framesim engine:       {reference_rate:12.1f}")
-    print(f"  packed (exact rng):    {exact_rate:12.1f}")
     print(f"  packed-fast engine:    {fast_rate:12.1f}")
     print(
         f"  fast speedup:          {speedup:12.1f}x "
@@ -145,7 +140,7 @@ def test_bench_e22_ler_workload_speedup(benchmark):
     )
     assert speedup >= REQUIRED_SPEEDUP
 
-    # Sanity: all three engines land in the same LER regime.
+    # Sanity: both engines land in the same LER regime.
     ler_reference = reference.logical_errors.sum() / (
         BATCH_SHOTS * WINDOWS
     )

@@ -42,6 +42,8 @@ import argparse
 import sys
 from typing import Callable, List, Optional, Union
 
+from .experiments.ler import ENGINES
+
 #: Logical-error quota per loop-mode run when ``--errors`` is absent.
 LER_DEFAULT_ERRORS = 10
 SWEEP_DEFAULT_ERRORS = 4
@@ -94,16 +96,31 @@ def _add_output_arguments(
     )
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type of the size flags: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}"
+        )
+    return value
+
+
 def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
     """The batched-core selector (ler and sweep, --batch mode)."""
     parser.add_argument(
         "--engine",
-        choices=["framesim", "packed", "packed-fast"],
+        choices=list(ENGINES),
         default="framesim",
-        help="simulation core of --batch mode: 'framesim' (bool "
-        "arrays), 'packed' (64 shots per word, bit-identical "
-        "results), or 'packed-fast' (packed with word-level noise "
-        "draws; statistically identical, fastest)",
+        help="frame stream of --batch mode, 64 shots per word either "
+        "way: 'framesim' (exact, one uniform per shot and channel) "
+        "or 'packed-fast' (word-level noise draws; statistically "
+        "identical, faster)",
     )
 
 
@@ -126,7 +143,7 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
     """The shot-sharded parallel runner's flags (ler and sweep)."""
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         metavar="N",
         help="run shot-sharded across N worker processes "
         "(1 runs the same sharded schedule inline); results are "
@@ -134,7 +151,7 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--shard-shots",
-        type=int,
+        type=_positive_int,
         metavar="SHOTS",
         help="shots per shard of the parallel runner (default "
         f"{DEFAULT_SHARD_SHOTS})",
@@ -197,6 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ler.add_argument("--kind", choices=["x", "z"], default="x")
     ler.add_argument("--seed", type=int, default=0)
+    # Unlike the other size flags, a non-positive ``ler --batch`` is
+    # refused by the sharded runner (``ValueError: shots must be
+    # positive``), not by argparse.
     ler.add_argument(
         "--batch",
         type=int,
@@ -210,13 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ler.add_argument(
         "--windows",
-        type=int,
+        type=_positive_int,
         help="windows per shot in --batch mode (default "
         f"{LER_DEFAULT_WINDOWS})",
     )
     ler.add_argument(
         "--samples",
-        type=int,
+        type=_positive_int,
         help="independent per-shot runs per arm when the parallel "
         "runner is used without --batch (loop mode; default "
         f"{LER_DEFAULT_SAMPLES})",
@@ -235,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[3e-3, 6e-3, 1e-2],
         help="PER grid",
     )
-    sweep.add_argument("--samples", type=int, default=3)
+    sweep.add_argument("--samples", type=_positive_int, default=3)
     sweep.add_argument(
         "--errors",
         type=int,
@@ -249,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--batch",
-        type=int,
+        type=_positive_int,
         metavar="WINDOWS",
         help="use the batched frame sampler: --samples becomes the "
         "lockstep shot count per arm and each shot runs exactly this "
@@ -354,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="stabilizer",
         help="capability set the circuit's routing is checked "
         "against (default: the stabilizer core; 'packed' is the "
-        "bit-packed batched core, which refuses non-Clifford "
-        "circuits)",
+        "bit-packed lockstep batched core, which refuses "
+        "non-Clifford circuits)",
     )
     lint_circuit.add_argument(
         "--initial-frame",
@@ -1102,12 +1122,7 @@ def cmd_lint_circuit(args) -> int:
     )
     from .cli_format import render_circuit_report
     from .experiments.results import CircuitReport
-    from .qpdo.core import (
-        CAP_BATCH,
-        CAP_NON_CLIFFORD,
-        CAP_PACKED,
-        CAP_QUANTUM_STATE,
-    )
+    from .qpdo.core import CAP_BATCH, CAP_NON_CLIFFORD, CAP_QUANTUM_STATE
 
     try:
         circuit = build_catalog_circuit(args.circuit)
@@ -1122,7 +1137,7 @@ def cmd_lint_circuit(args) -> int:
         "statevector": frozenset(
             {CAP_QUANTUM_STATE, CAP_NON_CLIFFORD}
         ),
-        "packed": frozenset({CAP_BATCH, CAP_PACKED}),
+        "packed": frozenset({CAP_BATCH}),
     }[args.target]
     analysis = verify_circuit(
         circuit,

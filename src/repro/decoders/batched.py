@@ -26,7 +26,7 @@ prescribes:
   (:func:`mwpm_dense_lut`), union-find and sparse-matching tables the
   decoder registry hands it.
 
-The packed engine emits syndromes as ``uint64`` word planes; the
+The lockstep core emits syndromes as ``uint64`` word planes; the
 batched LER experiment unpacks them into the same ``(shots, rounds,
 checks)`` bools once per window, so this module sees one syndrome
 layout only.

@@ -25,7 +25,7 @@ The Logical Error Rate for a given Physical Error Rate ``p`` is then
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from ..codes.surface17.layout import (
 )
 from ..decoders.lut import correction_operations
 from ..decoders.rule_based import SyndromeRound, WindowedLutDecoder
-from ..qpdo.batched_core import BatchedStabilizerCore
 from ..qpdo.core import Core
 from ..qpdo.cores import StabilizerCore
 from ..qpdo.counter_layer import CounterLayer
@@ -402,19 +401,11 @@ class LerExperiment:
 #: logical-error quota, which lockstep execution cannot do per shot).
 DEFAULT_BATCH_WINDOWS = 200
 
-
-def _stack_rounds(
-    rounds: List[Tuple[np.ndarray, np.ndarray]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Stack per-round ``(x_bits, z_bits)`` pairs into window arrays.
-
-    Input: one ``(shots, checks)`` pair per round; output: the
-    ``(shots, rounds, checks)`` pair the batched decoder consumes.
-    """
-    return (
-        np.stack([x for x, _ in rounds], axis=1),
-        np.stack([z for _, z in rounds], axis=1),
-    )
+#: The batched path's simulation engines (see
+#: :class:`BatchedLerExperiment`), each mapped to its frame stream:
+#: the core's ``rng_mode`` and a checkpoint header's ``rng_stream``.
+#: Every front door accepts exactly these names.
+ENGINES: Dict[str, str] = {"framesim": "exact", "packed-fast": "fast"}
 
 
 def _per_shot_rounds(
@@ -443,10 +434,11 @@ class BatchedLerExperiment:
     """The LER protocol of Listing 5.7 over N shots in lockstep.
 
     The batched counterpart of :class:`LerExperiment`: one
-    :class:`~repro.qpdo.batched_core.BatchedStabilizerCore` carries all
+    :class:`~repro.qpdo.packed_core.PackedStabilizerCore` carries all
     shots at once — a shared noiseless reference trajectory plus
-    per-shot Pauli error frames.  This works because every per-shot
-    difference in the protocol is a Pauli:
+    per-shot Pauli error frames, 64 shots per ``uint64`` word.  This
+    works because every per-shot difference in the protocol is a
+    Pauli:
 
     * noise is Pauli by construction (depolarizing), injected straight
       into the frame arrays by the core;
@@ -493,22 +485,21 @@ class BatchedLerExperiment:
     parameters (the parsed tail of a ``--decoder name:key=value`` CLI
     argument).
 
-    ``engine`` picks the simulation core:
+    ``engine`` picks the core's frame stream (one of :data:`ENGINES`):
 
-    * ``"framesim"`` (default) — the bool-array
-      :class:`~repro.qpdo.batched_core.BatchedStabilizerCore`;
-    * ``"packed"`` — the bit-packed
-      :class:`~repro.qpdo.packed_core.PackedStabilizerCore` in its
-      ``"exact"`` RNG mode: 64 shots per ``uint64`` word, same draw
-      stream, bit-identical :class:`BatchCounts` for the same seed;
-    * ``"packed-fast"`` — the packed core with word-level noise
-      draws (``"fast"`` RNG mode): the same channel sampled through a
-      different stream — statistically identical, not bit-identical,
-      and the fastest of the three (benchmark E22).
+    * ``"framesim"`` (default) — the ``"exact"`` RNG mode: each
+      circuit runs through its compiled frame map, one uniform per
+      shot and channel, bit-identical to the operation-by-operation
+      loop over the bool :class:`~repro.sim.framesim.FrameArray`
+      kernels;
+    * ``"packed-fast"`` — word-level noise draws (``"fast"`` RNG
+      mode): the same channel sampled through a different stream —
+      statistically identical, not bit-identical, and the faster of
+      the two (benchmark E22).
 
     The decoders see one syndrome layout, ``(shots, rounds, checks)``
-    bools, whatever the engine: a packed engine's ``uint64`` word
-    planes are unpacked once per window, in :meth:`_stack_window`.
+    bools: the core's ``uint64`` syndrome planes are unpacked once
+    per window, in :meth:`_stack_window`.
 
     ``reference_cache`` (default on) records the run's noiseless
     reference as a symbolic trace in the process-level cache
@@ -543,10 +534,8 @@ class BatchedLerExperiment:
         if num_shots < 1:
             raise ValueError("num_shots must be positive")
         decoder_spec = get_decoder(decoder_impl)
-        if engine not in ("framesim", "packed", "packed-fast"):
-            raise ValueError(
-                "engine must be 'framesim', 'packed' or 'packed-fast'"
-            )
+        if engine not in ENGINES:
+            raise ValueError(f"engine must be one of {list(ENGINES)}")
         self.physical_error_rate = float(physical_error_rate)
         self.num_shots = int(num_shots)
         self.use_pauli_frame = bool(use_pauli_frame)
@@ -557,7 +546,6 @@ class BatchedLerExperiment:
         self.decoder_impl = decoder_spec.name
         self.decoder_params = dict(decoder_params or {})
         self.engine = engine
-        self._packed = engine != "framesim"
         noise = NoiseParameters(
             self.physical_error_rate,
             active_qubits=range(NUM_QUBITS),
@@ -577,21 +565,13 @@ class BatchedLerExperiment:
                     self.init_rounds,
                 )
             )
-        if self._packed:
-            self.core = PackedStabilizerCore(
-                self.num_shots,
-                noise=noise,
-                seed=seed,
-                rng_mode="fast" if engine == "packed-fast" else "exact",
-                reference_key=reference_key,
-            )
-        else:
-            self.core = BatchedStabilizerCore(
-                self.num_shots,
-                noise=noise,
-                seed=seed,
-                reference_key=reference_key,
-            )
+        self.core = PackedStabilizerCore(
+            self.num_shots,
+            noise=noise,
+            seed=seed,
+            rng_mode=ENGINES[engine],
+            reference_key=reference_key,
+        )
         self.core.createqubit(NUM_QUBITS + 1)  # + diagnostic ancilla
         # Registry-driven construction: the WindowContext carries the
         # SC17 check matrices plus the d=3 rotated geometry (the SC17
@@ -660,43 +640,25 @@ class BatchedLerExperiment:
     def _esm_round(
         self, bypass: bool = False
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One ESM round for all shots.
-
-        With the framesim engine, returns the stacked
-        ``(x_bits, z_bits)`` syndrome arrays of shape
-        ``(num_shots, num_checks)``.  With a packed engine, returns
-        ``uint64`` word planes of shape ``(num_checks, num_words)``
-        per species instead; :meth:`_stack_window` unpacks them.
-        """
+        """One ESM round for all shots: the ``uint64`` syndrome planes
+        of shape ``(num_checks, num_words)`` per species, which
+        :meth:`_stack_window` unpacks."""
         esm = self._bypass_esm if bypass else self._esm
         result = self.core.run(esm.circuit)
-        if self._packed:
-            x_bits = np.stack(
-                [result.words_of(m) for m in esm.x_measurements]
-            )
-            z_bits = np.stack(
-                [result.words_of(m) for m in esm.z_measurements]
-            )
-        else:
-            x_bits = np.stack(
-                [result.bits_of(m) for m in esm.x_measurements], axis=1
-            )
-            z_bits = np.stack(
-                [result.bits_of(m) for m in esm.z_measurements], axis=1
-            )
-        return x_bits, z_bits
+        return (
+            np.stack([result.words_of(m) for m in esm.x_measurements]),
+            np.stack([result.words_of(m) for m in esm.z_measurements]),
+        )
 
     def _stack_window(
         self, rounds: List[Tuple[np.ndarray, np.ndarray]]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Stack per-round syndromes into ``(shots, rounds, checks)``.
 
-        The one place where a packed engine's syndromes leave word
-        space: each species' ``(rounds, checks, num_words)`` planes
-        are unpacked in a single pass per window.
+        The one place where the syndromes leave word space: each
+        species' ``(rounds, checks, num_words)`` planes are unpacked in
+        a single pass per window.
         """
-        if not self._packed:
-            return _stack_rounds(rounds)
         x_planes, z_planes = (np.stack(planes) for planes in zip(*rounds))
         return (
             np.moveaxis(unpack_bits(x_planes, self.num_shots), -1, 0),
@@ -801,13 +763,10 @@ class BatchedLerExperiment:
 
     def _clean_shots(self) -> np.ndarray:
         """Perfect diagnostic round: which shots show no syndrome."""
-        x_bits, z_bits = self._esm_round(bypass=True)
-        if self._packed:
-            dirty = np.bitwise_or.reduce(
-                x_bits, axis=0
-            ) | np.bitwise_or.reduce(z_bits, axis=0)
-            return ~unpack_bits(dirty, self.num_shots)
-        return ~(x_bits.any(axis=1) | z_bits.any(axis=1))
+        dirty = np.bitwise_or.reduce(
+            np.concatenate(self._esm_round(bypass=True)), axis=0
+        )
+        return ~unpack_bits(dirty, self.num_shots)
 
     # ------------------------------------------------------------------
     def run(self) -> List[RunResult]:
@@ -919,8 +878,8 @@ def run_ler_point(
     (``max_logical_errors`` and ``max_windows`` are then unused — the
     stopping rule is the fixed window count).  ``decoder_impl``
     selects the batched decoding engine (bit-identical either way)
-    and ``engine`` the simulation core (``"packed"`` is bit-identical
-    to ``"framesim"``, ``"packed-fast"`` statistically identical; see
+    and ``engine`` the core's frame stream (``"packed-fast"`` is
+    statistically identical to ``"framesim"``; see
     :class:`BatchedLerExperiment`).
     """
     if batch_windows is not None:

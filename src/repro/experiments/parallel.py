@@ -52,6 +52,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .. import telemetry
 from .ler import (
     DEFAULT_BATCH_WINDOWS,
+    ENGINES,
     BatchedLerExperiment,
     LerExperiment,
 )
@@ -108,9 +109,8 @@ class ShardSpec:
     max_logical_errors: int
     max_windows: int
     arm_seed: int
-    #: Simulation core of batch-mode shards ("framesim", "packed" or
-    #: "packed-fast").  "framesim" and "packed" consume the same RNG
-    #: stream, so their records are interchangeable bit for bit.
+    #: Frame stream of batch-mode shards (one of
+    #: :data:`~repro.experiments.ler.ENGINES`).
     engine: str = "framesim"
     #: Registry decoder of batch-mode shards (canonical name; see
     #: :mod:`repro.decoders.registry`).  Decoding consumes no RNG, so
@@ -164,10 +164,8 @@ def plan_shards(
         raise ValueError("shots must be positive")
     if shard_shots < 1:
         raise ValueError("shard_shots must be positive")
-    if engine not in ("framesim", "packed", "packed-fast"):
-        raise ValueError(
-            "engine must be 'framesim', 'packed' or 'packed-fast'"
-        )
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {list(ENGINES)}")
     decoder = get_decoder(decoder).name
     params = tuple(sorted((decoder_params or {}).items()))
     mode = "batch" if windows is not None else "loop"
@@ -562,12 +560,12 @@ def _checkpoint_config(
     ``workers``, ``target_ci`` and the checkpoint path itself are
     deliberately absent: they do not change shard contents, so a
     resume may legally use different values for them.  The engine is
-    pinned as its *RNG stream* rather than its name: ``framesim`` and
-    ``packed`` draw identical streams (records are interchangeable bit
-    for bit), so a sweep checkpointed under one may resume under the
-    other; ``packed-fast`` draws a different stream and may not.  The
-    decoder is pinned only when it is not the historical default
-    (``lut``, no params), so pre-registry checkpoints keep resuming.
+    pinned as its *RNG stream* rather than its name, so a checkpoint
+    written under the retired ``packed`` engine (the exact stream, now
+    run by ``framesim``) still resumes; ``packed-fast`` draws a
+    different stream and may not.  The decoder is pinned only when it
+    is not the historical default (``lut``, no params), so
+    pre-registry checkpoints keep resuming.
     """
     from ..decoders.registry import (
         format_decoder_arg,
@@ -583,7 +581,7 @@ def _checkpoint_config(
         "seed": int(seed),
         "max_logical_errors": int(max_logical_errors),
         "max_windows": int(max_windows),
-        "rng_stream": "fast" if engine == "packed-fast" else "exact",
+        "rng_stream": ENGINES[engine],
     }
     decoder = get_decoder(decoder).name
     params = dict(decoder_params or {})
@@ -724,9 +722,8 @@ def run_parallel_sweep(
     config:
         Execution knobs (:class:`ParallelConfig`).
     engine:
-        Batch-mode simulation core (``"framesim"``, ``"packed"``,
-        ``"packed-fast"``; see
-        :class:`~repro.experiments.ler.BatchedLerExperiment`).
+        Batch-mode frame stream (``"framesim"`` or ``"packed-fast"``;
+        see :class:`~repro.experiments.ler.BatchedLerExperiment`).
     pool:
         Optional long-lived executor to run shards on instead of a
         per-sweep pool; it is left running afterwards (warm caches).

@@ -86,8 +86,8 @@ def run_ler_sweep(
     (bit-identical reference), ``"mwpm"``, ``"unionfind"`` or
     ``"sparse-mwpm"``; ``decoder_params`` forwards keyword arguments
     to the decoder's builder.  ``engine`` selects the batched
-    simulation core — ``"framesim"``, ``"packed"`` (bit-identical) or
-    ``"packed-fast"`` (statistically identical; fastest).
+    core's frame stream — ``"framesim"`` (exact) or ``"packed-fast"``
+    (statistically identical; faster).
     """
     from ..decoders.registry import (
         format_decoder_arg,

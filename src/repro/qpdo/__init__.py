@@ -1,6 +1,5 @@
 """QPDO-style layered control-stack framework (paper chapter 4)."""
 
-from .batched_core import BatchedExecutionResult, BatchedStabilizerCore
 from .core import Core, ExecutionResult, UnsupportedFeatureError
 from .cores import StabilizerCore, StateVectorCore
 from .counter_layer import CounterLayer, StreamCounts
@@ -26,8 +25,6 @@ __all__ = [
     "UnsupportedFeatureError",
     "StabilizerCore",
     "StateVectorCore",
-    "BatchedStabilizerCore",
-    "BatchedExecutionResult",
     "PackedStabilizerCore",
     "PackedExecutionResult",
     "Layer",

@@ -38,10 +38,6 @@ CAP_BATCH = "batch"
 #: static Clifford classification against this capability before
 #: anything runs.
 CAP_NON_CLIFFORD = "non_clifford"
-#: Capability name for bit-packed (64 shots / word) execution: the
-#: core returns :class:`~repro.qpdo.packed_core.PackedExecutionResult`
-#: word planes and accepts packed Pauli-frame masks.
-CAP_PACKED = "packed"
 
 
 class UnsupportedFeatureError(RuntimeError):

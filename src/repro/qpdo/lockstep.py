@@ -1,10 +1,9 @@
-"""Compiled circuit plans and the lockstep core both batched engines share.
+"""Compiled circuit plans of the lockstep core.
 
-A batched core carries ``N`` shots at once: one shared noiseless
-reference on a :class:`~repro.sim.refcache.ReferenceTableau` plus a
-frame array of per-shot Pauli error frames (bool columns in
-:class:`~repro.qpdo.batched_core.BatchedStabilizerCore`, ``uint64``
-words in :class:`~repro.qpdo.packed_core.PackedStabilizerCore`).
+:class:`~repro.qpdo.packed_core.PackedStabilizerCore` carries ``N``
+shots at once: one shared noiseless reference on a
+:class:`~repro.sim.refcache.ReferenceTableau` plus per-shot Pauli
+error frames in ``uint64`` words.
 
 Executing a circuit is the same work for every instance of one
 *structure* -- the same operations on the same qubits, the same bypass
@@ -26,7 +25,7 @@ measurements in slot order, then post-slot noise in event order, one
 row of ``num_shots`` uniforms per channel.  That order fixes every
 per-seed stream.
 
-The exact regimes (framesim and packed-exact) do not call the kernels.
+The exact regime (``--engine framesim``) does not call the kernels.
 The kernels only copy and XOR frame bits, so a circuit acts on the
 frames as a fixed GF(2)-linear map of its incoming frame bits, its
 gauge bits and its noise bits -- the map SymPhase samples through and
@@ -51,14 +50,12 @@ rows cannot reproduce.
 
 from __future__ import annotations
 
-import abc
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Generic, List, NamedTuple, Optional, Tuple, TypeVar
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .. import telemetry
 from ..circuits.circuit import Circuit
 from ..sim.framesim import (
     OP_DEPOL1,
@@ -69,18 +66,10 @@ from ..sim.framesim import (
     _PAULI_NAMES,
     _SINGLE_CLIFFORD_OPS,
     _TWO_QUBIT_OPS,
-    _seed_sequence,
     _slot_noise_events,
 )
 from ..sim.packedsim import pack_bits
-from ..sim.refcache import ReferenceOp, ReferenceTableau
-from ..sim.state import State
-from .core import Core, ExecutionResult
-
-SeedLike = object  # see repro.sim.framesim.SeedLike
-
-#: The result type a lockstep core returns from ``execute``.
-R = TypeVar("R", bound=ExecutionResult)
+from ..sim.refcache import ReferenceOp
 
 #: FIFO capacity of the process-level plan cache.
 PLAN_CACHE_CAPACITY = 256
@@ -296,7 +285,7 @@ class FrameMap:
 
 @dataclass(frozen=True)
 class CircuitPlan:
-    """A circuit structure compiled for the lockstep cores.
+    """A circuit structure compiled for the lockstep core.
 
     Attributes
     ----------
@@ -315,7 +304,7 @@ class CircuitPlan:
         :data:`PREPARED` / :data:`UNKNOWN`.
     frame_map:
         The slots' action on the frames as one :class:`FrameMap`; the
-        exact regimes run it in place of the slot kernels.
+        exact regime runs it in place of the slot kernels.
     """
 
     slots: Tuple[SlotPlan, ...]
@@ -435,7 +424,7 @@ def _compile(
                 gates.setdefault(_GATE_KERNELS[name], []).append(qubits)
             elif name not in _PAULI_NAMES:
                 raise ValueError(
-                    f"lockstep batched cores cannot execute non-Clifford "
+                    f"the lockstep batched core cannot execute non-Clifford "
                     f"gate {name!r}"
                 )
             # Paulis move the shared reference only: conjugating a
@@ -608,245 +597,3 @@ def _compile_frame_map(
         starts=index_array(starts),
         frame_rows=index_array(frame_rows),
     )
-
-
-class LockstepCore(Core, Generic[R]):
-    """The shared body of the two batched cores.
-
-    Subclasses provide the frame array, its packed-word view and the
-    result type: :meth:`_frame_words`, :meth:`_load_frame_words`,
-    :meth:`_new_result` and :meth:`_store_measurements`.  ``blocked``
-    says whether circuits run through their :class:`FrameMap`, drawing
-    uniforms in blocks (the exact regimes), or through the slot
-    kernels, which draw from the Generator themselves (packed-fast).
-
-    The executed circuit stream must be shot-independent apart from
-    Pauli feedback: a measurement's *reference* outcome is decided once
-    on the shared tableau, and per-shot outcomes differ from it only
-    through the error frames.  Branching on a single shot's outcome and
-    commanding different non-Pauli circuits per shot is not
-    expressible here -- use the per-shot
-    :class:`~repro.qpdo.cores.StabilizerCore` loop for that.
-    """
-
-    def __init__(
-        self,
-        frames,
-        noise: Optional[NoiseParameters],
-        seed: SeedLike,
-        reference_key: Optional[str],
-        blocked: bool,
-    ) -> None:
-        reference_ss, frame_ss = _seed_sequence(seed).spawn(2)
-        self.simulator = ReferenceTableau(
-            np.random.default_rng(reference_ss), key=reference_key
-        )
-        self.frames = frames
-        self.noise = noise
-        self._blocked = blocked
-        self._frame_rng = np.random.default_rng(frame_ss)
-        self._queue: List[Circuit] = []
-        self._state = State(0)
-        self._num_qubits = 0
-
-    # -- register -------------------------------------------------------
-    @property
-    def num_shots(self) -> int:
-        return self.frames.num_shots
-
-    @property
-    def num_qubits(self) -> int:
-        return self._num_qubits
-
-    def createqubit(self, size: int = 1) -> int:
-        first = self._num_qubits
-        self._num_qubits += int(size)
-        self.simulator.add_qubits(int(size))
-        self.frames.add_qubits(int(size), self._frame_rng)
-        self._state.resize(self._num_qubits)
-        for qubit in range(first, self._num_qubits):
-            self._state.set_bit(qubit, 0)
-        return first
-
-    def removequbit(self, size: int = 1) -> None:
-        if size > self._num_qubits:
-            raise ValueError("cannot remove more qubits than allocated")
-        self._num_qubits -= int(size)
-        self._state.resize(self._num_qubits)
-        # Like the scalar cores, the tableau keeps its registers; the
-        # frame rows are dropped so re-created qubits start fresh.
-        self.frames.remove_qubits(
-            self.frames.num_qubits - self._num_qubits
-        )
-
-    # -- execution ------------------------------------------------------
-    def add(self, circuit: Circuit) -> None:
-        top = circuit.max_qubit()
-        if top >= self._num_qubits:
-            raise ValueError(
-                f"circuit addresses qubit {top} but only "
-                f"{self._num_qubits} are allocated"
-            )
-        self._queue.append(circuit)
-
-    def _execute(self) -> R:
-        result = self._new_result()
-        for circuit in self._queue:
-            plan = circuit_plan(circuit, self.noise, self._num_qubits)
-            reference = self.simulator.run(plan.reference_ops, plan.measured)
-            uids = [
-                circuit.slots[slot].operations[index].uid
-                for slot, index in plan.positions
-            ]
-            if self._blocked:
-                self._run_map(plan.frame_map, reference, uids, result)
-            else:
-                self._run_plan(plan, reference, uids, result)
-            for qubit, effect in plan.final_bits:
-                if effect == UNKNOWN:
-                    self._state.invalidate(qubit)
-                elif effect == PREPARED:
-                    self._state.set_bit(qubit, 0)
-                else:
-                    self._state.set_bit(
-                        qubit, result.measurements[uids[effect]]
-                    )
-        self._queue.clear()
-        return result
-
-    def _probability(self) -> float:
-        return self.noise.probability if self.noise is not None else 0.0
-
-    def _run_map(
-        self,
-        frame_map: FrameMap,
-        reference: np.ndarray,
-        uids: List[int],
-        result: R,
-    ) -> None:
-        x, z = self._frame_words()
-        args = (
-            self._frame_rng, x, z, self.num_shots, self._probability()
-        )
-        t = telemetry.ACTIVE
-        if t is None:
-            flips, x, z, _ = frame_map.run(*args)
-        else:
-            with t.span(
-                self._MAP_CATEGORY,
-                "FrameMap.run",
-                shots=self.num_shots,
-                rows=frame_map.rows,
-            ):
-                flips, x, z, hits = frame_map.run(*args)
-            # A span's attributes are written when it opens, before the
-            # draws, so the hits are tallied on the span's key instead.
-            t.count(self._MAP_CATEGORY, "FrameMap.run", "hits", hits)
-        self._load_frame_words(x, z)
-        if len(flips):
-            self._store_measurements(result, flips, reference, uids)
-
-    def _run_plan(
-        self,
-        plan: CircuitPlan,
-        reference: np.ndarray,
-        uids: List[int],
-        result: R,
-    ) -> None:
-        frames, rng = self.frames, self._frame_rng
-        probability = self._probability()
-        for slot in plan.slots:
-            for kernel in slot.kernels:
-                method = getattr(frames, kernel.method)
-                if kernel.kind == GATE:
-                    method(*kernel.qubits)
-                elif kernel.kind == NOISE:
-                    method(*kernel.qubits, probability, rng)
-                elif kernel.kind == RESET:
-                    method(*kernel.qubits, rng)
-                else:
-                    self._store_measurements(
-                        result,
-                        method(*kernel.qubits, rng),
-                        reference[kernel.columns],
-                        [uids[column] for column in kernel.columns],
-                    )
-
-    #: Telemetry category of the frame-map span (the engine's own).
-    _MAP_CATEGORY: str
-
-    @abc.abstractmethod
-    def _frame_words(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The X and Z frame planes as ``(num_qubits, words)`` packed
-        ``uint64`` rows."""
-
-    @abc.abstractmethod
-    def _load_frame_words(self, x: np.ndarray, z: np.ndarray) -> None:
-        """Replace the frames by packed planes (:meth:`_frame_words`)."""
-
-    @abc.abstractmethod
-    def _new_result(self) -> R:
-        """An empty result of the subclass's type."""
-
-    @abc.abstractmethod
-    def _store_measurements(
-        self,
-        result: R,
-        flips: np.ndarray,
-        reference: np.ndarray,
-        uids: List[int],
-    ) -> None:
-        """Record ``k`` measurements' per-shot outcomes: their packed
-        ``(k, words)`` ``flips`` XOR their ``reference`` bits."""
-
-    def getstate(self) -> State:
-        """Binary state as seen by shot 0 (the scalar-Core view)."""
-        return self._state.copy()
-
-    def commit_reference_trace(self) -> None:
-        """Store the recorded reference trace in the process cache.
-
-        Call exactly once, after the experiment's full circuit stream
-        has executed; no-op without a ``reference_key`` or on a run
-        that replayed a cached trace.
-        """
-        self.simulator.commit()
-
-    # -- per-shot Pauli feedback ----------------------------------------
-    def apply_pauli_frame(
-        self, x_mask: np.ndarray, z_mask: np.ndarray
-    ) -> None:
-        """XOR per-shot Pauli masks (decoder corrections) into the
-        frames.
-
-        This is the batched analogue of commanding per-shot correction
-        circuits: a Pauli gate is exactly a frame update, so the shared
-        reference is untouched.
-        """
-        self.frames.apply_pauli_masks(x_mask, z_mask)
-
-    def inject_depolarizing(
-        self,
-        qubits,
-        shot_mask: Optional[np.ndarray] = None,
-        probability: Optional[float] = None,
-    ) -> None:
-        """Charge one depolarizing slot to ``qubits``, optionally only
-        on the shots selected by ``shot_mask``.
-
-        Experiments use this for shot-dependent circuits the lockstep
-        stream cannot express -- e.g. the frame-less arm's physical
-        correction slot, which only exists on shots whose decoder
-        commanded corrections.  The probability defaults to the core's
-        noise model; without a noise model this is a no-op.
-        """
-        if probability is None:
-            probability = self._probability()
-        if probability <= 0.0:
-            return
-        self.frames.depolarize1(
-            np.array(list(qubits), dtype=np.int64),
-            probability,
-            self._frame_rng,
-            shot_mask=shot_mask,
-        )

@@ -1,25 +1,44 @@
-"""A bit-packed batched simulation core: 64 shots per machine word.
+"""The lockstep batched core: N shots on bit-packed Pauli frames.
 
-:class:`PackedStabilizerCore` is the packed counterpart of
-:class:`~repro.qpdo.batched_core.BatchedStabilizerCore`: the same
-streaming ``add``/``execute`` protocol and the same one-reference-
-tableau-plus-error-frames split, but the per-shot frames live in a
-:class:`~repro.sim.packedsim.PackedFrameArray` — ``uint64`` planes of
-shape ``(num_qubits, ceil(num_shots / 64))`` — so gates, noise,
-measurement flips and correction feedback are word-wide bitwise
-kernels instead of per-shot bool columns.
+:class:`PackedStabilizerCore` is the streaming counterpart of
+:func:`repro.sim.framesim.sample_circuit`: instead of compiling a
+fixed circuit up front, it executes circuits as they arrive (the
+normal QPDO ``add``/``execute`` protocol of Table 4.1) while carrying
+*all shots at once* -- one shared noiseless reference on a
+:class:`~repro.sim.refcache.ReferenceTableau` plus per-shot Pauli
+error frames.  A frame is the paper's two record bits per qubit
+(Tables 3.4/3.5); the core keeps them the way Stim does, as the
+``uint64`` planes of a :class:`~repro.sim.packedsim.PackedFrameArray`,
+shape ``(num_qubits, ceil(num_shots / 64))``, 64 shots per word.
 
-``rng_mode`` selects the random-stream regime (see
-:mod:`repro.sim.packedsim`):
+This is what makes adaptive experiments batchable: in the LER protocol
+the only per-shot feedback is the decoder's corrections, and
+corrections are Pauli gates -- pure frame updates
+(:meth:`PackedStabilizerCore.apply_pauli_frame`).  The non-Pauli
+instruction stream (ESM rounds, probes) is identical across shots and
+runs once on the reference.
 
-* ``"exact"`` consumes the frame RNG draw-for-draw like the unpacked
-  core, making :class:`PackedExecutionResult` measurement bits — and
-  therefore whole-experiment :class:`~repro.experiments.results.
-  BatchCounts` — bit-identical to ``BatchedStabilizerCore`` for the
-  same seed;
-* ``"fast"`` draws noise at the word level (binomial hit counts,
-  random gauge words): the same channel, a different stream, and the
-  speed that clears the E22 benchmark bar.
+Noise is built in rather than layered: a
+:class:`~repro.sim.framesim.NoiseParameters` model makes the core
+inject depolarizing faults directly into the frames with the exact
+per-slot semantics of
+:class:`~repro.qpdo.error_layer.DepolarizingErrorLayer` (bypass
+circuits stay noiseless).  Stacking the per-shot error layer above a
+batched core would be meaningless -- it could only fault all shots
+identically.
+
+``rng_mode`` selects the frame stream (see :mod:`repro.sim.packedsim`):
+
+* ``"exact"`` (``--engine framesim``) runs each circuit through its
+  compiled GF(2) frame map (:mod:`repro.qpdo.lockstep`), drawing one
+  uniform per shot and channel: the stream of the
+  operation-by-operation loop over the bool
+  :class:`~repro.sim.framesim.FrameArray` kernels, so its results are
+  bit-identical to that loop;
+* ``"fast"`` (``--engine packed-fast``) runs the plan's slot kernels
+  with word-level noise draws (binomial hit counts, random gauge
+  words): the same channel, a different stream, and the speed that
+  clears the E22 benchmark bar.
 
 Measurement results come back packed (``words_of``); ``bits_of``
 unpacks on demand, and ``measurements`` keeps the scalar Core
@@ -29,16 +48,28 @@ contract by exposing shot 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..circuits.circuit import Circuit
 from ..circuits.operation import Operation
-from ..sim.framesim import NoiseParameters
+from ..sim.framesim import NoiseParameters, SeedLike, _seed_sequence
 from ..sim.packedsim import PackedFrameArray, unpack_bits
+from ..sim.refcache import ReferenceTableau
+from ..sim.state import State
 from .. import telemetry
-from .core import CAP_BATCH, CAP_PACKED, ExecutionResult
-from .lockstep import LockstepCore, SeedLike
+from .core import CAP_BATCH, Core, ExecutionResult
+from .lockstep import (
+    GATE,
+    NOISE,
+    PREPARED,
+    RESET,
+    UNKNOWN,
+    CircuitPlan,
+    FrameMap,
+    circuit_plan,
+)
 
 
 @dataclass
@@ -74,9 +105,8 @@ class PackedExecutionResult(ExecutionResult):
             self.num_shots = other.num_shots or self.num_shots
 
 
-class PackedStabilizerCore(LockstepCore[PackedExecutionResult]):
-    """Clifford core executing ``num_shots`` noisy shots on packed
-    frames.
+class PackedStabilizerCore(Core):
+    """Clifford core executing ``num_shots`` noisy shots in lockstep.
 
     Parameters
     ----------
@@ -84,31 +114,33 @@ class PackedStabilizerCore(LockstepCore[PackedExecutionResult]):
         Number of simultaneous shots.
     noise:
         Optional built-in depolarizing model applied to every
-        non-bypass circuit (same per-slot semantics as the unpacked
-        batched core).
+        non-bypass circuit (see the module docstring).
     seed:
-        Seed for the reference tableau and the frame randomness (two
-        independent child streams, the unpacked core's layout).
+        Seed for both the reference tableau and the per-shot fault /
+        gauge randomness (two independent child streams).
     rng_mode:
-        ``"exact"`` (bit-identical to
-        :class:`~repro.qpdo.batched_core.BatchedStabilizerCore`) or
-        ``"fast"`` (word-level noise; distribution-identical).
+        ``"exact"`` (the compiled frame maps, bit-identical to the
+        operation loop) or ``"fast"`` (word-level noise;
+        distribution-identical).
     reference_key:
-        Optional reference-trace cache key (see the unpacked core and
-        :mod:`repro.sim.refcache`).  The reference stream is identical
-        across all engines -- ``rng_mode`` only changes the *frame*
-        stream -- so packed and unpacked runs of one protocol share
-        one cached trace.
+        Optional :func:`~repro.sim.refcache.reference_trace_key`
+        digest.  With a key, the symbolic reference trace is recorded
+        on first execution and *replayed* from the process-level cache
+        by every later run with the same key, whatever its seed --
+        bit-identical results without a tableau.  ``rng_mode`` only
+        changes the frame stream, so both regimes share one trace.
+        The experiment owning the core must call
+        :meth:`commit_reference_trace` once its circuit stream is
+        complete.
 
-    The lockstep restrictions of :mod:`repro.qpdo.lockstep` apply
-    unchanged: the circuit stream must be shot-independent apart from
-    Pauli feedback (:meth:`apply_pauli_frame`, which also accepts
-    pre-packed ``uint64`` planes of shape ``(num_qubits, num_words)``).
-    The exact regime runs each circuit through its compiled frame map;
-    the fast regime keeps the word-level slot kernels.
+    The executed circuit stream must be shot-independent apart from
+    Pauli feedback: a measurement's *reference* outcome is decided once
+    on the shared tableau, and per-shot outcomes differ from it only
+    through the error frames.  Branching on a single shot's outcome and
+    commanding different non-Pauli circuits per shot is not
+    expressible here -- use the per-shot
+    :class:`~repro.qpdo.cores.StabilizerCore` loop for that.
     """
-
-    _MAP_CATEGORY = "sim.packedsim"
 
     def __init__(
         self,
@@ -120,12 +152,60 @@ class PackedStabilizerCore(LockstepCore[PackedExecutionResult]):
     ) -> None:
         if num_shots < 1:
             raise ValueError("num_shots must be positive")
-        frames = PackedFrameArray(num_shots, 0, rng_mode=rng_mode)
-        super().__init__(
-            frames, noise, seed, reference_key,
-            blocked=rng_mode == "exact",
-        )
+        self.frames = PackedFrameArray(num_shots, 0, rng_mode=rng_mode)
         self.rng_mode = rng_mode
+        self.noise = noise
+        reference_ss, frame_ss = _seed_sequence(seed).spawn(2)
+        self.simulator = ReferenceTableau(
+            np.random.default_rng(reference_ss), key=reference_key
+        )
+        self._frame_rng = np.random.default_rng(frame_ss)
+        self._queue: List[Circuit] = []
+        self._state = State(0)
+        self._num_qubits = 0
+
+    # -- register -------------------------------------------------------
+    @property
+    def num_shots(self) -> int:
+        return self.frames.num_shots
+
+    @property
+    def num_qubits(self) -> int:
+        return self._num_qubits
+
+    def supports(self, capability: str) -> bool:
+        return capability == CAP_BATCH
+
+    def createqubit(self, size: int = 1) -> int:
+        first = self._num_qubits
+        self._num_qubits += int(size)
+        self.simulator.add_qubits(int(size))
+        self.frames.add_qubits(int(size), self._frame_rng)
+        self._state.resize(self._num_qubits)
+        for qubit in range(first, self._num_qubits):
+            self._state.set_bit(qubit, 0)
+        return first
+
+    def removequbit(self, size: int = 1) -> None:
+        if size > self._num_qubits:
+            raise ValueError("cannot remove more qubits than allocated")
+        self._num_qubits -= int(size)
+        self._state.resize(self._num_qubits)
+        # Like the scalar cores, the tableau keeps its registers; the
+        # frame rows are dropped so re-created qubits start fresh.
+        self.frames.remove_qubits(
+            self.frames.num_qubits - self._num_qubits
+        )
+
+    # -- execution ------------------------------------------------------
+    def add(self, circuit: Circuit) -> None:
+        top = circuit.max_qubit()
+        if top >= self._num_qubits:
+            raise ValueError(
+                f"circuit addresses qubit {top} but only "
+                f"{self._num_qubits} are allocated"
+            )
+        self._queue.append(circuit)
 
     def execute(self) -> PackedExecutionResult:
         t = telemetry.ACTIVE
@@ -140,19 +220,91 @@ class PackedStabilizerCore(LockstepCore[PackedExecutionResult]):
         ):
             return self._execute()
 
-    def supports(self, capability: str) -> bool:
-        return capability in (CAP_BATCH, CAP_PACKED) or super().supports(
-            capability
+    def _execute(self) -> PackedExecutionResult:
+        result = PackedExecutionResult(num_shots=self.num_shots)
+        for circuit in self._queue:
+            plan = circuit_plan(circuit, self.noise, self._num_qubits)
+            reference = self.simulator.run(plan.reference_ops, plan.measured)
+            uids = [
+                circuit.slots[slot].operations[index].uid
+                for slot, index in plan.positions
+            ]
+            if self.rng_mode == "exact":
+                self._run_map(plan.frame_map, reference, uids, result)
+            else:
+                self._run_plan(plan, reference, uids, result)
+            for qubit, effect in plan.final_bits:
+                if effect == UNKNOWN:
+                    self._state.invalidate(qubit)
+                elif effect == PREPARED:
+                    self._state.set_bit(qubit, 0)
+                else:
+                    self._state.set_bit(
+                        qubit, result.measurements[uids[effect]]
+                    )
+        self._queue.clear()
+        return result
+
+    def _probability(self) -> float:
+        return self.noise.probability if self.noise is not None else 0.0
+
+    def _run_map(
+        self,
+        frame_map: FrameMap,
+        reference: np.ndarray,
+        uids: List[int],
+        result: PackedExecutionResult,
+    ) -> None:
+        frames = self.frames
+        args = (
+            self._frame_rng,
+            frames.x,
+            frames.z,
+            self.num_shots,
+            self._probability(),
         )
+        t = telemetry.ACTIVE
+        if t is None:
+            flips, frames.x, frames.z, _ = frame_map.run(*args)
+        else:
+            with t.span(
+                "sim.framesim",
+                "FrameMap.run",
+                shots=self.num_shots,
+                rows=frame_map.rows,
+            ):
+                flips, frames.x, frames.z, hits = frame_map.run(*args)
+            # A span's attributes are written when it opens, before the
+            # draws, so the hits are tallied on the span's key instead.
+            t.count("sim.framesim", "FrameMap.run", "hits", hits)
+        if len(flips):
+            self._store_measurements(result, flips, reference, uids)
 
-    def _frame_words(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self.frames.x, self.frames.z
-
-    def _load_frame_words(self, x: np.ndarray, z: np.ndarray) -> None:
-        self.frames.x, self.frames.z = x, z
-
-    def _new_result(self) -> PackedExecutionResult:
-        return PackedExecutionResult(num_shots=self.num_shots)
+    def _run_plan(
+        self,
+        plan: CircuitPlan,
+        reference: np.ndarray,
+        uids: List[int],
+        result: PackedExecutionResult,
+    ) -> None:
+        frames, rng = self.frames, self._frame_rng
+        probability = self._probability()
+        for slot in plan.slots:
+            for kernel in slot.kernels:
+                method = getattr(frames, kernel.method)
+                if kernel.kind == GATE:
+                    method(*kernel.qubits)
+                elif kernel.kind == NOISE:
+                    method(*kernel.qubits, probability, rng)
+                elif kernel.kind == RESET:
+                    method(*kernel.qubits, rng)
+                else:
+                    self._store_measurements(
+                        result,
+                        method(*kernel.qubits, rng),
+                        reference[kernel.columns],
+                        [uids[column] for column in kernel.columns],
+                    )
 
     def _store_measurements(
         self,
@@ -161,8 +313,63 @@ class PackedStabilizerCore(LockstepCore[PackedExecutionResult]):
         reference: np.ndarray,
         uids: List[int],
     ) -> None:
+        """Record ``k`` measurements' per-shot outcomes: their packed
+        ``(k, words)`` ``flips`` XOR their ``reference`` bits."""
         # NOT over the valid shots of reference-1 rows; tails stay zero.
         flips[reference] ^= self.frames.full_words
         for row, uid in enumerate(uids):
             result.bit_words[uid] = flips[row]
             result.measurements[uid] = int(flips[row, 0] & np.uint64(1))
+
+    def getstate(self) -> State:
+        """Binary state as seen by shot 0 (the scalar-Core view)."""
+        return self._state.copy()
+
+    def commit_reference_trace(self) -> None:
+        """Store the recorded reference trace in the process cache.
+
+        Call exactly once, after the experiment's full circuit stream
+        has executed; no-op without a ``reference_key`` or on a run
+        that replayed a cached trace.
+        """
+        self.simulator.commit()
+
+    # -- per-shot Pauli feedback ----------------------------------------
+    def apply_pauli_frame(
+        self, x_mask: np.ndarray, z_mask: np.ndarray
+    ) -> None:
+        """XOR per-shot Pauli masks (decoder corrections) into the
+        frames.
+
+        The masks are bools of shape ``(num_shots, num_qubits)``.  This
+        is the batched analogue of commanding per-shot correction
+        circuits: a Pauli gate is exactly a frame update, so the shared
+        reference is untouched.
+        """
+        self.frames.apply_pauli_masks(x_mask, z_mask)
+
+    def inject_depolarizing(
+        self,
+        qubits,
+        shot_mask: Optional[np.ndarray] = None,
+        probability: Optional[float] = None,
+    ) -> None:
+        """Charge one depolarizing slot to ``qubits``, optionally only
+        on the shots selected by ``shot_mask``.
+
+        Experiments use this for shot-dependent circuits the lockstep
+        stream cannot express -- e.g. the frame-less arm's physical
+        correction slot, which only exists on shots whose decoder
+        commanded corrections.  The probability defaults to the core's
+        noise model; without a noise model this is a no-op.
+        """
+        if probability is None:
+            probability = self._probability()
+        if probability <= 0.0:
+            return
+        self.frames.depolarize1(
+            np.array(list(qubits), dtype=np.int64),
+            probability,
+            self._frame_rng,
+            shot_mask=shot_mask,
+        )

@@ -5,7 +5,7 @@ One :class:`WorkerFleet` wraps one persistent
 individual jobs.  That persistence is the whole point of the service:
 worker processes accumulate process-level caches — the dense LUT
 gather tables (:mod:`repro.decoders.batched`), the compiled slot plans
-of the batched cores (:mod:`repro.qpdo.lockstep`) and the symbolic
+of the lockstep core (:mod:`repro.qpdo.lockstep`) and the symbolic
 reference traces (:mod:`repro.sim.refcache`).  All three are keyed on
 structure alone, never on a seed, so every later shard of a job and
 every later job with a familiar structure skips the cold work, even
@@ -39,6 +39,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..codes.surface17 import X_CHECK_MATRIX, Z_CHECK_MATRIX
+from ..experiments.ler import ENGINES
 from ..experiments.parallel import (
     ParallelConfig,
     ParallelSweepReport,
@@ -145,7 +146,7 @@ def check_job_params(job_kind: str, params: Dict) -> None:
         if not isinstance(value, int) or value < 1:
             raise JobParamsError(f"{key!r} must be a positive integer")
     engine = params.get("engine", "framesim")
-    if engine not in ("framesim", "packed", "packed-fast"):
+    if engine not in ENGINES:
         raise JobParamsError(f"unknown engine {engine!r}")
     decoder = params.get("decoder")
     if decoder is not None:

@@ -41,13 +41,15 @@ Three public entry points:
 
 The streaming variant (adaptive circuits with per-shot Pauli feedback,
 used by the batched LER experiments) lives in
-:class:`repro.qpdo.batched_core.BatchedStabilizerCore`.  It keeps its
-frames in a :class:`FrameArray` but runs each circuit through the
-circuit's compiled GF(2) frame map (:mod:`repro.qpdo.lockstep`): the
-same conjugation rules and the same uniforms as these kernels, applied
-at once on the frames packed into words.  Every random kernel here
-draws from the Generator it is given, one row of ``num_shots``
-uniforms per qubit (or pair).
+:class:`repro.qpdo.packed_core.PackedStabilizerCore`.  It keeps its
+frames packed 64 shots per word (:mod:`repro.sim.packedsim`) and, as
+``--engine framesim``, runs each circuit through the circuit's
+compiled GF(2) frame map (:mod:`repro.qpdo.lockstep`): the same
+conjugation rules and the same uniforms as these kernels, applied at
+once.  :class:`FrameArray` stays the bool reference: the sampler here
+and the operation-by-operation loop the tests check the core against.
+Every random kernel here draws from the Generator it is given, one row
+of ``num_shots`` uniforms per qubit (or pair).
 """
 
 from __future__ import annotations
@@ -192,14 +194,6 @@ class FrameArray:
         pad_z = rng.random((shots, count)) < 0.5
         self.x = np.concatenate([self.x, pad_x], axis=1)
         self.z = np.concatenate([self.z, pad_z], axis=1)
-
-    def remove_qubits(self, count: int) -> None:
-        """Drop the ``count`` highest-index qubit columns."""
-        if count <= 0:
-            return
-        keep = self.num_qubits - count
-        self.x = self.x[:, :keep].copy()
-        self.z = self.z[:, :keep].copy()
 
     # -- Clifford conjugation (Tables 3.4/3.5, vectorized) --------------
     def h(self, qubits: Qubits) -> None:

@@ -16,24 +16,27 @@ into a handful of word-wide bitwise kernels:
   word row;
 * noise channels scatter their (sparse) hits into packed rows.
 
-Consumers unpack where samples leave the simulator: the batched LER
-experiment turns each window's syndrome planes into bools once, in
-front of the decoder.
+These planes are the only frame state of the lockstep core
+(:class:`~repro.qpdo.packed_core.PackedStabilizerCore`).  Consumers
+unpack where samples leave the simulator: the batched LER experiment
+turns each window's syndrome planes into bools once, in front of the
+decoder.
 
 **Two RNG regimes**, selected by ``rng_mode``:
 
 ``"exact"``
-    Consumes random streams *exactly* like the unpacked kernels: one
-    uniform float per shot per channel event, gauge rows drawn as
-    ``rng.random(shots) < 0.5``.  Samples, and therefore experiment
-    results, are bit-identical to :class:`~repro.sim.framesim.
-    BatchedFrameSampler` / ``BatchedStabilizerCore`` — the conformance
-    contract the golden values and the differential-fuzz corpus pin.
-    The speedup comes from doing all frame algebra on words.  The
-    lockstep core runs exact-mode circuits through their compiled
-    frame map (:mod:`repro.qpdo.lockstep`), which draws the same
-    uniforms in blocks, so these kernels serve the per-instruction
-    sampler and per-shot noise injection.
+    Consumes random streams *exactly* like the bool
+    :class:`~repro.sim.framesim.FrameArray` kernels: one uniform float
+    per shot per channel event, gauge rows drawn as
+    ``rng.random(shots) < 0.5``.  Samples are bit-identical to
+    :class:`~repro.sim.framesim.BatchedFrameSampler` -- the
+    conformance contract the golden values and the differential-fuzz
+    corpus pin.  The speedup comes from doing all frame algebra on
+    words.  The lockstep core runs exact-mode circuits through their
+    compiled frame map (:mod:`repro.qpdo.lockstep`), which draws the
+    same uniforms in blocks, so these kernels serve the
+    per-instruction sampler, the core's per-shot noise injection and
+    the operation-loop reference of the tests.
 
 ``"fast"``
     Stim-style word-level randomness: a channel draws its hit *count*
@@ -432,21 +435,14 @@ class PackedFrameArray:
     ) -> None:
         """XOR per-shot Pauli masks into the frames.
 
-        Masks are either bool arrays of shape
-        ``(num_shots, num_qubits)`` (the unpacked-core convention,
-        packed here) or already-packed ``uint64`` planes of shape
-        ``(num_qubits, num_words)``.
+        Masks are bool arrays of shape ``(num_shots, num_qubits)``,
+        the :class:`~repro.sim.framesim.FrameArray` layout, packed
+        here.
         """
-        self.x ^= self._as_words(x_mask)
-        self.z ^= self._as_words(z_mask)
+        self.x ^= pack_bits(np.asarray(x_mask, dtype=bool).T)
+        self.z ^= pack_bits(np.asarray(z_mask, dtype=bool).T)
 
     # -- internals ------------------------------------------------------
-    def _as_words(self, mask: np.ndarray) -> np.ndarray:
-        mask = np.asarray(mask)
-        if mask.dtype == np.uint64:
-            return mask
-        return pack_bits(np.asarray(mask, dtype=bool).T)
-
     def _gauge_rows(
         self, shape: Tuple[int, ...], rng: np.random.Generator
     ) -> np.ndarray:

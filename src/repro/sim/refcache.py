@@ -241,7 +241,7 @@ class SymbolicTableau:
 
 
 class ReferenceTableau:
-    """The batched cores' reference simulator: record or replay.
+    """The lockstep core's reference simulator: record or replay.
 
     * **record** (no cached trace for ``key``, or ``key=None``) -- runs
       a :class:`SymbolicTableau`, draws one ``rng.integers(2)`` per

@@ -462,7 +462,7 @@ def _words_to_window(planes, shots):
     from repro.experiments.ler import BatchedLerExperiment
 
     experiment = BatchedLerExperiment(
-        1e-3, num_shots=shots, windows=1, seed=0, engine="packed"
+        1e-3, num_shots=shots, windows=1, seed=0
     )
     window, _ = experiment._stack_window([(planes, planes)])
     assert window.shape == (shots, 1, planes.shape[0])

@@ -267,6 +267,57 @@ class TestRunnerFlagsNeedTheirMode:
         assert seen["config"].shard_shots == 100
 
 
+class TestSizeFlagsArePositive:
+    """A size flag below 1 is refused by argparse with exit 2, naming
+    the flag, before anything runs; ``ler --batch`` is the exception,
+    refused by the sharded runner's own check."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sweep", "--batch", "0", "--samples", "2"], "--batch"),
+            (["sweep", "--samples", "0", "--batch", "2"], "--samples"),
+            (["ler", "--workers", "1", "--samples", "0"], "--samples"),
+            (["ler", "--batch", "4", "--windows", "0"], "--windows"),
+            (
+                ["ler", "--batch", "4", "--windows", "2", "--workers", "1"]
+                + ["--shard-shots", "0"],
+                "--shard-shots",
+            ),
+            (["ler", "--batch", "4", "--workers", "0"], "--workers"),
+            (["sweep", "--batch", "2", "--workers", "-1"], "--workers"),
+        ],
+        ids=[
+            "sweep-batch-0",
+            "sweep-samples-0",
+            "ler-samples-0",
+            "ler-windows-0",
+            "ler-shard-shots-0",
+            "ler-workers-0",
+            "sweep-workers-negative",
+        ],
+    )
+    def test_non_positive_size_exits_2(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: must be a positive integer" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("shots", ["0", "-3"])
+    def test_ler_batch_is_refused_by_the_runner(self, shots):
+        with pytest.raises(ValueError, match="shots must be positive"):
+            main(["ler", "--batch", shots, "--windows", "2", "--json"])
+
+    def test_defaults_and_bare_batch_unchanged(self):
+        parser = build_parser()
+        assert parser.parse_args(["ler", "--batch"]).batch == 25
+        assert parser.parse_args(["sweep"]).samples == 3
+        args = parser.parse_args(["ler", "--batch", "1", "--workers", "1"])
+        assert (args.batch, args.workers, args.shard_shots) == (1, 1, None)
+
+
 class TestScatterPlot:
     def test_basic_rendering(self):
         text = scatter_plot(

@@ -20,7 +20,7 @@ from repro.circuits import Circuit, random_clifford_circuit
 from repro.circuits.operation import Operation
 from repro.codes.surface17 import parallel_esm
 from repro.experiments import BatchedLerExperiment
-from repro.qpdo import BatchedStabilizerCore
+from repro.qpdo import PackedStabilizerCore
 from repro.sim import (
     BatchedFrameSampler,
     NoiseParameters,
@@ -132,7 +132,7 @@ class TestSamplerDeterminism:
 class TestBatchedCoreDeterminism:
     @staticmethod
     def _run_core(seed: int, shots: int = 250) -> np.ndarray:
-        core = BatchedStabilizerCore(
+        core = PackedStabilizerCore(
             shots,
             noise=NoiseParameters(0.02, active_qubits=range(17)),
             seed=seed,

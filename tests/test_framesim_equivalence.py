@@ -25,8 +25,8 @@ from repro.circuits import Circuit, random_clifford_circuit
 from repro.circuits.operation import Operation
 from repro.codes.surface17 import Z_CHECK_MATRIX, parallel_esm
 from repro.qpdo import (
-    BatchedStabilizerCore,
     DepolarizingErrorLayer,
+    PackedStabilizerCore,
     PauliFrameLayer,
     StabilizerCore,
 )
@@ -418,7 +418,7 @@ class TestBatchedCoreMatchesCompiledSampler:
         shots = 4000
         esm = parallel_esm(list(range(17)))
 
-        core = BatchedStabilizerCore(
+        core = PackedStabilizerCore(
             shots,
             noise=NoiseParameters(
                 probability, active_qubits=range(17)

@@ -127,14 +127,14 @@ def test_golden_syndrome_stream(seed, per, sampler):
     assert rows == GOLDEN_SYNDROME_STREAMS[(seed, per)]
 
 
-@pytest.mark.parametrize("engine", ["framesim", "packed"])
+@pytest.mark.parametrize("engine", ["framesim"])
 @pytest.mark.parametrize("seed,per", SEED_PER_CASES)
 @pytest.mark.parametrize("use_frame", [False, True])
 def test_golden_ler_counts(seed, per, use_frame, engine):
     """Exact per-shot LER counts of a small batched SC17 run.
 
-    ``engine="packed"`` must hit the same pinned constants bit for
-    bit — that is its conformance contract.
+    The constants were pinned on bool frames; the exact engine now runs
+    on packed words and must hit them bit for bit.
     """
     counts = BatchedLerExperiment(
         per,
@@ -172,7 +172,7 @@ def test_golden_ler_counts_packed_fast(seed, per, use_frame):
     assert counts.corrections_commanded.tolist() == corrections
 
 
-@pytest.mark.parametrize("engine", ["framesim", "packed"])
+@pytest.mark.parametrize("engine", ["framesim"])
 @pytest.mark.parametrize("seed,per", SEED_PER_CASES)
 def test_golden_parallel_shard_records(seed, per, engine):
     """Exact digest of the parallel engine's committed shard records."""

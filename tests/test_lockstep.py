@@ -1,11 +1,13 @@
-"""Tests for the batched cores' compiled slot plans (repro.qpdo.lockstep).
+"""Tests for the lockstep core's compiled slot plans (repro.qpdo.lockstep).
 
-The cores run each circuit structure through a cached plan: one frame
-kernel per same-kind group of a time slot, or, in the exact regimes,
-the plan's GF(2) frame map.  The reference below is the operation-by-operation
-loop the plans replace -- a live tableau plus one kernel call and one
-draw per operation and noise channel -- and every engine must match it
-bit for bit on random noisy circuits with mixed slots.
+The core runs each circuit structure through a cached plan: one frame
+kernel per same-kind group of a time slot (packed-fast), or, in the
+exact regime (framesim), the plan's GF(2) frame map.  The reference
+below is the operation-by-operation loop the plans replace -- a live
+tableau plus one kernel call and one draw per operation and noise
+channel, on the bool ``FrameArray`` kernels for framesim -- and every
+engine must match it bit for bit on random noisy circuits with mixed
+slots, under per-shot Pauli feedback and shot-masked noise.
 """
 
 import numpy as np
@@ -16,7 +18,8 @@ from hypothesis import strategies as st
 from repro.circuits.circuit import Circuit
 from repro.circuits.operation import Operation
 from repro.codes.surface17.esm import parallel_esm
-from repro.qpdo import BatchedStabilizerCore, PackedStabilizerCore
+from repro.experiments.ler import ENGINES
+from repro.qpdo import PackedExecutionResult, PackedStabilizerCore
 from repro.qpdo.lockstep import circuit_plan, clear_plan_cache
 from repro.sim.framesim import (
     OP_DEPOL1,
@@ -26,7 +29,7 @@ from repro.sim.framesim import (
     _seed_sequence,
     _slot_noise_events,
 )
-from repro.sim.packedsim import PackedFrameArray, unpack_bits
+from repro.sim.packedsim import PackedFrameArray, pack_bits, unpack_bits
 from repro.sim.stabilizer import StabilizerSimulator
 
 SINGLE = ("h", "s", "sdg", "x", "y", "z", "i", "prep_z", "measure")
@@ -97,24 +100,59 @@ def loop_execute(frames, reference, rng, noise, circuit, num_qubits):
     return bits
 
 
-ENGINES = {
-    "framesim": lambda shots, noise, seed: BatchedStabilizerCore(
-        shots, noise=noise, seed=seed
-    ),
-    "packed": lambda shots, noise, seed: PackedStabilizerCore(
-        shots, noise=noise, seed=seed
-    ),
-    "packed-fast": lambda shots, noise, seed: PackedStabilizerCore(
-        shots, noise=noise, seed=seed, rng_mode="fast"
-    ),
-}
-
-
 def loop_frames(engine, shots):
+    """The loop's frames: bool columns for the exact stream."""
     if engine == "framesim":
         return FrameArray(shots, 0)
-    mode = "fast" if engine == "packed-fast" else "exact"
-    return PackedFrameArray(shots, 0, rng_mode=mode)
+    return PackedFrameArray(shots, 0, rng_mode="fast")
+
+
+class LoopCore:
+    """The operation loop behind the core's experiment-facing surface.
+
+    ``BatchedLerExperiment`` runs on it in place of its core: a live
+    tableau plus the loop frames of ``engine``, seeded like the core,
+    one kernel call and one draw per operation and noise channel.
+    """
+
+    def __init__(self, engine, shots, noise, seed, num_qubits):
+        reference_ss, frame_ss = _seed_sequence(seed).spawn(2)
+        self.reference = StabilizerSimulator(
+            num_qubits, rng=np.random.default_rng(reference_ss)
+        )
+        self.rng = np.random.default_rng(frame_ss)
+        self.frames = loop_frames(engine, shots)
+        self.frames.add_qubits(num_qubits, self.rng)
+        self.noise = noise
+
+    def run(self, circuit):
+        bits = loop_execute(
+            self.frames,
+            self.reference,
+            self.rng,
+            self.noise,
+            circuit,
+            self.frames.num_qubits,
+        )
+        result = PackedExecutionResult(num_shots=self.frames.num_shots)
+        for uid, row in bits.items():
+            result.bit_words[uid] = pack_bits(row)
+            result.measurements[uid] = int(row[0])
+        return result
+
+    def apply_pauli_frame(self, x_mask, z_mask):
+        self.frames.apply_pauli_masks(x_mask, z_mask)
+
+    def inject_depolarizing(self, qubits, shot_mask=None):
+        self.frames.depolarize1(
+            np.array(list(qubits)),
+            self.noise.probability,
+            self.rng,
+            shot_mask=shot_mask,
+        )
+
+    def commit_reference_trace(self):
+        pass
 
 
 #: Noise rates of the random-circuit examples; 0.9 reaches the caps of
@@ -123,35 +161,32 @@ RATES = (1e-3, 0.05, 0.2, 0.9)
 
 
 def check_against_loop(engine, seed, noise, circuits, shape, rng):
-    """Run ``circuits`` on a fresh core and on the operation loop."""
-    shots, num_qubits = shape
-    core = ENGINES[engine](shots, noise, seed)
-    core.createqubit(num_qubits)
-    reference_ss, frame_ss = _seed_sequence(seed).spawn(2)
-    reference = StabilizerSimulator(
-        num_qubits, rng=np.random.default_rng(reference_ss)
-    )
-    frame_rng = np.random.default_rng(frame_ss)
-    frames = loop_frames(engine, shots)
-    frames.add_qubits(num_qubits, frame_rng)
+    """Run ``circuits`` on a fresh core and on the operation loop.
 
+    Outcome words must match bit for bit, tails included, and the
+    scalar ``measurements`` must be shot 0's.  After each circuit both
+    sides take the same random Pauli feedback and shot-masked
+    depolarizing slot.  Returns the core and its last result.
+    """
+    shots, num_qubits = shape
+    core = PackedStabilizerCore(
+        shots, noise=noise, seed=seed, rng_mode=ENGINES[engine]
+    )
+    core.createqubit(num_qubits)
+    loop = LoopCore(engine, shots, noise, seed, num_qubits)
     for circuit in circuits:
         result = core.run(circuit)
-        expected = loop_execute(
-            frames, reference, frame_rng, noise, circuit, num_qubits
-        )
-        assert sorted(expected) == sorted(result.measurements)
-        for uid, bits in expected.items():
-            op = next(o for o in circuit.operations() if o.uid == uid)
-            assert np.array_equal(result.bits_of(op), bits)
+        expected = loop.run(circuit)
+        assert result.measurements == expected.measurements
+        for uid, words in expected.bit_words.items():
+            assert np.array_equal(result.bit_words[uid], words)
+        x_mask = rng.random((shots, num_qubits)) < 0.3
+        z_mask = rng.random((shots, num_qubits)) < 0.3
         mask = rng.random(shots) < 0.5
-        core.inject_depolarizing(range(num_qubits), shot_mask=mask)
-        frames.depolarize1(
-            np.arange(num_qubits),
-            noise.probability,
-            frame_rng,
-            shot_mask=mask,
-        )
+        for side in (core, loop):
+            side.apply_pauli_frame(x_mask, z_mask)
+            side.inject_depolarizing(range(num_qubits), shot_mask=mask)
+    return core, result
 
 
 class TestPlansMatchTheOperationLoop:
@@ -216,12 +251,3 @@ class TestPlanCache:
             "xerr", "measure_flips", "depolarize1",
         ]
         assert last.rows == 8 + 8 + 9
-
-    def test_non_clifford_gate_refused_at_execute(self):
-        circuit = Circuit("t")
-        circuit.append(Operation("t", (0,)))
-        core = BatchedStabilizerCore(4, seed=1)
-        core.createqubit(1)
-        core.add(circuit)
-        with pytest.raises(ValueError, match="non-Clifford"):
-            core.execute()

@@ -1,14 +1,16 @@
-"""Conformance gate of the bit-packed frame-differential engine.
+"""Conformance gate of the bit-packed lockstep core and sampler.
 
-The packed engine's contract has two halves, and both are tested at
-the bit level where possible:
+The contract has two halves, and both are tested at the bit level
+where possible:
 
-* ``engine="packed"`` (exact RNG mode) consumes the same random
-  stream as ``framesim`` draw for draw, so sampled measurement
-  streams and whole-experiment :class:`BatchCounts` must be
-  **bit-identical** — across every arm, error kind, window shape, and
-  in particular across shot counts that exercise the ragged last
-  ``uint64`` word (1, 63, 64, 65, 1000);
+* ``engine="framesim"`` (exact RNG mode) consumes the same random
+  stream as the operation-by-operation loop over the bool
+  ``FrameArray`` kernels (``tests/test_lockstep.py``), draw for draw,
+  so whole-experiment :class:`BatchCounts` and measurement streams
+  must be **bit-identical** to that loop -- across every arm, error
+  kind, window shape, and in particular across shot counts that
+  exercise the ragged last ``uint64`` word (1, 63, 64, 65, 1000).  The
+  packed sampler's exact mode likewise matches the bool sampler;
 * ``engine="packed-fast"`` draws noise at the word level: a different
   stream of the same channel, so it is held to the *distributional*
   standard of the differential-fuzz corpus (exact state-vector
@@ -18,15 +20,18 @@ the bit level where possible:
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.decoders.registry import CAP_WINDOWED, list_decoders
-from repro.experiments.ler import BatchedLerExperiment
-from repro.qpdo import BatchedStabilizerCore, PackedStabilizerCore
+from repro.experiments.ler import ENGINES, BatchedLerExperiment
+from repro.experiments.parallel import plan_shards
+from repro.qpdo import PackedStabilizerCore
+from repro.serve.workers import JobParamsError, check_job_params
 from repro.sim import (
     NoiseParameters,
     sample_circuit,
     sample_circuit_packed,
 )
-from repro.sim.packedsim import PackedFrameSampler, unpack_bits
+from repro.sim.packedsim import PackedFrameSampler
 from repro.sim.framesim import (
     BatchedFrameSampler,
     compile_frame_program,
@@ -39,10 +44,19 @@ from .test_fuzz_differential import (
     _chisquare_against_exact,
     random_noisy_circuit,
 )
+from .test_lockstep import LoopCore, check_against_loop
 
 #: The ragged-last-word shot counts: below, at, and above one word,
 #: plus the single-shot degenerate case and a many-word count.
 RAGGED_SHOTS = (1, 63, 64, 65)
+
+#: The experiment every count comparison runs, unless overridden.
+DEFAULTS = dict(
+    physical_error_rate=8e-3,
+    num_shots=65,
+    windows=5,
+    seed=23,
+)
 
 
 def counts_tuple(counts):
@@ -54,40 +68,42 @@ def counts_tuple(counts):
 
 
 def run_counts(engine, **kwargs):
-    defaults = dict(
-        physical_error_rate=8e-3,
-        num_shots=65,
-        windows=5,
-        seed=23,
+    return BatchedLerExperiment(
+        engine=engine, **{**DEFAULTS, **kwargs}
+    ).run_counts()
+
+
+def loop_counts(**kwargs):
+    """framesim's counts with its core replaced by the operation loop."""
+    kwargs = {**DEFAULTS, **kwargs}
+    experiment = BatchedLerExperiment(engine="framesim", **kwargs)
+    core = experiment.core
+    experiment.core = LoopCore(
+        "framesim", core.num_shots, core.noise, kwargs["seed"],
+        core.num_qubits,
     )
-    defaults.update(kwargs)
-    return BatchedLerExperiment(engine=engine, **defaults).run_counts()
+    return experiment.run_counts()
 
 
 class TestBatchCountsBitIdentity:
-    """engine="packed" == engine="framesim", bit for bit."""
+    """engine="framesim" == the same experiment on the operation loop,
+    bit for bit."""
 
     @pytest.mark.parametrize("num_shots", RAGGED_SHOTS)
     @pytest.mark.parametrize("use_frame", [False, True])
     def test_ragged_shot_counts(self, num_shots, use_frame):
-        reference = run_counts(
-            "framesim", num_shots=num_shots, use_pauli_frame=use_frame
+        kwargs = dict(num_shots=num_shots, use_pauli_frame=use_frame)
+        assert counts_tuple(run_counts("framesim", **kwargs)) == (
+            counts_tuple(loop_counts(**kwargs))
         )
-        packed = run_counts(
-            "packed", num_shots=num_shots, use_pauli_frame=use_frame
-        )
-        assert counts_tuple(reference) == counts_tuple(packed)
 
     @pytest.mark.parametrize("error_kind", ["x", "z"])
     @pytest.mark.parametrize("use_frame", [False, True])
     def test_arms_and_error_kinds(self, error_kind, use_frame):
-        reference = run_counts(
-            "framesim", error_kind=error_kind, use_pauli_frame=use_frame
+        kwargs = dict(error_kind=error_kind, use_pauli_frame=use_frame)
+        assert counts_tuple(run_counts("framesim", **kwargs)) == (
+            counts_tuple(loop_counts(**kwargs))
         )
-        packed = run_counts(
-            "packed", error_kind=error_kind, use_pauli_frame=use_frame
-        )
-        assert counts_tuple(reference) == counts_tuple(packed)
 
     @pytest.mark.parametrize(
         "shape",
@@ -105,9 +121,9 @@ class TestBatchCountsBitIdentity:
             init_rounds=init,
             use_majority_vote=vote,
         )
-        reference = run_counts("framesim", **kwargs)
-        packed = run_counts("packed", **kwargs)
-        assert counts_tuple(reference) == counts_tuple(packed)
+        assert counts_tuple(run_counts("framesim", **kwargs)) == (
+            counts_tuple(loop_counts(**kwargs))
+        )
 
     @pytest.mark.parametrize(
         "decoder",
@@ -118,7 +134,7 @@ class TestBatchCountsBitIdentity:
         ],
     )
     def test_windowed_decoders(self, decoder):
-        """Every decoder reads the packed engine's syndromes exactly.
+        """Every decoder's feedback reaches the frames exactly.
 
         At PER 2e-2 corrections fire in most windows and union-find's
         counts already differ from the LUT's, so each decoder's own
@@ -131,26 +147,19 @@ class TestBatchCountsBitIdentity:
             seed=2017,
             decoder_impl=decoder,
         )
-        reference = run_counts("framesim", **kwargs)
-        packed = run_counts("packed", **kwargs)
-        assert counts_tuple(reference) == counts_tuple(packed)
+        assert counts_tuple(run_counts("framesim", **kwargs)) == (
+            counts_tuple(loop_counts(**kwargs))
+        )
 
     def test_thousand_shots(self):
         """15.6 words + 40 ragged tail bits, both arms."""
         for use_frame in (False, True):
-            reference = run_counts(
-                "framesim",
-                num_shots=1000,
-                windows=3,
-                use_pauli_frame=use_frame,
+            kwargs = dict(
+                num_shots=1000, windows=3, use_pauli_frame=use_frame
             )
-            packed = run_counts(
-                "packed",
-                num_shots=1000,
-                windows=3,
-                use_pauli_frame=use_frame,
+            assert counts_tuple(run_counts("framesim", **kwargs)) == (
+                counts_tuple(loop_counts(**kwargs))
             )
-            assert counts_tuple(reference) == counts_tuple(packed)
 
 
 class TestSamplerBitIdentity:
@@ -203,54 +212,38 @@ class TestSamplerBitIdentity:
 
 
 class TestPackedCoreBitIdentity:
-    """The streaming packed core against the unpacked batched core."""
+    """SC17 ESM rounds on the core against the operation loop, with
+    random Pauli feedback and shot-masked noise after every round."""
 
     @pytest.mark.parametrize("num_shots", RAGGED_SHOTS)
     def test_esm_rounds_and_feedback(self, num_shots):
         esm = parallel_esm(list(range(17)), name="esm")
         noise = NoiseParameters(8e-3, active_qubits=range(17))
-        reference = BatchedStabilizerCore(
-            num_shots, noise=noise, seed=42
+        check_against_loop(
+            "framesim",
+            42,
+            noise,
+            [esm.circuit] * 3,
+            (num_shots, 17),
+            np.random.default_rng(7),
         )
-        packed = PackedStabilizerCore(num_shots, noise=noise, seed=42)
-        reference.createqubit(17)
-        packed.createqubit(17)
-        rng = np.random.default_rng(7)
-        for _ in range(3):
-            reference.add(esm.circuit)
-            packed.add(esm.circuit)
-            result_ref = reference.execute()
-            result_packed = packed.execute()
-            for m in esm.x_measurements + esm.z_measurements:
-                bits = result_packed.bits_of(m)
-                assert np.array_equal(result_ref.bits_of(m), bits)
-                assert np.array_equal(
-                    bits,
-                    unpack_bits(result_packed.words_of(m), num_shots),
-                )
-            # Random Pauli feedback + masked depolarizing, the two
-            # per-shot channels the LER experiment uses.
-            x_mask = rng.random((num_shots, 17)) < 0.3
-            z_mask = rng.random((num_shots, 17)) < 0.3
-            reference.apply_pauli_frame(x_mask, z_mask)
-            packed.apply_pauli_frame(x_mask, z_mask)
-            shot_mask = rng.random(num_shots) < 0.5
-            reference.inject_depolarizing(range(17), shot_mask=shot_mask)
-            packed.inject_depolarizing(range(17), shot_mask=shot_mask)
 
     def test_scalar_core_contract(self):
-        """measurements/getstate expose shot 0, as the batched core."""
+        """measurements and getstate expose shot 0."""
         esm = parallel_esm(list(range(17)), name="esm")
         noise = NoiseParameters(8e-3, active_qubits=range(17))
-        reference = BatchedStabilizerCore(66, noise=noise, seed=9)
-        packed = PackedStabilizerCore(66, noise=noise, seed=9)
-        reference.createqubit(17)
-        packed.createqubit(17)
-        reference.add(esm.circuit)
-        packed.add(esm.circuit)
-        result_ref = reference.execute()
-        result_packed = packed.execute()
-        assert result_ref.measurements == result_packed.measurements
+        core, result = check_against_loop(
+            "framesim",
+            9,
+            noise,
+            [esm.circuit],
+            (66, 17),
+            np.random.default_rng(7),
+        )
+        assert core.getstate().known_bits() == {
+            m.qubits[0]: result.measurements[m.uid]
+            for m in esm.x_measurements + esm.z_measurements
+        }
 
 
 class TestPackedFastDistribution:
@@ -325,13 +318,63 @@ class TestEngineValidation:
             core.execute()
 
     def test_packed_capabilities(self):
-        from repro.qpdo.core import (
-            CAP_BATCH,
-            CAP_NON_CLIFFORD,
-            CAP_PACKED,
-        )
+        from repro.qpdo.core import CAP_BATCH, CAP_NON_CLIFFORD
 
         core = PackedStabilizerCore(4, seed=1)
         assert core.supports(CAP_BATCH)
-        assert core.supports(CAP_PACKED)
         assert not core.supports(CAP_NON_CLIFFORD)
+
+    @pytest.mark.parametrize(
+        "door",
+        ["cli-ler", "cli-sweep", "serve", "plan_shards", "experiment"],
+    )
+    def test_engine_set_is_one_decision(self, door, capsys):
+        """Every front door accepts exactly ``ENGINES``: the retired
+        ``packed`` name is refused, each listed engine runs."""
+
+        def cli(argv):
+            assert main(argv + ["--json"]) == 0
+
+        call, refusal = {
+            "cli-ler": (
+                lambda engine: cli(
+                    ["ler", "--batch", "4", "--windows", "1"]
+                    + ["--engine", engine]
+                ),
+                SystemExit,
+            ),
+            "cli-sweep": (
+                lambda engine: cli(
+                    ["sweep", "--batch", "1", "--samples", "2"]
+                    + ["--engine", engine]
+                ),
+                SystemExit,
+            ),
+            "serve": (
+                lambda engine: check_job_params(
+                    "ler", {"physical_error_rate": 1e-2, "engine": engine}
+                ),
+                JobParamsError,
+            ),
+            "plan_shards": (
+                lambda engine: plan_shards(
+                    [1e-2], "x", 2, 1, 1, 0, engine=engine
+                ),
+                ValueError,
+            ),
+            "experiment": (
+                lambda engine: BatchedLerExperiment(
+                    1e-2, num_shots=2, windows=1, engine=engine
+                ),
+                ValueError,
+            ),
+        }[door]
+        with pytest.raises(refusal) as refused:
+            call("packed")
+        if refusal is SystemExit:
+            assert refused.value.code == 2
+            assert "argument --engine: invalid choice: 'packed'" in (
+                capsys.readouterr().err
+            )
+        for engine in ENGINES:
+            call(engine)

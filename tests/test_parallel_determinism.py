@@ -161,43 +161,12 @@ class TestCheckpointResume:
 
 
 class TestPackedEngineParallel:
-    """The packed engines through the shot-sharded runner."""
-
-    def test_packed_records_match_framesim_bit_for_bit(self):
-        reference = run_sweep()
-        packed = run_sweep(engine="packed")
-        assert committed_records(reference) == committed_records(packed)
-        assert reference.sweep.series(True) == packed.sweep.series(True)
+    """The packed-fast engine through the shot-sharded runner."""
 
     def test_packed_fast_worker_invariance(self):
         serial = run_sweep(engine="packed-fast", workers=1)
         pooled = run_sweep(engine="packed-fast", workers=4)
         assert committed_records(serial) == committed_records(pooled)
-
-    def test_packed_checkpoint_resume(self, tmp_path):
-        checkpoint = str(tmp_path / "sweep.jsonl")
-        full = run_sweep(engine="packed", checkpoint=checkpoint)
-        lines = open(checkpoint).read().strip().split("\n")
-        with open(checkpoint, "w") as handle:
-            handle.write("\n".join(lines[:3]) + "\n")
-        resumed = run_sweep(
-            engine="packed", checkpoint=checkpoint, resume=True
-        )
-        assert resumed.resumed_shards == 2
-        assert committed_records(resumed) == committed_records(full)
-
-    def test_framesim_checkpoint_resumes_under_packed(self, tmp_path):
-        """framesim and packed share one exact RNG stream, so a
-        checkpoint written by one legally resumes under the other."""
-        checkpoint = str(tmp_path / "sweep.jsonl")
-        full = run_sweep(checkpoint=checkpoint)
-        lines = open(checkpoint).read().strip().split("\n")
-        with open(checkpoint, "w") as handle:
-            handle.write("\n".join(lines[:3]) + "\n")
-        resumed = run_sweep(
-            engine="packed", checkpoint=checkpoint, resume=True
-        )
-        assert committed_records(resumed) == committed_records(full)
 
     def test_packed_fast_checkpoint_is_a_different_sweep(self, tmp_path):
         """packed-fast draws another stream — resuming its checkpoint
@@ -222,7 +191,7 @@ class TestPackedEngineParallel:
                 SEED,
                 max_logical_errors=2,
                 max_windows=60,
-                engine="packed",
+                engine="packed-fast",
             )
 
 

@@ -202,7 +202,6 @@ class TestInstrumentationIntegration:
         "engine, category",
         [
             ("framesim", "sim.framesim"),
-            ("packed", "sim.packedsim"),
             ("packed-fast", None),
         ],
     )
