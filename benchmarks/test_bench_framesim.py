@@ -1,12 +1,13 @@
-"""E17 -- batched frame sampler vs per-shot tableau loop.
+"""E17 -- the lockstep core vs the per-shot tableau loop.
 
-The acceptance bar for the batched sampler: on the Surface Code 17
-ESM workload it must beat the per-shot tableau loop by at least 10x
-at 10,000 shots.  Two measurements:
+The acceptance bar for batched sampling: on the Surface Code 17 ESM
+workload it must beat the per-shot tableau loop by at least 10x at
+10,000 shots.  Two measurements:
 
-* raw shot sampling -- the noisy ESM circuit compiled once and
-  sampled in bulk, against a fresh ``StabilizerCore`` +
-  ``DepolarizingErrorLayer`` stack per shot,
+* raw shot sampling -- the noisy ESM circuit run once on a fresh
+  lockstep core (:func:`repro.qpdo.sample`: reference tableau, plan
+  compile and frame map included in the timing), against a fresh
+  ``StabilizerCore`` + ``DepolarizingErrorLayer`` stack per shot,
 * the full adaptive LER workload (decode + correct every window),
   where the decoder runs in Python per shot either way, so the
   speedup is smaller but still far above the bar.
@@ -22,16 +23,12 @@ import numpy as np
 from repro.circuits import Circuit
 from repro.codes.surface17 import parallel_esm
 from repro.experiments import BatchedLerExperiment, LerExperiment
-from repro.qpdo import DepolarizingErrorLayer, StabilizerCore
-from repro.sim import (
-    BatchedFrameSampler,
-    NoiseParameters,
-    compile_frame_program,
-)
+from repro.qpdo import DepolarizingErrorLayer, StabilizerCore, sample
+from repro.sim import NoiseParameters
 
 #: Physical error rate of the workload (mid-sweep, Fig 5.11 range).
 PER = 6e-3
-#: Shots the batched sampler must handle (the acceptance criterion).
+#: Shots the lockstep core must handle (the acceptance criterion).
 BATCH_SHOTS = 10_000
 #: Shots used to time the per-shot loop baseline (rate extrapolates).
 LOOP_SHOTS = 30
@@ -72,23 +69,21 @@ def test_bench_e17_raw_sampling_speedup(benchmark):
         [result.result_of(m) for m in measurements]
     loop_rate = LOOP_SHOTS / (time.perf_counter() - start)
 
-    # Batched: compile once, sample BATCH_SHOTS in bulk.
-    program = compile_frame_program(
-        circuit, num_qubits=17, noise=noise, reference_seed=11
-    )
-
-    def sample():
-        return BatchedFrameSampler(program, seed=12).sample(BATCH_SHOTS)
+    # Batched: BATCH_SHOTS in bulk on one lockstep core.
+    def sample_batch():
+        return sample(
+            circuit, BATCH_SHOTS, seed=12, noise=noise, num_qubits=17
+        )
 
     elapsed = time.perf_counter()
-    bits = benchmark.pedantic(sample, rounds=1, iterations=1)
+    bits = benchmark.pedantic(sample_batch, rounds=1, iterations=1)
     batched_rate = BATCH_SHOTS / (time.perf_counter() - elapsed)
 
     assert bits.shape == (BATCH_SHOTS, len(measurements))
     speedup = batched_rate / loop_rate
     print("\n[E17] SC17 ESM raw sampling, shots/second:")
     print(f"  per-shot tableau loop: {loop_rate:12.1f}")
-    print(f"  batched frame sampler: {batched_rate:12.1f}")
+    print(f"  lockstep core:         {batched_rate:12.1f}")
     print(
         f"  speedup:               {speedup:12.1f}x "
         f"(bar {REQUIRED_SPEEDUP:.0f}x)"

@@ -8,11 +8,11 @@ slow).
 
 Two measurements:
 
-* raw shot sampling -- the compiled noisy ESM program sampled by the
-  unpacked :class:`~repro.sim.framesim.BatchedFrameSampler` against
-  the packed sampler in both RNG modes.  The exact mode must return
-  bit-identical samples (conformance is free here, so it is asserted
-  in passing); the fast mode carries the speedup,
+* raw shot sampling -- the noisy ESM circuit run once on a fresh
+  lockstep core (:func:`repro.qpdo.sample`) in each RNG mode: the
+  exact mode first, as the reference, then the timed fast mode.  The
+  exact core's bit identity to the operation loop is gated in
+  ``tests/test_lockstep.py``,
 * the full adaptive LER workload (sample + majority vote + LUT decode
   + frame feedback every window) through
   :class:`~repro.experiments.ler.BatchedLerExperiment`.  Both engines
@@ -30,17 +30,11 @@ Environment knobs (CI uses the defaults):
 import os
 import time
 
-import numpy as np
-
 from repro.circuits import Circuit
 from repro.codes.surface17 import parallel_esm
 from repro.experiments import BatchedLerExperiment
-from repro.sim import (
-    BatchedFrameSampler,
-    NoiseParameters,
-    compile_frame_program,
-)
-from repro.sim.packedsim import PackedFrameSampler
+from repro.qpdo import sample
+from repro.sim import NoiseParameters
 
 #: Physical error rate of the workload (mid-sweep, Fig 5.11 range).
 PER = 6e-3
@@ -53,19 +47,14 @@ REQUIRED_SPEEDUP = float(os.environ.get("REPRO_E22_MIN_SPEEDUP", 4.0))
 WINDOWS = 3
 
 
-def _esm_program():
-    """Prep + three noisy ESM rounds, compiled once."""
+def _esm_circuit():
+    """Prep + three noisy ESM rounds."""
     circuit = Circuit("sc17-esm")
     for qubit in range(9):
         circuit.add("prep_z", qubit)
     for _ in range(3):
         circuit.extend(parallel_esm(list(range(17))).circuit)
-    return compile_frame_program(
-        circuit,
-        num_qubits=17,
-        noise=NoiseParameters(PER, active_qubits=range(17)),
-        reference_seed=11,
-    )
+    return circuit
 
 
 def _rate(fn):
@@ -75,34 +64,30 @@ def _rate(fn):
 
 
 def test_bench_e22_raw_sampling_speedup(benchmark):
-    program = _esm_program()
+    circuit = _esm_circuit()
+    noise = NoiseParameters(PER, active_qubits=range(17))
 
-    unpacked, unpacked_rate = _rate(
-        lambda: BatchedFrameSampler(program, seed=12).sample(BATCH_SHOTS)
-    )
-    exact, exact_rate = _rate(
-        lambda: PackedFrameSampler(
-            program, seed=12, rng_mode="exact"
-        ).sample(BATCH_SHOTS)
-    )
-    # Conformance, asserted in passing: exact mode is bit-identical.
-    assert np.array_equal(unpacked, exact)
+    def run(rng_mode):
+        return sample(
+            circuit,
+            BATCH_SHOTS,
+            seed=12,
+            noise=noise,
+            num_qubits=17,
+            rng_mode=rng_mode,
+        )
 
-    def sample_fast():
-        return PackedFrameSampler(
-            program, seed=12, rng_mode="fast"
-        ).sample(BATCH_SHOTS)
+    exact, exact_rate = _rate(lambda: run("exact"))
 
     start = time.perf_counter()
-    fast = benchmark.pedantic(sample_fast, rounds=1, iterations=1)
+    fast = benchmark.pedantic(lambda: run("fast"), rounds=1, iterations=1)
     fast_rate = BATCH_SHOTS / (time.perf_counter() - start)
 
-    assert fast.shape == unpacked.shape
-    speedup = fast_rate / unpacked_rate
+    assert fast.shape == exact.shape
+    speedup = fast_rate / exact_rate
     print("\n[E22] SC17 ESM raw sampling, shots/second:")
-    print(f"  batched frame sampler: {unpacked_rate:12.1f}")
-    print(f"  packed (exact rng):    {exact_rate:12.1f}")
-    print(f"  packed (fast rng):     {fast_rate:12.1f}")
+    print(f"  lockstep (exact rng):  {exact_rate:12.1f}")
+    print(f"  lockstep (fast rng):   {fast_rate:12.1f}")
     print(
         f"  fast speedup:          {speedup:12.1f}x "
         f"(gate {REQUIRED_SPEEDUP:.0f}x)"

@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = add_parser(
         "verify", help="Pauli-frame verification benches (section 5.2)"
     )
-    verify.add_argument("--iterations", type=int, default=10)
+    verify.add_argument("--iterations", type=_positive_int, default=10)
     verify.add_argument("--qubits", type=int, default=5)
     verify.add_argument("--gates", type=int, default=100)
     verify.add_argument("--seed", type=int, default=0)
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     distance.add_argument(
         "--per", type=float, nargs="+", default=[0.02, 0.05, 0.10]
     )
-    distance.add_argument("--trials", type=int, default=1500)
+    distance.add_argument("--trials", type=_positive_int, default=1500)
     distance.add_argument("--seed", type=int, default=0)
     _add_decoder_argument(distance, default="mwpm")
 
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     phenom.add_argument(
         "--per", type=float, nargs="+", default=[0.01, 0.02, 0.04]
     )
-    phenom.add_argument("--trials", type=int, default=400)
+    phenom.add_argument("--trials", type=_positive_int, default=400)
     phenom.add_argument("--seed", type=int, default=0)
     _add_decoder_argument(phenom, default="mwpm")
 
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--distances", type=int, nargs="+", default=[3, 5]
     )
     memory.add_argument("--per", type=float, default=1e-3)
-    memory.add_argument("--trials", type=int, default=200)
+    memory.add_argument("--trials", type=_positive_int, default=200)
     memory.add_argument("--seed", type=int, default=0)
     _add_decoder_argument(memory, default="mwpm")
 

@@ -9,7 +9,7 @@ from .error_layer import (
     ErrorCounts,
 )
 from .layer import ControlStack, Layer
-from .packed_core import PackedExecutionResult, PackedStabilizerCore
+from .packed_core import PackedExecutionResult, PackedStabilizerCore, sample
 from .pauli_frame_layer import PauliFrameLayer
 from .testbench import (
     BellStateHistoTb,
@@ -27,6 +27,7 @@ __all__ = [
     "StateVectorCore",
     "PackedStabilizerCore",
     "PackedExecutionResult",
+    "sample",
     "Layer",
     "ControlStack",
     "CounterLayer",

@@ -63,9 +63,6 @@ from ..sim.framesim import (
     OP_XERR,
     TWO_QUBIT_ERROR_BITS,
     NoiseParameters,
-    _PAULI_NAMES,
-    _SINGLE_CLIFFORD_OPS,
-    _TWO_QUBIT_OPS,
     _slot_noise_events,
 )
 from ..sim.packedsim import pack_bits
@@ -76,11 +73,18 @@ PLAN_CACHE_CAPACITY = 256
 
 #: Frame-kernel method of each gate name (S and S^dagger act alike).
 _GATE_KERNELS = {
-    **{name: "h" if name == "h" else "s" for name in _SINGLE_CLIFFORD_OPS},
-    **{
-        name: "cnot" if name == "cx" else name for name in _TWO_QUBIT_OPS
-    },
+    "h": "h",
+    "s": "s",
+    "sdg": "s",
+    "cnot": "cnot",
+    "cx": "cnot",
+    "cz": "cz",
+    "swap": "swap",
 }
+#: Frame-transparent gates: Pauli conjugation maps every Pauli to
+#: itself up to a (dropped) phase, so frames pass straight through.
+_PAULI_NAMES = frozenset({"i", "x", "y", "z"})
+
 _NOISE_KERNELS = {
     OP_XERR: "xerr",
     OP_DEPOL1: "depolarize1",

@@ -1,10 +1,9 @@
 """The lockstep batched core: N shots on bit-packed Pauli frames.
 
-:class:`PackedStabilizerCore` is the streaming counterpart of
-:func:`repro.sim.framesim.sample_circuit`: instead of compiling a
-fixed circuit up front, it executes circuits as they arrive (the
-normal QPDO ``add``/``execute`` protocol of Table 4.1) while carrying
-*all shots at once* -- one shared noiseless reference on a
+:class:`PackedStabilizerCore` is the repository's one shot sampler:
+it executes circuits as they arrive (the normal QPDO
+``add``/``execute`` protocol of Table 4.1) while carrying *all shots
+at once* -- one shared noiseless reference on a
 :class:`~repro.sim.refcache.ReferenceTableau` plus per-shot Pauli
 error frames.  A frame is the paper's two record bits per qubit
 (Tables 3.4/3.5); the core keeps them the way Stim does, as the
@@ -42,7 +41,8 @@ identically.
 
 Measurement results come back packed (``words_of``); ``bits_of``
 unpacks on demand, and ``measurements`` keeps the scalar Core
-contract by exposing shot 0.
+contract by exposing shot 0.  :func:`sample` is the one-call entry
+point: one circuit on a fresh core, its shots returned as bools.
 """
 
 from __future__ import annotations
@@ -373,3 +373,35 @@ class PackedStabilizerCore(Core):
             self._frame_rng,
             shot_mask=shot_mask,
         )
+
+
+def sample(
+    circuit: Circuit,
+    num_shots: int,
+    *,
+    seed: SeedLike = None,
+    noise: Optional[NoiseParameters] = None,
+    num_qubits: Optional[int] = None,
+    rng_mode: str = "exact",
+) -> np.ndarray:
+    """Sample ``num_shots`` shots of ``circuit`` on a fresh core.
+
+    Allocates ``num_qubits`` qubits (default ``circuit.max_qubit() +
+    1``) on a :class:`PackedStabilizerCore` built with ``noise``,
+    ``seed`` and ``rng_mode``, runs the circuit once and returns bools
+    of shape ``(num_shots, num_measurements)``, columns in the
+    circuit's measurement order (:meth:`Circuit.measurements`).  With
+    a seed, the result is a pure function of the arguments.
+    """
+    if num_qubits is None:
+        num_qubits = circuit.max_qubit() + 1
+    core = PackedStabilizerCore(
+        num_shots, noise=noise, seed=seed, rng_mode=rng_mode
+    )
+    core.createqubit(num_qubits)
+    result = core.run(circuit)
+    measurements = circuit.measurements()
+    words = np.array(
+        [result.words_of(m) for m in measurements], dtype=np.uint64
+    ).reshape(len(measurements), core.frames.num_words)
+    return unpack_bits(words, num_shots).T

@@ -1,22 +1,7 @@
 """Quantum simulators and shared state structures (paper section 4.1)."""
 
-from .framesim import (
-    BatchedFrameSampler,
-    FrameArray,
-    FrameProgram,
-    NoiseParameters,
-    compile_frame_program,
-    sample_circuit,
-)
-from .packedsim import (
-    PackedFrameArray,
-    PackedFrameSampler,
-    num_words,
-    pack_bits,
-    popcount_words,
-    sample_circuit_packed,
-    unpack_bits,
-)
+from .framesim import FrameArray, NoiseParameters
+from .packedsim import PackedFrameArray, num_words, pack_bits, unpack_bits
 from .stabilizer import StabilizerSimulator
 from .state import (
     BinaryValue,
@@ -36,16 +21,9 @@ __all__ = [
     "StabilizerSimulator",
     "StateVectorSimulator",
     "FrameArray",
-    "FrameProgram",
     "NoiseParameters",
-    "BatchedFrameSampler",
-    "compile_frame_program",
-    "sample_circuit",
     "PackedFrameArray",
-    "PackedFrameSampler",
-    "sample_circuit_packed",
     "num_words",
     "pack_bits",
     "unpack_bits",
-    "popcount_words",
 ]

@@ -1,4 +1,4 @@
-"""Batched Pauli-frame shot sampler (the paper's ch. 3 trick, at scale).
+"""Bool Pauli-frame kernels and the depolarizing noise model.
 
 The paper's core observation -- a Pauli frame tracks errors in
 classical memory without touching the quantum state -- is also the
@@ -26,77 +26,40 @@ any later measurement whose outcome should be random.  Deterministic
 measurements stay deterministic because their observable commutes with
 every element of the (abelian) stabilizer group the gauges generate.
 
-Three public entry points:
+This module holds what the lockstep core
+(:class:`repro.qpdo.packed_core.PackedStabilizerCore`, the one shot
+sampler, with :func:`repro.qpdo.packed_core.sample` as its one-call
+entry point) shares with its tests:
 
-* :func:`compile_frame_program` -- one reference tableau run compiles a
-  :class:`~repro.circuits.circuit.Circuit` into a
-  :class:`FrameProgram` (reference bits + fault-propagation
-  instructions, optionally with depolarizing-noise instructions that
-  mirror :class:`repro.qpdo.error_layer.DepolarizingErrorLayer`);
-* :class:`BatchedFrameSampler` -- samples ``N`` shots of a compiled
-  program; one RNG stream per random instruction makes samples
-  bit-identical across runs *and* across batch splits (1 x 1000 shots
-  equals 10 x 100 shots, bit for bit);
-* :func:`sample_circuit` -- compile + sample in one deterministic call.
-
-The streaming variant (adaptive circuits with per-shot Pauli feedback,
-used by the batched LER experiments) lives in
-:class:`repro.qpdo.packed_core.PackedStabilizerCore`.  It keeps its
-frames packed 64 shots per word (:mod:`repro.sim.packedsim`) and, as
-``--engine framesim``, runs each circuit through the circuit's
-compiled GF(2) frame map (:mod:`repro.qpdo.lockstep`): the same
-conjugation rules and the same uniforms as these kernels, applied at
-once.  :class:`FrameArray` stays the bool reference: the sampler here
-and the operation-by-operation loop the tests check the core against.
-Every random kernel here draws from the Generator it is given, one row
-of ``num_shots`` uniforms per qubit (or pair).
+* :class:`NoiseParameters` and :func:`_slot_noise_events` -- the
+  depolarizing model and its per-slot events, which mirror
+  :class:`repro.qpdo.error_layer.DepolarizingErrorLayer`;
+* :class:`FrameArray` -- the bool frame kernels.  The core keeps its
+  frames packed 64 shots per word (:mod:`repro.sim.packedsim`) and, as
+  ``--engine framesim``, runs each circuit through its compiled GF(2)
+  frame map (:mod:`repro.qpdo.lockstep`): the same conjugation rules
+  and the same uniforms as these kernels, applied at once.
+  :class:`FrameArray` is the tests' reference: the
+  operation-by-operation loop they check the core against.  Every
+  random kernel here draws from the Generator it is given, one row of
+  ``num_shots`` uniforms per qubit (or pair);
+* :func:`_seed_sequence` -- the seed-tree root of every core.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from ..circuits.circuit import Circuit, TimeSlot
+from ..circuits.circuit import TimeSlot
 from .. import telemetry
-from .stabilizer import StabilizerSimulator
 
-# ----------------------------------------------------------------------
-# Instruction opcodes (tuples keep the sampler loop allocation-free).
-# ----------------------------------------------------------------------
-OP_H = 0
-OP_S = 1  # also sdg: identical mod-phase frame action
-OP_CNOT = 2
-OP_CZ = 3
-OP_SWAP = 4
-OP_RESET = 5
-OP_MEASURE = 6
-OP_XERR = 7
-OP_DEPOL1 = 8
-OP_DEPOL2 = 9
-
-#: Telemetry kernel-counter names, indexed by opcode.
-_OP_COUNTER_NAMES = (
-    "h",
-    "s",
-    "cnot",
-    "cz",
-    "swap",
-    "reset",
-    "measure",
-    "xerr",
-    "depol1",
-    "depol2",
-)
-
-#: Frame-transparent gates: Pauli conjugation maps every Pauli to
-#: itself up to a (dropped) phase, so frames pass straight through.
-_PAULI_NAMES = frozenset({"i", "x", "y", "z"})
-
-_SINGLE_CLIFFORD_OPS = {"h": OP_H, "s": OP_S, "sdg": OP_S}
-_TWO_QUBIT_OPS = {"cnot": OP_CNOT, "cx": OP_CNOT, "cz": OP_CZ, "swap": OP_SWAP}
+#: Noise-event opcodes of :func:`_slot_noise_events`.
+OP_XERR = 0
+OP_DEPOL1 = 1
+OP_DEPOL2 = 2
 
 #: The 15 non-identity two-qubit Pauli error patterns as (xa, za, xb, zb)
 #: bit rows, indexed by ``4 * a + b - 1`` with 0=I, 1=X, 2=Y, 3=Z --
@@ -120,7 +83,7 @@ Qubits = Union[int, np.ndarray]
 
 @dataclass(frozen=True)
 class NoiseParameters:
-    """Symmetric depolarizing noise for compiled programs.
+    """Symmetric depolarizing noise of the lockstep core.
 
     Mirrors :class:`repro.qpdo.error_layer.DepolarizingErrorLayer`
     semantics exactly: per commanded time slot, every single-qubit gate
@@ -136,7 +99,7 @@ class NoiseParameters:
         The Physical Error Rate ``p``.
     active_qubits:
         Qubits subject to (gate and idle) noise; ``None`` charges every
-        qubit addressed by the compiled register.
+        qubit of the register.
     """
 
     probability: float
@@ -274,11 +237,11 @@ class FrameArray:
         One uniform draw per shot doubles as both the hit indicator and
         the error kind (conditioned on ``u < p``, ``3u/p`` is uniform
         over the three kinds), which keeps the random stream at exactly
-        one float per shot per channel -- the property the batch-split
-        determinism guarantee rests on.  ``shot_mask`` restricts the
-        channel to a subset of shots (used for shot-dependent slots,
-        e.g. per-shot correction circuits); the stream consumption is
-        the same with or without a mask.
+        one float per shot per channel -- the property that lets a
+        compiled frame map draw a circuit's channels as one block.
+        ``shot_mask`` restricts the channel to a subset of shots (used
+        for shot-dependent slots, e.g. per-shot correction circuits);
+        the stream consumption is the same with or without a mask.
         """
         u = rng.random(np.shape(qubits) + (self.num_shots,))
         hit = u < probability
@@ -317,61 +280,17 @@ class FrameArray:
         self.x ^= x_mask
         self.z ^= z_mask
 
-    def copy(self) -> "FrameArray":
-        duplicate = FrameArray(0, 0)
-        duplicate.x = self.x.copy()
-        duplicate.z = self.z.copy()
-        return duplicate
-
-
-@dataclass
-class FrameProgram:
-    """A circuit compiled into reference outcomes + frame instructions.
-
-    Attributes
-    ----------
-    num_qubits:
-        Register width of the compiled program.
-    instructions:
-        Flat tuple list; random instructions carry the index of their
-        dedicated RNG stream as last element.
-    reference_bits:
-        The noiseless reference outcome of each measurement, in
-        circuit order.
-    measurement_uids:
-        ``Operation.uid`` of each measurement, aligned with
-        ``reference_bits`` and with the sample column order.
-    num_streams:
-        Total number of RNG streams the program consumes (stream 0 is
-        always the initial Z-gauge randomization).
-    """
-
-    num_qubits: int
-    instructions: List[Tuple] = field(default_factory=list)
-    reference_bits: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=bool)
-    )
-    measurement_uids: List[int] = field(default_factory=list)
-    num_streams: int = 1
-
-    @property
-    def num_measurements(self) -> int:
-        return len(self.measurement_uids)
-
-    def column_of(self, uid: int) -> int:
-        """Sample-array column of the measurement with ``uid``."""
-        return self.measurement_uids.index(uid)
-
 
 def _slot_noise_events(
     slot: TimeSlot, active: Set[int], nq: int
 ) -> Tuple[List[Tuple], List[Tuple]]:
     """Noise events (pre, post) for one commanded slot.
 
-    Event tuples are ``(opcode, qubits...)`` without probability or
-    stream -- those are attached by the compiler.  The event structure
-    mirrors ``DepolarizingErrorLayer._sample_slot_errors`` so the
-    batched channel is statistically identical to the per-shot loop.
+    Event tuples are ``(opcode, qubits...)``; the plan compiler of
+    :mod:`repro.qpdo.lockstep` turns them into noise kernels.  The
+    event structure mirrors
+    ``DepolarizingErrorLayer._sample_slot_errors`` so the batched
+    channel is statistically identical to the per-shot loop.
     """
     pre: List[Tuple] = []
     post: List[Tuple] = []
@@ -403,115 +322,6 @@ def _slot_noise_events(
     return pre, post
 
 
-def compile_frame_program(
-    circuit: Circuit,
-    num_qubits: Optional[int] = None,
-    noise: Optional[NoiseParameters] = None,
-    reference_rng: Optional[np.random.Generator] = None,
-    reference_seed: Optional[int] = None,
-) -> FrameProgram:
-    """Compile ``circuit`` into a :class:`FrameProgram`.
-
-    Runs the noiseless reference once on a
-    :class:`~repro.sim.stabilizer.StabilizerSimulator` (Clifford-only,
-    like the paper's CHP back-end) and records, per operation, the
-    vectorized frame instruction.  Pauli gates are applied to the
-    reference but emit *no* frame instruction: conjugating a frame by
-    a Pauli is the identity up to global phase -- the same fact that
-    lets the Pauli Frame Unit absorb them.
-
-    Parameters
-    ----------
-    circuit:
-        The circuit to compile.  Must be Clifford + prep/measure;
-        operations flagged ``is_error`` are treated as deterministic
-        noise shared by every shot (they shift the reference).
-    num_qubits:
-        Register width; defaults to ``circuit.max_qubit() + 1``.
-    noise:
-        Optional depolarizing model; when given, noise instructions
-        bracket every commanded slot exactly like the error layer
-        (pre-slot measurement flips, post-slot gate/prep/idle errors).
-        Bypass circuits compile without noise regardless.
-    reference_rng, reference_seed:
-        Randomness for non-deterministic reference measurements.
-    """
-    if num_qubits is None:
-        num_qubits = circuit.max_qubit() + 1
-    nq = int(num_qubits)
-    reference = StabilizerSimulator(
-        nq, rng=reference_rng, seed=reference_seed
-    )
-    program = FrameProgram(num_qubits=nq)
-    instructions = program.instructions
-    next_stream = 1  # stream 0 = initial gauge randomization
-    noisy = noise is not None and not circuit.bypass
-    if noisy and noise.probability <= 0.0:
-        noisy = False
-    active = noise.active_set(nq) if noisy else set()
-    reference_bits: List[bool] = []
-
-    def emit_noise(events: List[Tuple]) -> None:
-        nonlocal next_stream
-        for event in events:
-            instructions.append(
-                event + (noise.probability, next_stream)
-            )
-            next_stream += 1
-
-    for slot in circuit:
-        if noisy:
-            pre, post = _slot_noise_events(slot, active, nq)
-            emit_noise(pre)
-        for operation in slot:
-            name = operation.name
-            if operation.is_preparation:
-                reference.reset(operation.qubits[0])
-                instructions.append(
-                    (OP_RESET, operation.qubits[0], next_stream)
-                )
-                next_stream += 1
-            elif operation.is_measurement:
-                bit = reference.measure(operation.qubits[0])
-                instructions.append(
-                    (
-                        OP_MEASURE,
-                        operation.qubits[0],
-                        len(reference_bits),
-                        next_stream,
-                    )
-                )
-                next_stream += 1
-                reference_bits.append(bool(bit))
-                program.measurement_uids.append(operation.uid)
-            elif name in _PAULI_NAMES:
-                reference.apply_gate(name, operation.qubits)
-            elif name in _SINGLE_CLIFFORD_OPS:
-                reference.apply_gate(name, operation.qubits)
-                instructions.append(
-                    (_SINGLE_CLIFFORD_OPS[name], operation.qubits[0])
-                )
-            elif name in _TWO_QUBIT_OPS:
-                reference.apply_gate(name, operation.qubits)
-                instructions.append(
-                    (
-                        _TWO_QUBIT_OPS[name],
-                        operation.qubits[0],
-                        operation.qubits[1],
-                    )
-                )
-            else:
-                raise ValueError(
-                    f"frame sampler cannot compile non-Clifford gate "
-                    f"{name!r}"
-                )
-        if noisy:
-            emit_noise(post)
-    program.reference_bits = np.array(reference_bits, dtype=bool)
-    program.num_streams = next_stream
-    return program
-
-
 SeedLike = Union[None, int, Sequence[int], np.random.SeedSequence]
 
 
@@ -519,130 +329,3 @@ def _seed_sequence(seed: SeedLike) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
     return np.random.SeedSequence(seed)
-
-
-class BatchedFrameSampler:
-    """Sample shots of a compiled :class:`FrameProgram` in bulk.
-
-    Every random instruction of the program owns one child RNG stream
-    (spawned from a single :class:`numpy.random.SeedSequence`), and a
-    stream is only ever consumed by its instruction, shot-major.  Two
-    consequences, both load-bearing for reproducible experiments:
-
-    * the same ``seed`` always yields bit-identical samples, and
-    * batching is invisible: ``sample(1000)`` equals ten consecutive
-      ``sample(100)`` calls concatenated, bit for bit, because each
-      call just continues every stream where the previous call left
-      off.
-
-    Parameters
-    ----------
-    program:
-        The compiled program to sample.
-    seed:
-        Seed (or :class:`~numpy.random.SeedSequence`) for the stream
-        tree.
-    """
-
-    def __init__(self, program: FrameProgram, seed: SeedLike = None):
-        self.program = program
-        children = _seed_sequence(seed).spawn(program.num_streams)
-        self._streams = [np.random.default_rng(c) for c in children]
-        self.shots_sampled = 0
-
-    # ------------------------------------------------------------------
-    def sample(self, num_shots: int) -> np.ndarray:
-        """Sample ``num_shots`` shots.
-
-        Returns a bool array of shape ``(num_shots, num_measurements)``
-        whose columns follow the circuit's measurement order
-        (``program.measurement_uids``).
-        """
-        t = telemetry.ACTIVE
-        if t is None:
-            return self._sample(num_shots)
-        with t.span(
-            "sim.framesim",
-            "BatchedFrameSampler.sample",
-            shots=int(num_shots),
-            instructions=len(self.program.instructions),
-        ):
-            out = self._sample(num_shots)
-        for instr in self.program.instructions:
-            t.count("sim.framesim", "kernel", _OP_COUNTER_NAMES[instr[0]])
-        return out
-
-    def _sample(self, num_shots: int) -> np.ndarray:
-        program = self.program
-        shots = int(num_shots)
-        frames = FrameArray(shots, program.num_qubits)
-        # Initial Z-gauge randomization: every |0> qubit's Z stabilizer
-        # is gauge, and later Cliffords may rotate it into an observable
-        # X component (that is how random measurement outcomes emerge).
-        frames.z[:] = self._streams[0].random(
-            (shots, program.num_qubits)
-        ) < 0.5
-        out = np.empty((shots, program.num_measurements), dtype=bool)
-        streams = self._streams
-        reference = program.reference_bits
-        for instr in program.instructions:
-            opcode = instr[0]
-            if opcode == OP_MEASURE:
-                _, qubit, column, stream = instr
-                flips = frames.measure_flips(qubit, streams[stream])
-                out[:, column] = reference[column] ^ flips
-            elif opcode == OP_CNOT:
-                frames.cnot(instr[1], instr[2])
-            elif opcode == OP_H:
-                frames.h(instr[1])
-            elif opcode == OP_S:
-                frames.s(instr[1])
-            elif opcode == OP_CZ:
-                frames.cz(instr[1], instr[2])
-            elif opcode == OP_SWAP:
-                frames.swap(instr[1], instr[2])
-            elif opcode == OP_RESET:
-                frames.reset(instr[1], streams[instr[2]])
-            elif opcode == OP_XERR:
-                _, qubit, p, stream = instr
-                frames.xerr(qubit, p, streams[stream])
-            elif opcode == OP_DEPOL1:
-                _, qubit, p, stream = instr
-                frames.depolarize1(qubit, p, streams[stream])
-            elif opcode == OP_DEPOL2:
-                _, first, second, p, stream = instr
-                frames.depolarize2(first, second, p, streams[stream])
-            else:  # pragma: no cover - compiler emits a closed set
-                raise AssertionError(f"unknown opcode {opcode}")
-        self.shots_sampled += shots
-        return out
-
-    def sample_packed(self, num_shots: int) -> np.ndarray:
-        """Like :meth:`sample` but bit-packed along the measurement
-        axis (``numpy.packbits``), eight shots of memory per byte."""
-        return np.packbits(
-            self.sample(num_shots).astype(np.uint8), axis=1
-        )
-
-
-def sample_circuit(
-    circuit: Circuit,
-    num_shots: int,
-    seed: SeedLike = None,
-    noise: Optional[NoiseParameters] = None,
-    num_qubits: Optional[int] = None,
-) -> np.ndarray:
-    """Compile and sample ``circuit`` in one deterministic call.
-
-    The reference run and the shot sampler draw from two children of
-    one seed tree, so the full result is a pure function of
-    ``(circuit, num_shots, seed, noise)``.
-    """
-    reference_ss, sampler_ss = _seed_sequence(seed).spawn(2)
-    program = compile_frame_program(
-        circuit,
-        num_qubits=num_qubits,
-        noise=noise,
-        reference_rng=np.random.default_rng(reference_ss),
-    )
-    return BatchedFrameSampler(program, seed=sampler_ss).sample(num_shots)

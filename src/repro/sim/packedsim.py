@@ -1,4 +1,4 @@
-"""Bit-packed frame-differential shot sampler (Stim's word-level trick).
+"""Bit-packed Pauli frames (Stim's word-level trick).
 
 :mod:`repro.sim.framesim` already splits a noisy Clifford circuit into
 one noiseless *reference* run plus per-shot Pauli error frames; this
@@ -28,33 +28,27 @@ decoder.
     Consumes random streams *exactly* like the bool
     :class:`~repro.sim.framesim.FrameArray` kernels: one uniform float
     per shot per channel event, gauge rows drawn as
-    ``rng.random(shots) < 0.5``.  Samples are bit-identical to
-    :class:`~repro.sim.framesim.BatchedFrameSampler` -- the
-    conformance contract the golden values and the differential-fuzz
-    corpus pin.  The speedup comes from doing all frame algebra on
-    words.  The lockstep core runs exact-mode circuits through their
+    ``rng.random(shots) < 0.5``, so the frames stay bit-identical to
+    theirs.  The lockstep core runs exact-mode circuits through their
     compiled frame map (:mod:`repro.qpdo.lockstep`), which draws the
-    same uniforms in blocks, so these kernels serve the
-    per-instruction sampler, the core's per-shot noise injection and
-    the operation-loop reference of the tests.
+    same uniforms in blocks; of these kernels it calls only the
+    register growth, the Pauli feedback and the shot-masked
+    ``depolarize1``, and ``tests/test_packedsim_properties.py``
+    checks every kernel against the bool ones.
 
 ``"fast"``
     Stim-style word-level randomness: a channel draws its hit *count*
     from a binomial, scatters that many distinct positions, and gauge
     rows are single ``uint64`` draws.  Distribution-identical (same
     physics, chi-square-gated in the conformance tests) but a
-    different stream — this is the mode that clears the E22 ≥10x bar,
-    because the per-event cost no longer scales with the shot count.
-
-Both regimes keep the per-instruction stream-seeding contract of
-:class:`~repro.sim.framesim.BatchedFrameSampler`, so samples stay
-worker-count- and batch-split-invariant within a mode.
+    different stream, whose per-event cost no longer scales with the
+    shot count.
 
 The **tail invariant**: bits at positions ``>= num_shots`` in the last
 word of any row are always zero.  Packing pads with zeros, word
 kernels (XOR/AND/copy) preserve zeros, random word rows and logical
-NOT are masked with :meth:`PackedFrameArray.full_words` — so popcounts
-and unpacks never see ghost shots.
+NOT are masked with :meth:`PackedFrameArray.full_words` — so unpacks
+never see ghost shots.
 """
 
 from __future__ import annotations
@@ -64,28 +58,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..circuits.circuit import Circuit
 from .. import telemetry
-from .framesim import (
-    OP_CNOT,
-    OP_CZ,
-    OP_DEPOL1,
-    OP_DEPOL2,
-    OP_H,
-    OP_MEASURE,
-    OP_RESET,
-    OP_S,
-    OP_SWAP,
-    OP_XERR,
-    _OP_COUNTER_NAMES,
-    TWO_QUBIT_ERROR_BITS,
-    FrameProgram,
-    NoiseParameters,
-    Qubits,
-    SeedLike,
-    _seed_sequence,
-    compile_frame_program,
-)
+from .framesim import TWO_QUBIT_ERROR_BITS, Qubits
 
 #: All-ones word (numpy uint64 cannot take ``~0`` directly).
 ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -96,12 +70,6 @@ _ONE = np.uint64(1)
 SHOTS_PER_WORD = 64
 
 _BIG_ENDIAN = sys.byteorder == "big"
-
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-#: Byte popcount table for numpy builds without ``bitwise_count``.
-_POPCOUNT_TABLE = np.array(
-    [bin(value).count("1") for value in range(256)], dtype=np.uint8
-)
 
 _RNG_MODES = ("exact", "fast")
 
@@ -168,16 +136,6 @@ def unpack_bits(words: np.ndarray, num_shots: int) -> np.ndarray:
     return bits.astype(bool)
 
 
-def popcount_words(words: np.ndarray) -> np.ndarray:
-    """Per-word set-bit counts (``numpy.bitwise_count`` when present)."""
-    words = np.asarray(words, dtype=np.uint64)
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(words).astype(np.int64)
-    raw = np.ascontiguousarray(words).view(np.uint8)
-    per_byte = _POPCOUNT_TABLE[raw].reshape(words.shape + (8,))
-    return per_byte.sum(axis=-1, dtype=np.int64)
-
-
 def _toggle(
     plane: np.ndarray, rows: List[int], hits: List[np.ndarray]
 ) -> None:
@@ -239,20 +197,6 @@ class PackedFrameArray:
     def z_bool(self) -> np.ndarray:
         """The Z plane as a ``(num_shots, num_qubits)`` bool array."""
         return unpack_bits(self.z, self.num_shots).T
-
-    def error_weight(self) -> int:
-        """Total set frame bits across both planes (diagnostics)."""
-        return int(
-            popcount_words(self.x).sum() + popcount_words(self.z).sum()
-        )
-
-    def copy(self) -> "PackedFrameArray":
-        duplicate = PackedFrameArray(
-            self.num_shots, 0, rng_mode=self.rng_mode
-        )
-        duplicate.x = self.x.copy()
-        duplicate.z = self.z.copy()
-        return duplicate
 
     # -- register -------------------------------------------------------
     def add_qubits(self, count: int, rng: np.random.Generator) -> None:
@@ -473,142 +417,3 @@ class PackedFrameArray:
     def _random_words(self, shape, rng: np.random.Generator) -> np.ndarray:
         words = rng.integers(0, 1 << 64, size=shape, dtype=np.uint64)
         return words & self._full
-
-
-class PackedFrameSampler:
-    """Sample a compiled :class:`~repro.sim.framesim.FrameProgram` on
-    packed frames.
-
-    The drop-in counterpart of
-    :class:`~repro.sim.framesim.BatchedFrameSampler`: the same
-    one-stream-per-random-instruction seed tree (so the same ``seed``
-    gives batch-split-invariant samples), with all frame algebra on
-    :class:`PackedFrameArray` word kernels.  In ``rng_mode="exact"``
-    :meth:`sample` is bit-identical to the unpacked sampler; in
-    ``"fast"`` it is distribution-identical on a different stream.
-    """
-
-    def __init__(
-        self,
-        program: FrameProgram,
-        seed: SeedLike = None,
-        rng_mode: str = "exact",
-    ):
-        if rng_mode not in _RNG_MODES:
-            raise ValueError(f"rng_mode must be one of {_RNG_MODES}")
-        self.program = program
-        self.rng_mode = rng_mode
-        children = _seed_sequence(seed).spawn(program.num_streams)
-        self._streams = [np.random.default_rng(c) for c in children]
-        self.shots_sampled = 0
-
-    # ------------------------------------------------------------------
-    def sample(self, num_shots: int) -> np.ndarray:
-        """Sample ``num_shots`` shots as bools.
-
-        Returns shape ``(num_shots, num_measurements)``, the unpacked
-        sampler's layout (columns in circuit measurement order).
-        """
-        return unpack_bits(self.sample_words(num_shots), int(num_shots)).T
-
-    def sample_words(self, num_shots: int) -> np.ndarray:
-        """Sample ``num_shots`` shots in packed form.
-
-        Returns ``uint64`` words of shape
-        ``(num_measurements, num_words(num_shots))`` — row ``m`` holds
-        measurement ``m``'s outcome bit for every shot.
-        """
-        t = telemetry.ACTIVE
-        if t is None:
-            return self._sample_words(num_shots)
-        with t.span(
-            "sim.packedsim",
-            "PackedFrameSampler.sample_words",
-            shots=int(num_shots),
-            instructions=len(self.program.instructions),
-            rng_mode=self.rng_mode,
-        ):
-            out = self._sample_words(num_shots)
-        for instr in self.program.instructions:
-            t.count(
-                "sim.packedsim", "kernel", _OP_COUNTER_NAMES[instr[0]]
-            )
-        return out
-
-    def _sample_words(self, num_shots: int) -> np.ndarray:
-        program = self.program
-        shots = int(num_shots)
-        frames = PackedFrameArray(
-            shots, program.num_qubits, rng_mode=self.rng_mode
-        )
-        # Initial Z-gauge randomization (see framesim: stream 0).
-        streams = self._streams
-        if self.rng_mode == "exact":
-            frames.z[:] = pack_bits(
-                (streams[0].random((shots, program.num_qubits)) < 0.5).T
-            )
-        else:
-            frames.z[:] = frames._random_words(frames.z.shape, streams[0])
-        out = np.empty(
-            (program.num_measurements, frames.num_words), dtype=np.uint64
-        )
-        full = frames.full_words
-        reference = program.reference_bits
-        for instr in program.instructions:
-            opcode = instr[0]
-            if opcode == OP_MEASURE:
-                _, qubit, column, stream = instr
-                flips = frames.measure_flips(qubit, streams[stream])
-                out[column] = flips ^ full if reference[column] else flips
-            elif opcode == OP_CNOT:
-                frames.cnot(instr[1], instr[2])
-            elif opcode == OP_H:
-                frames.h(instr[1])
-            elif opcode == OP_S:
-                frames.s(instr[1])
-            elif opcode == OP_CZ:
-                frames.cz(instr[1], instr[2])
-            elif opcode == OP_SWAP:
-                frames.swap(instr[1], instr[2])
-            elif opcode == OP_RESET:
-                frames.reset(instr[1], streams[instr[2]])
-            elif opcode == OP_XERR:
-                _, qubit, p, stream = instr
-                frames.xerr(qubit, p, streams[stream])
-            elif opcode == OP_DEPOL1:
-                _, qubit, p, stream = instr
-                frames.depolarize1(qubit, p, streams[stream])
-            elif opcode == OP_DEPOL2:
-                _, first, second, p, stream = instr
-                frames.depolarize2(first, second, p, streams[stream])
-            else:  # pragma: no cover - compiler emits a closed set
-                raise AssertionError(f"unknown opcode {opcode}")
-        self.shots_sampled += shots
-        return out
-
-
-def sample_circuit_packed(
-    circuit: Circuit,
-    num_shots: int,
-    seed: SeedLike = None,
-    noise: Optional[NoiseParameters] = None,
-    num_qubits: Optional[int] = None,
-    rng_mode: str = "exact",
-) -> np.ndarray:
-    """Compile and sample ``circuit`` on the packed engine.
-
-    The same two-child seed tree as
-    :func:`~repro.sim.framesim.sample_circuit`, so with
-    ``rng_mode="exact"`` the returned samples are bit-identical to the
-    unpacked path for the same arguments.
-    """
-    reference_ss, sampler_ss = _seed_sequence(seed).spawn(2)
-    program = compile_frame_program(
-        circuit,
-        num_qubits=num_qubits,
-        noise=noise,
-        reference_rng=np.random.default_rng(reference_ss),
-    )
-    return PackedFrameSampler(
-        program, seed=sampler_ss, rng_mode=rng_mode
-    ).sample(num_shots)

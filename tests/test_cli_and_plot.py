@@ -286,6 +286,19 @@ class TestSizeFlagsArePositive:
             ),
             (["ler", "--batch", "4", "--workers", "0"], "--workers"),
             (["sweep", "--batch", "2", "--workers", "-1"], "--workers"),
+            (
+                ["phenomenological", "--distances", "3", "--per", "0.01"]
+                + ["--trials", "0", "--json"],
+                "--trials",
+            ),
+            (
+                ["phenomenological", "--distances", "3", "--per", "0.01"]
+                + ["--trials", "-2"],
+                "--trials",
+            ),
+            (["distance", "--trials", "0"], "--trials"),
+            (["memory", "--distances", "3", "--trials", "-1"], "--trials"),
+            (["verify", "--iterations", "0"], "--iterations"),
         ],
         ids=[
             "sweep-batch-0",
@@ -295,6 +308,11 @@ class TestSizeFlagsArePositive:
             "ler-shard-shots-0",
             "ler-workers-0",
             "sweep-workers-negative",
+            "phenomenological-trials-0",
+            "phenomenological-trials-negative",
+            "distance-trials-0",
+            "memory-trials-negative",
+            "verify-iterations-0",
         ],
     )
     def test_non_positive_size_exits_2(self, argv, flag, capsys):

@@ -1,12 +1,12 @@
-"""Cross-simulator equivalence of the batched Pauli-frame sampler.
+"""Cross-simulator equivalence of the lockstep core's shot sampler.
 
 Three independent implementations of the same physics must agree:
 
-* the batched frame sampler (:mod:`repro.sim.framesim`) against the
-  *exact* outcome distribution enumerated on the dense state-vector
-  simulator (chi-square),
-* the batched sampler against per-shot tableau loops, noiseless and
-  under the depolarizing error layer (chi-square homogeneity),
+* the lockstep core, sampled through :func:`repro.qpdo.sample`,
+  against the *exact* outcome distribution enumerated on the dense
+  state-vector simulator (chi-square),
+* the core against per-shot tableau loops, noiseless and under the
+  depolarizing error layer (chi-square homogeneity),
 * a Pauli-frame stack against a frame-less stack under identical
   seeds and identical injected noise: syndromes must match *bit for
   bit* — the paper's central invariant, tested exactly rather than
@@ -29,14 +29,12 @@ from repro.qpdo import (
     PackedStabilizerCore,
     PauliFrameLayer,
     StabilizerCore,
+    sample,
 )
 from repro.sim import (
-    BatchedFrameSampler,
     NoiseParameters,
     StabilizerSimulator,
     StateVectorSimulator,
-    compile_frame_program,
-    sample_circuit,
 )
 
 P_VALUE_FLOOR = 1e-3
@@ -145,10 +143,11 @@ def outcome_counts(samples: np.ndarray) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Batched sampler vs exact state-vector probabilities
+# Lockstep core vs exact state-vector probabilities
 # ----------------------------------------------------------------------
 class TestBatchedMatchesStateVector:
-    """Chi-square of batched samples against the exact distribution."""
+    """Chi-square of the core's samples against the exact
+    distribution."""
 
     @pytest.mark.parametrize(
         "num_qubits,num_gates,seed",
@@ -159,7 +158,7 @@ class TestBatchedMatchesStateVector:
         circuit = random_measured_circuit(num_qubits, num_gates, rng)
         expected = exact_distribution(circuit, num_qubits)
         shots = 3000
-        samples = sample_circuit(
+        samples = sample(
             circuit, shots, seed=seed + 1000, num_qubits=num_qubits
         )
         observed = outcome_counts(samples)
@@ -195,34 +194,17 @@ class TestBatchedMatchesStateVector:
             circuit.add("cnot", qubit, qubit + 1)
         for qubit in range(4):
             circuit.add("measure", qubit)
-        samples = sample_circuit(circuit, 500, seed=7)
+        samples = sample(circuit, 500, seed=7)
         for row in samples:
             assert row.all() or not row.any()
 
-    def test_reference_bits_follow_reference_tableau(self):
-        """The compiled reference equals an identically-seeded tableau."""
-        rng = np.random.default_rng(17)
-        circuit = random_measured_circuit(4, 14, rng)
-        program = compile_frame_program(
-            circuit, num_qubits=4, reference_seed=99
-        )
-        sim = StabilizerSimulator(4, seed=99)
-        expected = []
-        for op in circuit.operations():
-            if op.is_preparation:
-                sim.reset(op.qubits[0])
-            elif op.is_measurement:
-                expected.append(bool(sim.measure(op.qubits[0])))
-            else:
-                sim.apply_gate(op.name, op.qubits)
-        assert program.reference_bits.tolist() == expected
-
 
 # ----------------------------------------------------------------------
-# Batched sampler vs per-shot tableau loops
+# Lockstep core vs per-shot tableau loops
 # ----------------------------------------------------------------------
 class TestBatchedMatchesTableauLoop:
-    """Chi-square homogeneity of batched vs per-shot tableau samples."""
+    """Chi-square homogeneity of the core's vs per-shot tableau
+    samples."""
 
     @pytest.mark.parametrize(
         "num_qubits,num_gates,seed",
@@ -237,7 +219,7 @@ class TestBatchedMatchesTableauLoop:
         loop = tableau_shot_loop(
             circuit, num_qubits, shots, seed=seed + 1
         )
-        batched = sample_circuit(
+        batched = sample(
             circuit, shots, seed=seed + 2, num_qubits=num_qubits
         )
         assert batched.shape == loop.shape
@@ -248,7 +230,7 @@ class TestBatchedMatchesTableauLoop:
 
         The same 3-qubit circuit runs (a) per shot through a
         ``StabilizerCore`` under the error layer and (b) once through
-        the batched sampler with built-in noise of the same
+        the lockstep core with built-in noise of the same
         probability.  The two outcome distributions must agree.
         """
         probability = 0.08
@@ -276,7 +258,7 @@ class TestBatchedMatchesTableauLoop:
                 [result.result_of(m) for m in measures]
             )
         loop = np.array(loop_rows, dtype=bool)
-        batched = sample_circuit(
+        batched = sample(
             circuit,
             shots,
             seed=2718,
@@ -407,11 +389,12 @@ class TestFrameOnOffIdenticalSyndromes:
 
 
 # ----------------------------------------------------------------------
-# Batched core vs batched compiler on the ESM workload
+# Streaming execution vs one fused circuit on the ESM workload
 # ----------------------------------------------------------------------
 class TestBatchedCoreMatchesCompiledSampler:
-    """The streaming core and the one-shot compiler agree on the SC17
-    ESM workload's syndrome statistics."""
+    """The core streaming one circuit per round and the core running
+    the rounds as one fused circuit agree on the SC17 ESM workload's
+    syndrome statistics."""
 
     def test_first_round_syndrome_rates_agree(self):
         probability = 0.01
@@ -456,7 +439,7 @@ class TestBatchedCoreMatchesCompiledSampler:
         esm_b = parallel_esm(list(range(17)))
         circuit.extend(esm_a.circuit)
         circuit.extend(esm_b.circuit)
-        samples = sample_circuit(
+        samples = sample(
             circuit,
             shots,
             seed=2,
@@ -465,28 +448,22 @@ class TestBatchedCoreMatchesCompiledSampler:
             ),
             num_qubits=17,
         )
-        program_cols = {}
-        program = compile_frame_program(
-            circuit,
-            num_qubits=17,
-            noise=NoiseParameters(probability, active_qubits=range(17)),
-            reference_seed=3,
-        )
-        for index, uid in enumerate(program.measurement_uids):
-            program_cols[uid] = index
+        cols = {
+            m.uid: index for index, m in enumerate(circuit.measurements())
+        }
         a_cols = [
-            program_cols[m.uid]
+            cols[m.uid]
             for m in esm_a.x_measurements + esm_a.z_measurements
         ]
         b_cols = [
-            program_cols[m.uid]
+            cols[m.uid]
             for m in esm_b.x_measurements + esm_b.z_measurements
         ]
-        compiled_rate = (
+        fused_rate = (
             samples[:, a_cols] ^ samples[:, b_cols]
         ).mean()
         assert streaming_rate == pytest.approx(
-            compiled_rate, abs=0.01
+            fused_rate, abs=0.01
         )
         assert 0.0 < streaming_rate < 0.5
 
@@ -508,13 +485,9 @@ class TestPauliTransparency:
         circuit.add("x", 4)
         esm_b = parallel_esm(list(range(17)))
         circuit.extend(esm_b.circuit)
-        samples = sample_circuit(circuit, 64, seed=12, num_qubits=17)
-        program = compile_frame_program(
-            circuit, num_qubits=17, reference_seed=12
-        )
+        samples = sample(circuit, 64, seed=12, num_qubits=17)
         cols = {
-            uid: index
-            for index, uid in enumerate(program.measurement_uids)
+            m.uid: index for index, m in enumerate(circuit.measurements())
         }
         before = samples[
             :, [cols[m.uid] for m in esm_a.z_measurements]

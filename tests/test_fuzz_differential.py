@@ -1,14 +1,15 @@
 """Differential fuzzing across the three simulator implementations.
 
 Random small Clifford circuits with random injected Pauli noise run
-through (a) the batched Pauli-frame sampler, (b) the per-shot tableau
-loop and, at <= 6 qubits, (c) exact branch enumeration on the dense
-state-vector simulator.  All three must describe the same physics:
+through (a) the lockstep core, sampled through
+:func:`repro.qpdo.sample`, (b) the per-shot tableau loop and, at <= 6
+qubits, (c) exact branch enumeration on the dense state-vector
+simulator.  All three must describe the same physics:
 
 * every sampled outcome lies inside the exact support,
-* batched samples match the exact distribution (chi-square),
-* batched and per-shot samples are homogeneous (chi-square),
-* under depolarizing noise, the batched built-in channel matches the
+* the core's samples match the exact distribution (chi-square),
+* the core's and per-shot samples are homogeneous (chi-square),
+* under depolarizing noise, the core's built-in channel matches the
   per-shot ``DepolarizingErrorLayer`` loop (chi-square).
 
 The corpus below is fixed and seeded, so the default run is fully
@@ -24,8 +25,8 @@ from scipy import stats
 
 from repro.circuits import Circuit
 from repro.circuits.operation import Operation
-from repro.qpdo import DepolarizingErrorLayer, StabilizerCore
-from repro.sim import NoiseParameters, sample_circuit
+from repro.qpdo import DepolarizingErrorLayer, StabilizerCore, sample
+from repro.sim import NoiseParameters
 
 from .test_framesim_equivalence import (
     P_VALUE_FLOOR,
@@ -62,7 +63,7 @@ def random_noisy_circuit(
     The injected errors are flagged ``is_error`` — exactly how the
     QPDO error layer marks physical faults — and are deterministic
     (shared by every shot), so the exact enumerator, the tableau loop
-    and the frame sampler all see the same channel.
+    and the lockstep core all see the same channel.
     """
     base = random_measured_circuit(num_qubits, num_gates, rng)
     noisy = Circuit("fuzz")
@@ -125,7 +126,7 @@ def _chisquare_homogeneity(a, b, context):
 
 
 class TestFuzzThreeWayAgreement:
-    """Batched sampler vs tableau loop vs exact enumeration."""
+    """Lockstep core vs tableau loop vs exact enumeration."""
 
     def _make_case(self, fuzz_seed):
         rng = np.random.default_rng(fuzz_seed)
@@ -138,7 +139,7 @@ class TestFuzzThreeWayAgreement:
         circuit, num_qubits = self._make_case(fuzz_seed)
         expected = exact_distribution(circuit, num_qubits)
         shots = 2000
-        samples = sample_circuit(
+        samples = sample(
             circuit, shots, seed=fuzz_seed + 1, num_qubits=num_qubits
         )
         _chisquare_against_exact(
@@ -159,7 +160,7 @@ class TestFuzzThreeWayAgreement:
     def test_batched_and_tableau_loop_homogeneous(self, fuzz_seed):
         circuit, num_qubits = self._make_case(fuzz_seed)
         shots = 1500
-        batched = sample_circuit(
+        batched = sample(
             circuit, shots, seed=fuzz_seed + 3, num_qubits=num_qubits
         )
         loop = tableau_shot_loop(
@@ -169,8 +170,8 @@ class TestFuzzThreeWayAgreement:
 
 
 class TestFuzzDepolarizingChannel:
-    """Batched built-in noise vs per-shot error-layer loops on random
-    circuits (statistical, since the channel is stochastic)."""
+    """The core's built-in noise vs per-shot error-layer loops on
+    random circuits (statistical, since the channel is stochastic)."""
 
     @pytest.mark.parametrize("seed", [2401, 2402])
     def test_noisy_distributions_agree(self, seed):
@@ -195,7 +196,7 @@ class TestFuzzDepolarizingChannel:
             result = stack.run(circuit.copy(fresh_uids=False))
             loop_rows.append([result.result_of(m) for m in measures])
         loop = np.array(loop_rows, dtype=bool)
-        batched = sample_circuit(
+        batched = sample(
             circuit,
             shots,
             seed=seed + 6,

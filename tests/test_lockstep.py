@@ -8,6 +8,8 @@ tableau plus one kernel call and one draw per operation and noise
 channel, on the bool ``FrameArray`` kernels for framesim -- and every
 engine must match it bit for bit on random noisy circuits with mixed
 slots, under per-shot Pauli feedback and shot-masked noise.
+:func:`repro.qpdo.sample`, the one-call sampler, must return exactly
+what a core run by hand measures, in the circuit's measurement order.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.operation import Operation
 from repro.codes.surface17.esm import parallel_esm
 from repro.experiments.ler import ENGINES
-from repro.qpdo import PackedExecutionResult, PackedStabilizerCore
+from repro.qpdo import PackedExecutionResult, PackedStabilizerCore, sample
 from repro.qpdo.lockstep import circuit_plan, clear_plan_cache
 from repro.sim.framesim import (
     OP_DEPOL1,
@@ -214,6 +216,45 @@ class TestPlansMatchTheOperationLoop:
             check_against_loop(
                 engine, seed, noise, circuits, (shots, num_qubits), rng
             )
+
+
+class TestSample:
+    @pytest.mark.parametrize("num_shots", (1, 63, 64, 65))
+    @pytest.mark.parametrize("rng_mode", sorted(ENGINES.values()))
+    def test_sample_is_the_core_in_measurement_order(
+        self, rng_mode, num_shots
+    ):
+        circuit = parallel_esm(list(range(17)), name="esm").circuit
+        noise = NoiseParameters(8e-3, active_qubits=range(17))
+        core = PackedStabilizerCore(
+            num_shots, noise=noise, seed=5, rng_mode=rng_mode
+        )
+        core.createqubit(17)
+        result = core.run(circuit)
+        measurements = [op for op in circuit.operations() if op.is_measurement]
+        expected = np.stack(
+            [result.bits_of(m) for m in measurements], axis=1
+        )
+
+        def draw(circuit, **kwargs):
+            return sample(
+                circuit,
+                num_shots,
+                seed=5,
+                noise=noise,
+                rng_mode=rng_mode,
+                **kwargs,
+            )
+
+        assert np.array_equal(draw(circuit), expected)
+        assert np.array_equal(draw(circuit), draw(circuit))
+        silent = Circuit("silent")
+        silent.add("prep_z", 0)
+        silent.add("h", 0)
+        silent.add("cnot", 0, 1)
+        assert draw(silent).shape == (num_shots, 0)
+        with pytest.raises(ValueError, match="allocated"):
+            draw(circuit, num_qubits=circuit.max_qubit())
 
 
 class TestPlanCache:

@@ -1,4 +1,4 @@
-"""Conformance gate of the bit-packed lockstep core and sampler.
+"""Conformance gate of the bit-packed lockstep core.
 
 The contract has two halves, and both are tested at the bit level
 where possible:
@@ -9,12 +9,13 @@ where possible:
   so whole-experiment :class:`BatchCounts` and measurement streams
   must be **bit-identical** to that loop -- across every arm, error
   kind, window shape, and in particular across shot counts that
-  exercise the ragged last ``uint64`` word (1, 63, 64, 65, 1000).  The
-  packed sampler's exact mode likewise matches the bool sampler;
+  exercise the ragged last ``uint64`` word (1, 63, 64, 65, 1000);
 * ``engine="packed-fast"`` draws noise at the word level: a different
   stream of the same channel, so it is held to the *distributional*
   standard of the differential-fuzz corpus (exact state-vector
-  enumeration at small n) instead of bit equality.
+  enumeration at small n, and the exact mode's samples under
+  built-in noise) instead of bit equality.  Both modes are sampled
+  through :func:`repro.qpdo.sample`.
 """
 
 import numpy as np
@@ -24,24 +25,16 @@ from repro.cli import main
 from repro.decoders.registry import CAP_WINDOWED, list_decoders
 from repro.experiments.ler import ENGINES, BatchedLerExperiment
 from repro.experiments.parallel import plan_shards
-from repro.qpdo import PackedStabilizerCore
+from repro.qpdo import PackedStabilizerCore, sample
 from repro.serve.workers import JobParamsError, check_job_params
-from repro.sim import (
-    NoiseParameters,
-    sample_circuit,
-    sample_circuit_packed,
-)
-from repro.sim.packedsim import PackedFrameSampler
-from repro.sim.framesim import (
-    BatchedFrameSampler,
-    compile_frame_program,
-)
+from repro.sim import NoiseParameters
 from repro.codes.surface17.esm import parallel_esm
 
 from .test_framesim_equivalence import exact_distribution
 from .test_fuzz_differential import (
     CORPUS_SEEDS,
     _chisquare_against_exact,
+    _chisquare_homogeneity,
     random_noisy_circuit,
 )
 from .test_lockstep import LoopCore, check_against_loop
@@ -162,55 +155,6 @@ class TestBatchCountsBitIdentity:
             )
 
 
-class TestSamplerBitIdentity:
-    """sample_circuit_packed == sample_circuit on the fuzz corpus."""
-
-    @pytest.mark.parametrize("fuzz_seed", CORPUS_SEEDS)
-    def test_fuzz_corpus_streams(self, fuzz_seed):
-        rng = np.random.default_rng(fuzz_seed)
-        num_qubits = int(rng.integers(2, 6))
-        circuit = random_noisy_circuit(
-            num_qubits, int(rng.integers(6, 15)), rng
-        )
-        for shots in RAGGED_SHOTS:
-            reference = sample_circuit(
-                circuit,
-                shots,
-                seed=fuzz_seed,
-                noise=NoiseParameters(0.08),
-                num_qubits=num_qubits,
-            )
-            packed = sample_circuit_packed(
-                circuit,
-                shots,
-                seed=fuzz_seed,
-                noise=NoiseParameters(0.08),
-                num_qubits=num_qubits,
-            )
-            assert np.array_equal(reference, packed), (fuzz_seed, shots)
-
-    def test_split_sampling_matches_one_call(self):
-        """Drawing 37 + 63 shots equals one 100-shot call's stream
-        split at the same point — per-call draws, not per-stream."""
-        esm = parallel_esm(list(range(17)), name="esm")
-        program = compile_frame_program(
-            esm.circuit, noise=NoiseParameters(5e-3), num_qubits=17
-        )
-        packed = PackedFrameSampler(program, seed=11)
-        reference = BatchedFrameSampler(program, seed=11)
-        for block in (37, 63):
-            assert np.array_equal(
-                packed.sample(block), reference.sample(block)
-            )
-
-    def test_noiseless_circuit_matches(self):
-        esm = parallel_esm(list(range(17)), name="esm")
-        for shots in (1, 65):
-            reference = sample_circuit(esm.circuit, shots, seed=3)
-            packed = sample_circuit_packed(esm.circuit, shots, seed=3)
-            assert np.array_equal(reference, packed)
-
-
 class TestPackedCoreBitIdentity:
     """SC17 ESM rounds on the core against the operation loop, with
     random Pauli feedback and shot-masked noise after every round."""
@@ -258,7 +202,7 @@ class TestPackedFastDistribution:
         )
         expected = exact_distribution(circuit, num_qubits)
         shots = 2000
-        samples = sample_circuit_packed(
+        samples = sample(
             circuit,
             shots,
             seed=fuzz_seed + 1,
@@ -270,21 +214,24 @@ class TestPackedFastDistribution:
         )
 
     def test_noisy_distribution_matches_exact(self):
-        """Fast-mode depolarizing sampling against enumeration: run
-        a noiseless random circuit under fast-mode built-in noise and
-        compare to the exact framesim distribution at matched shots
-        (homogeneity via the chi-square helper on pooled streams)."""
-        from .test_fuzz_differential import _chisquare_homogeneity
-
+        """Fast-mode depolarizing sampling against the exact mode: run
+        a random circuit under built-in noise in both modes at matched
+        shots (homogeneity via the chi-square helper on pooled
+        streams)."""
         rng = np.random.default_rng(77)
         num_qubits = 3
         circuit = random_noisy_circuit(num_qubits, 10, rng)
         shots = 4000
         noise = NoiseParameters(0.05)
-        reference = sample_circuit(
-            circuit, shots, seed=5, noise=noise, num_qubits=num_qubits
+        reference = sample(
+            circuit,
+            shots,
+            seed=5,
+            noise=noise,
+            num_qubits=num_qubits,
+            rng_mode="exact",
         )
-        fast = sample_circuit_packed(
+        fast = sample(
             circuit,
             shots,
             seed=6,

@@ -8,7 +8,6 @@ exercised constantly, not just at hand-picked sizes):
 * ``pack_bits``/``unpack_bits`` are mutually inverse and keep tail
   bits zero,
 * XOR/AND on packed words equal XOR/AND on the bool arrays,
-* ``popcount_words`` equals ``np.sum``,
 * a random Clifford+noise frame program advances
   :class:`PackedFrameArray` and the unpacked :class:`FrameArray`
   identically when fed identical RNG streams.
@@ -24,7 +23,6 @@ from repro.sim.packedsim import (
     full_mask,
     num_words,
     pack_bits,
-    popcount_words,
     unpack_bits,
 )
 
@@ -32,12 +30,11 @@ from repro.sim.packedsim import (
 shot_counts = st.integers(min_value=1, max_value=200)
 
 
-def bool_rows(draw, num_shots, rows=None):
-    """A (rows, num_shots) — or (num_shots,) — random bool array."""
+def bool_rows(draw, num_shots):
+    """A (num_shots,) random bool array."""
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
-    shape = (num_shots,) if rows is None else (rows, num_shots)
-    return rng.random(shape) < draw(
+    return rng.random(num_shots) < draw(
         st.floats(min_value=0.0, max_value=1.0)
     )
 
@@ -84,13 +81,6 @@ class TestWordKernels:
         assert np.array_equal(
             wa ^ full_mask(num_shots), pack_bits(~a)
         )
-
-    @given(st.data(), shot_counts, st.integers(1, 4))
-    @settings(deadline=None)
-    def test_popcount_matches_sum(self, data, num_shots, rows):
-        bits = bool_rows(data.draw, num_shots, rows=rows)
-        words = pack_bits(bits)
-        assert popcount_words(words).sum() == bits.sum()
 
 
 #: One random frame-program step: (kind, payload...).
@@ -169,16 +159,3 @@ class TestFrameProgramEquivalence:
                 packed.apply_pauli_masks(x_mask, z_mask)
             assert np.array_equal(packed.x_bool(), reference.x)
             assert np.array_equal(packed.z_bool(), reference.z)
-
-    @given(st.data(), st.integers(min_value=1, max_value=130))
-    @settings(deadline=None, max_examples=20)
-    def test_error_weight_matches_bool_count(self, data, num_shots):
-        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
-        rng = np.random.default_rng(seed)
-        packed = PackedFrameArray(num_shots, 0)
-        packed.add_qubits(4, rng)
-        for qubit in range(4):
-            packed.depolarize1(qubit, 0.4, rng)
-        assert packed.error_weight() == (
-            packed.x_bool().sum() + packed.z_bool().sum()
-        )
