@@ -775,6 +775,13 @@ def cmd_sweep(args) -> int:
 
     if not _require_batch_for_engine(args):
         return 2
+    if args.samples < 2:
+        print(
+            "--samples must be at least 2: each point's t-tests need "
+            "two samples per arm",
+            file=sys.stderr,
+        )
+        return 2
     if _refuse_unread_flags(
         args,
         [

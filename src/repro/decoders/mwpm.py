@@ -10,6 +10,8 @@ with boundary connections for odd defect clusters.
 
 networkx's ``max_weight_matching`` implements Blossom; we feed it
 negated distances so that maximum weight equals minimum cost.
+networkx is imported where the graphs are built, so importing the
+package does not load it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .. import telemetry
@@ -44,6 +45,8 @@ class MatchingGraph:
         self.check_matrix = np.asarray(check_matrix, dtype=np.uint8)
         self.num_checks, self.num_qubits = self.check_matrix.shape
         self.boundary_qubits = set(int(q) for q in boundary_qubits)
+        import networkx as nx
+
         self._graph = nx.Graph()
         self._build_graph()
         self._distances: Dict[int, Dict[int, int]] = {}
@@ -73,6 +76,8 @@ class MatchingGraph:
                     self._graph.add_edge(check, -1, qubit=qubit)
 
     def _precompute_paths(self) -> None:
+        import networkx as nx
+
         for source in self._graph.nodes:
             lengths, paths = nx.single_source_dijkstra(
                 self._graph, source, weight=None
@@ -137,6 +142,8 @@ class MwpmDecoder:
         correction = np.zeros(self.graph.num_qubits, dtype=bool)
         if not defects:
             return correction
+        import networkx as nx
+
         matching_graph = nx.Graph()
         boundary_nodes = [f"b{i}" for i in range(len(defects))]
         for i, a in enumerate(defects):

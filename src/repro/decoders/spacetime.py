@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 from typing import List, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .. import telemetry
@@ -123,6 +122,8 @@ class SpaceTimeMatchingDecoder:
         events = list(events)
         if not events:
             return correction
+        import networkx as nx
+
         matching_graph = nx.Graph()
         boundary_nodes = [f"b{index}" for index in range(len(events))]
         for index, (t_a, c_a) in enumerate(events):

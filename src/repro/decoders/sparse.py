@@ -8,9 +8,9 @@ sparse, array-native machinery:
 
 * **distances** come from one all-pairs shortest-path pass over the
   decoding graph (:func:`scipy.sparse.csgraph.shortest_path` with
-  predecessors when scipy is present, a vectorized numpy
-  Floyd-Warshall fallback otherwise), cached per graph — decoding
-  never runs Dijkstra again;
+  predecessors, imported on the first pass so that importing the
+  package does not load scipy), cached per graph — decoding never
+  runs Dijkstra again;
 * **matching** runs locally over the defects only: up to
   :data:`MAX_EXACT_DEFECTS` defects, a subset-DP finds the *exact*
   minimum-weight pairing (defect-defect or defect-boundary) over the
@@ -47,16 +47,8 @@ from .unionfind import (
     build_space_time_graph,
 )
 
-try:  # pragma: no cover - exercised via HAVE_SCIPY branches
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - numpy fallback container
-    HAVE_SCIPY = False
-
-#: ``predecessors`` sentinel for "no path / self" (scipy's value,
-#: reused by the numpy fallback).
+#: ``predecessors`` sentinel of scipy's ``shortest_path`` for "no
+#: path / self".
 _NO_PRED = -9999
 
 #: Defect-count ceiling for the exact subset-DP matching; above it the
@@ -112,33 +104,6 @@ def _min_cost_pairing(
     return pairs
 
 
-def _floyd_warshall(
-    weights: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """All-pairs distances + predecessors without scipy.
-
-    ``weights`` is a dense ``(n, n)`` matrix with 0 for "no edge".
-    Returns ``(dist, pred)`` with scipy's ``shortest_path``
-    conventions: ``pred[i, j]`` is the node before ``j`` on the
-    shortest ``i -> j`` path (``_NO_PRED`` when none/self).
-    """
-    n = weights.shape[0]
-    dist = np.where(weights > 0, weights, np.inf)
-    np.fill_diagonal(dist, 0.0)
-    pred = np.where(
-        weights > 0,
-        np.arange(n, dtype=np.int64)[:, np.newaxis],
-        _NO_PRED,
-    )
-    np.fill_diagonal(pred, _NO_PRED)
-    for via in range(n):
-        alternative = dist[:, via, np.newaxis] + dist[np.newaxis, via]
-        better = alternative < dist
-        dist = np.where(better, alternative, dist)
-        pred = np.where(better, pred[via][np.newaxis, :], pred)
-    return dist, pred
-
-
 class SparseMatchingGraph:
     """Distance/path oracle over one :class:`DecodingGraph`.
 
@@ -161,25 +126,22 @@ class SparseMatchingGraph:
 
     def _solve(self) -> Tuple[np.ndarray, np.ndarray]:
         if self._dist is None:
+            from scipy.sparse import csr_matrix
+            from scipy.sparse.csgraph import shortest_path
+
             n = self.graph.num_nodes
             weights = self.graph.edge_capacity.astype(np.float64) / 2.0
-            if HAVE_SCIPY:
-                adjacency = csr_matrix(
-                    (weights, (self.graph.edge_u, self.graph.edge_v)),
-                    shape=(n, n),
-                )
-                dist, pred = shortest_path(
-                    adjacency,
-                    directed=False,
-                    return_predecessors=True,
-                )
-                self._dist = dist
-                self._pred = pred.astype(np.int64)
-            else:
-                dense = np.zeros((n, n), dtype=np.float64)
-                dense[self.graph.edge_u, self.graph.edge_v] = weights
-                dense[self.graph.edge_v, self.graph.edge_u] = weights
-                self._dist, self._pred = _floyd_warshall(dense)
+            adjacency = csr_matrix(
+                (weights, (self.graph.edge_u, self.graph.edge_v)),
+                shape=(n, n),
+            )
+            dist, pred = shortest_path(
+                adjacency,
+                directed=False,
+                return_predecessors=True,
+            )
+            self._dist = dist
+            self._pred = pred.astype(np.int64)
         assert self._pred is not None
         return self._dist, self._pred
 

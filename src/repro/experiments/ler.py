@@ -20,18 +20,25 @@ section 5.3.1):
 
 The Logical Error Rate for a given Physical Error Rate ``p`` is then
 ``P_L = m / R`` with ``m`` logical errors over ``R`` windows (Eq. 5.1).
+
+In :class:`BatchedLerExperiment` the only per-shot feedback is the
+decoder's Pauli corrections, so each stretch between two corrections
+is one circuit of :func:`protocol_circuits`, built once per process: a
+window is two core calls, its noisy rounds, then the diagnostic round
+with the probe.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..circuits.circuit import Circuit
 from ..circuits.operation import Operation
-from ..codes.surface17.esm import parallel_esm
+from ..codes.surface17.esm import EsmRound, parallel_esm
 from ..codes.surface17.layout import (
     NUM_QUBITS,
     X_CHECK_MATRIX,
@@ -45,7 +52,7 @@ from ..qpdo.core import Core
 from ..qpdo.cores import StabilizerCore
 from ..qpdo.counter_layer import CounterLayer
 from ..qpdo.error_layer import DepolarizingErrorLayer
-from ..qpdo.packed_core import PackedStabilizerCore
+from ..qpdo.packed_core import PackedExecutionResult, PackedStabilizerCore
 from ..qpdo.pauli_frame_layer import PauliFrameLayer
 from ..sim.framesim import NoiseParameters
 from ..sim.packedsim import unpack_bits
@@ -430,6 +437,95 @@ def _stack_decisions(decisions) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
+class Stretch(NamedTuple):
+    """A stretch of Listing 5.7 without feedback as one circuit: its ESM
+    rounds, each with its own measurements, and the probe's measurement
+    when it ends with the probe."""
+
+    circuit: Circuit
+    rounds: Tuple[EsmRound, ...]
+    probe: Optional[Operation]
+
+
+class ProtocolCircuits(NamedTuple):
+    """The batched protocol's stretches: preparation + init rounds, a
+    window's noisy rounds, the bypass diagnostic round + probe, and the
+    bypass probe alone (after the init decode)."""
+
+    init: Stretch
+    window: Stretch
+    check: Stretch
+    probe: Stretch
+
+
+def _stretch(
+    name: str,
+    num_rounds: int,
+    bypass: bool = False,
+    prepare: Optional[Circuit] = None,
+    probe: Optional[Circuit] = None,
+) -> Stretch:
+    """``prepare``, ``num_rounds`` fresh ESM rounds, then ``probe``, as
+    one circuit in which every part keeps its own time slots."""
+    rounds = tuple(
+        parallel_esm(range(NUM_QUBITS)) for _ in range(num_rounds)
+    )
+    circuit = Circuit(name, bypass=bypass)
+    for part in [prepare, *(esm.circuit for esm in rounds), probe]:
+        if part is not None:
+            circuit.extend(part)
+    return Stretch(
+        circuit, rounds, probe.measurements()[0] if probe else None
+    )
+
+
+def _logical_probe(error_kind: str) -> Circuit:
+    """The logical-stabilizer probe of Fig. 5.10 for our kind, on the
+    18th (bookkeeping) qubit."""
+    circuit = Circuit("logical_probe")
+    ancilla = NUM_QUBITS
+    circuit.add("prep_z", ancilla)
+    if error_kind == "x":
+        for data in Z_LOGICAL_SUPPORT:
+            circuit.add("cnot", data, ancilla)
+    else:
+        circuit.add("h", ancilla)
+        for data in X_LOGICAL_SUPPORT:
+            circuit.add("cnot", ancilla, data)
+        circuit.add("h", ancilla)
+    circuit.add("measure", ancilla)
+    return circuit
+
+
+# Keyed by geometry alone, so a process holds a handful of entries.
+@functools.lru_cache(maxsize=8)
+def protocol_circuits(
+    error_kind: str, init_rounds: int, rounds_per_window: int
+) -> ProtocolCircuits:
+    """The batched protocol's circuits, built once per process and
+    shared read-only by its experiments.  Fusing is bit-identical: noise
+    is charged per slot, a frame map draws a circuit's rows back to
+    back, and the reference replays measurements in operation order."""
+    prepare = Circuit("prepare")
+    slot = prepare.new_slot()
+    for data in range(9):
+        slot.add(Operation("prep_z", (data,)))
+    if error_kind == "z":
+        slot = prepare.new_slot()
+        for data in range(9):
+            slot.add(Operation("h", (data,)))
+    return ProtocolCircuits(
+        init=_stretch("init", init_rounds, prepare=prepare),
+        window=_stretch("window", rounds_per_window),
+        check=_stretch(
+            "check", 1, bypass=True, probe=_logical_probe(error_kind)
+        ),
+        probe=_stretch(
+            "probe", 0, bypass=True, probe=_logical_probe(error_kind)
+        ),
+    )
+
+
 class BatchedLerExperiment:
     """The LER protocol of Listing 5.7 over N shots in lockstep.
 
@@ -600,13 +696,9 @@ class BatchedLerExperiment:
             )
             self.decoders = None
         self.qubit_map = list(range(NUM_QUBITS))
-        self.probe_ancilla = NUM_QUBITS
-        # Every round of the protocol re-executes one of these circuit
-        # objects, so each structure is built (and compiled) once.
-        self._esm = parallel_esm(self.qubit_map, name="esm")
-        self._bypass_esm = parallel_esm(self.qubit_map, name="esm")
-        self._bypass_esm.circuit.bypass = True
-        self._probe, self._probe_measure = self._probe_circuit()
+        self.circuits = protocol_circuits(
+            error_kind, self.init_rounds, self.rounds_per_window
+        )
         self.preflight_analyses = (
             self.run_preflight() if preflight else None
         )
@@ -614,18 +706,18 @@ class BatchedLerExperiment:
     def run_preflight(self) -> List["CircuitAnalysis"]:
         """Statically verify the batched protocol's circuits.
 
-        Mirrors :meth:`LerExperiment.run_preflight`: the ESM round and
-        the probe circuit (the only non-Pauli streams the batched core
-        ever sees) are checked against the core's capabilities before
-        any shot executes.
+        Mirrors :meth:`LerExperiment.run_preflight`: the four circuits
+        of :func:`protocol_circuits` (the only non-Pauli streams the
+        batched core ever sees) are checked against the core's
+        capabilities before any shot executes.
         """
         from ..analysis.preflight import PreflightError
         from ..analysis.verifier import FRAME_FORBID, verify_circuit
 
         analyses = []
-        for circuit in (self._esm.circuit, self._probe):
+        for stretch in self.circuits:
             analysis = verify_circuit(
-                circuit,
+                stretch.circuit,
                 target=self.core,
                 frame_policy=FRAME_FORBID,
             )
@@ -637,18 +729,18 @@ class BatchedLerExperiment:
     # ------------------------------------------------------------------
     # Building blocks (batched)
     # ------------------------------------------------------------------
-    def _esm_round(
-        self, bypass: bool = False
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One ESM round for all shots: the ``uint64`` syndrome planes
-        of shape ``(num_checks, num_words)`` per species, which
-        :meth:`_stack_window` unpacks."""
-        esm = self._bypass_esm if bypass else self._esm
-        result = self.core.run(esm.circuit)
-        return (
-            np.stack([result.words_of(m) for m in esm.x_measurements]),
-            np.stack([result.words_of(m) for m in esm.z_measurements]),
-        )
+    def _round_words(
+        self, result: PackedExecutionResult, stretch: Stretch
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Each round of a stretch as its ``uint64`` syndrome planes of
+        shape ``(num_checks, num_words)`` per species."""
+        return [
+            (
+                np.array([result.words_of(m) for m in esm.x_measurements]),
+                np.array([result.words_of(m) for m in esm.z_measurements]),
+            )
+            for esm in stretch.rounds
+        ]
 
     def _stack_window(
         self, rounds: List[Tuple[np.ndarray, np.ndarray]]
@@ -659,7 +751,7 @@ class BatchedLerExperiment:
         species' ``(rounds, checks, num_words)`` planes are unpacked in
         a single pass per window.
         """
-        x_planes, z_planes = (np.stack(planes) for planes in zip(*rounds))
+        x_planes, z_planes = (np.array(planes) for planes in zip(*rounds))
         return (
             np.moveaxis(unpack_bits(x_planes, self.num_shots), -1, 0),
             np.moveaxis(unpack_bits(z_planes, self.num_shots), -1, 0),
@@ -741,33 +833,6 @@ class BatchedLerExperiment:
                 )
         return commanded
 
-    def _probe_circuit(self) -> Tuple[Circuit, Operation]:
-        """The bypass logical-stabilizer probe for our error kind."""
-        circuit = Circuit("logical_probe", bypass=True)
-        ancilla = self.probe_ancilla
-        circuit.add("prep_z", ancilla)
-        if self.error_kind == "x":
-            for data in Z_LOGICAL_SUPPORT:
-                circuit.add("cnot", data, ancilla)
-        else:
-            circuit.add("h", ancilla)
-            for data in X_LOGICAL_SUPPORT:
-                circuit.add("cnot", ancilla, data)
-            circuit.add("h", ancilla)
-        measure = circuit.add("measure", ancilla)
-        return circuit, measure
-
-    def _measure_logical_eigenvalues(self) -> np.ndarray:
-        """Per-shot ±1 eigenvalue bits of the logical stabilizer."""
-        return self.core.run(self._probe).bits_of(self._probe_measure)
-
-    def _clean_shots(self) -> np.ndarray:
-        """Perfect diagnostic round: which shots show no syndrome."""
-        dirty = np.bitwise_or.reduce(
-            np.concatenate(self._esm_round(bypass=True)), axis=0
-        )
-        return ~unpack_bits(dirty, self.num_shots)
-
     # ------------------------------------------------------------------
     def run(self) -> List[RunResult]:
         """Run all shots; one :class:`RunResult` per shot."""
@@ -804,36 +869,34 @@ class BatchedLerExperiment:
             return self._run_counts()
 
     def _run_counts(self) -> BatchCounts:
-        prepare = Circuit("prepare")
-        slot = prepare.new_slot()
-        for data in range(9):
-            slot.add(Operation("prep_z", (data,)))
-        if self.error_kind == "z":
-            slot = prepare.new_slot()
-            for data in range(9):
-                slot.add(Operation("h", (data,)))
-        self.core.run(prepare)
+        circuits, core = self.circuits, self.core
         init_x, init_z = self._stack_window(
-            [self._esm_round() for _ in range(self.init_rounds)]
+            self._round_words(core.run(circuits.init.circuit), circuits.init)
         )
         self._apply_corrections(*self._decode_init(init_x, init_z))
-        reference = self._measure_logical_eigenvalues()
+        reference = core.run(circuits.probe.circuit).bits_of(
+            circuits.probe.probe
+        )
 
         logical_errors = np.zeros(self.num_shots, dtype=np.int64)
         clean_windows = np.zeros(self.num_shots, dtype=np.int64)
         corrections = np.zeros(self.num_shots, dtype=np.int64)
         for _ in range(self.windows):
             window_x, window_z = self._stack_window(
-                [
-                    self._esm_round()
-                    for _ in range(self.rounds_per_window)
-                ]
+                self._round_words(
+                    core.run(circuits.window.circuit), circuits.window
+                )
             )
             corrections += self._apply_corrections(
                 *self._decode_window(window_x, window_z)
             )
-            clean = self._clean_shots()
-            eigenvalues = self._measure_logical_eigenvalues()
+            # The perfect diagnostic round, then the probe: a shot is
+            # clean when its round shows no syndrome at all.
+            result = core.run(circuits.check.circuit)
+            (diagnostic,) = self._round_words(result, circuits.check)
+            dirty = np.bitwise_or.reduce(np.concatenate(diagnostic), axis=0)
+            clean = ~unpack_bits(dirty, self.num_shots)
+            eigenvalues = result.bits_of(circuits.check.probe)
             flipped = clean & (eigenvalues != reference)
             logical_errors += flipped
             clean_windows += clean

@@ -37,10 +37,15 @@ Shards run either the batched lockstep sampler
 (:class:`~repro.experiments.ler.BatchedLerExperiment`, ``mode="batch"``)
 or the per-shot tableau loop
 (:class:`~repro.experiments.ler.LerExperiment`, ``mode="loop"``).
+
+A :class:`ParallelSweepReport` builds its figure data (``sweep``:
+per-shot results and t-tests) on first read, so ``repro ler``, which
+reads only the arms' pooled counts, never builds it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import multiprocessing as mp
@@ -57,7 +62,7 @@ from .ler import (
     LerExperiment,
 )
 from .results import RunResult, ShardResult, SweepResult
-from .stats import StreamingSummary, wilson_halfwidth, wilson_interval
+from .stats import wilson_halfwidth, wilson_interval
 from .sweep import (
     ARM_SEED_OFFSET,
     build_sweep_point,
@@ -385,19 +390,6 @@ class ArmAggregator:
             results.extend(record.to_results())
         return results
 
-    def summary(self) -> StreamingSummary:
-        """Streaming summary over the committed shards."""
-        if not self.committed:
-            raise ValueError("no committed shards")
-        first = self.committed[0]
-        summary = StreamingSummary(
-            physical_error_rate=first.physical_error_rate,
-            use_pauli_frame=first.use_pauli_frame,
-        )
-        for record in self.committed:
-            summary.add_shots(record.shot_errors, record.shot_windows)
-        return summary
-
 
 # ----------------------------------------------------------------------
 # Checkpointing (JSON lines, atomic append)
@@ -526,13 +518,17 @@ class ParallelConfig:
 
 @dataclass
 class ParallelSweepReport:
-    """A finished parallel sweep: the figure data plus run metadata."""
+    """A finished parallel sweep: per-arm aggregates, run metadata, and
+    the figure data built on first read.  ``decoder`` labels every
+    per-shot result (``None`` for loop-mode shards)."""
 
-    sweep: SweepResult
     arms: Dict[ArmKey, ArmAggregator]
     total_shards: int
     executed_shards: int
     resumed_shards: int
+    per_values: Tuple[float, ...]
+    error_kind: str
+    decoder: Optional[str]
 
     @property
     def committed_shards(self) -> int:
@@ -540,6 +536,24 @@ class ParallelSweepReport:
 
     def arm(self, point_index: int, use_pauli_frame: bool) -> ArmAggregator:
         return self.arms[(point_index, use_pauli_frame)]
+
+    @functools.cached_property
+    def sweep(self) -> SweepResult:
+        """The committed shards' per-shot results and t-tests per point,
+        built on first read: ``repro ler`` and serve ``ler`` jobs read
+        only :meth:`arm` and never pay for it."""
+        sweep = SweepResult(error_kind=self.error_kind)
+        for index, per in enumerate(self.per_values):
+            without = self.arms[(index, False)].results()
+            with_frame = self.arms[(index, True)].results()
+            for result in without + with_frame:
+                result.decoder = self.decoder
+            sweep.points.append(
+                build_sweep_point(
+                    per, without, with_frame, decoder=self.decoder
+                )
+            )
+        return sweep
 
 
 def _checkpoint_config(
@@ -735,7 +749,8 @@ def run_parallel_sweep(
 
     Returns a :class:`ParallelSweepReport` whose ``sweep`` is the same
     :class:`~repro.experiments.results.SweepResult` structure the
-    sequential path produces, built from the committed shard records.
+    sequential path produces, built from the committed shard records
+    when first read.
     """
     specs = plan_shards(
         per_values,
@@ -868,30 +883,20 @@ def run_parallel_sweep(
         get_decoder,
     )
 
-    decoder_label = (
-        format_decoder_arg(
-            get_decoder(decoder).name, decoder_params or {}
-        )
-        if windows is not None
-        else None
-    )
-    sweep = SweepResult(error_kind=error_kind)
-    for index, per in enumerate(per_values):
-        without = aggregators[(index, False)].results()
-        with_frame = aggregators[(index, True)].results()
-        for result in without + with_frame:
-            result.decoder = decoder_label
-        sweep.points.append(
-            build_sweep_point(
-                float(per), without, with_frame, decoder=decoder_label
-            )
-        )
     return ParallelSweepReport(
-        sweep=sweep,
         arms=aggregators,
         total_shards=len(specs),
         executed_shards=executed,
         resumed_shards=resumed,
+        per_values=tuple(float(per) for per in per_values),
+        error_kind=error_kind,
+        decoder=(
+            format_decoder_arg(
+                get_decoder(decoder).name, decoder_params or {}
+            )
+            if windows is not None
+            else None
+        ),
     )
 
 

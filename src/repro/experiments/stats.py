@@ -10,20 +10,25 @@ Error Rate using:
   statistically significant" when the rho values scatter around 0.5.
 
 This module reproduces those aggregations over lists of
-:class:`~repro.experiments.results.RunResult`.
+:class:`~repro.experiments.results.RunResult`.  It imports scipy only
+for the t-tests and for confidences missing from :data:`Z_QUANTILES`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .results import RunResult
+
+#: ``scipy.stats.norm.ppf(0.5 + c / 2)`` for the confidences ``c`` the
+#: front doors use, checked against scipy by a test (``NormalDist``
+#: differs from scipy in the last ulp).
+Z_QUANTILES = {0.95: 1.959963984540054}
 
 
 @dataclass
@@ -100,7 +105,11 @@ def wilson_interval(
         raise ValueError("need 0 <= successes <= trials")
     if trials == 0:
         return (0.0, 1.0)
-    z = float(scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+    z = Z_QUANTILES.get(confidence)
+    if z is None:
+        from scipy import stats as scipy_stats
+
+        z = float(scipy_stats.norm.ppf(0.5 + confidence / 2.0))
     p = successes / trials
     denominator = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denominator
@@ -116,78 +125,6 @@ def wilson_halfwidth(
     """Half-width of :func:`wilson_interval` (the early-stop metric)."""
     low, high = wilson_interval(successes, trials, confidence)
     return (high - low) / 2.0
-
-
-@dataclass
-class StreamingSummary:
-    """Online accumulation of one (PER, arm) sample set.
-
-    The streaming counterpart of :func:`summarize`: shard records
-    arrive one at a time (in any order) from the parallel sweep
-    engine, and the summary keeps the pooled error/window totals plus
-    the per-shot values needed to emit an exact :class:`SampleSummary`
-    at the end.  Pooled totals drive the Wilson interval: the pooled
-    LER estimate is ``errors / windows`` over everything seen so far.
-    """
-
-    physical_error_rate: float
-    use_pauli_frame: bool
-    errors: int = 0
-    windows: int = 0
-    shots: int = 0
-    _ler_values: List[float] = field(default_factory=list)
-    _window_counts: List[float] = field(default_factory=list)
-
-    @property
-    def pooled_ler(self) -> float:
-        """Pooled ``errors / windows`` over all shots seen so far."""
-        if self.windows == 0:
-            return 0.0
-        return self.errors / self.windows
-
-    def add_shot(self, logical_errors: int, windows: int) -> None:
-        """Fold one shot's counts into the running summary."""
-        if windows < 0 or logical_errors < 0:
-            raise ValueError("counts must be non-negative")
-        self.errors += int(logical_errors)
-        self.windows += int(windows)
-        self.shots += 1
-        self._ler_values.append(
-            logical_errors / windows if windows else 0.0
-        )
-        self._window_counts.append(float(windows))
-
-    def add_shots(
-        self,
-        logical_errors: Sequence[int],
-        windows: Sequence[int],
-    ) -> None:
-        """Fold a batch of per-shot counts (e.g. one shard record)."""
-        if len(logical_errors) != len(windows):
-            raise ValueError("per-shot arrays must have equal length")
-        for errors, window_count in zip(logical_errors, windows):
-            self.add_shot(int(errors), int(window_count))
-
-    def wilson(
-        self, confidence: float = 0.95
-    ) -> Tuple[float, float]:
-        """Wilson CI of the pooled LER."""
-        return wilson_interval(self.errors, self.windows, confidence)
-
-    def halfwidth(self, confidence: float = 0.95) -> float:
-        """Wilson CI half-width of the pooled LER."""
-        return wilson_halfwidth(self.errors, self.windows, confidence)
-
-    def to_summary(self) -> SampleSummary:
-        """Freeze into the :class:`SampleSummary` the figures use."""
-        if self.shots == 0:
-            raise ValueError("no shots to summarize")
-        return SampleSummary(
-            physical_error_rate=self.physical_error_rate,
-            use_pauli_frame=self.use_pauli_frame,
-            ler_values=np.array(self._ler_values),
-            window_counts=np.array(self._window_counts),
-        )
 
 
 @dataclass
@@ -226,6 +163,8 @@ def compare_point(
     with_frame: Sequence["RunResult"],
 ) -> PointComparison:
     """Build the full Figs 5.17-5.24 comparison for one PER value."""
+    from scipy import stats as scipy_stats
+
     summary_without = summarize(without_frame)
     summary_with = summarize(with_frame)
     if (
@@ -237,7 +176,12 @@ def compare_point(
     sigma_max = max(summary_without.std_ler, summary_with.std_ler)
     a = summary_without.ler_values
     b = summary_with.ler_values
-    rho_ind = float(scipy_stats.ttest_ind(a, b).pvalue)
+    if np.all(a == a[0]) and np.all(b == a[0]):
+        # Both arms one constant: the t statistic is 0/0, and
+        # identical data sets are maximally non-significant.
+        rho_ind = 1.0
+    else:
+        rho_ind = float(scipy_stats.ttest_ind(a, b).pvalue)
     rho_paired: Optional[float] = None
     if a.size == b.size and a.size >= 2:
         if np.allclose(a, b):

@@ -145,6 +145,11 @@ def check_job_params(job_kind: str, params: Dict) -> None:
         value = params.get(key, default)
         if not isinstance(value, int) or value < 1:
             raise JobParamsError(f"{key!r} must be a positive integer")
+    if job_kind == "sweep" and params.get("shots", 10) < 2:
+        raise JobParamsError(
+            "sweep 'shots' must be at least 2: each point's t-tests "
+            "need two samples per arm"
+        )
     engine = params.get("engine", "framesim")
     if engine not in ENGINES:
         raise JobParamsError(f"unknown engine {engine!r}")

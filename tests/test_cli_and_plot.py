@@ -1,5 +1,11 @@
 """Tests for the CLI entry points and the ASCII plotting utility."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -166,6 +172,75 @@ class TestErrorsFlagNeedsTheLoop:
         args = build_parser().parse_args(["ler", "--errors", "3"])
         assert args.errors == 3
         assert build_parser().parse_args(["ler"]).errors is None
+
+
+class TestLerReadsOnlyTheArms:
+    """``repro ler`` reports each arm's pooled counts: it builds no
+    per-shot results or t-tests, and loads neither scipy nor
+    networkx."""
+
+    ARGV = ["ler", "--batch", "4", "--windows", "2", "--json"]
+
+    def test_ler_never_builds_the_sweep(self, monkeypatch, capsys):
+        assert main(self.ARGV) == 0
+        expected = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("repro ler compared the arms")
+
+        monkeypatch.setattr("repro.experiments.sweep.compare_point", refuse)
+        assert main(self.ARGV) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_ler_loads_neither_scipy_nor_networkx(self):
+        import repro
+
+        script = "\n".join(
+            [
+                "import contextlib, io, sys",
+                "import repro.cli",
+                "with contextlib.redirect_stdout(io.StringIO()):",
+                "    code = repro.cli.main("
+                "['ler', '--batch', '2', '--windows', '2', '--json'])",
+                "print(code, [m for m in ('scipy', 'networkx')"
+                " if m in sys.modules])",
+            ]
+        )
+        environment = dict(os.environ)
+        environment["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=environment,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "0 []"
+
+
+class TestSweepReportIsStrictJson:
+    """A sweep's t-tests need two samples per arm, and its ``--json``
+    report must parse under RFC 8259, which has no NaN."""
+
+    @staticmethod
+    def _refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    def test_all_zero_arms_parse_strictly(self, capsys):
+        argv = ["sweep", "--per", "1e-6", "--samples", "4", "--batch", "2"]
+        assert main(argv + ["--json"]) == 0
+        report = json.loads(
+            capsys.readouterr().out, parse_constant=self._refuse
+        )
+        assert report["mean_rho"] == 1.0
+
+    def test_single_sample_exits_2(self, capsys):
+        argv = ["sweep", "--per", "1e-2", "--samples", "1", "--batch", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--samples must be at least 2" in captured.err
+        assert captured.out == ""
 
 
 class TestRunnerFlagsNeedTheirMode:

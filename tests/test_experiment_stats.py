@@ -24,6 +24,7 @@ from repro.experiments.stats import (
     pseudo_threshold,
     significant_fraction,
     summarize,
+    wilson_interval,
 )
 
 
@@ -77,6 +78,14 @@ class TestComparison:
         assert not comparison.significant
         assert comparison.rho_paired == pytest.approx(1.0)
         assert comparison.delta_within_sigma
+        # Both arms one constant (a sweep at a rate too low for any
+        # error): the t statistic is 0/0, which must not become NaN.
+        without = [make_result(1e-6, False, 10, 0)] * 4
+        withf = [make_result(1e-6, True, 10, 0)] * 4
+        comparison = compare_point(without, withf)
+        assert comparison.rho_independent == 1.0
+        assert comparison.rho_paired == 1.0
+        assert not comparison.significant
 
     def test_wildly_different_samples_are_significant(self):
         without = [
@@ -103,6 +112,35 @@ class TestComparison:
         assert mean_rho([comparison]) == comparison.rho_independent
         assert significant_fraction([comparison]) in (0.0, 1.0)
         assert significant_fraction([]) == 0.0
+
+
+class TestWilsonQuantiles:
+    @staticmethod
+    def _scipy_z(confidence):
+        from scipy import stats as scipy_stats
+
+        return float(scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+
+    def test_table_is_scipys_value(self):
+        from repro.experiments.stats import Z_QUANTILES
+
+        assert 0.95 in Z_QUANTILES
+        for confidence, z in Z_QUANTILES.items():
+            assert z == self._scipy_z(confidence)
+
+    @pytest.mark.parametrize("confidence", [0.9, 0.95])
+    def test_interval_uses_scipys_quantile(self, confidence):
+        z, successes, trials = self._scipy_z(confidence), 37, 500
+        p = successes / trials
+        denominator = 1.0 + z * z / trials
+        center = (p + z * z / (2.0 * trials)) / denominator
+        half = (z / denominator) * math.sqrt(
+            p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)
+        )
+        assert wilson_interval(successes, trials, confidence) == (
+            center - half,
+            center + half,
+        )
 
 
 class TestPseudoThreshold:

@@ -49,6 +49,32 @@ GOLDEN_LER_COUNTS = {
     ),
 }
 
+#: The same runs for ``error_kind="z"`` (from ``|+>_L``, watching
+#: ``X2 X4 X6``), pinning the preparation's Hadamard slot and the
+#: H-bracketed probe.
+GOLDEN_LER_COUNTS_Z = {
+    (11, 2e-3, False): (
+        [0, 1, 0, 0, 0, 0],
+        [10, 5, 9, 8, 7, 9],
+        [3, 6, 1, 2, 4, 2],
+    ),
+    (11, 2e-3, True): (
+        [0, 0, 1, 1, 0, 1],
+        [9, 6, 7, 10, 9, 7],
+        [2, 5, 3, 2, 1, 2],
+    ),
+    (23, 8e-3, False): (
+        [1, 1, 0, 0, 1, 2],
+        [3, 4, 3, 2, 4, 4],
+        [7, 6, 9, 8, 9, 9],
+    ),
+    (23, 8e-3, True): (
+        [1, 0, 2, 1, 0, 2],
+        [5, 5, 4, 5, 4, 3],
+        [7, 7, 8, 7, 7, 7],
+    ),
+}
+
 #: SHA-256 over the committed shard records (sorted arms, shard
 #: order) of a 4-shot x 6-window parallel sweep, plus pooled totals.
 GOLDEN_PARALLEL = {
@@ -112,6 +138,24 @@ def test_golden_ler_counts(seed, per, use_frame, engine):
     errors, clean, corrections = GOLDEN_LER_COUNTS[
         (seed, per, use_frame)
     ]
+    assert counts.logical_errors.tolist() == errors
+    assert counts.clean_windows.tolist() == clean
+    assert counts.corrections_commanded.tolist() == corrections
+
+
+@pytest.mark.parametrize("seed,per", SEED_PER_CASES)
+@pytest.mark.parametrize("use_frame", [False, True])
+def test_golden_ler_counts_z_kind(seed, per, use_frame):
+    """Exact per-shot counts of the same runs for Z errors."""
+    counts = BatchedLerExperiment(
+        per,
+        num_shots=6,
+        use_pauli_frame=use_frame,
+        error_kind="z",
+        windows=10,
+        seed=seed,
+    ).run_counts()
+    errors, clean, corrections = GOLDEN_LER_COUNTS_Z[(seed, per, use_frame)]
     assert counts.logical_errors.tolist() == errors
     assert counts.clean_windows.tolist() == clean
     assert counts.corrections_commanded.tolist() == corrections

@@ -242,6 +242,11 @@ class TestMalformedDocuments:
                     "params": {"per_values": []},
                 },
                 {
+                    # one shot per arm: the t-tests have no samples
+                    "job_kind": "sweep",
+                    "params": {"per_values": [0.01], "shots": 1},
+                },
+                {
                     "job_kind": "decode",
                     "params": {
                         "x_rounds": [[0]],  # not 3-d

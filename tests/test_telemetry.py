@@ -235,6 +235,29 @@ class TestInstrumentationIntegration:
         )
         assert collector.counters[(category, "FrameMap.run")]["hits"] > 0
 
+    @pytest.mark.parametrize("engine", ["framesim", "packed-fast"])
+    @pytest.mark.parametrize("error_kind", ["x", "z"])
+    @pytest.mark.parametrize("windows", [1, 3])
+    def test_two_core_calls_per_window(self, engine, error_kind, windows):
+        """Each stretch without feedback is one circuit: the init
+        stretch and the probe, then per window its noisy rounds and
+        the diagnostic round with the probe."""
+        from repro.experiments.ler import BatchedLerExperiment
+
+        with telemetry.enabled() as collector:
+            BatchedLerExperiment(
+                5e-2,
+                num_shots=70,
+                error_kind=error_kind,
+                windows=windows,
+                seed=3,
+                engine=engine,
+            ).run_counts()
+        calls, _ = collector.span_totals[
+            ("qpdo", "PackedStabilizerCore.execute")
+        ]
+        assert calls == 2 + 2 * windows
+
     def test_disabled_run_records_nothing(self):
         from repro.experiments.ler import BatchedLerExperiment
 
