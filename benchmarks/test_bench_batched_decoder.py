@@ -7,8 +7,10 @@ then Python-loop decoding every window.  The batched decoding layer
 over process-cached dense tables.  Two acceptance bars:
 
 * the full batched LER experiment at 1000 shots must run >= 3x faster
-  with the array-native decoder than with the per-shot reference,
-  while producing bit-identical ``BatchCounts``;
+  with the array-native decoder than with the per-shot reference
+  (``PerShotWindowedLutDecoder``, registered as ``"per-shot-lut"``
+  while this module runs), while producing bit-identical
+  ``BatchCounts``;
 * LUT construction per experiment arm must be O(1) cached builds
   instead of O(shots) brute-force enumerations, with a warm
   (cache-hit) build amortizing far below a cold one.
@@ -17,10 +19,19 @@ over process-cached dense tables.  Two acceptance bars:
 import time
 
 import numpy as np
+import pytest
 
 from repro import telemetry
 from repro.codes.surface17 import X_CHECK_MATRIX, Z_CHECK_MATRIX
 from repro.decoders import clear_lut_cache, dense_lut
+from repro.decoders.registry import (
+    CAP_EXACT,
+    CAP_WINDOWED,
+    RegisteredDecoder,
+    register_decoder,
+    unregister_decoder,
+)
+from repro.decoders.rule_based import PerShotWindowedLutDecoder
 from repro.experiments.ler import BatchedLerExperiment
 
 #: Physical error rate of the workload (mid-sweep, Fig 5.11 range).
@@ -33,6 +44,25 @@ WINDOWS = 5
 REQUIRED_SPEEDUP = 3.0
 #: Cold/warm table-build pairs for the construction benchmark.
 BUILD_ROUNDS = 200
+
+
+@pytest.fixture(scope="module", autouse=True)
+def per_shot_lut():
+    """The scalar reference, registered as ``"per-shot-lut"``."""
+    register_decoder(
+        RegisteredDecoder(
+            name="per-shot-lut",
+            summary="one scalar windowed LUT decoder per shot",
+            capabilities=frozenset((CAP_EXACT, CAP_WINDOWED)),
+            window_builder=lambda window: PerShotWindowedLutDecoder(
+                window.x_check_matrix,
+                window.z_check_matrix,
+                use_majority_vote=window.use_majority_vote,
+            ),
+        )
+    )
+    yield
+    unregister_decoder("per-shot-lut")
 
 
 def _run(decoder_impl):

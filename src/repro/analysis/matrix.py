@@ -18,7 +18,7 @@ shot**:
   ``spacetime``; serve-side params validation
   (:func:`repro.serve.workers.check_job_params`) must accept exactly
   the decoders the registry says it should (and keep refusing
-  parameterized specs and the per-shot reference arm);
+  parameterized specs);
 * **documentation grammar** -- every ``--decoder NAME[:KEY=VALUE,...]``
   example in README.md / EXPERIMENTS.md parses, names a registered
   decoder, uses only declared graph parameters, and round-trips
@@ -60,10 +60,6 @@ EXPERIMENT_REQUIREMENTS: Dict[str, str] = {
     "distance": CAP_SPACETIME,
     "memory": CAP_SPACETIME,
 }
-
-#: Decoders the serve fleet refuses even though the registry allows
-#: the windowed protocol (documented service-surface exclusions).
-SERVE_EXCLUDED: frozenset = frozenset({"per-shot-lut"})
 
 #: ``--decoder <token>`` occurrences in the documentation.
 _DOC_DECODER_PATTERN = re.compile(r"--decoder[= ]([A-Za-z0-9_:,.=-]+)")
@@ -155,12 +151,6 @@ def check_experiment_matrix(
                 f"capability {required!r} "
                 f"{'present' if supported else 'missing'}"
             )
-            if context == "serve" and spec.name in SERVE_EXCLUDED:
-                supported = False
-                reason = (
-                    "excluded from the service worker pool "
-                    "(in-process reference arm only)"
-                )
             cells.append(
                 MatrixCell(
                     decoder=spec.name,

@@ -549,28 +549,6 @@ def _parallel_config(args):
     )
 
 
-def _arm_report(aggregator, use_pauli_frame: bool):
-    """Fold one :class:`ArmAggregator` into an :class:`ArmReport`."""
-    from .experiments.results import ArmReport
-
-    low, high = aggregator.wilson()
-    corrections = sum(
-        sum(record.shot_corrections)
-        for record in aggregator.committed
-    )
-    return ArmReport(
-        use_pauli_frame=use_pauli_frame,
-        logical_errors=aggregator.errors,
-        windows=aggregator.windows,
-        logical_error_rate=aggregator.pooled_ler,
-        corrections_commanded=corrections,
-        wilson_low=low,
-        wilson_high=high,
-        committed_shards=len(aggregator.committed),
-        num_shards=aggregator.num_shards,
-    )
-
-
 def _errors_or_default(args, default: int) -> Optional[int]:
     """The ``--errors`` quota, or ``None`` (after printing to stderr)
     when it is combined with ``--batch``.
@@ -630,9 +608,10 @@ def _parse_decoder(args, default: str = "lut"):
 
     Returns ``None`` (after printing to stderr) on an unknown decoder
     or malformed parameter list — callers translate that into exit
-    code 2.  Batch-only subcommands additionally refuse a non-default
-    decoder without ``--batch``, since the per-shot tableau loop has a
-    fixed decoder.
+    code 2.  The windowed protocol's subcommands (``ler``, ``sweep``:
+    the ones with ``--batch``) take a name only, and a non-default one
+    only with ``--batch``, since the per-shot tableau loop has a fixed
+    decoder.
     """
     from .decoders.registry import (
         UnknownDecoderError,
@@ -646,11 +625,17 @@ def _parse_decoder(args, default: str = "lut"):
     except (UnknownDecoderError, ValueError) as error:
         print(f"--decoder: {error}", file=sys.stderr)
         return None
-    if (
-        hasattr(args, "batch")
-        and args.batch is None
-        and (name != default or params)
-    ):
+    if not hasattr(args, "batch"):
+        return name, params
+    if params:
+        print(
+            f"--decoder applies to {args.command} by name only: the "
+            "windowed protocol takes no decoder parameters; got "
+            f"{sorted(params)}",
+            file=sys.stderr,
+        )
+        return None
+    if args.batch is None and name != default:
         print(
             "--decoder applies to the batched sampler only; "
             "add --batch WINDOWS/SHOTS to use it",
@@ -696,15 +681,13 @@ def cmd_ler(args) -> int:
     decoder = _parse_decoder(args)
     if decoder is None:
         return 2
-    decoder_name, decoder_params = decoder
     if workers or batch:
-        from .decoders.registry import format_decoder_arg
-        from .experiments.parallel import run_parallel_point
+        from .experiments.parallel import run_parallel_sweep
 
         samples = LER_DEFAULT_SAMPLES if args.samples is None else args.samples
         windows = LER_DEFAULT_WINDOWS if args.windows is None else args.windows
-        parallel = run_parallel_point(
-            args.per,
+        parallel = run_parallel_sweep(
+            [args.per],
             error_kind=args.kind,
             shots=args.batch if batch else samples,
             windows=windows if batch else None,
@@ -712,8 +695,7 @@ def cmd_ler(args) -> int:
             config=_parallel_config(args),
             max_logical_errors=errors,
             engine=args.engine,
-            decoder=decoder_name,
-            decoder_params=decoder_params,
+            decoder=decoder[0],
         )
         report = LerReport(
             physical_error_rate=args.per,
@@ -721,17 +703,13 @@ def cmd_ler(args) -> int:
             mode="parallel",
             seed=args.seed,
             arms=[
-                _arm_report(parallel.arm(0, use_frame), use_frame)
+                parallel.arm_report(0, use_frame)
                 for use_frame in (False, True)
             ],
             committed_shards=parallel.committed_shards,
             executed_shards=parallel.executed_shards,
             resumed_shards=parallel.resumed_shards,
-            decoder=(
-                format_decoder_arg(decoder_name, decoder_params)
-                if args.batch is not None
-                else None
-            ),
+            decoder=parallel.decoder,
         )
     else:
         from .experiments.ler import LerExperiment
@@ -799,17 +777,10 @@ def cmd_sweep(args) -> int:
     decoder = _parse_decoder(args)
     if decoder is None:
         return 2
-    decoder_name, decoder_params = decoder
+    decoder_name = decoder[0]
     if args.workers is not None:
         from .experiments.parallel import run_parallel_sweep
 
-        if decoder_name == "per-shot-lut":
-            print(
-                "the per-shot reference decoder applies to the "
-                "in-process batch path only; drop --workers to use it",
-                file=sys.stderr,
-            )
-            return 2
         parallel = run_parallel_sweep(
             per_values=args.per,
             error_kind=args.kind,
@@ -820,16 +791,14 @@ def cmd_sweep(args) -> int:
             max_logical_errors=errors,
             engine=args.engine,
             decoder=decoder_name,
-            decoder_params=decoder_params,
         )
         sweep = parallel.sweep
         arms = []
         for index in range(len(args.per)):
             for use_frame in (False, True):
-                arm = _arm_report(
-                    parallel.arm(index, use_frame), use_frame
-                )
-                arm_dict = arm.to_json_dict()
+                arm_dict = parallel.arm_report(
+                    index, use_frame
+                ).to_json_dict()
                 arm_dict.pop("kind")
                 arms.append({"point_index": index, **arm_dict})
         extra = {
@@ -850,11 +819,8 @@ def cmd_sweep(args) -> int:
             batch_windows=args.batch,
             decoder_impl=decoder_name,
             engine=args.engine,
-            decoder_params=decoder_params,
         )
         extra = {}
-    from .decoders.registry import format_decoder_arg
-
     comparisons = [point.comparison for point in sweep.points]
     report = SweepReport(
         error_kind=args.kind,
@@ -862,11 +828,7 @@ def cmd_sweep(args) -> int:
         mean_rho=mean_rho(comparisons),
         significant_fraction=significant_fraction(comparisons),
         sweep=sweep,
-        decoder=(
-            format_decoder_arg(decoder_name, decoder_params)
-            if args.batch is not None
-            else None
-        ),
+        decoder=decoder_name if args.batch is not None else None,
         **extra,
     )
     _emit(args, report, lambda: render_sweep(report, plot=args.plot))

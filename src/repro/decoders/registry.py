@@ -3,7 +3,7 @@
 Every decoder registers a :class:`RegisteredDecoder` — canonical
 ``name``, one-line ``summary``, a frozenset of **capability flags**
 and the builder callables for the contexts it supports.  Consumers
-call :func:`get_decoder`, then ``spec.build(code, window)`` for the
+call :func:`get_decoder`, then ``spec.build(window)`` for the
 Surface-17 windowed protocol or ``spec.build_space`` /
 ``spec.build_spacetime`` for the code-capacity and phenomenological
 scaling experiments.
@@ -13,7 +13,8 @@ Every batched windowed decoder is the one
 algorithm contributes only its process-cached dense-table function
 (``dense_lut``, ``mwpm_dense_lut``, ``unionfind_dense_lut``,
 ``sparse_mwpm_dense_lut``), and one generic window builder turns it
-into the decoder's two gather tables.
+into the decoder's two gather tables.  A windowed decoder is chosen
+by name alone: its build takes no parameters.
 
 Capability flags:
 
@@ -27,8 +28,9 @@ Capability flags:
 =========================== =======================================
 
 The CLI surfaces the registry as ``repro decoders`` and accepts
-``--decoder name:key=value,...`` everywhere a decoder can be chosen
-(:func:`parse_decoder_arg`).
+``--decoder name:key=value,...`` where a graph decoder is chosen
+(:func:`parse_decoder_arg`); ``ler``, ``sweep`` and serve jobs take
+the name only.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ class WindowContext:
 class RegisteredDecoder:
     """One registry entry: identity, capabilities and builders.
 
-    ``window_builder`` receives the :class:`WindowContext`;
+    ``window_builder`` receives the :class:`WindowContext` alone;
     ``space_builder`` / ``spacetime_builder`` receive
     ``(check_matrix, boundary_qubits, **params)``.  Missing builders
     mean the capability is absent and :class:`CapabilityError` is
@@ -119,21 +121,13 @@ class RegisteredDecoder:
     spacetime_builder: Optional[Callable[..., Any]] = None
     #: Keyword parameters the graph builders accept (CLI-settable).
     graph_params: Tuple[str, ...] = ()
-    #: The windowed build returns one *scalar per-shot* decoder that
-    #: the experiment must replicate per shot (the reference arm).
-    per_shot: bool = False
 
     # ------------------------------------------------------------------
-    def build(
-        self,
-        code: Any,
-        window: Optional[WindowContext] = None,
-        **params: Any,
-    ) -> Any:
+    def build(self, window: Optional[WindowContext] = None) -> Any:
         """Build the windowed-protocol decoder.
 
-        ``code`` is the geometry provider; ``window`` carries the
-        protocol context (check matrices, vote knob).
+        ``window`` carries the protocol context (check matrices,
+        geometry, vote knob).
         """
         if self.window_builder is None:
             raise CapabilityError(
@@ -144,12 +138,7 @@ class RegisteredDecoder:
             raise CapabilityError(
                 "windowed build requires a WindowContext"
             )
-        if params:
-            raise CapabilityError(
-                f"decoder {self.name!r} takes no windowed "
-                f"parameters: {sorted(params)}"
-            )
-        return self.window_builder(code, window)
+        return self.window_builder(window)
 
     def build_space(
         self,
@@ -299,7 +288,6 @@ def _coerce(raw: str) -> Any:
 # ----------------------------------------------------------------------
 def _build_window(
     dense_table: Callable[..., Tuple[Any, Any]],
-    code: Any,
     window: WindowContext,
 ) -> BatchedWindowedLutDecoder:
     """The batched window decoder over ``dense_table``'s two tables.
@@ -330,18 +318,6 @@ def _lut_table(
     Minimum-weight enumeration needs no boundary geometry.
     """
     return dense_lut(check_matrix)
-
-
-def _build_per_shot_lut_window(
-    code: Any, window: WindowContext
-) -> Any:
-    from .rule_based import WindowedLutDecoder
-
-    return WindowedLutDecoder(
-        window.x_check_matrix,
-        window.z_check_matrix,
-        use_majority_vote=window.use_majority_vote,
-    )
 
 
 def _space_mwpm(check: Any, boundary: Sequence[int]) -> Any:
@@ -396,18 +372,6 @@ def _register_builtins() -> None:
             ),
             capabilities=frozenset((CAP_EXACT, CAP_WINDOWED)),
             window_builder=partial(_build_window, _lut_table),
-        )
-    )
-    register_decoder(
-        RegisteredDecoder(
-            name="per-shot-lut",
-            summary=(
-                "one scalar windowed LUT decoder per shot (the "
-                "bit-identical reference arm)"
-            ),
-            capabilities=frozenset((CAP_EXACT, CAP_WINDOWED)),
-            window_builder=_build_per_shot_lut_window,
-            per_shot=True,
         )
     )
     register_decoder(

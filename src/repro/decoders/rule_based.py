@@ -18,11 +18,13 @@ the syndrome of the commanded corrections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .. import telemetry
+from .batched import BatchedWindowDecision
 from .lut import TwoLutDecoder, syndrome_of
 
 
@@ -204,6 +206,84 @@ class WindowedLutDecoder:
     def reset(self) -> None:
         """Forget all history (before re-initializing a logical qubit)."""
         self._previous = None
+
+
+class PerShotWindowedLutDecoder:
+    """One scalar :class:`WindowedLutDecoder` per shot behind the calls
+    of :class:`~repro.decoders.batched.BatchedWindowedLutDecoder`.
+
+    The reference the batched decoder is gated against: syndromes come
+    in as ``(shots, rounds, checks)`` bools per species, each shot's
+    rounds go to its own scalar decoder, and the decisions go back
+    stacked into one
+    :class:`~repro.decoders.batched.BatchedWindowDecision`.  The shot
+    count is read from the initialization rounds.
+    """
+
+    def __init__(
+        self,
+        x_check_matrix: np.ndarray,
+        z_check_matrix: np.ndarray,
+        use_majority_vote: bool = True,
+    ) -> None:
+        self._new_decoder = partial(
+            WindowedLutDecoder,
+            x_check_matrix,
+            z_check_matrix,
+            use_majority_vote=use_majority_vote,
+        )
+        self._decoders: List[WindowedLutDecoder] = []
+
+    def initialize(
+        self, x_rounds: np.ndarray, z_rounds: np.ndarray
+    ) -> BatchedWindowDecision:
+        """One fresh scalar decoder per shot consumes its init rounds."""
+        self._decoders = [self._new_decoder() for _ in x_rounds]
+        return self._per_shot(
+            WindowedLutDecoder.initialize, x_rounds, z_rounds
+        )
+
+    def decode_window(
+        self, x_rounds: np.ndarray, z_rounds: np.ndarray
+    ) -> BatchedWindowDecision:
+        """Each shot's scalar decoder decodes its window."""
+        if not self._decoders:
+            raise RuntimeError("decoder not initialized; call initialize()")
+        return self._per_shot(
+            WindowedLutDecoder.decode_window, x_rounds, z_rounds
+        )
+
+    def reset(self) -> None:
+        """Forget every shot's decoder."""
+        self._decoders = []
+
+    def _per_shot(
+        self, method, x_rounds: np.ndarray, z_rounds: np.ndarray
+    ) -> BatchedWindowDecision:
+        """``method`` of each shot's decoder on that shot's rounds, the
+        decisions stacked along the shot axis."""
+        decisions = [
+            method(
+                decoder,
+                [SyndromeRound(x, z) for x, z in zip(x_shot, z_shot)],
+            )
+            for decoder, x_shot, z_shot in zip(
+                self._decoders, x_rounds, z_rounds
+            )
+        ]
+        return BatchedWindowDecision(
+            x_corrections=np.array(
+                [d.x_corrections for d in decisions], dtype=bool
+            ),
+            z_corrections=np.array(
+                [d.z_corrections for d in decisions], dtype=bool
+            ),
+            has_corrections=np.array(
+                [d.has_corrections for d in decisions], dtype=bool
+            ),
+            voted_x=np.array([d.voted.x_syndrome for d in decisions]),
+            voted_z=np.array([d.voted.z_syndrome for d in decisions]),
+        )
 
 
 class WindowedMatchingDecoder(WindowedLutDecoder):

@@ -25,7 +25,9 @@ In :class:`BatchedLerExperiment` the only per-shot feedback is the
 decoder's Pauli corrections, so each stretch between two corrections
 is one circuit of :func:`protocol_circuits`, built once per process: a
 window is two core calls, its noisy rounds, then the diagnostic round
-with the probe.
+with the probe.  Its decoder is one
+:class:`~repro.decoders.batched.BatchedWindowedLutDecoder` for all
+shots, chosen from the registry by name alone.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from ..codes.surface17.layout import (
     Z_CHECK_MATRIX,
     Z_LOGICAL_SUPPORT,
 )
+from ..decoders.batched import BatchedWindowDecision
 from ..decoders.lut import correction_operations
 from ..decoders.rule_based import SyndromeRound, WindowedLutDecoder
 from ..qpdo.core import Core
@@ -397,9 +400,9 @@ class LerExperiment:
             frame_statistics=frame_stats,
             counts_above=self.stack.counter_above.counts.snapshot(),
             counts_below=self.stack.counter_below.counts.snapshot(),
-            # The Listing 5.7 loop decodes each shot with one scalar
-            # windowed LUT decoder -- "per-shot-lut" in registry terms.
-            decoder="per-shot-lut",
+            # The loop's scalar windowed LUT decoder makes the decisions
+            # of the registry's "lut".
+            decoder="lut",
         )
 
 
@@ -413,28 +416,6 @@ DEFAULT_BATCH_WINDOWS = 200
 #: the core's ``rng_mode`` and a checkpoint header's ``rng_stream``.
 #: Every front door accepts exactly these names.
 ENGINES: Dict[str, str] = {"framesim": "exact", "packed-fast": "fast"}
-
-
-def _per_shot_rounds(
-    x_rounds: np.ndarray, z_rounds: np.ndarray, shot: int
-) -> List[SyndromeRound]:
-    """One shot's window as the scalar decoder's round objects."""
-    return [
-        SyndromeRound(
-            x_syndrome=x_rounds[shot, index],
-            z_syndrome=z_rounds[shot, index],
-        )
-        for index in range(x_rounds.shape[1])
-    ]
-
-
-def _stack_decisions(decisions) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-shot ``WindowDecision`` list -> batched decision arrays."""
-    return (
-        np.stack([d.x_corrections for d in decisions]).astype(bool),
-        np.stack([d.z_corrections for d in decisions]).astype(bool),
-        np.array([d.has_corrections for d in decisions], dtype=bool),
-    )
 
 
 class Stretch(NamedTuple):
@@ -562,24 +543,22 @@ class BatchedLerExperiment:
     reaches hardware, so its slot is charged depolarizing noise on the
     shots that commanded corrections.
 
-    ``decoder_impl`` names a decoder from the registry
-    (:mod:`repro.decoders.registry`).  ``"lut"`` (the default)
-    decodes every shot at once through the array-native
+    ``decoder_impl`` names a windowed decoder from the registry
+    (:mod:`repro.decoders.registry`), which builds it from the window
+    context alone.  ``"lut"`` (the default) decodes every shot at once
+    through the array-native
     :class:`~repro.decoders.batched.BatchedWindowedLutDecoder` —
     majority vote, LUT gather and carry-state as numpy operations over
     the shot axis, with the dense tables shared process-wide.
     ``"mwpm"``, ``"unionfind"`` and ``"sparse-mwpm"`` swap the gather
     tables for ones filled by Blossom matching, union-find growth +
     peeling, and sparse local matching respectively (same windowed
-    protocol, different decoding principle).  ``"per-shot-lut"``
-    keeps one scalar
-    :class:`~repro.decoders.rule_based.WindowedLutDecoder` per shot;
-    it exists as the reference arm of the bit-identical equivalence
-    gate (``tests/test_batched_ler_equivalence.py``, benchmark E21) —
-    both engines produce the same :class:`BatchCounts` for the same
-    seed, bit for bit.  ``decoder_params`` passes registry build
-    parameters (the parsed tail of a ``--decoder name:key=value`` CLI
-    argument).
+    protocol, different decoding principle).  The ``"lut"`` decisions
+    are bit-identical to one scalar
+    :class:`~repro.decoders.rule_based.WindowedLutDecoder` per shot
+    (:class:`~repro.decoders.rule_based.PerShotWindowedLutDecoder`, the
+    reference of ``tests/test_batched_ler_equivalence.py`` and
+    benchmark E21).
 
     ``engine`` picks the core's frame stream (one of :data:`ENGINES`):
 
@@ -621,9 +600,8 @@ class BatchedLerExperiment:
         decoder_impl: str = "lut",
         engine: str = "framesim",
         reference_cache: bool = True,
-        decoder_params: Optional[dict] = None,
     ) -> None:
-        from ..decoders.registry import get_decoder
+        from ..decoders.registry import WindowContext, get_decoder
 
         if error_kind not in ("x", "z"):
             raise ValueError("error_kind must be 'x' or 'z'")
@@ -640,7 +618,6 @@ class BatchedLerExperiment:
         self.rounds_per_window = int(rounds_per_window)
         self.init_rounds = int(init_rounds)
         self.decoder_impl = decoder_spec.name
-        self.decoder_params = dict(decoder_params or {})
         self.engine = engine
         noise = NoiseParameters(
             self.physical_error_rate,
@@ -674,27 +651,15 @@ class BatchedLerExperiment:
         # layout is a row permutation of it, identical data labels)
         # for the matching/union-find boundary lookups.
         from ..codes.rotated.layout import RotatedSurfaceCode
-        from ..decoders.registry import WindowContext
 
-        window = WindowContext(
-            X_CHECK_MATRIX,
-            Z_CHECK_MATRIX,
-            code=RotatedSurfaceCode(3),
-            use_majority_vote=use_majority_vote,
-        )
-        if decoder_spec.per_shot:
-            self.decoder = None
-            self.decoders = [
-                decoder_spec.build(
-                    window.code, window, **self.decoder_params
-                )
-                for _ in range(self.num_shots)
-            ]
-        else:
-            self.decoder = decoder_spec.build(
-                window.code, window, **self.decoder_params
+        self.decoder = decoder_spec.build(
+            WindowContext(
+                X_CHECK_MATRIX,
+                Z_CHECK_MATRIX,
+                code=RotatedSurfaceCode(3),
+                use_majority_vote=use_majority_vote,
             )
-            self.decoders = None
+        )
         self.qubit_map = list(range(NUM_QUBITS))
         self.circuits = protocol_circuits(
             error_kind, self.init_rounds, self.rounds_per_window
@@ -757,70 +722,22 @@ class BatchedLerExperiment:
             np.moveaxis(unpack_bits(z_planes, self.num_shots), -1, 0),
         )
 
-    def _decode_init(
-        self, x_rounds: np.ndarray, z_rounds: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decode the initialization rounds with the selected engine.
-
-        ``x_rounds`` / ``z_rounds`` are ``(shots, rounds, checks)``;
-        returns ``(x_corrections, z_corrections, commanded)`` arrays.
-        """
-        if self.decoder is not None:
-            self.decoder.reset()
-            decision = self.decoder.initialize(x_rounds, z_rounds)
-            return (
-                decision.x_corrections,
-                decision.z_corrections,
-                decision.has_corrections,
-            )
-        decisions = []
-        for shot, decoder in enumerate(self.decoders):
-            decoder.reset()
-            decisions.append(
-                decoder.initialize(
-                    _per_shot_rounds(x_rounds, z_rounds, shot)
-                )
-            )
-        return _stack_decisions(decisions)
-
-    def _decode_window(
-        self, x_rounds: np.ndarray, z_rounds: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decode one window of rounds with the selected engine."""
-        if self.decoder is not None:
-            decision = self.decoder.decode_window(x_rounds, z_rounds)
-            return (
-                decision.x_corrections,
-                decision.z_corrections,
-                decision.has_corrections,
-            )
-        decisions = [
-            decoder.decode_window(
-                _per_shot_rounds(x_rounds, z_rounds, shot)
-            )
-            for shot, decoder in enumerate(self.decoders)
-        ]
-        return _stack_decisions(decisions)
-
     def _apply_corrections(
-        self,
-        x_corrections: np.ndarray,
-        z_corrections: np.ndarray,
-        commanded: np.ndarray,
+        self, decision: BatchedWindowDecision
     ) -> np.ndarray:
-        """Apply the decision arrays as per-shot frame XORs.
+        """Apply a decoder decision as per-shot frame XORs.
 
-        ``x_corrections`` / ``z_corrections`` are ``(shots, 9)`` over
-        the data qubits, ``commanded`` the per-shot any-correction
-        mask.  Returns ``commanded`` for counting.
+        Its correction masks are ``(shots, 9)`` over the data qubits;
+        returns its per-shot any-correction mask for counting.
         """
+        commanded = decision.has_corrections
         if commanded.any():
             width = self.core.frames.num_qubits
             x_mask = np.zeros((self.num_shots, width), dtype=bool)
             z_mask = np.zeros((self.num_shots, width), dtype=bool)
             data = self.qubit_map[:9]
-            x_mask[:, data] = x_corrections
-            z_mask[:, data] = z_corrections
+            x_mask[:, data] = decision.x_corrections
+            z_mask[:, data] = decision.z_corrections
             self.core.apply_pauli_frame(x_mask, z_mask)
             if not self.use_pauli_frame:
                 # Frame-less arm: the correction circuit physically
@@ -836,14 +753,9 @@ class BatchedLerExperiment:
     # ------------------------------------------------------------------
     def run(self) -> List[RunResult]:
         """Run all shots; one :class:`RunResult` per shot."""
-        from ..decoders.registry import format_decoder_arg
-
         results = self.run_counts().to_results()
-        label = format_decoder_arg(
-            self.decoder_impl, self.decoder_params
-        )
         for result in results:
-            result.decoder = label
+            result.decoder = self.decoder_impl
         return results
 
     def run_counts(self) -> BatchCounts:
@@ -873,7 +785,8 @@ class BatchedLerExperiment:
         init_x, init_z = self._stack_window(
             self._round_words(core.run(circuits.init.circuit), circuits.init)
         )
-        self._apply_corrections(*self._decode_init(init_x, init_z))
+        self.decoder.reset()
+        self._apply_corrections(self.decoder.initialize(init_x, init_z))
         reference = core.run(circuits.probe.circuit).bits_of(
             circuits.probe.probe
         )
@@ -888,7 +801,7 @@ class BatchedLerExperiment:
                 )
             )
             corrections += self._apply_corrections(
-                *self._decode_window(window_x, window_z)
+                self.decoder.decode_window(window_x, window_z)
             )
             # The perfect diagnostic round, then the probe: a shot is
             # clean when its round shows no syndrome at all.
@@ -927,7 +840,6 @@ def run_ler_point(
     batch_windows: Optional[int] = None,
     decoder_impl: str = "lut",
     engine: str = "framesim",
-    decoder_params: Optional[dict] = None,
 ) -> List[RunResult]:
     """Repeat the experiment ``samples`` times with distinct seeds.
 
@@ -939,11 +851,10 @@ def run_ler_point(
     per-shot tableau loop: ``samples`` becomes the number of lockstep
     shots, each running exactly ``batch_windows`` windows
     (``max_logical_errors`` and ``max_windows`` are then unused — the
-    stopping rule is the fixed window count).  ``decoder_impl``
-    selects the batched decoding engine (bit-identical either way)
-    and ``engine`` the core's frame stream (``"packed-fast"`` is
-    statistically identical to ``"framesim"``; see
-    :class:`BatchedLerExperiment`).
+    stopping rule is the fixed window count).  ``decoder_impl`` names
+    the registry's windowed decoder and ``engine`` the core's frame
+    stream (``"packed-fast"`` is statistically identical to
+    ``"framesim"``; see :class:`BatchedLerExperiment`).
     """
     if batch_windows is not None:
         experiment = BatchedLerExperiment(
@@ -955,7 +866,6 @@ def run_ler_point(
             seed=seed,
             decoder_impl=decoder_impl,
             engine=engine,
-            decoder_params=decoder_params,
         )
         return experiment.run()
     results = []

@@ -38,9 +38,13 @@ Shards run either the batched lockstep sampler
 or the per-shot tableau loop
 (:class:`~repro.experiments.ler.LerExperiment`, ``mode="loop"``).
 
-A :class:`ParallelSweepReport` builds its figure data (``sweep``:
-per-shot results and t-tests) on first read, so ``repro ler``, which
-reads only the arms' pooled counts, never builds it.
+A :class:`ParallelSweepReport` folds each arm into an
+:class:`~repro.experiments.results.ArmReport`
+(:meth:`ParallelSweepReport.arm_report`) and builds its figure data
+(``sweep``: per-shot results and t-tests) on first read, so
+``repro ler``, which reads only the arms' pooled counts, never builds
+it.  Batch-mode shards decode with a registry decoder chosen by name
+alone.
 """
 
 from __future__ import annotations
@@ -50,7 +54,13 @@ import json
 import math
 import multiprocessing as mp
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -61,7 +71,7 @@ from .ler import (
     BatchedLerExperiment,
     LerExperiment,
 )
-from .results import RunResult, ShardResult, SweepResult
+from .results import ArmReport, RunResult, ShardResult, SweepResult
 from .stats import wilson_halfwidth, wilson_interval
 from .sweep import (
     ARM_SEED_OFFSET,
@@ -122,9 +132,6 @@ class ShardSpec:
     #: the shard stream is decoder-independent — but the *records* are
     #: not (corrections differ), so the decoder is pinned per shard.
     decoder: str = "lut"
-    #: Decoder builder keyword arguments as sorted ``(key, value)``
-    #: pairs (a tuple keeps the spec hashable and frozen).
-    decoder_params: Tuple = ()
 
     @property
     def key(self) -> Tuple[int, bool, int]:
@@ -151,7 +158,6 @@ def plan_shards(
     max_windows: int = 2_000_000,
     engine: str = "framesim",
     decoder: str = "lut",
-    decoder_params: Optional[Dict] = None,
 ) -> List[ShardSpec]:
     """The full deterministic shard schedule of a sweep.
 
@@ -172,7 +178,6 @@ def plan_shards(
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {list(ENGINES)}")
     decoder = get_decoder(decoder).name
-    params = tuple(sorted((decoder_params or {}).items()))
     mode = "batch" if windows is not None else "loop"
     if mode == "batch" and windows < 1:
         raise ValueError("windows must be positive in batch mode")
@@ -181,7 +186,7 @@ def plan_shards(
             "the per-shot loop mode has no batched core; "
             "engine selection requires batch mode (windows set)"
         )
-    if mode == "loop" and (decoder != "lut" or params):
+    if mode == "loop" and decoder != "lut":
         raise ValueError(
             "the per-shot loop mode has a fixed decoder; "
             "decoder selection requires batch mode (windows set)"
@@ -211,7 +216,6 @@ def plan_shards(
                         arm_seed=arm_seed,
                         engine=engine,
                         decoder=decoder,
-                        decoder_params=params,
                     )
                 )
     return specs
@@ -254,7 +258,6 @@ def _run_shard(spec: ShardSpec) -> ShardResult:
             seed=spec.shard_seed,
             engine=spec.engine,
             decoder_impl=spec.decoder,
-            decoder_params=dict(spec.decoder_params),
         ).run_counts()
         return ShardResult(
             point_index=spec.point_index,
@@ -534,8 +537,28 @@ class ParallelSweepReport:
     def committed_shards(self) -> int:
         return sum(len(a.committed) for a in self.arms.values())
 
-    def arm(self, point_index: int, use_pauli_frame: bool) -> ArmAggregator:
-        return self.arms[(point_index, use_pauli_frame)]
+    def arm_report(
+        self, point_index: int, use_pauli_frame: bool
+    ) -> ArmReport:
+        """One arm's committed shards folded into an :class:`ArmReport`:
+        pooled counts, Wilson interval and shard progress."""
+        aggregator = self.arms[(point_index, use_pauli_frame)]
+        low, high = aggregator.wilson()
+        corrections = sum(
+            sum(record.shot_corrections)
+            for record in aggregator.committed
+        )
+        return ArmReport(
+            use_pauli_frame=use_pauli_frame,
+            logical_errors=aggregator.errors,
+            windows=aggregator.windows,
+            logical_error_rate=aggregator.pooled_ler,
+            corrections_commanded=corrections,
+            wilson_low=low,
+            wilson_high=high,
+            committed_shards=len(aggregator.committed),
+            num_shards=aggregator.num_shards,
+        )
 
     @functools.cached_property
     def sweep(self) -> SweepResult:
@@ -567,7 +590,6 @@ def _checkpoint_config(
     max_windows: int,
     engine: str = "framesim",
     decoder: str = "lut",
-    decoder_params: Optional[Dict] = None,
 ) -> Dict:
     """The result-affecting configuration pinned in the header.
 
@@ -578,14 +600,10 @@ def _checkpoint_config(
     written under the retired ``packed`` engine (the exact stream, now
     run by ``framesim``) still resumes; ``packed-fast`` draws a
     different stream and may not.  The decoder is pinned only when it
-    is not the historical default (``lut``, no params), so
-    pre-registry checkpoints keep resuming.
+    is not the historical default ``lut``, so pre-registry checkpoints
+    keep resuming.  The caller has checked ``decoder`` against the
+    registry (:func:`plan_shards`).
     """
-    from ..decoders.registry import (
-        format_decoder_arg,
-        get_decoder,
-    )
-
     config = {
         "per_values": [float(p) for p in per_values],
         "error_kind": error_kind,
@@ -597,10 +615,8 @@ def _checkpoint_config(
         "max_windows": int(max_windows),
         "rng_stream": ENGINES[engine],
     }
-    decoder = get_decoder(decoder).name
-    params = dict(decoder_params or {})
-    if decoder != "lut" or params:
-        config["decoder"] = format_decoder_arg(decoder, params)
+    if decoder != "lut":
+        config["decoder"] = decoder
     return config
 
 
@@ -608,6 +624,26 @@ def _pool_context() -> mp.context.BaseContext:
     """Prefer fork (cheap start) and fall back to spawn."""
     methods = mp.get_all_start_methods()
     return mp.get_context("fork" if "fork" in methods else "spawn")
+
+
+def submit_to_pool(
+    pool: ProcessPoolExecutor, fn: Callable, *args
+) -> Future:
+    """``pool.submit(fn, *args)``, raising :class:`BrokenProcessPool`
+    when the pool cannot start a worker.
+
+    Submitting may start a worker process on the calling thread.  An
+    ``OSError`` there (say, a forkserver pipe torn down with a killed
+    worker) leaves the pool unusable, and a pool's owner already
+    recovers from a broken pool (:class:`~repro.serve.workers.WorkerFleet`
+    respawns it).
+    """
+    try:
+        return pool.submit(fn, *args)
+    except OSError as error:
+        raise BrokenProcessPool(
+            f"worker pool could not start a worker: {error}"
+        ) from error
 
 
 def _execute_shards(
@@ -665,7 +701,7 @@ def _execute_shards(
                     shard_index=spec.shard_index,
                     shots=spec.shots,
                 )
-            future_specs[pool.submit(run_shard, spec)] = spec
+            future_specs[submit_to_pool(pool, run_shard, spec)] = spec
         pending = set(future_specs)
         try:
             while pending:
@@ -715,7 +751,6 @@ def run_parallel_sweep(
     engine: str = "framesim",
     pool: Optional[ProcessPoolExecutor] = None,
     decoder: str = "lut",
-    decoder_params: Optional[Dict] = None,
 ) -> ParallelSweepReport:
     """Run a full with/without-frame PER sweep, shot-sharded.
 
@@ -743,9 +778,8 @@ def run_parallel_sweep(
         per-sweep pool; it is left running afterwards (warm caches).
         ``config.workers`` is ignored when a pool is supplied.
     decoder:
-        Registry decoder of batch-mode shards
-        (:mod:`repro.decoders.registry`); ``decoder_params`` forwards
-        keyword arguments to its builder.
+        Windowed registry decoder of batch-mode shards, by name
+        (:mod:`repro.decoders.registry`).
 
     Returns a :class:`ParallelSweepReport` whose ``sweep`` is the same
     :class:`~repro.experiments.results.SweepResult` structure the
@@ -763,7 +797,6 @@ def run_parallel_sweep(
         max_windows=max_windows,
         engine=engine,
         decoder=decoder,
-        decoder_params=decoder_params,
     )
     num_shards = math.ceil(shots / config.shard_shots)
     target = config.target_ci
@@ -787,7 +820,6 @@ def run_parallel_sweep(
         max_windows,
         engine=engine,
         decoder=decoder,
-        decoder_params=decoder_params,
     )
 
     resumed = 0
@@ -878,11 +910,6 @@ def run_parallel_sweep(
         if writer is not None:
             writer.close()
 
-    from ..decoders.registry import (
-        format_decoder_arg,
-        get_decoder,
-    )
-
     return ParallelSweepReport(
         arms=aggregators,
         total_shards=len(specs),
@@ -890,42 +917,5 @@ def run_parallel_sweep(
         resumed_shards=resumed,
         per_values=tuple(float(per) for per in per_values),
         error_kind=error_kind,
-        decoder=(
-            format_decoder_arg(
-                get_decoder(decoder).name, decoder_params or {}
-            )
-            if windows is not None
-            else None
-        ),
-    )
-
-
-def run_parallel_point(
-    physical_error_rate: float,
-    error_kind: str = "x",
-    shots: int = 100,
-    windows: Optional[int] = DEFAULT_BATCH_WINDOWS,
-    seed: int = 0,
-    config: ParallelConfig = ParallelConfig(),
-    max_logical_errors: int = 50,
-    max_windows: int = 2_000_000,
-    engine: str = "framesim",
-    pool: Optional[ProcessPoolExecutor] = None,
-    decoder: str = "lut",
-    decoder_params: Optional[Dict] = None,
-) -> ParallelSweepReport:
-    """One-point convenience wrapper around :func:`run_parallel_sweep`."""
-    return run_parallel_sweep(
-        [physical_error_rate],
-        error_kind=error_kind,
-        shots=shots,
-        windows=windows,
-        seed=seed,
-        config=config,
-        max_logical_errors=max_logical_errors,
-        max_windows=max_windows,
-        engine=engine,
-        pool=pool,
-        decoder=decoder,
-        decoder_params=decoder_params,
+        decoder=decoder if windows is not None else None,
     )

@@ -163,8 +163,6 @@ def compare_point(
     with_frame: Sequence["RunResult"],
 ) -> PointComparison:
     """Build the full Figs 5.17-5.24 comparison for one PER value."""
-    from scipy import stats as scipy_stats
-
     summary_without = summarize(without_frame)
     summary_with = summarize(with_frame)
     if (
@@ -176,19 +174,25 @@ def compare_point(
     sigma_max = max(summary_without.std_ler, summary_with.std_ler)
     a = summary_without.ler_values
     b = summary_with.ler_values
-    if np.all(a == a[0]) and np.all(b == a[0]):
-        # Both arms one constant: the t statistic is 0/0, and
-        # identical data sets are maximally non-significant.
-        rho_ind = 1.0
+    # Zero-variance data decide a t-test outright (scipy would compute
+    # t from rounding noise): equal constants give t = 0/0, maximally
+    # non-significant, and different ones an infinite t, p = 0.
+    if np.all(a == a[0]) and np.all(b == b[0]):
+        rho_ind = 1.0 if a[0] == b[0] else 0.0
     else:
+        from scipy import stats as scipy_stats
+
         rho_ind = float(scipy_stats.ttest_ind(a, b).pvalue)
     rho_paired: Optional[float] = None
     if a.size == b.size and a.size >= 2:
+        difference = a - b
         if np.allclose(a, b):
-            # Degenerate zero-variance difference: identical data sets
-            # are maximally non-significant.
             rho_paired = 1.0
+        elif np.all(difference == difference[0]):
+            rho_paired = 0.0
         else:
+            from scipy import stats as scipy_stats
+
             rho_paired = float(scipy_stats.ttest_rel(a, b).pvalue)
     return PointComparison(
         physical_error_rate=summary_without.physical_error_rate,

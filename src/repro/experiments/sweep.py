@@ -11,6 +11,8 @@ seeds, 50 logical errors per run) takes CPU-days in pure Python; the
 sweep therefore takes all scale knobs as parameters and the benchmarks
 run a reduced grid that still exhibits the shapes: LER(+PF) = LER(-PF)
 within noise, rho values scattered around 0.5, slot savings below 6%.
+Batched sweeps decode with a windowed registry decoder chosen by name
+alone; every result is labelled with that name.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ def run_ler_sweep(
     batch_windows: Optional[int] = None,
     decoder_impl: str = "lut",
     engine: str = "framesim",
-    decoder_params: Optional[dict] = None,
 ) -> SweepResult:
     """Run the full with/without-frame sweep.
 
@@ -81,26 +82,13 @@ def run_ler_sweep(
     ``samples`` becomes the number of lockstep shots per arm and each
     shot runs exactly ``batch_windows`` windows, so far larger shot
     counts per PER become affordable.  ``decoder_impl`` then names a
-    registry decoder (:mod:`repro.decoders.registry`) — ``"lut"``
-    (array-native dense table, the default), ``"per-shot-lut"``
-    (bit-identical reference), ``"mwpm"``, ``"unionfind"`` or
-    ``"sparse-mwpm"``; ``decoder_params`` forwards keyword arguments
-    to the decoder's builder.  ``engine`` selects the batched
-    core's frame stream — ``"framesim"`` (exact) or ``"packed-fast"``
-    (statistically identical; faster).
+    windowed registry decoder (:mod:`repro.decoders.registry`) —
+    ``"lut"`` (array-native dense table, the default), ``"mwpm"``,
+    ``"unionfind"`` or ``"sparse-mwpm"``.  ``engine`` selects the
+    batched core's frame stream — ``"framesim"`` (exact) or
+    ``"packed-fast"`` (statistically identical; faster).
     """
-    from ..decoders.registry import (
-        format_decoder_arg,
-        get_decoder,
-    )
-
-    decoder_label = (
-        format_decoder_arg(
-            get_decoder(decoder_impl).name, decoder_params or {}
-        )
-        if batch_windows is not None
-        else None
-    )
+    decoder_label = decoder_impl if batch_windows is not None else None
     sweep = SweepResult(error_kind=error_kind)
     for index, per in enumerate(per_values):
         base_seed = point_base_seed(seed, index)
@@ -115,7 +103,6 @@ def run_ler_sweep(
             batch_windows=batch_windows,
             decoder_impl=decoder_impl,
             engine=engine,
-            decoder_params=decoder_params,
         )
         with_frame = run_ler_point(
             per,
@@ -128,7 +115,6 @@ def run_ler_sweep(
             batch_windows=batch_windows,
             decoder_impl=decoder_impl,
             engine=engine,
-            decoder_params=decoder_params,
         )
         sweep.points.append(
             build_sweep_point(

@@ -320,17 +320,10 @@ class ServeApp:
             else [float(v) for v in params["per_values"]]
         )
         shots = int(params.get("shots", 10))
-        from ..decoders.registry import (
-            format_decoder_arg,
-            get_decoder,
-            parse_decoder_arg,
-        )
+        from ..decoders.registry import parse_decoder_arg
 
-        decoder_name, decoder_params = parse_decoder_arg(
-            params.get("decoder", "lut")
-        )
-        decoder_name = get_decoder(decoder_name).name
-        decoder_label = format_decoder_arg(decoder_name, decoder_params)
+        # check_job_params refused any decoder parameters at the door.
+        decoder_name, _ = parse_decoder_arg(params.get("decoder", "lut"))
         report = self.fleet.run_sweep_job(
             per_values,
             error_kind=params.get("error_kind", "x"),
@@ -342,10 +335,7 @@ class ServeApp:
             checkpoint=self.checkpoint_path(job.job_id),
             target_ci=params.get("target_ci"),
             decoder=decoder_name,
-            decoder_params=decoder_params,
         )
-        from ..cli import _arm_report
-
         if job.job_kind == "ler":
             document = LerReport(
                 physical_error_rate=per_values[0],
@@ -353,13 +343,13 @@ class ServeApp:
                 mode="parallel",
                 seed=job.seed,
                 arms=[
-                    _arm_report(report.arm(0, use_frame), use_frame)
+                    report.arm_report(0, use_frame)
                     for use_frame in (False, True)
                 ],
                 committed_shards=report.committed_shards,
                 executed_shards=report.executed_shards,
                 resumed_shards=report.resumed_shards,
-                decoder=decoder_label,
+                decoder=report.decoder,
             ).to_json_dict()
         else:
             comparisons = [
@@ -374,7 +364,7 @@ class ServeApp:
                 committed_shards=report.committed_shards,
                 executed_shards=report.executed_shards,
                 resumed_shards=report.resumed_shards,
-                decoder=decoder_label,
+                decoder=report.decoder,
             ).to_json_dict()
         # Shard counts are execution metadata: a resumed run legally
         # differs there, and the result document must not.

@@ -32,6 +32,7 @@ LUT cache.
 from __future__ import annotations
 
 import multiprocessing as mp
+import time
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional
@@ -45,9 +46,14 @@ from ..experiments.parallel import (
     ParallelSweepReport,
     PoolShutdownError,
     run_parallel_sweep,
+    submit_to_pool,
 )
 from .. import telemetry
 from .wire import JOB_KINDS
+
+
+#: Seconds :meth:`WorkerFleet.respawn` waits before the next attempt.
+RESPAWN_PAUSE_S = 0.1
 
 
 def _fleet_context() -> mp.context.BaseContext:
@@ -167,22 +173,15 @@ def check_job_params(job_kind: str, params: Dict) -> None:
 
         try:
             name, decoder_params = parse_decoder_arg(decoder)
-            name = get_decoder(name).name
+            get_decoder(name)
         except (UnknownDecoderError, ValueError) as error:
             raise JobParamsError(f"'decoder': {error}")
         if decoder_params:
-            # The windowed-protocol builders take no parameters (see
-            # RegisteredDecoder.build); reject at the door instead of
-            # burning a worker attempt on a CapabilityError.
+            # A windowed decoder is chosen by name alone (see
+            # RegisteredDecoder.build); the job reads only the name.
             raise JobParamsError(
                 "'decoder': the windowed protocol takes no decoder "
                 f"parameters; got {sorted(decoder_params)}"
-            )
-        if name == "per-shot-lut":
-            raise JobParamsError(
-                "the per-shot reference decoder applies to the "
-                "in-process batch path only; it is not available "
-                "on the service's worker pool"
             )
 
 
@@ -265,6 +264,11 @@ class WorkerFleet:
         on a queue lock the dead worker held; the pool's management
         thread then waits forever on that worker, and interpreter exit
         waits on the thread.
+
+        Then it pauses: a worker start torn by the breakage can take
+        the forkserver down, and until that process has exited every
+        start is refused, so an immediate retry would spend the respawn
+        budget in milliseconds.
         """
         if self._pool is not None:
             workers = list((self._pool._processes or {}).values())
@@ -272,6 +276,7 @@ class WorkerFleet:
             for worker in workers:
                 worker.kill()
             self._pool = None
+        time.sleep(RESPAWN_PAUSE_S)
         self.respawns += 1
         t = telemetry.ACTIVE
         if t is not None:
@@ -296,7 +301,6 @@ class WorkerFleet:
         target_ci: Optional[float] = None,
         max_logical_errors: int = 50,
         decoder: str = "lut",
-        decoder_params: Optional[Dict] = None,
     ) -> ParallelSweepReport:
         """One sweep on the warm pool, surviving worker deaths.
 
@@ -326,7 +330,6 @@ class WorkerFleet:
                     engine=engine,
                     pool=self.executor(),
                     decoder=decoder,
-                    decoder_params=decoder_params,
                 )
             except BrokenProcessPool:
                 attempts += 1
@@ -339,7 +342,9 @@ class WorkerFleet:
         attempts = 0
         while True:
             try:
-                future = self.executor().submit(run_decode_job, params)
+                future = submit_to_pool(
+                    self.executor(), run_decode_job, params
+                )
                 try:
                     return future.result()
                 except CancelledError:

@@ -24,7 +24,6 @@ def test_builtin_registry_passes():
     assert verification.passed, verification.problems
     assert set(verification.decoders) >= {
         "lut",
-        "per-shot-lut",
         "mwpm",
         "unionfind",
         "sparse-mwpm",
@@ -47,7 +46,6 @@ def test_experiment_cells_follow_capabilities():
     }
     for decoder in verification.decoders:
         assert cells[(decoder, "experiment:ler")]
-    assert not cells[("per-shot-lut", "experiment:serve")]
     assert not cells[("lut", "experiment:phenomenological")]
 
 

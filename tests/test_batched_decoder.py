@@ -443,7 +443,7 @@ class TestMatchingWindowDecoder:
             code.x_check_matrix, code.z_check_matrix, code=code
         )
         _run_equivalence(
-            lambda: get_decoder("mwpm").build(code, window),
+            lambda: get_decoder("mwpm").build(window),
             lambda: WindowedMatchingDecoder(code),
             num_checks_x=num_x,
             num_checks_z=num_z,

@@ -1,12 +1,14 @@
 """The required equivalence gate for the batched LER decode path.
 
 `BatchedLerExperiment` decodes with the array-native
-:class:`~repro.decoders.batched.BatchedWindowedLutDecoder` by default;
-``decoder_impl="per-shot-lut"`` keeps the pre-vectorization reference (one
-scalar :class:`~repro.decoders.rule_based.WindowedLutDecoder` per
-shot).  Because decoder decisions feed back into the cores' frame
-state, any divergence — in the tables, the vote, the carry-state or
-the correction masks — cascades into different syndrome streams, so
+:class:`~repro.decoders.batched.BatchedWindowedLutDecoder`; the
+pre-vectorization reference (one scalar
+:class:`~repro.decoders.rule_based.WindowedLutDecoder` per shot,
+:class:`~repro.decoders.rule_based.PerShotWindowedLutDecoder`) is
+registered as ``"per-shot-lut"`` while the comparisons run.  Because
+decoder decisions feed back into the cores' frame state, any
+divergence — in the tables, the vote, the carry-state or the
+correction masks — cascades into different syndrome streams, so
 comparing final :class:`~repro.experiments.results.BatchCounts` bit
 for bit is a complete end-to-end check of the batched hot path.
 """
@@ -15,8 +17,36 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.decoders import clear_lut_cache
+from repro.decoders import BatchedWindowedLutDecoder, clear_lut_cache
+from repro.decoders.registry import (
+    CAP_EXACT,
+    CAP_WINDOWED,
+    RegisteredDecoder,
+    list_decoders,
+    register_decoder,
+    unregister_decoder,
+)
+from repro.decoders.rule_based import PerShotWindowedLutDecoder
 from repro.experiments.ler import BatchedLerExperiment
+
+
+@pytest.fixture(scope="class")
+def per_shot_lut():
+    """The scalar reference, registered as ``"per-shot-lut"``."""
+    register_decoder(
+        RegisteredDecoder(
+            name="per-shot-lut",
+            summary="one scalar windowed LUT decoder per shot",
+            capabilities=frozenset((CAP_EXACT, CAP_WINDOWED)),
+            window_builder=lambda window: PerShotWindowedLutDecoder(
+                window.x_check_matrix,
+                window.z_check_matrix,
+                use_majority_vote=window.use_majority_vote,
+            ),
+        )
+    )
+    yield
+    unregister_decoder("per-shot-lut")
 
 
 def _counts(decoder_impl, seed, per=8e-3, use_frame=True, kind="x", **kw):
@@ -40,6 +70,7 @@ def _assert_identical(batched, per_shot):
     )
 
 
+@pytest.mark.usefixtures("per_shot_lut")
 class TestBitIdenticalCounts:
     @pytest.mark.parametrize("seed", [0, 7, 2017])
     @pytest.mark.parametrize("use_frame", [False, True])
@@ -89,11 +120,19 @@ class TestDecoderImplWiring:
                 5e-3, num_shots=2, decoder_impl="quantum"
             )
 
-    def test_batched_default_has_no_per_shot_list(self):
-        experiment = BatchedLerExperiment(5e-3, num_shots=4, seed=0)
-        assert experiment.decoder_impl == "lut"
-        assert experiment.decoders is None
-        assert experiment.decoder is not None
+    def test_windowed_decoders_are_batched(self):
+        names = [
+            spec.name
+            for spec in list_decoders()
+            if CAP_WINDOWED in spec.capabilities
+        ]
+        assert names == ["lut", "mwpm", "sparse-mwpm", "unionfind"]
+        for name in names:
+            experiment = BatchedLerExperiment(
+                5e-3, num_shots=4, seed=0, decoder_impl=name
+            )
+            assert experiment.decoder_impl == name
+            assert type(experiment.decoder) is BatchedWindowedLutDecoder
 
     def test_lut_built_once_per_process_not_per_shot(self):
         """O(shots) brute-force builds collapse to O(1) cached ones."""

@@ -286,6 +286,17 @@ class TestRunnerFlagsNeedTheirMode:
                 "--checkpoint",
                 "--workers",
             ),
+            (
+                ["ler", "--batch", "2", "--windows", "2"]
+                + ["--decoder", "unionfind:time_weight=2"],
+                "--decoder",
+                "['time_weight']",
+            ),
+            (
+                SWEEP + ["--decoder", "mwpm:time_weight=2"],
+                "--decoder",
+                "['time_weight']",
+            ),
         ],
         ids=[
             "ler-loop-checkpoint",
@@ -302,6 +313,8 @@ class TestRunnerFlagsNeedTheirMode:
             "sweep-batch-target-ci",
             "sweep-batch-shard-shots",
             "sweep-loop-checkpoint",
+            "ler-batch-decoder-params",
+            "sweep-batch-decoder-params",
         ],
     )
     def test_unused_flag_exits_2(self, argv, flag, mode, tmp_path, capsys):
@@ -335,7 +348,7 @@ class TestRunnerFlagsNeedTheirMode:
             seen.update(kwargs)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(parallel, "run_parallel_point", record)
+        monkeypatch.setattr(parallel, "run_parallel_sweep", record)
         with pytest.raises(KeyboardInterrupt):
             main(argv)
         assert (seen["shots"], seen["windows"]) == (shots, windows)

@@ -46,7 +46,6 @@ class TestCatalogue:
         assert names == sorted(names)
         for expected in (
             "lut",
-            "per-shot-lut",
             "mwpm",
             "unionfind",
             "sparse-mwpm",
@@ -117,15 +116,7 @@ class TestCapabilityRefusal:
 
     def test_windowed_build_requires_context(self):
         with pytest.raises(CapabilityError):
-            get_decoder("lut").build(RotatedSurfaceCode(3), None)
-
-    def test_windowed_build_rejects_params(self):
-        code = RotatedSurfaceCode(3)
-        window = WindowContext(
-            code.x_check_matrix, code.z_check_matrix, code=code
-        )
-        with pytest.raises(CapabilityError):
-            get_decoder("lut").build(code, window, time_weight=2)
+            get_decoder("lut").build(None)
 
     def test_unknown_graph_param_rejected(self):
         code = RotatedSurfaceCode(3)
@@ -222,7 +213,7 @@ class TestExperimentWiring:
 
         code = RotatedSurfaceCode(3)
         window = WindowContext(X_CHECK_MATRIX, Z_CHECK_MATRIX, code=code)
-        decoder = get_decoder(name).build(code, window)
+        decoder = get_decoder(name).build(window)
         syndromes = unpack_syndromes(np.arange(16), 4)[:, np.newaxis]
         decision = decoder.initialize(syndromes, syndromes)
         x_table, _ = dense_table(
@@ -233,3 +224,32 @@ class TestExperimentWiring:
         )
         assert np.array_equal(decision.z_corrections, x_table)
         assert np.array_equal(decision.x_corrections, z_table)
+
+    @pytest.mark.parametrize(
+        "decoder, pinned",
+        [("lut", {}), ("mwpm", {"decoder": "mwpm"})],
+        ids=["lut", "mwpm"],
+    )
+    def test_checkpoint_header_pins_the_decoder_by_name(
+        self, decoder, pinned
+    ):
+        """Headers keep the layout existing checkpoints were written
+        in, so they still resume: ``lut`` unpinned, others by name."""
+        from repro.experiments.parallel import _checkpoint_config
+
+        config = _checkpoint_config(
+            [1e-2, 3e-3], "x", 200, 50, 15, 5, 50, 2_000_000,
+            decoder=decoder,
+        )
+        assert config == {
+            "per_values": [0.01, 0.003],
+            "error_kind": "x",
+            "shots": 200,
+            "shard_shots": 50,
+            "windows": 15,
+            "seed": 5,
+            "max_logical_errors": 50,
+            "max_windows": 2000000,
+            "rng_stream": "exact",
+            **pinned,
+        }

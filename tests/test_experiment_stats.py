@@ -1,6 +1,7 @@
 """Tests for the statistics, analytic and schedule modules."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,24 @@ class TestComparison:
         assert comparison.rho_independent == 1.0
         assert comparison.rho_paired == 1.0
         assert not comparison.significant
+
+    def test_zero_variance_differences_are_decided_exactly(self):
+        """Constant but different arms, and pairs whose differences are
+        one non-zero constant: an infinite t statistic, p = 0, with no
+        t-test run on zero-variance data."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            comparison = compare_point(
+                [make_result(1e-3, False, 10, 0)] * 2,
+                [make_result(1e-3, True, 10, 1)] * 2,
+            )
+            assert comparison.rho_independent == 0.0
+            assert comparison.rho_paired == 0.0
+            comparison = compare_point(
+                [make_result(1e-3, False, 10, e) for e in (2, 1)],
+                [make_result(1e-3, True, 10, e) for e in (1, 0)],
+            )
+            assert comparison.rho_paired == 0.0
 
     def test_wildly_different_samples_are_significant(self):
         without = [

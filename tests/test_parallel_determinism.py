@@ -104,7 +104,8 @@ class TestCheckpointResume:
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         checkpoint = str(tmp_path / "sweep.jsonl")
         full = run_sweep(checkpoint=checkpoint)
-        lines = open(checkpoint).read().strip().split("\n")
+        with open(checkpoint) as handle:
+            lines = handle.read().strip().split("\n")
         assert len(lines) == 1 + full.total_shards  # header + shards
 
         # Simulate a kill after two shards, mid-write of the third.
@@ -125,7 +126,8 @@ class TestCheckpointResume:
     def test_resume_with_pool_matches_serial(self, tmp_path):
         checkpoint = str(tmp_path / "sweep.jsonl")
         full = run_sweep(checkpoint=checkpoint)
-        lines = open(checkpoint).read().strip().split("\n")
+        with open(checkpoint) as handle:
+            lines = handle.read().strip().split("\n")
         with open(checkpoint, "w") as handle:
             handle.write("\n".join(lines[:4]) + "\n")
         resumed = run_sweep(
@@ -152,7 +154,8 @@ class TestCheckpointResume:
     def test_loader_rejects_malformed_interior_line(self, tmp_path):
         checkpoint = str(tmp_path / "sweep.jsonl")
         run_sweep(checkpoint=checkpoint)
-        lines = open(checkpoint).read().strip().split("\n")
+        with open(checkpoint) as handle:
+            lines = handle.read().strip().split("\n")
         lines[1] = "not json"
         with open(checkpoint, "w") as handle:
             handle.write("\n".join(lines) + "\n")

@@ -17,6 +17,7 @@ than mere survival:
 """
 
 import asyncio
+import errno
 import http.client
 import json
 import os
@@ -118,6 +119,47 @@ class TestWorkerDeath:
             assert sweep_fingerprint(
                 outcome["report"]
             ) == sweep_fingerprint(reference)
+        finally:
+            fleet.shutdown()
+
+    def test_worker_that_cannot_start_respawns_the_pool(self, tmp_path):
+        """A ``submit`` that fails to start a worker (``OSError``, as
+        from a forkserver pipe torn by a SIGKILL) breaks the pool: the
+        fleet respawns it and the sweep still converges."""
+        reference_fleet = WorkerFleet(workers=2)
+        try:
+            reference = reference_fleet.run_sweep_job(
+                checkpoint=str(tmp_path / "ref.jsonl"), **SWEEP_PARAMS
+            )
+        finally:
+            reference_fleet.shutdown()
+
+        def fail_first_submit(pool):
+            def submit(*args, **kwargs):
+                del pool.submit  # later calls reach the real method
+                raise OSError(errno.EBADF, "Bad file descriptor")
+
+            pool.submit = submit
+
+        fleet = WorkerFleet(workers=2, max_respawns=3)
+        try:
+            fail_first_submit(fleet.executor())
+            report = fleet.run_sweep_job(
+                checkpoint=str(tmp_path / "fault.jsonl"), **SWEEP_PARAMS
+            )
+            assert fleet.respawns == 1
+            assert sweep_fingerprint(report) == sweep_fingerprint(
+                reference
+            )
+            fail_first_submit(fleet.executor())
+            decoded = fleet.run_decode(
+                {
+                    "x_rounds": [[[0, 0, 0, 0]] * 3],
+                    "z_rounds": [[[0, 1, 0, 0]] * 3],
+                }
+            )
+            assert fleet.respawns == 2
+            assert decoded["has_corrections"] == [1]
         finally:
             fleet.shutdown()
 
@@ -403,6 +445,7 @@ def _run_job_to_completion(port, spool_dir):
         except subprocess.TimeoutExpired:  # pragma: no cover
             server.kill()
             server.wait()
+        server.stdout.close()
 
 
 @pytest.mark.slow
@@ -433,6 +476,7 @@ def test_sigterm_mid_job_then_restart_is_bit_identical(tmp_path):
     finally:
         first.send_signal(signal.SIGTERM)
         first.wait(timeout=60)
+        first.stdout.close()
 
     # Restart over the same spool: the journal re-enqueues the job
     # and its checkpoint turns the re-run into a resume.
@@ -451,10 +495,11 @@ def test_sigterm_mid_job_then_restart_is_bit_identical(tmp_path):
     finally:
         second.send_signal(signal.SIGTERM)
         second.wait(timeout=60)
+        with second.stdout:
+            output = second.stdout.read()
 
     assert resumed == reference
 
     # The server restart actually recovered (rather than re-ran from
     # scratch): its boot line reports the resumed job.
-    output = second.stdout.read() if second.stdout else ""
     assert "1 jobs resumed" in output

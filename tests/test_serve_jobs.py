@@ -298,10 +298,10 @@ class TestRecovery:
                 for job_id, j in q.jobs.items()
             }
 
-        first = JobQueue(
-            on_transition=JobJournal(path, append=True).record
-        )
+        reopened = JobJournal(path, append=True)
+        first = JobQueue(on_transition=reopened.record)
         recover_jobs(path, first)
+        reopened.close()
         second = JobQueue()
         recover_jobs(path, second)
         assert snapshot(first) == snapshot(second)
