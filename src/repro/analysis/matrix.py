@@ -10,19 +10,15 @@ shot**:
 
 * **registry consistency** -- a capability flag and its builder must
   agree (``windowed`` <-> ``window_builder``, ``spacetime`` <-> both
-  graph builders), graph parameters are identifiers, names are
-  well-formed CLI tokens;
+  graph builders), names are well-formed CLI tokens;
 * **experiment matrix** -- windowed experiments (``ler``, ``sweep``,
   serve jobs) require ``windowed``; graph experiments
   (``phenomenological``, ``distance``, ``memory``) require
   ``spacetime``; serve-side params validation
   (:func:`repro.serve.workers.check_job_params`) must accept exactly
-  the decoders the registry says it should (and keep refusing
-  parameterized specs);
-* **documentation grammar** -- every ``--decoder NAME[:KEY=VALUE,...]``
-  example in README.md / EXPERIMENTS.md parses, names a registered
-  decoder, uses only declared graph parameters, and round-trips
-  through :func:`~repro.decoders.registry.format_decoder_arg`.
+  the decoders the registry says it should;
+* **documentation** -- every ``--decoder NAME`` example in README.md /
+  EXPERIMENTS.md names a registered decoder.
 
 Every engine runs every windowed decoder: the batched experiment
 hands all of them the same ``(shots, rounds, checks)`` syndrome
@@ -46,9 +42,7 @@ from ..decoders.registry import (
     CAP_SPACETIME,
     CAP_WINDOWED,
     RegisteredDecoder,
-    format_decoder_arg,
     list_decoders,
-    parse_decoder_arg,
 )
 
 #: experiment context -> the decoder capability it requires.
@@ -120,17 +114,6 @@ def check_registry(
                 f"space/spacetime builders are "
                 f"{'incomplete' if spacetime else 'present'}"
             )
-        for param in spec.graph_params:
-            if not param.isidentifier():
-                problems.append(
-                    f"decoder {spec.name!r}: graph parameter "
-                    f"{param!r} is not an identifier"
-                )
-        if spec.graph_params and not spacetime:
-            problems.append(
-                f"decoder {spec.name!r} declares graph parameters "
-                f"but not the {CAP_SPACETIME!r} capability"
-            )
     return problems
 
 
@@ -180,31 +163,15 @@ def check_experiment_matrix(
                     f"matrix says it is "
                     f"{'supported' if supported else 'unsupported'}"
                 )
-    # The service must keep refusing parameterized decoder specs at
-    # the door (the windowed builders take no parameters).
-    try:
-        check_job_params(
-            "ler",
-            {
-                "physical_error_rate": 1e-3,
-                "decoder": "lut:time_weight=1.0",
-            },
-        )
-        problems.append(
-            "serve params validation accepts a parameterized "
-            "decoder spec; the windowed protocol takes none"
-        )
-    except JobParamsError:
-        pass
     return cells, problems
 
 
 def check_doc_grammar(
     doc_paths: Sequence[Path],
 ) -> Tuple[int, List[str]]:
-    """Every ``--decoder`` example in the docs must be valid."""
+    """Every ``--decoder`` example in the docs must name a decoder."""
     problems: List[str] = []
-    canonical = {spec.name: spec for spec in list_decoders()}
+    names = {spec.name for spec in list_decoders()}
     examples = 0
     for doc in doc_paths:
         if not doc.exists():
@@ -213,43 +180,15 @@ def check_doc_grammar(
         text = doc.read_text(encoding="utf-8")
         for match in _DOC_DECODER_PATTERN.finditer(text):
             token = match.group(1).rstrip(".,;")
-            # Skip the grammar placeholder itself (NAME[:KEY=...]).
+            # Skip the placeholder itself (NAME).
             if token.upper() == token:
                 continue
             examples += 1
-            where = (
-                f"{doc.name}:"
-                f"{text.count(chr(10), 0, match.start()) + 1}"
-            )
-            try:
-                name, params = parse_decoder_arg(token)
-            except Exception as error:
+            if token not in names:
+                line = text.count(chr(10), 0, match.start()) + 1
                 problems.append(
-                    f"{where}: --decoder {token!r} does not "
-                    f"parse: {error}"
-                )
-                continue
-            spec = canonical.get(name)
-            if spec is None:
-                problems.append(
-                    f"{where}: --decoder names {name!r}, not a "
-                    f"registered decoder"
-                )
-                continue
-            unknown = sorted(set(params) - set(spec.graph_params))
-            if unknown:
-                problems.append(
-                    f"{where}: --decoder {token!r} uses "
-                    f"parameters {unknown} not declared by "
-                    f"{name!r} (known: {sorted(spec.graph_params)})"
-                )
-            rebuilt = format_decoder_arg(name, params)
-            reparsed = parse_decoder_arg(rebuilt)
-            if reparsed != (name, params):
-                problems.append(
-                    f"{where}: --decoder {token!r} does not "
-                    f"round-trip through format_decoder_arg "
-                    f"({rebuilt!r} -> {reparsed!r})"
+                    f"{doc.name}:{line}: --decoder names {token!r}, "
+                    f"not a registered decoder"
                 )
     return examples, problems
 

@@ -127,15 +127,13 @@ def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
 def _add_decoder_argument(
     parser: argparse.ArgumentParser, default: str = "lut"
 ) -> None:
-    """The registry decoder selector (``--decoder name[:k=v,...]``)."""
+    """The registry decoder selector (``--decoder NAME``)."""
     parser.add_argument(
         "--decoder",
         default=default,
-        metavar="NAME[:KEY=VALUE,...]",
+        metavar="NAME",
         help="registry decoder to decode with (see 'repro decoders' "
-        f"for the catalogue); default {default!r}.  Builder "
-        "parameters ride after a colon, e.g. "
-        "'unionfind:time_weight=2'",
+        f"for the catalogue); default {default!r}",
     )
 
 
@@ -281,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_parser(
         "decoders",
-        help="list the registered decoders (names, capabilities, "
-        "parameters)",
+        help="list the registered decoders (names and capabilities)",
     )
 
     add_parser(
@@ -603,46 +600,45 @@ def _require_batch_for_engine(args) -> bool:
     return True
 
 
-def _parse_decoder(args, default: str = "lut"):
-    """Parse ``--decoder NAME[:k=v,...]`` into ``(name, params)``.
+def _parse_decoder(args) -> Optional[str]:
+    """The registry decoder ``--decoder NAME`` selects, or ``None``.
 
-    Returns ``None`` (after printing to stderr) on an unknown decoder
-    or malformed parameter list — callers translate that into exit
-    code 2.  The windowed protocol's subcommands (``ler``, ``sweep``:
-    the ones with ``--batch``) take a name only, and a non-default one
-    only with ``--batch``, since the per-shot tableau loop has a fixed
-    decoder.
+    ``None`` (after one line on stderr) on an unregistered name or a
+    decoder without the subcommand's capability -- callers translate
+    that into exit code 2.  The windowed protocol's subcommands
+    (``ler``, ``sweep``: the ones with ``--batch``) take a decoder
+    other than ``lut`` only with ``--batch``, since the per-shot
+    tableau loop decodes with the LUT.
     """
     from .decoders.registry import (
+        CAP_SPACETIME,
+        CAP_WINDOWED,
         UnknownDecoderError,
         get_decoder,
-        parse_decoder_arg,
     )
 
     try:
-        name, params = parse_decoder_arg(args.decoder)
-        name = get_decoder(name).name
-    except (UnknownDecoderError, ValueError) as error:
+        spec = get_decoder(args.decoder)
+    except UnknownDecoderError as error:
         print(f"--decoder: {error}", file=sys.stderr)
         return None
-    if not hasattr(args, "batch"):
-        return name, params
-    if params:
+    windowed = hasattr(args, "batch")
+    required = CAP_WINDOWED if windowed else CAP_SPACETIME
+    if required not in spec.capabilities:
         print(
-            f"--decoder applies to {args.command} by name only: the "
-            "windowed protocol takes no decoder parameters; got "
-            f"{sorted(params)}",
+            f"--decoder: {spec.name!r} lacks the {required!r} "
+            f"capability that {args.command} needs",
             file=sys.stderr,
         )
         return None
-    if args.batch is None and name != default:
+    if windowed and args.batch is None and spec.name != "lut":
         print(
             "--decoder applies to the batched sampler only; "
             "add --batch WINDOWS/SHOTS to use it",
             file=sys.stderr,
         )
         return None
-    return name, params
+    return spec.name
 
 
 def cmd_ler(args) -> int:
@@ -695,22 +691,9 @@ def cmd_ler(args) -> int:
             config=_parallel_config(args),
             max_logical_errors=errors,
             engine=args.engine,
-            decoder=decoder[0],
+            decoder=decoder,
         )
-        report = LerReport(
-            physical_error_rate=args.per,
-            error_kind=args.kind,
-            mode="parallel",
-            seed=args.seed,
-            arms=[
-                parallel.arm_report(0, use_frame)
-                for use_frame in (False, True)
-            ],
-            committed_shards=parallel.committed_shards,
-            executed_shards=parallel.executed_shards,
-            resumed_shards=parallel.resumed_shards,
-            decoder=parallel.decoder,
-        )
+        report = parallel.ler_report(args.seed)
     else:
         from .experiments.ler import LerExperiment
 
@@ -774,10 +757,9 @@ def cmd_sweep(args) -> int:
     errors = _errors_or_default(args, SWEEP_DEFAULT_ERRORS)
     if errors is None:
         return 2
-    decoder = _parse_decoder(args)
-    if decoder is None:
+    decoder_name = _parse_decoder(args)
+    if decoder_name is None:
         return 2
-    decoder_name = decoder[0]
     if args.workers is not None:
         from .experiments.parallel import run_parallel_sweep
 
@@ -933,7 +915,7 @@ def cmd_distance(args) -> int:
     from .experiments.distance import run_distance_scaling
     from .experiments.results import DistanceReport
 
-    decoder = _parse_decoder(args, default="mwpm")
+    decoder = _parse_decoder(args)
     if decoder is None:
         return 2
     results = run_distance_scaling(
@@ -941,8 +923,7 @@ def cmd_distance(args) -> int:
         per_values=args.per,
         trials=args.trials,
         seed=args.seed,
-        decoder=decoder[0],
-        decoder_params=decoder[1],
+        decoder=decoder,
     )
     report = DistanceReport(
         trials=args.trials,
@@ -970,7 +951,7 @@ def cmd_phenomenological(args) -> int:
     )
     from .experiments.results import PhenomenologicalReport
 
-    decoder = _parse_decoder(args, default="mwpm")
+    decoder = _parse_decoder(args)
     if decoder is None:
         return 2
     results = run_phenomenological_scaling(
@@ -978,8 +959,7 @@ def cmd_phenomenological(args) -> int:
         per_values=args.per,
         trials=args.trials,
         seed=args.seed,
-        decoder=decoder[0],
-        decoder_params=decoder[1],
+        decoder=decoder,
     )
     report = PhenomenologicalReport(
         trials=args.trials,
@@ -1006,7 +986,7 @@ def cmd_memory(args) -> int:
     from .experiments.memory import run_block_scaling
     from .experiments.results import MemoryReport
 
-    decoder = _parse_decoder(args, default="mwpm")
+    decoder = _parse_decoder(args)
     if decoder is None:
         return 2
     results = run_block_scaling(
@@ -1014,8 +994,7 @@ def cmd_memory(args) -> int:
         physical_error_rate=args.per,
         trials=args.trials,
         seed=args.seed,
-        decoder=decoder[0],
-        decoder_params=decoder[1],
+        decoder=decoder,
     )
     report = MemoryReport(
         physical_error_rate=args.per,

@@ -172,8 +172,6 @@ def render_decoders(report: DecodersReport) -> str:
         caps = ",".join(row["capabilities"])
         lines.append(f"{row['name']:<14} {caps}")
         lines.append(f"    {row['summary']}")
-        if row["params"]:
-            lines.append(f"    params: {', '.join(row['params'])}")
     return "\n".join(lines)
 
 

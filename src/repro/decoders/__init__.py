@@ -6,11 +6,13 @@ window through one driver,
 :class:`~repro.decoders.batched.BatchedWindowedLutDecoder`: a numpy
 gather over two process-cached dense tables, which the LUT, MWPM,
 union-find and sparse-matching algorithms each fill in their own way.
-:mod:`~repro.decoders.unionfind` and :mod:`~repro.decoders.sparse`
-also scale past the dense-table ceiling (d >= 15) over the same
-``(shots, rounds, checks)`` arrays.  All of them register in the
-:mod:`~repro.decoders.registry`, which is how experiments, the CLI
-and the serve fleet select decoders by name.
+The three graph algorithms (MWPM, union-find, sparse matching)
+supply only their defect solvers to one seam,
+:mod:`~repro.decoders.graph`, which dedupes batches, derives
+detection events and fills their dense tables; union-find and sparse
+matching also scale past the dense-table ceiling (d >= 15).  All of
+them register in the :mod:`~repro.decoders.registry`, which is how
+experiments, the CLI and the serve fleet select decoders by name.
 """
 
 from .batched import (
@@ -20,7 +22,6 @@ from .batched import (
     clear_lut_cache,
     dense_lut,
     lut_cache_size,
-    mwpm_dense_lut,
     pack_syndromes,
     unpack_syndromes,
 )
@@ -33,7 +34,13 @@ from .lut import (
     syndrome_of,
     unpack_syndrome,
 )
-from .mwpm import MatchingGraph, MwpmDecoder, boundary_qubits_for
+from .graph import GraphDecoder, SpaceTimeGraphDecoder, graph_dense_lut
+from .mwpm import (
+    MatchingGraph,
+    MwpmDecoder,
+    boundary_qubits_for,
+    mwpm_dense_lut,
+)
 from .registry import (
     CAP_EXACT,
     CAP_SPACETIME,
@@ -45,10 +52,8 @@ from .registry import (
     RegisteredDecoder,
     UnknownDecoderError,
     WindowContext,
-    format_decoder_arg,
     get_decoder,
     list_decoders,
-    parse_decoder_arg,
     register_decoder,
     unregister_decoder,
 )
@@ -104,6 +109,10 @@ __all__ = [
     "unpack_syndromes",
     "clear_lut_cache",
     "lut_cache_size",
+    # the graph-decoder seam
+    "GraphDecoder",
+    "SpaceTimeGraphDecoder",
+    "graph_dense_lut",
     # union-find
     "DecodingGraph",
     "build_space_graph",
@@ -134,6 +143,4 @@ __all__ = [
     "unregister_decoder",
     "get_decoder",
     "list_decoders",
-    "parse_decoder_arg",
-    "format_decoder_arg",
 ]

@@ -22,9 +22,9 @@ prescribes:
   ``(shots, rounds, checks)`` and runs majority vote, syndrome
   packing, table gather and the windowed carry-state as pure numpy.
   The decoding algorithm only decides which two tables it gathers
-  from: the minimum-weight tables here, or the Blossom
-  (:func:`mwpm_dense_lut`), union-find and sparse-matching tables the
-  decoder registry hands it.
+  from: the minimum-weight tables here, or the Blossom, union-find and
+  sparse-matching tables (:func:`repro.decoders.graph.graph_dense_lut`)
+  the decoder registry hands it.
 
 The lockstep core emits syndromes as ``uint64`` word planes; the
 batched LER experiment unpacks them into the same ``(shots, rounds,
@@ -42,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -183,40 +183,6 @@ def dense_lut(check_matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     check = np.ascontiguousarray(np.asarray(check_matrix, dtype=np.uint8))
     key = ("lut", *_check_digest(check))
     return _cached_table(key, lambda: build_dense_lut(check))
-
-
-def mwpm_dense_lut(
-    check_matrix: np.ndarray, boundary_qubits: Sequence[int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense table filled by Blossom matching instead of enumeration.
-
-    Every one of the ``2^num_checks`` syndromes is decoded once by a
-    :class:`~repro.decoders.mwpm.MwpmDecoder`, turning the matching
-    decoder into a gather table for batched decoding (feasible for the
-    small codes the windowed LUT protocol targets).  All syndromes are
-    reachable by construction.
-    """
-    check = np.ascontiguousarray(np.asarray(check_matrix, dtype=np.uint8))
-    key = ("mwpm", *_check_digest(check), tuple(boundary_qubits))
-
-    def build() -> Tuple[np.ndarray, np.ndarray]:
-        from .mwpm import MwpmDecoder
-
-        num_checks, _ = check.shape
-        if num_checks > MAX_DENSE_CHECKS:
-            raise ValueError(
-                "dense MWPM table infeasible beyond "
-                f"{MAX_DENSE_CHECKS} checks"
-            )
-        decoder = MwpmDecoder(check, boundary_qubits)
-        size = 1 << num_checks
-        syndromes = unpack_syndromes(np.arange(size), num_checks)
-        table = np.stack(
-            [decoder.decode(s).astype(bool) for s in syndromes]
-        )
-        return table, np.ones(size, dtype=bool)
-
-    return _cached_table(key, build)
 
 
 def _cached_table(key, build) -> Tuple[np.ndarray, np.ndarray]:

@@ -12,16 +12,20 @@ networkx's ``max_weight_matching`` implements Blossom; we feed it
 negated distances so that maximum weight equals minimum cost.
 networkx is imported where the graphs are built, so importing the
 package does not load it.
+
+:class:`MwpmDecoder` supplies only the Blossom solver; ``decode``,
+the deduplicating ``decode_batch`` and the dense-table form
+(:func:`mwpm_dense_lut`) come from :mod:`repro.decoders.graph`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .. import telemetry
+from .graph import GraphDecoder, Solver, graph_dense_lut
 
 
 class MatchingGraph:
@@ -98,7 +102,7 @@ class MatchingGraph:
         return qubits
 
 
-class MwpmDecoder:
+class MwpmDecoder(GraphDecoder):
     """Blossom decoding of one check species.
 
     Given a syndrome (set of violated checks), pairs the defects --
@@ -111,34 +115,20 @@ class MwpmDecoder:
         check_matrix: np.ndarray,
         boundary_qubits: Sequence[int],
     ) -> None:
+        super().__init__(check_matrix, boundary_qubits)
         self.graph = MatchingGraph(check_matrix, boundary_qubits)
 
-    def decode(self, syndrome: Sequence[int]) -> np.ndarray:
-        """Correction bit-vector for one syndrome.
+    def _solver(self, rounds: int) -> Solver:
+        return self._decode
 
-        Each defect gets a private copy of the boundary node so that
-        any number of defects can terminate on the boundary; boundary-
-        boundary pairings are free, which makes the matching perfect.
+    def _decode(self, nodes: np.ndarray) -> np.ndarray:
+        """Match the defect checks; each gets a private boundary copy.
+
+        Any number of defects can then terminate on the boundary;
+        boundary-boundary pairings are free, which makes the matching
+        perfect.
         """
-        t = telemetry.ACTIVE
-        if t is None:
-            return self._decode(syndrome)
-        defect_count = int(np.count_nonzero(np.asarray(syndrome)))
-        with t.span(
-            "decoder.mwpm", "MwpmDecoder.decode", defects=defect_count
-        ):
-            correction = self._decode(syndrome)
-        t.count("decoder.mwpm", "MwpmDecoder.decode", "calls")
-        t.count(
-            "decoder.mwpm",
-            "MwpmDecoder.decode",
-            "correction_weight",
-            int(correction.sum()),
-        )
-        return correction
-
-    def _decode(self, syndrome: Sequence[int]) -> np.ndarray:
-        defects = [int(i) for i in np.flatnonzero(np.asarray(syndrome))]
+        defects = [int(i) for i in nodes]
         correction = np.zeros(self.graph.num_qubits, dtype=bool)
         if not defects:
             return correction
@@ -203,3 +193,10 @@ def boundary_qubits_for(code, basis: str) -> List[int]:
     return [code.data_index(row, 0) for row in range(d)] + [
         code.data_index(row, d - 1) for row in range(d)
     ]
+
+
+def mwpm_dense_lut(
+    check_matrix: np.ndarray, boundary_qubits: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense table filled by Blossom matching instead of enumeration."""
+    return graph_dense_lut("mwpm", MwpmDecoder, check_matrix, boundary_qubits)

@@ -13,8 +13,10 @@ Every batched windowed decoder is the one
 algorithm contributes only its process-cached dense-table function
 (``dense_lut``, ``mwpm_dense_lut``, ``unionfind_dense_lut``,
 ``sparse_mwpm_dense_lut``), and one generic window builder turns it
-into the decoder's two gather tables.  A windowed decoder is chosen
-by name alone: its build takes no parameters.
+into the decoder's two gather tables.  A graph decoder's space and
+space-time builders are its two classes (each a
+:class:`~repro.decoders.graph.GraphDecoder` subclass).  Every decoder
+is chosen by name alone: no build takes parameters.
 
 Capability flags:
 
@@ -27,30 +29,29 @@ Capability flags:
 :data:`CAP_SPACETIME`        builds space / space-time graph forms
 =========================== =======================================
 
-The CLI surfaces the registry as ``repro decoders`` and accepts
-``--decoder name:key=value,...`` where a graph decoder is chosen
-(:func:`parse_decoder_arg`); ``ler``, ``sweep`` and serve jobs take
-the name only.
+The CLI surfaces the registry as ``repro decoders`` and takes
+``--decoder NAME``; serve jobs take the same name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .batched import BatchedWindowedLutDecoder, dense_lut, mwpm_dense_lut
-from .mwpm import boundary_qubits_for
-from .sparse import sparse_mwpm_dense_lut
-from .unionfind import unionfind_dense_lut
+from .batched import BatchedWindowedLutDecoder, dense_lut
+from .mwpm import MwpmDecoder, boundary_qubits_for, mwpm_dense_lut
+from .spacetime import SpaceTimeMatchingDecoder
+from .sparse import (
+    SparseMwpmDecoder,
+    SparseSpaceTimeMatchingDecoder,
+    sparse_mwpm_dense_lut,
+)
+from .unionfind import (
+    SpaceTimeUnionFindDecoder,
+    UnionFindDecoder,
+    unionfind_dense_lut,
+)
 
 #: Corrections are provably minimum-weight (or bit-identical to the
 #: reference LUT protocol) — what the golden digests pin.
@@ -108,9 +109,9 @@ class RegisteredDecoder:
 
     ``window_builder`` receives the :class:`WindowContext` alone;
     ``space_builder`` / ``spacetime_builder`` receive
-    ``(check_matrix, boundary_qubits, **params)``.  Missing builders
-    mean the capability is absent and :class:`CapabilityError` is
-    raised on use.
+    ``(check_matrix, boundary_qubits)``.  Missing builders mean the
+    capability is absent and :class:`CapabilityError` is raised on
+    use.
     """
 
     name: str
@@ -119,8 +120,6 @@ class RegisteredDecoder:
     window_builder: Optional[Callable[..., Any]] = None
     space_builder: Optional[Callable[..., Any]] = None
     spacetime_builder: Optional[Callable[..., Any]] = None
-    #: Keyword parameters the graph builders accept (CLI-settable).
-    graph_params: Tuple[str, ...] = ()
 
     # ------------------------------------------------------------------
     def build(self, window: Optional[WindowContext] = None) -> Any:
@@ -141,10 +140,7 @@ class RegisteredDecoder:
         return self.window_builder(window)
 
     def build_space(
-        self,
-        check_matrix: Any,
-        boundary_qubits: Sequence[int],
-        **params: Any,
+        self, check_matrix: Any, boundary_qubits: Sequence[int]
     ) -> Any:
         """Build the single-round (space-graph) decoder."""
         if self.space_builder is None:
@@ -152,14 +148,10 @@ class RegisteredDecoder:
                 f"decoder {self.name!r} does not support graph "
                 f"decoding (capability {CAP_SPACETIME!r} missing)"
             )
-        self._check_params(params, allow=())
         return self.space_builder(check_matrix, boundary_qubits)
 
     def build_spacetime(
-        self,
-        check_matrix: Any,
-        boundary_qubits: Sequence[int],
-        **params: Any,
+        self, check_matrix: Any, boundary_qubits: Sequence[int]
     ) -> Any:
         """Build the space-time (repeated-rounds) decoder."""
         if self.spacetime_builder is None:
@@ -167,20 +159,7 @@ class RegisteredDecoder:
                 f"decoder {self.name!r} does not support space-time "
                 f"decoding (capability {CAP_SPACETIME!r} missing)"
             )
-        self._check_params(params, allow=self.graph_params)
-        return self.spacetime_builder(
-            check_matrix, boundary_qubits, **params
-        )
-
-    def _check_params(
-        self, params: Dict[str, Any], allow: Tuple[str, ...]
-    ) -> None:
-        unknown = sorted(set(params) - set(allow))
-        if unknown:
-            raise CapabilityError(
-                f"decoder {self.name!r} does not accept "
-                f"parameters {unknown}; known: {sorted(allow)}"
-            )
+        return self.spacetime_builder(check_matrix, boundary_qubits)
 
     def describe(self) -> Dict[str, Any]:
         """JSON-ready description (the ``repro decoders`` payload)."""
@@ -188,7 +167,6 @@ class RegisteredDecoder:
             "name": self.name,
             "summary": self.summary,
             "capabilities": sorted(self.capabilities),
-            "params": list(self.graph_params),
         }
 
 
@@ -229,60 +207,6 @@ def list_decoders() -> List[RegisteredDecoder]:
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
 
 
-def parse_decoder_arg(value: str) -> Tuple[str, Dict[str, Any]]:
-    """Parse a ``--decoder name[:key=value,...]`` CLI argument.
-
-    Values coerce to ``int`` / ``float`` / ``bool`` when they look
-    like one, else stay strings.  The name is not looked up here
-    (:func:`get_decoder` does that).
-    """
-    name, _, tail = value.partition(":")
-    name = name.strip()
-    if not name:
-        raise DecoderRegistryError(
-            f"empty decoder name in {value!r}"
-        )
-    params: Dict[str, Any] = {}
-    if tail:
-        for item in tail.split(","):
-            key, sep, raw = item.partition("=")
-            key = key.strip()
-            if not sep or not key:
-                raise DecoderRegistryError(
-                    f"malformed decoder parameter {item!r} "
-                    f"(expected key=value)"
-                )
-            params[key] = _coerce(raw.strip())
-    return name, params
-
-
-def format_decoder_arg(
-    name: str, params: Optional[Dict[str, Any]] = None
-) -> str:
-    """Inverse of :func:`parse_decoder_arg` (result echoing)."""
-    if not params:
-        return name
-    tail = ",".join(
-        f"{key}={params[key]}" for key in sorted(params)
-    )
-    return f"{name}:{tail}"
-
-
-def _coerce(raw: str) -> Any:
-    lowered = raw.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    return raw
-
-
 # ----------------------------------------------------------------------
 # Built-in decoders
 # ----------------------------------------------------------------------
@@ -320,48 +244,6 @@ def _lut_table(
     return dense_lut(check_matrix)
 
 
-def _space_mwpm(check: Any, boundary: Sequence[int]) -> Any:
-    from .mwpm import MwpmDecoder
-
-    return MwpmDecoder(check, boundary)
-
-
-def _spacetime_mwpm(
-    check: Any, boundary: Sequence[int], **params: Any
-) -> Any:
-    from .spacetime import SpaceTimeMatchingDecoder
-
-    return SpaceTimeMatchingDecoder(check, boundary, **params)
-
-
-def _space_unionfind(check: Any, boundary: Sequence[int]) -> Any:
-    from .unionfind import UnionFindDecoder
-
-    return UnionFindDecoder(check, boundary)
-
-
-def _spacetime_unionfind(
-    check: Any, boundary: Sequence[int], **params: Any
-) -> Any:
-    from .unionfind import SpaceTimeUnionFindDecoder
-
-    return SpaceTimeUnionFindDecoder(check, boundary, **params)
-
-
-def _space_sparse(check: Any, boundary: Sequence[int]) -> Any:
-    from .sparse import SparseMwpmDecoder
-
-    return SparseMwpmDecoder(check, boundary)
-
-
-def _spacetime_sparse(
-    check: Any, boundary: Sequence[int], **params: Any
-) -> Any:
-    from .sparse import SparseSpaceTimeMatchingDecoder
-
-    return SparseSpaceTimeMatchingDecoder(check, boundary, **params)
-
-
 def _register_builtins() -> None:
     register_decoder(
         RegisteredDecoder(
@@ -385,9 +267,8 @@ def _register_builtins() -> None:
                 (CAP_EXACT, CAP_WINDOWED, CAP_SPACETIME)
             ),
             window_builder=partial(_build_window, mwpm_dense_lut),
-            space_builder=_space_mwpm,
-            spacetime_builder=_spacetime_mwpm,
-            graph_params=("time_weight",),
+            space_builder=MwpmDecoder,
+            spacetime_builder=SpaceTimeMatchingDecoder,
         )
     )
     register_decoder(
@@ -401,9 +282,8 @@ def _register_builtins() -> None:
                 (CAP_SPARSE, CAP_WINDOWED, CAP_SPACETIME)
             ),
             window_builder=partial(_build_window, unionfind_dense_lut),
-            space_builder=_space_unionfind,
-            spacetime_builder=_spacetime_unionfind,
-            graph_params=("time_weight",),
+            space_builder=UnionFindDecoder,
+            spacetime_builder=SpaceTimeUnionFindDecoder,
         )
     )
     register_decoder(
@@ -419,9 +299,8 @@ def _register_builtins() -> None:
             window_builder=partial(
                 _build_window, sparse_mwpm_dense_lut
             ),
-            space_builder=_space_sparse,
-            spacetime_builder=_spacetime_sparse,
-            graph_params=("time_weight",),
+            space_builder=SparseMwpmDecoder,
+            spacetime_builder=SparseSpaceTimeMatchingDecoder,
         )
     )
 

@@ -20,20 +20,25 @@ Standard construction (Dennis et al., J. Math. Phys. 43, 4452):
 Matched pairs contribute the *spatial* projection of their connecting
 path as data-qubit corrections; temporal segments correct nothing
 (they re-interpret measurements).
+
+:class:`SpaceTimeMatchingDecoder` supplies only the Blossom solver;
+the detection-event transform, ``decode_history``, ``decode_events``
+and the deduplicating ``decode_batch`` come from
+:class:`~repro.decoders.graph.SpaceTimeGraphDecoder`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from .. import telemetry
+from .graph import Solver, SpaceTimeGraphDecoder
 from .mwpm import MatchingGraph
 
 
-class SpaceTimeMatchingDecoder:
+class SpaceTimeMatchingDecoder(SpaceTimeGraphDecoder):
     """Decode a history of noisy syndrome rounds of one check species.
 
     Parameters
@@ -54,72 +59,20 @@ class SpaceTimeMatchingDecoder:
         boundary_qubits: Sequence[int],
         time_weight: float = 1.0,
     ) -> None:
+        super().__init__(check_matrix, boundary_qubits, time_weight)
         self.graph = MatchingGraph(check_matrix, boundary_qubits)
-        self.time_weight = float(time_weight)
 
-    # ------------------------------------------------------------------
-    def detection_events(
-        self, syndrome_history: Sequence[Sequence[int]]
-    ) -> List[Tuple[int, int]]:
-        """``(round, check)`` pairs where the syndrome changed.
+    def _solver(self, rounds: int) -> Solver:
+        return self._decode_events
 
-        ``syndrome_history[t]`` is the syndrome observed in round ``t``;
-        round 0 is compared against the all-zero reference (the state
-        is prepared in the codespace).
+    def _decode_events(self, defects: np.ndarray) -> np.ndarray:
+        """Match the events at the flat ``round * checks + check`` nodes.
+
+        Events enter the matching graph in ``detection_events`` order;
+        networkx breaks ties by insertion order.
         """
-        events: List[Tuple[int, int]] = []
-        previous = np.zeros(self.graph.num_checks, dtype=np.uint8)
-        for round_index, syndrome in enumerate(syndrome_history):
-            current = np.asarray(syndrome, dtype=np.uint8)
-            changed = np.flatnonzero(current ^ previous)
-            events.extend(
-                (round_index, int(check)) for check in changed
-            )
-            previous = current
-        return events
-
-    def decode_history(
-        self, syndrome_history: Sequence[Sequence[int]]
-    ) -> np.ndarray:
-        """Correction bit-vector from a full syndrome history.
-
-        The caller guarantees the last round is reliable (the usual
-        trick: a final perfect round, or the transversal data readout
-        whose recomputed syndrome serves as the last round).
-        """
-        events = self.detection_events(syndrome_history)
-        return self.decode_events(events)
-
-    def decode_events(
-        self, events: Sequence[Tuple[int, int]]
-    ) -> np.ndarray:
-        """Match detection events; returns data-qubit corrections."""
-        t = telemetry.ACTIVE
-        if t is None:
-            return self._decode_events(events)
-        events = list(events)
-        with t.span(
-            "decoder.spacetime",
-            "SpaceTimeMatchingDecoder.decode_events",
-            events=len(events),
-        ):
-            correction = self._decode_events(events)
-        t.count(
-            "decoder.spacetime", "SpaceTimeMatchingDecoder.decode", "calls"
-        )
-        t.count(
-            "decoder.spacetime",
-            "SpaceTimeMatchingDecoder.decode",
-            "correction_weight",
-            int(correction.sum()),
-        )
-        return correction
-
-    def _decode_events(
-        self, events: Sequence[Tuple[int, int]]
-    ) -> np.ndarray:
+        events = [divmod(int(node), self.num_checks) for node in defects]
         correction = np.zeros(self.graph.num_qubits, dtype=bool)
-        events = list(events)
         if not events:
             return correction
         import networkx as nx

@@ -22,10 +22,11 @@ sparse, array-native machinery:
 
 Graphs are the shared edge-list :class:`~repro.decoders.unionfind.
 DecodingGraph` structures, so space and space-time layouts come for
-free, and the batched frontends mirror the union-find ones:
-``decode_batch`` over ``(shots, [rounds,] checks)`` arrays with
-``np.unique`` dedupe, plus a dense-table form for the Surface-17 LER
-pipeline (:func:`sparse_mwpm_dense_lut`).
+free.  The two decoder classes supply only the matcher's
+``match_defects``; ``decode_batch`` over ``(shots, [rounds,] checks)``
+arrays with ``np.unique`` dedupe and the dense-table form for the
+Surface-17 LER pipeline (:func:`sparse_mwpm_dense_lut`) come from
+:mod:`repro.decoders.graph`.
 """
 
 from __future__ import annotations
@@ -34,12 +35,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import telemetry
-from .batched import (
-    MAX_DENSE_CHECKS,
-    _cached_table,
-    _check_digest,
-    unpack_syndromes,
+from .graph import (
+    GraphDecoder,
+    Solver,
+    SpaceTimeGraphDecoder,
+    graph_dense_lut,
 )
 from .unionfind import (
     DecodingGraph,
@@ -237,196 +237,40 @@ class SparseMatchingGraph:
         return pairs
 
 
-class SparseMwpmDecoder:
+class SparseMwpmDecoder(GraphDecoder):
     """Single-round sparse local-matching decoding of one species.
 
-    Drop-in for :class:`~repro.decoders.mwpm.MwpmDecoder` — same
-    constructor, same ``decode(syndrome)`` contract — plus the
-    deduplicating :meth:`decode_batch` over ``(shots, checks)``
-    arrays.
+    Drop-in for :class:`~repro.decoders.mwpm.MwpmDecoder` -- same
+    constructor, same ``decode`` / ``decode_batch`` contract.
     """
 
-    def __init__(
-        self,
-        check_matrix: np.ndarray,
-        boundary_qubits: Sequence[int],
-    ) -> None:
-        self.matcher = SparseMatchingGraph(
-            build_space_graph(check_matrix, boundary_qubits)
-        )
-
-    def decode(self, syndrome: Sequence[int]) -> np.ndarray:
-        """Correction bit-vector for one syndrome."""
-        syndrome = np.asarray(syndrome, dtype=bool)
-        t = telemetry.ACTIVE
-        if t is None:
-            return self._decode(syndrome)
-        with t.span(
-            "decoder.sparse",
-            "SparseMwpmDecoder.decode",
-            defects=int(np.count_nonzero(syndrome)),
-        ):
-            correction = self._decode(syndrome)
-        t.count("decoder.sparse", "SparseMwpmDecoder.decode", "calls")
-        return correction
-
-    def _decode(self, syndrome: np.ndarray) -> np.ndarray:
-        return self.matcher.match_defects(np.flatnonzero(syndrome))
-
-    def decode_batch(self, syndromes: np.ndarray) -> np.ndarray:
-        """Corrections for a ``(shots, checks)`` syndrome batch."""
-        syndromes = np.asarray(syndromes, dtype=bool)
-        unique, inverse = np.unique(
-            syndromes, axis=0, return_inverse=True
-        )
-        inverse = np.asarray(inverse).reshape(-1)
-        table = np.empty(
-            (unique.shape[0], self.matcher.graph.num_qubits),
-            dtype=bool,
-        )
-        for index in range(unique.shape[0]):
-            table[index] = self._decode(unique[index])
-        return table[inverse]
+    def _solver(self, rounds: int) -> Solver:
+        graph = build_space_graph(self.check_matrix, self.boundary_qubits)
+        return SparseMatchingGraph(graph).match_defects
 
 
-class SparseSpaceTimeMatchingDecoder:
+class SparseSpaceTimeMatchingDecoder(SpaceTimeGraphDecoder):
     """Sparse matching over repeated noisy syndrome rounds.
 
     API-compatible with
-    :class:`~repro.decoders.spacetime.SpaceTimeMatchingDecoder`
-    (``detection_events`` / ``decode_history`` / ``decode_events``)
-    plus :meth:`decode_batch` over ``(shots, rounds, checks)``
-    histories.  Matchers are cached per round count.
+    :class:`~repro.decoders.spacetime.SpaceTimeMatchingDecoder`;
+    matchers are built once per round count.
     """
 
-    def __init__(
-        self,
-        check_matrix: np.ndarray,
-        boundary_qubits: Sequence[int],
-        time_weight: float = 1.0,
-    ) -> None:
-        self.check_matrix = np.asarray(check_matrix, dtype=np.uint8)
-        self.boundary_qubits = [int(q) for q in boundary_qubits]
-        self.time_weight = float(time_weight)
-        self.num_checks = int(self.check_matrix.shape[0])
-        self.num_qubits = int(self.check_matrix.shape[1])
-        self._matchers: Dict[int, SparseMatchingGraph] = {}
-
-    def _matcher_for(self, rounds: int) -> SparseMatchingGraph:
-        matcher = self._matchers.get(rounds)
-        if matcher is None:
-            matcher = SparseMatchingGraph(
-                build_space_time_graph(
-                    self.check_matrix,
-                    self.boundary_qubits,
-                    rounds,
-                    time_weight=self.time_weight,
-                )
-            )
-            self._matchers[rounds] = matcher
-        return matcher
-
-    def detection_events(
-        self, syndrome_history: Sequence[Sequence[int]]
-    ) -> List[Tuple[int, int]]:
-        """``(round, check)`` pairs where the syndrome changed."""
-        history = np.asarray(syndrome_history, dtype=bool)
-        events = history.copy()
-        events[1:] ^= history[:-1]
-        rounds_idx, checks_idx = np.nonzero(events)
-        return [
-            (int(t), int(c))
-            for t, c in zip(rounds_idx, checks_idx)
-        ]
-
-    def decode_history(
-        self, syndrome_history: Sequence[Sequence[int]]
-    ) -> np.ndarray:
-        """Correction bit-vector from one full syndrome history."""
-        history = np.asarray(syndrome_history, dtype=bool)
-        return self.decode_batch(history[np.newaxis])[0]
-
-    def decode_events(
-        self,
-        events: Sequence[Tuple[int, int]],
-        rounds: Optional[int] = None,
-    ) -> np.ndarray:
-        """Decode explicit ``(round, check)`` detection events."""
-        events = list(events)
-        if rounds is None:
-            rounds = max((t for t, _ in events), default=0) + 1
-        matcher = self._matcher_for(rounds)
-        defects = np.zeros(matcher.graph.num_nodes, dtype=bool)
-        for t, check in events:
-            defects[t * self.num_checks + check] ^= True
-        return matcher.match_defects(np.flatnonzero(defects))
-
-    def decode_batch(self, histories: np.ndarray) -> np.ndarray:
-        """Corrections for ``(shots, rounds, checks)`` histories."""
-        histories = np.asarray(histories, dtype=bool)
-        t = telemetry.ACTIVE
-        if t is None:
-            return self._decode_batch(histories)
-        with t.span(
-            "decoder.sparse",
-            "SparseSpaceTimeMatchingDecoder.decode_batch",
-            shots=int(histories.shape[0]),
-            rounds=int(histories.shape[1]),
-        ):
-            return self._decode_batch(histories)
-
-    def _decode_batch(self, histories: np.ndarray) -> np.ndarray:
-        shots, rounds, _ = histories.shape
-        matcher = self._matcher_for(rounds)
-        events = histories.copy()
-        events[:, 1:] ^= histories[:, :-1]
-        flattened = events.reshape(shots, -1)
-        unique, inverse = np.unique(
-            flattened, axis=0, return_inverse=True
+    def _solver(self, rounds: int) -> Solver:
+        graph = build_space_time_graph(
+            self.check_matrix,
+            self.boundary_qubits,
+            rounds,
+            time_weight=self.time_weight,
         )
-        inverse = np.asarray(inverse).reshape(-1)
-        table = np.empty(
-            (unique.shape[0], self.num_qubits), dtype=bool
-        )
-        for index in range(unique.shape[0]):
-            table[index] = matcher.match_defects(
-                np.flatnonzero(unique[index])
-            )
-        return table[inverse]
+        return SparseMatchingGraph(graph).match_defects
 
 
-# ----------------------------------------------------------------------
-# Dense-table form for the Surface-17 windowed protocol
-# ----------------------------------------------------------------------
 def sparse_mwpm_dense_lut(
     check_matrix: np.ndarray, boundary_qubits: Sequence[int]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense gather table filled by sparse local matching.
-
-    Process-cached like the LUT / MWPM / union-find tables, so the
-    batched window decoder consumes the sparse matcher as one gather
-    per window.
-    """
-    check = np.ascontiguousarray(
-        np.asarray(check_matrix, dtype=np.uint8)
+    """Dense gather table filled by sparse local matching."""
+    return graph_dense_lut(
+        "sparse-mwpm", SparseMwpmDecoder, check_matrix, boundary_qubits
     )
-    key = (
-        "sparse-mwpm",
-        *_check_digest(check),
-        tuple(boundary_qubits),
-    )
-
-    def build() -> Tuple[np.ndarray, np.ndarray]:
-        num_checks, _ = check.shape
-        if num_checks > MAX_DENSE_CHECKS:
-            raise ValueError(
-                "dense sparse-matching table infeasible beyond "
-                f"{MAX_DENSE_CHECKS} checks; use the batch decoders"
-            )
-        decoder = SparseMwpmDecoder(check, boundary_qubits)
-        size = 1 << num_checks
-        syndromes = unpack_syndromes(np.arange(size), num_checks)
-        table = decoder.decode_batch(syndromes)
-        return table, np.ones(size, dtype=bool)
-
-    return _cached_table(key, build)

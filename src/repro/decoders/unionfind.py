@@ -25,33 +25,27 @@ Everything is laid out as flat numpy arrays:
 * **peeling** walks that forest leaf-inward, flipping the data qubit
   of every spatial tree edge whose leaf side holds an unpaired defect.
 
-Batched decoding (:meth:`UnionFindDecoder.decode_batch`,
-:meth:`SpaceTimeUnionFindDecoder.decode_batch`) consumes the same
-``(shots, rounds, checks)`` arrays the batched sampler emits and
-dedupes identical syndromes with one ``np.unique`` — the Python-level
-work scales with the number of *distinct* syndromes, not with shots.
-
-For the Surface-17 windowed protocol the decoder also exists in dense
-gather-table form (:func:`unionfind_dense_lut`): the decoder registry
-hands those tables to
-:class:`~repro.decoders.batched.BatchedWindowedLutDecoder`, so it
-plugs into the batched LER pipeline exactly like the LUT and MWPM
-decoders.
+:class:`UnionFindDecoder` and :class:`SpaceTimeUnionFindDecoder`
+supply only that grow-and-peel solver over the space or space-time
+graph; batched decoding with ``np.unique`` dedupe, the detection-event
+transform and the dense gather-table form for the Surface-17 windowed
+protocol (:func:`unionfind_dense_lut`) come from
+:mod:`repro.decoders.graph`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .. import telemetry
-from .batched import (
-    MAX_DENSE_CHECKS,
-    _cached_table,
-    _check_digest,
-    unpack_syndromes,
+from .graph import (
+    GraphDecoder,
+    Solver,
+    SpaceTimeGraphDecoder,
+    graph_dense_lut,
 )
 
 
@@ -363,255 +357,57 @@ def peel_forest(
 
 
 def _decode_defects(
-    graph: DecodingGraph, defects: np.ndarray
+    graph: DecodingGraph, defect_nodes: np.ndarray
 ) -> np.ndarray:
-    """Full union-find pass: grow, then peel."""
-    parent, forest = grow_clusters(graph, defects)
-    del parent
+    """Full union-find pass over the defect nodes: grow, then peel."""
+    defects = np.zeros(graph.num_nodes, dtype=bool)
+    defects[defect_nodes] = True
+    _parent, forest = grow_clusters(graph, defects)
     return peel_forest(graph, forest, defects)
 
 
 # ----------------------------------------------------------------------
 # Decoder frontends
 # ----------------------------------------------------------------------
-class UnionFindDecoder:
+class UnionFindDecoder(GraphDecoder):
     """Single-round union-find decoding of one check species.
 
     Drop-in for :class:`~repro.decoders.mwpm.MwpmDecoder`: same
-    constructor signature, same ``decode(syndrome) -> correction``
-    contract, plus a deduplicating :meth:`decode_batch` over
-    ``(shots, checks)`` syndrome arrays.
+    constructor signature, same ``decode`` / ``decode_batch``
+    contract.
     """
 
-    def __init__(
-        self,
-        check_matrix: np.ndarray,
-        boundary_qubits: Sequence[int],
-    ) -> None:
-        self.graph = build_space_graph(check_matrix, boundary_qubits)
-
-    def decode(self, syndrome: Sequence[int]) -> np.ndarray:
-        """Correction bit-vector for one syndrome."""
-        syndrome = np.asarray(syndrome, dtype=bool)
-        t = telemetry.ACTIVE
-        if t is None:
-            return self._decode(syndrome)
-        with t.span(
-            "decoder.unionfind",
-            "UnionFindDecoder.decode",
-            defects=int(np.count_nonzero(syndrome)),
-        ):
-            correction = self._decode(syndrome)
-        t.count("decoder.unionfind", "UnionFindDecoder.decode", "calls")
-        t.count(
-            "decoder.unionfind",
-            "UnionFindDecoder.decode",
-            "correction_weight",
-            int(correction.sum()),
-        )
-        return correction
-
-    def _decode(self, syndrome: np.ndarray) -> np.ndarray:
-        defects = np.zeros(self.graph.num_nodes, dtype=bool)
-        defects[: self.graph.num_checks] = syndrome
-        return _decode_defects(self.graph, defects)
-
-    def decode_batch(self, syndromes: np.ndarray) -> np.ndarray:
-        """Corrections for a ``(shots, checks)`` syndrome batch.
-
-        Identical syndromes are decoded once (``np.unique`` over the
-        rows) and the results gathered back, so the per-syndrome
-        Python work scales with the number of distinct syndromes.
-        """
-        syndromes = np.asarray(syndromes, dtype=bool)
-        unique, inverse = np.unique(
-            syndromes, axis=0, return_inverse=True
-        )
-        inverse = np.asarray(inverse).reshape(-1)
-        table = np.empty(
-            (unique.shape[0], self.graph.num_qubits), dtype=bool
-        )
-        for index in range(unique.shape[0]):
-            table[index] = self._decode(unique[index])
-        t = telemetry.ACTIVE
-        if t is not None:
-            t.count(
-                "decoder.unionfind",
-                "UnionFindDecoder.decode_batch",
-                "shots",
-                int(syndromes.shape[0]),
-            )
-            t.count(
-                "decoder.unionfind",
-                "UnionFindDecoder.decode_batch",
-                "unique_syndromes",
-                int(unique.shape[0]),
-            )
-        return table[inverse]
+    def _solver(self, rounds: int) -> Solver:
+        graph = build_space_graph(self.check_matrix, self.boundary_qubits)
+        return partial(_decode_defects, graph)
 
 
-class SpaceTimeUnionFindDecoder:
+class SpaceTimeUnionFindDecoder(SpaceTimeGraphDecoder):
     """Union-find decoding of repeated noisy syndrome rounds.
 
     API-compatible with
-    :class:`~repro.decoders.spacetime.SpaceTimeMatchingDecoder`
-    (``detection_events`` / ``decode_history`` / ``decode_events``)
-    plus the batched :meth:`decode_batch` over whole
-    ``(shots, rounds, checks)`` history arrays.  Space-time graphs are
-    cached per round count.
+    :class:`~repro.decoders.spacetime.SpaceTimeMatchingDecoder`;
+    space-time graphs are built once per round count.
     """
 
-    def __init__(
-        self,
-        check_matrix: np.ndarray,
-        boundary_qubits: Sequence[int],
-        time_weight: float = 1.0,
-    ) -> None:
-        self.check_matrix = np.asarray(check_matrix, dtype=np.uint8)
-        self.boundary_qubits = [int(q) for q in boundary_qubits]
-        self.time_weight = float(time_weight)
-        self.num_checks = int(self.check_matrix.shape[0])
-        self.num_qubits = int(self.check_matrix.shape[1])
-        self._graphs: dict = {}
-
-    def _graph_for(self, rounds: int) -> DecodingGraph:
-        graph = self._graphs.get(rounds)
-        if graph is None:
-            graph = build_space_time_graph(
-                self.check_matrix,
-                self.boundary_qubits,
-                rounds,
-                time_weight=self.time_weight,
-            )
-            self._graphs[rounds] = graph
-        return graph
-
-    # ------------------------------------------------------------------
-    def detection_events(
-        self, syndrome_history: Sequence[Sequence[int]]
-    ) -> List[Tuple[int, int]]:
-        """``(round, check)`` pairs where the syndrome changed."""
-        history = np.asarray(syndrome_history, dtype=bool)
-        events = self._event_array(history[np.newaxis])[0]
-        rounds_idx, checks_idx = np.nonzero(events)
-        return [
-            (int(t), int(c))
-            for t, c in zip(rounds_idx, checks_idx)
-        ]
-
-    @staticmethod
-    def _event_array(histories: np.ndarray) -> np.ndarray:
-        """XOR each round against its predecessor (round 0 vs zeros).
-
-        ``histories`` is ``(shots, rounds, checks)``; so is the
-        result.
-        """
-        events = histories.copy()
-        events[:, 1:] ^= histories[:, :-1]
-        return events
-
-    def decode_history(
-        self, syndrome_history: Sequence[Sequence[int]]
-    ) -> np.ndarray:
-        """Correction bit-vector from one full syndrome history."""
-        history = np.asarray(syndrome_history, dtype=bool)
-        return self.decode_batch(history[np.newaxis])[0]
-
-    def decode_events(
-        self,
-        events: Sequence[Tuple[int, int]],
-        rounds: Optional[int] = None,
-    ) -> np.ndarray:
-        """Decode explicit ``(round, check)`` detection events."""
-        events = list(events)
-        if rounds is None:
-            rounds = max((t for t, _ in events), default=0) + 1
-        graph = self._graph_for(rounds)
-        defects = np.zeros(graph.num_nodes, dtype=bool)
-        for t, check in events:
-            defects[t * self.num_checks + check] ^= True
-        return _decode_defects(graph, defects)
-
-    def decode_batch(self, histories: np.ndarray) -> np.ndarray:
-        """Corrections for ``(shots, rounds, checks)`` histories.
-
-        The detection-event transform is one vectorized XOR; identical
-        event patterns are decoded once (``np.unique`` dedupe) and
-        gathered back into per-shot corrections.
-        """
-        histories = np.asarray(histories, dtype=bool)
-        t = telemetry.ACTIVE
-        if t is None:
-            return self._decode_batch(histories)
-        with t.span(
-            "decoder.unionfind",
-            "SpaceTimeUnionFindDecoder.decode_batch",
-            shots=int(histories.shape[0]),
-            rounds=int(histories.shape[1]),
-        ):
-            return self._decode_batch(histories)
-
-    def _decode_batch(self, histories: np.ndarray) -> np.ndarray:
-        shots, rounds, _ = histories.shape
-        graph = self._graph_for(rounds)
-        events = self._event_array(histories).reshape(shots, -1)
-        unique, inverse = np.unique(
-            events, axis=0, return_inverse=True
+    def _solver(self, rounds: int) -> Solver:
+        graph = build_space_time_graph(
+            self.check_matrix,
+            self.boundary_qubits,
+            rounds,
+            time_weight=self.time_weight,
         )
-        inverse = np.asarray(inverse).reshape(-1)
-        table = np.empty(
-            (unique.shape[0], self.num_qubits), dtype=bool
-        )
-        for index in range(unique.shape[0]):
-            defects = np.zeros(graph.num_nodes, dtype=bool)
-            defects[: rounds * self.num_checks] = unique[index]
-            table[index] = _decode_defects(graph, defects)
-        t = telemetry.ACTIVE
-        if t is not None:
-            t.count(
-                "decoder.unionfind",
-                "SpaceTimeUnionFindDecoder.decode_batch",
-                "shots",
-                int(shots),
-            )
-            t.count(
-                "decoder.unionfind",
-                "SpaceTimeUnionFindDecoder.decode_batch",
-                "unique_syndromes",
-                int(unique.shape[0]),
-            )
-        return table[inverse]
+        return partial(_decode_defects, graph)
+
+    # Bound in this class body so that tools resolving methods through
+    # the class ``__dict__`` (the perf tracer) find it here.
+    decode_batch = SpaceTimeGraphDecoder.decode_batch
 
 
-# ----------------------------------------------------------------------
-# Dense-table form for the Surface-17 windowed protocol
-# ----------------------------------------------------------------------
 def unionfind_dense_lut(
     check_matrix: np.ndarray, boundary_qubits: Sequence[int]
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense gather table filled by union-find decoding.
-
-    Every one of the ``2^num_checks`` syndromes is decoded once by a
-    :class:`UnionFindDecoder`, process-cached like the LUT and MWPM
-    tables — so the batched window decoder can consume the union-find
-    decoder as one gather per window.
-    """
-    check = np.ascontiguousarray(
-        np.asarray(check_matrix, dtype=np.uint8)
+    """Dense gather table filled by union-find decoding."""
+    return graph_dense_lut(
+        "unionfind", UnionFindDecoder, check_matrix, boundary_qubits
     )
-    key = ("unionfind", *_check_digest(check), tuple(boundary_qubits))
-
-    def build() -> Tuple[np.ndarray, np.ndarray]:
-        num_checks, _ = check.shape
-        if num_checks > MAX_DENSE_CHECKS:
-            raise ValueError(
-                "dense union-find table infeasible beyond "
-                f"{MAX_DENSE_CHECKS} checks; use the batch decoders"
-            )
-        decoder = UnionFindDecoder(check, boundary_qubits)
-        size = 1 << num_checks
-        syndromes = unpack_syndromes(np.arange(size), num_checks)
-        table = decoder.decode_batch(syndromes)
-        return table, np.ones(size, dtype=bool)
-
-    return _cached_table(key, build)

@@ -48,51 +48,24 @@ class CodeCapacitySimulator:
     """Reusable X-error Monte-Carlo engine for one code distance.
 
     ``decoder`` names a registry decoder with a space-graph builder
-    (:mod:`repro.decoders.registry`): ``"mwpm"`` (default, Blossom —
-    historic behaviour, bit-for-bit), ``"unionfind"`` or
-    ``"sparse-mwpm"``.  Decoders exposing ``decode_batch`` decode a
-    whole Monte-Carlo batch in one call; the RNG draw order is the
-    same either way, so ``(seed, decoder)`` reproduces bit-for-bit.
+    (:mod:`repro.decoders.registry`): ``"mwpm"`` (default, Blossom),
+    ``"unionfind"`` or ``"sparse-mwpm"``.  A Monte-Carlo batch is
+    decoded in one ``decode_batch`` call, so ``(seed, decoder)``
+    reproduces bit-for-bit.
     """
 
-    def __init__(
-        self,
-        distance: int,
-        decoder: str = "mwpm",
-        decoder_params: Optional[dict] = None,
-    ):
+    def __init__(self, distance: int, decoder: str = "mwpm"):
         from ..decoders.registry import get_decoder
 
         self.code = RotatedSurfaceCode(distance)
         spec = get_decoder(decoder)
         self.decoder_name = spec.name
-        self.decoder_params = dict(decoder_params or {})
         self.decoder = spec.build_space(
-            self.code.z_check_matrix,
-            boundary_qubits_for(self.code, "z"),
-            **self.decoder_params,
+            self.code.z_check_matrix, boundary_qubits_for(self.code, "z")
         )
         self._z_logical_mask = np.zeros(self.code.num_data, dtype=bool)
         for qubit in self.code.logical_z_support():
             self._z_logical_mask[qubit] = True
-
-    def _is_logical(
-        self, errors: np.ndarray, correction: np.ndarray
-    ) -> bool:
-        residual = errors ^ correction
-        # A logical X error flips the Z logical operator's parity.
-        return bool(
-            np.count_nonzero(residual & self._z_logical_mask) % 2
-        )
-
-    def run_trial(self, p: float, rng: np.random.Generator) -> bool:
-        """One sample; returns ``True`` when a logical X error occurs."""
-        errors = rng.random(self.code.num_data) < p
-        syndrome = (
-            self.code.z_check_matrix @ errors.astype(np.uint8)
-        ) % 2
-        correction = self.decoder.decode(syndrome)
-        return self._is_logical(errors, correction)
 
     def estimate_ler(
         self,
@@ -104,42 +77,22 @@ class CodeCapacitySimulator:
 
         Deterministic by default: with ``rng`` omitted a fixed-seed
         generator is used, so repeated calls reproduce bit-for-bit.
-        Sampling always draws trial by trial (same RNG stream as
-        ``run_trial``); decoding is batched when the decoder allows.
+        Each trial draws one uniform per data qubit, trial after trial.
         """
         if rng is None:
             rng = np.random.default_rng(0)
-        decode_batch = getattr(self.decoder, "decode_batch", None)
-        if decode_batch is None:
-            logical_errors = sum(
-                1 for _ in range(trials) if self.run_trial(p, rng)
-            )
-        else:
-            errors = np.stack(
-                [
-                    rng.random(self.code.num_data) < p
-                    for _ in range(trials)
-                ]
-            ) if trials else np.zeros(
-                (0, self.code.num_data), dtype=bool
-            )
-            syndromes = (
-                errors.astype(np.uint8)
-                @ self.code.z_check_matrix.T
-            ) % 2
-            corrections = decode_batch(syndromes)
-            logical_errors = sum(
-                1
-                for trial_errors, correction in zip(
-                    errors, corrections
-                )
-                if self._is_logical(trial_errors, correction)
-            )
+        errors = rng.random((trials, self.code.num_data)) < p
+        syndromes = (
+            errors.astype(np.uint8) @ self.code.z_check_matrix.T
+        ) % 2
+        residual = errors ^ self.decoder.decode_batch(syndromes)
+        # A logical X error flips the Z logical operator's parity.
+        parities = np.count_nonzero(residual & self._z_logical_mask, axis=1)
         return DistanceLerResult(
             distance=self.code.distance,
             physical_error_rate=p,
             trials=trials,
-            logical_errors=logical_errors,
+            logical_errors=int(np.count_nonzero(parities % 2)),
         )
 
 
@@ -149,7 +102,6 @@ def run_distance_scaling(
     trials: int = 2000,
     seed: int = 0,
     decoder: str = "mwpm",
-    decoder_params: Optional[dict] = None,
 ) -> Dict[int, List[DistanceLerResult]]:
     """LER-vs-p curves for several distances (future-work experiment).
 
@@ -159,9 +111,7 @@ def run_distance_scaling(
     """
     results: Dict[int, List[DistanceLerResult]] = {}
     for distance in distances:
-        simulator = CodeCapacitySimulator(
-            distance, decoder=decoder, decoder_params=decoder_params
-        )
+        simulator = CodeCapacitySimulator(distance, decoder=decoder)
         rng = np.random.default_rng(seed + distance)
         results[distance] = [
             simulator.estimate_ler(p, trials, rng) for p in per_values

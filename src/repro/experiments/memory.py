@@ -229,7 +229,6 @@ class CircuitLevelBlockExperiment:
         seed: Optional[int] = None,
         rounds: Optional[int] = None,
         decoder: str = "mwpm",
-        decoder_params: Optional[dict] = None,
     ) -> None:
         from ..decoders.mwpm import boundary_qubits_for
         from ..decoders.registry import get_decoder
@@ -252,9 +251,7 @@ class CircuitLevelBlockExperiment:
         spec = get_decoder(decoder)
         self.decoder_name = spec.name
         self.decoder = spec.build_spacetime(
-            self.code.z_check_matrix,
-            boundary_qubits_for(self.code, "z"),
-            **dict(decoder_params or {}),
+            self.code.z_check_matrix, boundary_qubits_for(self.code, "z")
         )
 
     # ------------------------------------------------------------------
@@ -318,7 +315,6 @@ def run_block_scaling(
     trials: int = 300,
     seed: int = 0,
     decoder: str = "mwpm",
-    decoder_params: Optional[dict] = None,
 ) -> List[MemoryResult]:
     """Block-protocol LER at several distances (future-work answer).
 
@@ -337,7 +333,6 @@ def run_block_scaling(
             physical_error_rate,
             seed=seed + distance,
             decoder=decoder,
-            decoder_params=decoder_params,
         )
         results.append(experiment.estimate_ler(trials))
     return results

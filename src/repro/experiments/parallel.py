@@ -71,7 +71,13 @@ from .ler import (
     BatchedLerExperiment,
     LerExperiment,
 )
-from .results import ArmReport, RunResult, ShardResult, SweepResult
+from .results import (
+    ArmReport,
+    LerReport,
+    RunResult,
+    ShardResult,
+    SweepResult,
+)
 from .stats import wilson_halfwidth, wilson_interval
 from .sweep import (
     ARM_SEED_OFFSET,
@@ -560,11 +566,25 @@ class ParallelSweepReport:
             num_shards=aggregator.num_shards,
         )
 
+    def ler_report(self, seed: int) -> LerReport:
+        """The first point's two arms as a ``repro ler`` document."""
+        return LerReport(
+            physical_error_rate=self.per_values[0],
+            error_kind=self.error_kind,
+            mode="parallel",
+            seed=seed,
+            arms=[self.arm_report(0, frame) for frame in (False, True)],
+            committed_shards=self.committed_shards,
+            executed_shards=self.executed_shards,
+            resumed_shards=self.resumed_shards,
+            decoder=self.decoder,
+        )
+
     @functools.cached_property
     def sweep(self) -> SweepResult:
         """The committed shards' per-shot results and t-tests per point,
         built on first read: ``repro ler`` and serve ``ler`` jobs read
-        only :meth:`arm` and never pay for it."""
+        only :meth:`ler_report` and never pay for it."""
         sweep = SweepResult(error_kind=self.error_kind)
         for index, per in enumerate(self.per_values):
             without = self.arms[(index, False)].results()

@@ -47,33 +47,21 @@ class PhenomenologicalSimulator:
     """Monte-Carlo engine: d noisy rounds + 1 reliable round per trial.
 
     ``decoder`` names a space-time-capable registry decoder
-    (:mod:`repro.decoders.registry`): ``"mwpm"`` (default, Blossom —
-    the historic behaviour, bit-for-bit), ``"unionfind"`` or
-    ``"sparse-mwpm"``.  Decoders exposing ``decode_batch`` decode all
-    of a Monte-Carlo batch's histories at once (with identical-
-    syndrome dedupe) — this is what makes d >= 15 sweeps tractable;
-    the RNG draw order is the same either way, so a given
-    ``(seed, decoder)`` pair reproduces bit-for-bit.
+    (:mod:`repro.decoders.registry`): ``"mwpm"`` (default, Blossom),
+    ``"unionfind"`` or ``"sparse-mwpm"``.  All of a Monte-Carlo
+    batch's histories are decoded at once (with identical-syndrome
+    dedupe) -- this is what makes d >= 15 sweeps tractable -- and a
+    given ``(seed, decoder)`` pair reproduces bit-for-bit.
     """
 
-    def __init__(
-        self,
-        distance: int,
-        time_weight: float = 1.0,
-        decoder: str = "mwpm",
-        decoder_params: Optional[dict] = None,
-    ):
+    def __init__(self, distance: int, decoder: str = "mwpm"):
         from ..decoders.registry import get_decoder
 
         self.code = RotatedSurfaceCode(distance)
         spec = get_decoder(decoder)
         self.decoder_name = spec.name
-        self.decoder_params = dict(decoder_params or {})
         self.decoder = spec.build_spacetime(
-            self.code.z_check_matrix,
-            boundary_qubits_for(self.code, "z"),
-            time_weight=time_weight,
-            **self.decoder_params,
+            self.code.z_check_matrix, boundary_qubits_for(self.code, "z")
         )
         self._z_logical_mask = np.zeros(self.code.num_data, dtype=bool)
         for qubit in self.code.logical_z_support():
@@ -114,22 +102,6 @@ class PhenomenologicalSimulator:
             np.count_nonzero(residual & self._z_logical_mask) % 2
         )
 
-    def run_trial(
-        self,
-        data_error_rate: float,
-        measurement_error_rate: float,
-        rng: np.random.Generator,
-        rounds: Optional[int] = None,
-    ) -> bool:
-        """One cycle; returns ``True`` on a logical X error."""
-        if rounds is None:
-            rounds = self.code.distance
-        history, cumulative = self._sample_trial(
-            data_error_rate, measurement_error_rate, rng, rounds
-        )
-        correction = self.decoder.decode_history(history)
-        return self._is_logical(cumulative, correction)
-
     def estimate_ler(
         self,
         data_error_rate: float,
@@ -141,32 +113,23 @@ class PhenomenologicalSimulator:
 
         Deterministic by default: with ``rng`` omitted a fixed-seed
         generator is used, so repeated calls reproduce bit-for-bit.
-        Sampling always draws trial by trial (same RNG stream as the
-        scalar path); decoding is batched when the decoder allows.
+        Sampling draws trial by trial; decoding is one batch.
         """
         if measurement_error_rate is None:
             measurement_error_rate = data_error_rate
         if rng is None:
             rng = np.random.default_rng(0)
         rounds = self.code.distance
-        histories = []
-        cumulatives = []
-        for _ in range(trials):
-            history, cumulative = self._sample_trial(
+        histories = np.empty(
+            (trials, rounds + 1, self.code.z_check_matrix.shape[0]),
+            dtype=bool,
+        )
+        cumulatives = np.empty((trials, self.code.num_data), np.uint8)
+        for trial in range(trials):
+            histories[trial], cumulatives[trial] = self._sample_trial(
                 data_error_rate, measurement_error_rate, rng, rounds
             )
-            histories.append(history)
-            cumulatives.append(cumulative)
-        decode_batch = getattr(self.decoder, "decode_batch", None)
-        if decode_batch is not None and trials:
-            corrections = decode_batch(
-                np.asarray(histories, dtype=bool)
-            )
-        else:
-            corrections = [
-                self.decoder.decode_history(history)
-                for history in histories
-            ]
+        corrections = self.decoder.decode_batch(histories)
         logical_errors = sum(
             1
             for cumulative, correction in zip(cumulatives, corrections)
@@ -187,14 +150,11 @@ def run_phenomenological_scaling(
     trials: int = 400,
     seed: int = 0,
     decoder: str = "mwpm",
-    decoder_params: Optional[dict] = None,
 ) -> Dict[int, List[PhenomenologicalResult]]:
     """LER-vs-p curves under phenomenological noise (q = p)."""
     results: Dict[int, List[PhenomenologicalResult]] = {}
     for distance in distances:
-        simulator = PhenomenologicalSimulator(
-            distance, decoder=decoder, decoder_params=decoder_params
-        )
+        simulator = PhenomenologicalSimulator(distance, decoder=decoder)
         rng = np.random.default_rng(seed + 1000 * distance)
         results[distance] = [
             simulator.estimate_ler(p, trials=trials, rng=rng)

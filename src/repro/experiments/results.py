@@ -156,10 +156,8 @@ class RunResult(ResultBase):
     ``logical_error_rate`` is ``logical_errors / windows`` (Eq. 5.1).
     ``frame_statistics`` is present only for runs with a Pauli frame
     and feeds the savings analysis of Figs 5.25/5.26.  ``decoder``
-    echoes the registry decoder that produced the run (canonical
-    ``name`` or ``name:key=value`` form, see
-    :func:`repro.decoders.registry.format_decoder_arg`); ``None`` on
-    results predating decoder selection.
+    echoes the name of the registry decoder that produced the run;
+    ``None`` on results predating decoder selection.
     """
 
     kind = "run"
@@ -385,8 +383,8 @@ class SweepPointResult(ResultBase):
     without_frame: List[RunResult]
     with_frame: List[RunResult]
     comparison: PointComparison
-    #: Registry decoder that produced both arms (``name`` or
-    #: ``name:key=value``); ``None`` on pre-registry documents.
+    #: Name of the registry decoder that produced both arms;
+    #: ``None`` on pre-registry documents.
     decoder: Optional[str] = None
 
     @property
@@ -400,24 +398,24 @@ class SweepPointResult(ResultBase):
         return self.comparison.with_frame.mean_ler
 
     @property
-    def mean_saved_slots(self) -> float:
-        """Mean fraction of time slots the frame filtered (Fig 5.26)."""
-        fractions = [
-            r.frame_statistics.saved_slots_fraction
-            for r in self.with_frame
-            if r.frame_statistics is not None
-        ]
-        return float(np.mean(fractions)) if fractions else 0.0
+    def mean_saved_slots(self) -> Optional[float]:
+        """Mean fraction of time slots the frame filtered (Fig 5.26);
+        ``None`` when no with-frame run measured it."""
+        return self._mean_frame_statistic("saved_slots_fraction")
 
     @property
-    def mean_saved_operations(self) -> float:
-        """Mean fraction of gates the frame filtered (Fig 5.25)."""
+    def mean_saved_operations(self) -> Optional[float]:
+        """Mean fraction of gates the frame filtered (Fig 5.25);
+        ``None`` when no with-frame run measured it."""
+        return self._mean_frame_statistic("saved_operations_fraction")
+
+    def _mean_frame_statistic(self, name: str) -> Optional[float]:
         fractions = [
-            r.frame_statistics.saved_operations_fraction
+            getattr(r.frame_statistics, name)
             for r in self.with_frame
             if r.frame_statistics is not None
         ]
-        return float(np.mean(fractions)) if fractions else 0.0
+        return float(np.mean(fractions)) if fractions else None
 
     def to_json_dict(self) -> Dict:
         return {
@@ -497,8 +495,9 @@ class SweepResult(ResultBase):
         ]
         return [s.window_cov for s in summaries]
 
-    def savings_series(self) -> Dict[str, List[float]]:
-        """Saved-gates and saved-slots fractions (Figs 5.25/5.26)."""
+    def savings_series(self) -> Dict[str, List[Optional[float]]]:
+        """Saved-gates and saved-slots fractions (Figs 5.25/5.26);
+        ``None`` at points whose runs did not measure them."""
         return {
             "operations": [p.mean_saved_operations for p in self.points],
             "slots": [p.mean_saved_slots for p in self.points],

@@ -131,6 +131,9 @@ def format_sweep_table(sweep: SweepResult) -> str:
         "rho_ind  saved_slots%",
     ]
     for point in sweep.points:
+        # Only the per-shot loop counts frame slots; "-" marks a point
+        # whose runs never measured them.
+        saved = point.mean_saved_slots
         lines.append(
             f"{point.physical_error_rate:9.2e}  "
             f"{point.mean_ler_without:11.4e}  "
@@ -138,6 +141,6 @@ def format_sweep_table(sweep: SweepResult) -> str:
             f"{point.comparison.delta_ler:+11.4e}  "
             f"{point.comparison.sigma_max:9.3e}  "
             f"{point.comparison.rho_independent:7.3f}  "
-            f"{100.0 * point.mean_saved_slots:11.3f}"
+            + ("          -" if saved is None else f"{100.0 * saved:11.3f}")
         )
     return "\n".join(lines)

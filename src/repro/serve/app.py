@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional
 
-from ..experiments.results import LerReport, SweepReport
+from ..experiments.results import SweepReport
 from ..experiments.stats import mean_rho, significant_fraction
 from .. import telemetry
 from .jobs import (
@@ -320,10 +320,6 @@ class ServeApp:
             else [float(v) for v in params["per_values"]]
         )
         shots = int(params.get("shots", 10))
-        from ..decoders.registry import parse_decoder_arg
-
-        # check_job_params refused any decoder parameters at the door.
-        decoder_name, _ = parse_decoder_arg(params.get("decoder", "lut"))
         report = self.fleet.run_sweep_job(
             per_values,
             error_kind=params.get("error_kind", "x"),
@@ -334,23 +330,10 @@ class ServeApp:
             engine=params.get("engine", "framesim"),
             checkpoint=self.checkpoint_path(job.job_id),
             target_ci=params.get("target_ci"),
-            decoder=decoder_name,
+            decoder=params.get("decoder", "lut"),
         )
         if job.job_kind == "ler":
-            document = LerReport(
-                physical_error_rate=per_values[0],
-                error_kind=params.get("error_kind", "x"),
-                mode="parallel",
-                seed=job.seed,
-                arms=[
-                    report.arm_report(0, use_frame)
-                    for use_frame in (False, True)
-                ],
-                committed_shards=report.committed_shards,
-                executed_shards=report.executed_shards,
-                resumed_shards=report.resumed_shards,
-                decoder=report.decoder,
-            ).to_json_dict()
+            document = report.ler_report(job.seed).to_json_dict()
         else:
             comparisons = [
                 point.comparison for point in report.sweep.points

@@ -162,27 +162,13 @@ def check_job_params(job_kind: str, params: Dict) -> None:
     decoder = params.get("decoder")
     if decoder is not None:
         if not isinstance(decoder, str):
-            raise JobParamsError(
-                "'decoder' must be a string NAME[:KEY=VALUE,...]"
-            )
-        from ..decoders.registry import (
-            UnknownDecoderError,
-            get_decoder,
-            parse_decoder_arg,
-        )
+            raise JobParamsError("'decoder' must be a string NAME")
+        from ..decoders.registry import UnknownDecoderError, get_decoder
 
         try:
-            name, decoder_params = parse_decoder_arg(decoder)
-            get_decoder(name)
-        except (UnknownDecoderError, ValueError) as error:
+            get_decoder(decoder)
+        except UnknownDecoderError as error:
             raise JobParamsError(f"'decoder': {error}")
-        if decoder_params:
-            # A windowed decoder is chosen by name alone (see
-            # RegisteredDecoder.build); the job reads only the name.
-            raise JobParamsError(
-                "'decoder': the windowed protocol takes no decoder "
-                f"parameters; got {sorted(decoder_params)}"
-            )
 
 
 def run_decode_job(params: Dict) -> Dict:

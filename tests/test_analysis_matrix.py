@@ -99,8 +99,8 @@ def test_doc_grammar_accepts_valid_examples(tmp_path):
         textwrap.dedent(
             """
             --decoder unionfind
-            --decoder mwpm:time_weight=2.0
-            --decoder NAME[:KEY=VALUE,...]  (the grammar itself)
+            --decoder sparse-mwpm
+            --decoder NAME  (the placeholder itself)
             """
         )
     )

@@ -286,17 +286,6 @@ class TestRunnerFlagsNeedTheirMode:
                 "--checkpoint",
                 "--workers",
             ),
-            (
-                ["ler", "--batch", "2", "--windows", "2"]
-                + ["--decoder", "unionfind:time_weight=2"],
-                "--decoder",
-                "['time_weight']",
-            ),
-            (
-                SWEEP + ["--decoder", "mwpm:time_weight=2"],
-                "--decoder",
-                "['time_weight']",
-            ),
         ],
         ids=[
             "ler-loop-checkpoint",
@@ -313,8 +302,6 @@ class TestRunnerFlagsNeedTheirMode:
             "sweep-batch-target-ci",
             "sweep-batch-shard-shots",
             "sweep-loop-checkpoint",
-            "ler-batch-decoder-params",
-            "sweep-batch-decoder-params",
         ],
     )
     def test_unused_flag_exits_2(self, argv, flag, mode, tmp_path, capsys):
@@ -353,6 +340,74 @@ class TestRunnerFlagsNeedTheirMode:
             main(argv)
         assert (seen["shots"], seen["windows"]) == (shots, windows)
         assert seen["config"].shard_shots == 100
+
+
+class TestDecoderIsAName:
+    """``--decoder`` takes a registered name.  A ``KEY=VALUE`` tail, or
+    a decoder without the subcommand's capability, exits 2 with one
+    line on stderr before anything runs."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ler", "--batch", "2", "--windows", "2"],
+            ["sweep", "--per", "1e-2", "--batch", "2", "--samples", "2"],
+            ["distance", "--distances", "3", "--per", "0.05"]
+            + ["--trials", "20"],
+            ["phenomenological", "--distances", "3", "--per", "0.01"]
+            + ["--trials", "20"],
+            ["memory", "--distances", "3", "--trials", "2"],
+        ],
+        ids=[
+            "ler-batch",
+            "sweep-batch",
+            "distance",
+            "phenomenological",
+            "memory",
+        ],
+    )
+    def test_parameter_tail_exits_2(self, argv, capsys):
+        assert main(argv + ["--decoder", "unionfind:time_weight=2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("--decoder")
+        assert captured.err.count("\n") == 1
+        assert "unionfind:time_weight=2" in captured.err
+
+    @pytest.mark.parametrize(
+        "command", ["distance", "phenomenological", "memory"]
+    )
+    def test_graph_commands_need_a_graph_decoder(self, command, capsys):
+        assert main([command, "--trials", "2", "--decoder", "lut"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("--decoder: 'lut' lacks")
+        assert captured.err.count("\n") == 1
+
+
+class TestSweepSavedSlots:
+    """Only the per-shot loop counts the frame's saved slots; the
+    batched and the sharded sweeps print ``-`` in that column."""
+
+    @pytest.mark.parametrize(
+        "argv, measured",
+        [
+            (["--errors", "1"], True),
+            (["--errors", "1", "--workers", "1"], False),
+            (["--batch", "2"], False),
+        ],
+        ids=["loop", "workers", "batch"],
+    )
+    def test_saved_slots_column(self, argv, measured, capsys):
+        base = ["sweep", "--per", "5e-2", "--samples", "2", "--seed", "1"]
+        assert main(base + argv) == 0
+        header, row = capsys.readouterr().out.splitlines()[:2]
+        assert header.endswith("saved_slots%")
+        saved = row.split()[-1]
+        if measured:
+            assert 0.0 < float(saved) <= 100.0 / 17.0
+        else:
+            assert saved == "-"
 
 
 class TestSizeFlagsArePositive:

@@ -1,10 +1,10 @@
-"""Unit suite of the decoder registry (names, capabilities, parsing).
+"""Unit suite of the decoder registry (names, capabilities, builders).
 
 The registry (:mod:`repro.decoders.registry`) is the single decoder
-selection point of the experiment stack: names, capability flags,
-the builders that hand each algorithm's tables to the one batched
-window decoder, and the ``--decoder name:key=value`` CLI argument
-grammar all live there.
+selection point of the experiment stack: names, capability flags, the
+builders that hand each algorithm's tables to the one batched window
+decoder, and the graph decoders' classes.  A decoder is chosen by its
+name alone.
 """
 
 import warnings
@@ -26,15 +26,12 @@ from repro.decoders.registry import (
     CAP_SPARSE,
     CAP_WINDOWED,
     CapabilityError,
-    DecoderRegistryError,
     DuplicateDecoderError,
     RegisteredDecoder,
     UnknownDecoderError,
     WindowContext,
-    format_decoder_arg,
     get_decoder,
     list_decoders,
-    parse_decoder_arg,
     register_decoder,
     unregister_decoder,
 )
@@ -67,7 +64,7 @@ class TestCatalogue:
         assert description["capabilities"] == sorted(
             description["capabilities"]
         )
-        assert "time_weight" in description["params"]
+        assert set(description) == {"name", "summary", "capabilities"}
 
     def test_unknown_name_raises(self):
         with pytest.raises(UnknownDecoderError):
@@ -119,8 +116,9 @@ class TestCapabilityRefusal:
             get_decoder("lut").build(None)
 
     def test_unknown_graph_param_rejected(self):
+        # The builders take the check matrix and boundary only.
         code = RotatedSurfaceCode(3)
-        with pytest.raises(CapabilityError):
+        with pytest.raises(TypeError):
             get_decoder("unionfind").build_spacetime(
                 code.z_check_matrix,
                 boundary_qubits_for(code, "z"),
@@ -129,38 +127,17 @@ class TestCapabilityRefusal:
 
 
 class TestArgumentGrammar:
-    def test_bare_name(self):
-        assert parse_decoder_arg("unionfind") == ("unionfind", {})
+    """A decoder is a name: no ``NAME:KEY=VALUE`` tail is parsed."""
 
-    def test_params_coerce(self):
-        name, params = parse_decoder_arg(
-            "mwpm:time_weight=2.5,verbose=true,depth=3,tag=x"
-        )
-        assert name == "mwpm"
-        assert params == {
-            "time_weight": 2.5,
-            "verbose": True,
-            "depth": 3,
-            "tag": "x",
-        }
+    def test_bare_name(self):
+        assert get_decoder("unionfind").name == "unionfind"
 
     @pytest.mark.parametrize(
         "value", ["", ":k=v", "name:novalue", "name:=3", "name:,"]
     )
     def test_malformed_rejected(self, value):
-        with pytest.raises(DecoderRegistryError):
-            parse_decoder_arg(value)
-
-    def test_format_round_trips(self):
-        for value in ("lut", "unionfind:time_weight=2.5"):
-            name, params = parse_decoder_arg(value)
-            assert format_decoder_arg(name, params) == value
-
-    def test_format_sorts_params(self):
-        assert (
-            format_decoder_arg("mwpm", {"b": 1, "a": 2})
-            == "mwpm:a=2,b=1"
-        )
+        with pytest.raises(UnknownDecoderError):
+            get_decoder(value)
 
 
 class TestExperimentWiring:
@@ -184,8 +161,10 @@ class TestExperimentWiring:
             ).any()
 
     def test_spacetime_builder_accepts_time_weight(self):
+        # The builder is the decoder class; its constructor still
+        # takes time_weight, the registry does not.
         code = RotatedSurfaceCode(3)
-        decoder = get_decoder("unionfind").build_spacetime(
+        decoder = get_decoder("unionfind").spacetime_builder(
             code.z_check_matrix,
             boundary_qubits_for(code, "z"),
             time_weight=2.0,

@@ -25,6 +25,11 @@ class TestCodeCapacity:
         result = simulator.estimate_ler(0.4, trials=300, rng=rng)
         assert result.logical_error_rate > 0.2
 
+    def test_zero_trials(self):
+        result = CodeCapacitySimulator(3).estimate_ler(0.05, trials=0)
+        assert (result.trials, result.logical_errors) == (0, 0)
+        assert result.logical_error_rate == 0.0
+
     def test_distance_ordering_below_threshold(self):
         """Future-work claim: larger d lowers the LER below p_th."""
         results = run_distance_scaling(

@@ -95,11 +95,14 @@ class TestPhenomenologicalSimulator:
 
     def test_small_measurement_noise_is_harmless(self):
         simulator = PhenomenologicalSimulator(3)
-        rng = np.random.default_rng(1)
-        failures = sum(
-            simulator.run_trial(0.0, 0.02, rng) for _ in range(200)
+        result = simulator.estimate_ler(
+            0.0, 0.02, trials=200, rng=np.random.default_rng(1)
         )
-        assert failures == 0
+        assert result.logical_errors == 0
+
+    def test_zero_trials(self):
+        result = PhenomenologicalSimulator(3).estimate_ler(0.02, trials=0)
+        assert (result.trials, result.logical_errors) == (0, 0)
 
     def test_distance_ordering_below_threshold(self):
         results = run_phenomenological_scaling(

@@ -334,6 +334,14 @@ class TestMalformedDocuments:
                         "engine": "abacus",
                     },
                 },
+                {
+                    # a decoder is a registered name, nothing more
+                    "job_kind": "ler",
+                    "params": {
+                        "physical_error_rate": 0.01,
+                        "decoder": "lut:time_weight=1.0",
+                    },
+                },
             ]
             for body in bad_bodies:
                 status, doc = await _http_request(

@@ -214,6 +214,11 @@ class TestBatchSemantics:
                 batch[shot], decoder.decode(syndromes[shot])
             )
 
+    def test_wrong_check_count_rejected(self):
+        code = RotatedSurfaceCode(3)
+        with pytest.raises(ValueError, match="4 checks per round"):
+            _decoder(code).decode_batch(np.zeros((2, 5), dtype=bool))
+
     def test_spacetime_batch_equals_history(self):
         rng = np.random.default_rng(5)
         code = RotatedSurfaceCode(3)
