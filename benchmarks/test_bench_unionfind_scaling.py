@@ -45,22 +45,16 @@ LARGE_TRIALS = 120
 def _histories(distance, trials, seed):
     """Sample one phenomenological workload as stacked histories."""
     simulator = PhenomenologicalSimulator(distance)
-    rng = np.random.default_rng(seed)
-    histories = []
-    cumulatives = []
-    for _ in range(trials):
-        history, cumulative = simulator._sample_trial(
-            ERROR_RATE, ERROR_RATE, rng, rounds=distance
-        )
-        histories.append(history)
-        cumulatives.append(cumulative)
-    return simulator, np.asarray(histories, dtype=bool), cumulatives
+    histories, errors = simulator.sample_histories(
+        ERROR_RATE, ERROR_RATE, trials, np.random.default_rng(seed)
+    )
+    return simulator, histories, errors
 
 
 def test_bench_e24_unionfind_vs_blossom_wallclock(benchmark):
     code = RotatedSurfaceCode(HEAD_TO_HEAD_DISTANCE)
     boundary = boundary_qubits_for(code, "z")
-    simulator, histories, cumulatives = _histories(
+    simulator, histories, errors = _histories(
         HEAD_TO_HEAD_DISTANCE, TRIALS, seed=24
     )
     blossom = SpaceTimeMatchingDecoder(code.z_check_matrix, boundary)
@@ -94,23 +88,14 @@ def test_bench_e24_unionfind_vs_blossom_wallclock(benchmark):
     # Both decoders must be *sound* on every trial (silencing
     # corrections), and their logical verdicts must agree on the
     # overwhelming majority of sub-threshold trials.
-    disagreements = 0
-    for index in range(TRIALS):
-        for correction in (
-            blossom_corrections[index],
-            uf_corrections[index],
-        ):
-            residual = cumulatives[index] ^ correction
-            syndrome = (
-                residual.astype(np.uint8) @ code.z_check_matrix.T
-            ) % 2
-            assert not syndrome.any()
-        if simulator._is_logical(
-            cumulatives[index], blossom_corrections[index]
-        ) != simulator._is_logical(
-            cumulatives[index], uf_corrections[index]
-        ):
-            disagreements += 1
+    blossom_corrections = np.asarray(blossom_corrections, dtype=bool)
+    for corrections in (blossom_corrections, uf_corrections):
+        residual = (errors ^ corrections).astype(np.uint8)
+        assert not ((residual @ code.z_check_matrix.T) % 2).any()
+    disagreements = np.count_nonzero(
+        simulator.logical_failures(errors, blossom_corrections)
+        != simulator.logical_failures(errors, uf_corrections)
+    )
     assert disagreements <= max(2, TRIALS // 10)
 
 

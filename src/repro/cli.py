@@ -111,6 +111,36 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _code_distance(text: str) -> int:
+    """Argparse type of ``--distances``: an odd integer of at least 3."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 3 or value % 2 == 0:
+        raise argparse.ArgumentTypeError(
+            f"must be an odd integer >= 3, got {value}"
+        )
+    return value
+
+
+def _probability(text: str) -> float:
+    """Argparse type of the ch. 6 ``--per``: a finite rate in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a probability in [0, 1], got {text}"
+        )
+    return value
+
+
 def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
     """The batched-core selector (ler and sweep, --batch mode)."""
     parser.add_argument(
@@ -298,10 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
         "distance", help="code-capacity distance scaling (ch. 6)"
     )
     distance.add_argument(
-        "--distances", type=int, nargs="+", default=[3, 5]
+        "--distances", type=_code_distance, nargs="+", default=[3, 5]
     )
     distance.add_argument(
-        "--per", type=float, nargs="+", default=[0.02, 0.05, 0.10]
+        "--per", type=_probability, nargs="+", default=[0.02, 0.05, 0.10]
     )
     distance.add_argument("--trials", type=_positive_int, default=1500)
     distance.add_argument("--seed", type=int, default=0)
@@ -312,10 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="distance scaling with measurement errors (ch. 6)",
     )
     phenom.add_argument(
-        "--distances", type=int, nargs="+", default=[3, 5]
+        "--distances", type=_code_distance, nargs="+", default=[3, 5]
     )
     phenom.add_argument(
-        "--per", type=float, nargs="+", default=[0.01, 0.02, 0.04]
+        "--per", type=_probability, nargs="+", default=[0.01, 0.02, 0.04]
     )
     phenom.add_argument("--trials", type=_positive_int, default=400)
     phenom.add_argument("--seed", type=int, default=0)
@@ -326,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="circuit-level block memory at distance d (ch. 6)",
     )
     memory.add_argument(
-        "--distances", type=int, nargs="+", default=[3, 5]
+        "--distances", type=_code_distance, nargs="+", default=[3, 5]
     )
-    memory.add_argument("--per", type=float, default=1e-3)
+    memory.add_argument("--per", type=_probability, default=1e-3)
     memory.add_argument("--trials", type=_positive_int, default=200)
     memory.add_argument("--seed", type=int, default=0)
     _add_decoder_argument(memory, default="mwpm")
@@ -427,9 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--spool",
-        default=".repro-spool",
         help="directory for the job journal, per-job checkpoints "
-        "and trace files (default .repro-spool)",
+        "and trace files (default .repro-spool; --self-test uses "
+        "a temporary one)",
     )
     serve.add_argument(
         "--job-ttl",
@@ -1167,19 +1197,30 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    import dataclasses
+    import tempfile
+
     from .serve import ServeConfig, run_self_test, run_server
 
+    if args.self_test and args.spool is not None:
+        print(
+            "--spool: --self-test runs on its own temporary spool",
+            file=sys.stderr,
+        )
+        return 2
     config = ServeConfig(
         host=args.host,
         port=args.port,
         workers=args.workers,
         job_concurrency=args.job_concurrency,
-        spool=args.spool,
         job_ttl=args.job_ttl,
         max_jobs=args.max_jobs,
     )
+    if args.spool is not None:
+        config = dataclasses.replace(config, spool=args.spool)
     if args.self_test:
-        report = run_self_test(config)
+        with tempfile.TemporaryDirectory(prefix="repro-self-test-") as spool:
+            report = run_self_test(dataclasses.replace(config, spool=spool))
         _emit(
             args,
             report,

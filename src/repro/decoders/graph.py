@@ -8,8 +8,8 @@ solver lives here, once:
 * :class:`GraphDecoder` decodes one check species from a single
   syndrome round: ``decode`` and ``decode_batch`` over
   ``(shots, checks)`` arrays.  A batch is deduplicated with one
-  ``np.unique`` over its rows, so the Python-level work scales with
-  the number of *distinct* syndromes, not with shots;
+  ``np.unique`` over its rows packed to bytes, so the solver's work
+  scales with the number of *distinct* syndromes, not with shots;
 * :class:`SpaceTimeGraphDecoder` decodes a history of noisy rounds
   (Dennis et al., J. Math. Phys. 43, 4452): a *detection event*
   fires at ``(round t, check c)`` when check ``c`` changed since
@@ -21,10 +21,15 @@ solver lives here, once:
   syndromes through ``decode_batch`` into the process-cached gather
   table the batched windowed decoder consumes (Surface-17).
 
-A subclass supplies ``_solver(rounds)``: a callable that maps the
-defect nodes of one event row -- flat indices ``t * checks + c`` in
-ascending order, the order :meth:`SpaceTimeGraphDecoder.
-detection_events` lists them in -- to a bool data-qubit correction.
+A subclass supplies ``_solver(rounds)``: a callable that maps a
+``(k, rounds * checks)`` bool array of distinct event rows (node
+``t * checks + c`` of a row fires when that bit is set) to their
+``(k, qubits)`` bool corrections.  ``decode_batch`` calls it once per
+batch, ``decode_events`` with a single row.  Union-find decodes the
+rows together; Blossom and sparse matching solve one row at a time
+through :func:`row_by_row`, which hands each row's defect nodes over
+in ascending order, the order :meth:`SpaceTimeGraphDecoder.
+detection_events` lists them in.
 """
 
 from __future__ import annotations
@@ -41,8 +46,27 @@ from .batched import (
     unpack_syndromes,
 )
 
-#: Maps ascending defect node indices to a data-qubit correction.
+#: Maps ``(k, rounds * checks)`` bool event rows to ``(k, qubits)``
+#: bool corrections.
 Solver = Callable[[np.ndarray], np.ndarray]
+
+
+def row_by_row(
+    decode_row: Callable[[np.ndarray], np.ndarray], num_qubits: int
+) -> Solver:
+    """A :data:`Solver` that decodes one row at a time.
+
+    ``decode_row`` maps a row's ascending defect node indices to its
+    bool data-qubit correction.
+    """
+
+    def solve(rows: np.ndarray) -> np.ndarray:
+        table = np.empty((rows.shape[0], num_qubits), dtype=bool)
+        for index in range(rows.shape[0]):
+            table[index] = decode_row(np.flatnonzero(rows[index]))
+        return table
+
+    return solve
 
 
 class GraphDecoder:
@@ -103,27 +127,31 @@ class GraphDecoder:
         t = telemetry.ACTIVE
         name = type(self).__name__ + ".decode_batch"
         if t is None:
-            return _dedupe_solve(rows, solve, self.num_qubits)[0]
+            return _dedupe_solve(rows, solve)[0]
         with t.span(
             "decoder.graph", name, shots=int(shots), rounds=int(rounds)
         ):
-            corrections, unique = _dedupe_solve(
-                rows, solve, self.num_qubits
-            )
+            corrections, unique = _dedupe_solve(rows, solve)
         t.count("decoder.graph", name, "shots", int(shots))
         t.count("decoder.graph", name, "unique_syndromes", unique)
         return corrections
 
 
 def _dedupe_solve(
-    rows: np.ndarray, solve: Solver, num_qubits: int
+    rows: np.ndarray, solve: Solver
 ) -> Tuple[np.ndarray, int]:
-    """``(corrections, distinct rows)``: one solve per distinct row."""
-    unique, inverse = np.unique(rows, axis=0, return_inverse=True)
-    table = np.empty((unique.shape[0], num_qubits), dtype=bool)
-    for index in range(unique.shape[0]):
-        table[index] = solve(np.flatnonzero(unique[index]))
-    return table[np.asarray(inverse).reshape(-1)], int(unique.shape[0])
+    """``(corrections, distinct rows)``: one solve of the distinct rows.
+
+    Rows are compared as packed bytes, one opaque item per row, which
+    sorts them in the order ``np.unique(rows, axis=0)`` would.
+    """
+    packed = np.packbits(rows, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _keys, first, inverse = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    table = solve(rows[first])
+    return table[inverse.reshape(-1)], int(first.shape[0])
 
 
 class SpaceTimeGraphDecoder(GraphDecoder):
@@ -177,7 +205,7 @@ class SpaceTimeGraphDecoder(GraphDecoder):
         defects = np.zeros(rounds * self.num_checks, dtype=bool)
         for t, check in events:
             defects[t * self.num_checks + check] ^= True
-        return self._solver_for(rounds)(np.flatnonzero(defects))
+        return self._solver_for(rounds)(defects[np.newaxis])[0]
 
     def decode_batch(self, histories: np.ndarray) -> np.ndarray:
         """Corrections for ``(shots, rounds, checks)`` histories."""

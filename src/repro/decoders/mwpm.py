@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .graph import GraphDecoder, Solver, graph_dense_lut
+from .graph import GraphDecoder, Solver, graph_dense_lut, row_by_row
 
 
 class MatchingGraph:
@@ -119,7 +119,7 @@ class MwpmDecoder(GraphDecoder):
         self.graph = MatchingGraph(check_matrix, boundary_qubits)
 
     def _solver(self, rounds: int) -> Solver:
-        return self._decode
+        return row_by_row(self._decode, self.num_qubits)
 
     def _decode(self, nodes: np.ndarray) -> np.ndarray:
         """Match the defect checks; each gets a private boundary copy.

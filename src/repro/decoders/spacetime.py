@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Solver, SpaceTimeGraphDecoder
+from .graph import Solver, SpaceTimeGraphDecoder, row_by_row
 from .mwpm import MatchingGraph
 
 
@@ -63,7 +63,7 @@ class SpaceTimeMatchingDecoder(SpaceTimeGraphDecoder):
         self.graph = MatchingGraph(check_matrix, boundary_qubits)
 
     def _solver(self, rounds: int) -> Solver:
-        return self._decode_events
+        return row_by_row(self._decode_events, self.num_qubits)
 
     def _decode_events(self, defects: np.ndarray) -> np.ndarray:
         """Match the events at the flat ``round * checks + check`` nodes.

@@ -23,10 +23,11 @@ sparse, array-native machinery:
 Graphs are the shared edge-list :class:`~repro.decoders.unionfind.
 DecodingGraph` structures, so space and space-time layouts come for
 free.  The two decoder classes supply only the matcher's
-``match_defects``; ``decode_batch`` over ``(shots, [rounds,] checks)``
-arrays with ``np.unique`` dedupe and the dense-table form for the
-Surface-17 LER pipeline (:func:`sparse_mwpm_dense_lut`) come from
-:mod:`repro.decoders.graph`.
+``match_defects``, solved row by row through
+:func:`~repro.decoders.graph.row_by_row`; ``decode_batch`` over
+``(shots, [rounds,] checks)`` arrays with row dedupe and the
+dense-table form for the Surface-17 LER pipeline
+(:func:`sparse_mwpm_dense_lut`) come from :mod:`repro.decoders.graph`.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .graph import (
     Solver,
     SpaceTimeGraphDecoder,
     graph_dense_lut,
+    row_by_row,
 )
 from .unionfind import (
     DecodingGraph,
@@ -246,7 +248,9 @@ class SparseMwpmDecoder(GraphDecoder):
 
     def _solver(self, rounds: int) -> Solver:
         graph = build_space_graph(self.check_matrix, self.boundary_qubits)
-        return SparseMatchingGraph(graph).match_defects
+        return row_by_row(
+            SparseMatchingGraph(graph).match_defects, self.num_qubits
+        )
 
 
 class SparseSpaceTimeMatchingDecoder(SpaceTimeGraphDecoder):
@@ -264,7 +268,9 @@ class SparseSpaceTimeMatchingDecoder(SpaceTimeGraphDecoder):
             rounds,
             time_weight=self.time_weight,
         )
-        return SparseMatchingGraph(graph).match_defects
+        return row_by_row(
+            SparseMatchingGraph(graph).match_defects, self.num_qubits
+        )
 
 
 def sparse_mwpm_dense_lut(

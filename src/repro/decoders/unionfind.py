@@ -16,18 +16,26 @@ Everything is laid out as flat numpy arrays:
   node indices, ``edge_qubit`` (the data qubit a spatial edge
   corrects; ``-1`` for temporal edges, which re-interpret measurements
   and correct nothing), ``edge_capacity`` in half-edge growth units;
-* **cluster growth** runs vectorized over the whole edge list: each
-  iteration computes every node's root by path doubling
-  (:func:`find_roots`), derives the active-cluster mask with one
-  ``bincount``, and grows every boundary-crossing edge of every active
-  cluster at once.  Edges that fill up are unioned; the union'ed edges
-  form a spanning forest of the final clusters by construction;
-* **peeling** walks that forest leaf-inward, flipping the data qubit
-  of every spatial tree edge whose leaf side holds an unpaired defect.
+* a batch of ``k`` distinct defect rows decodes as ``k`` **disjoint
+  copies** of that graph (node ``r * num_nodes + n``, edge
+  ``r * num_edges + e``, one boundary node per copy) in one pass, in
+  chunks of at most :data:`CHUNK_SLOTS` node and edge slots.  Copies
+  share nothing, so each row grows and peels exactly as it would
+  alone;
+* **cluster growth** (:func:`grow_clusters`) runs vectorized over the
+  growth frontier, the edges next to defect-holding clusters: each
+  iteration finds roots by path doubling (:func:`find_roots`), marks
+  the active (odd, boundary-free) clusters, and grows every
+  frontier edge by one half-edge per active side.  The edges that
+  fill in a step are unioned by Borůvka rounds, which keep the same
+  spanning forest as unioning them one by one in index order;
+* **peeling** (:func:`peel_forest`) peels every leaf of every forest
+  at once, round after round, and flips the data qubit of each
+  spatial tree edge whose leaf side holds an odd number of defects.
 
 :class:`UnionFindDecoder` and :class:`SpaceTimeUnionFindDecoder`
 supply only that grow-and-peel solver over the space or space-time
-graph; batched decoding with ``np.unique`` dedupe, the detection-event
+graph; batched decoding with row dedupe, the detection-event
 transform and the dense gather-table form for the Surface-17 windowed
 protocol (:func:`unionfind_dense_lut`) come from
 :mod:`repro.decoders.graph`.
@@ -36,7 +44,7 @@ protocol (:func:`unionfind_dense_lut`) come from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -47,6 +55,15 @@ from .graph import (
     SpaceTimeGraphDecoder,
     graph_dense_lut,
 )
+
+
+#: Most ``rows x (nodes + edges)`` slots one grow-and-peel pass holds
+#: (14 rows of the d = 13 space-time graph): a batch decodes in chunks
+#: of at most this many graph copies' worth.
+CHUNK_SLOTS = 1 << 16
+
+#: Sentinel above every edge index (no filled edge seen yet).
+_NO_EDGE = np.iinfo(np.int64).max
 
 
 # ----------------------------------------------------------------------
@@ -75,6 +92,30 @@ class DecodingGraph:
     @property
     def num_edges(self) -> int:
         return int(self.edge_u.shape[0])
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """``(num_nodes, max degree)``: the edges at each node.
+
+        A row shorter than the widest repeats its first edge.  The
+        boundary node's row (the boundary never grows a cluster) and
+        an edgeless node's hold edge 0: an extra edge on a growth
+        frontier costs a visit and changes nothing, since only an
+        active cluster at one of its ends could grow it.
+        """
+        ends = np.concatenate([self.edge_u, self.edge_v])
+        edges = np.tile(np.arange(self.num_edges, dtype=np.int64), 2)
+        inner = ends != self.boundary_node
+        order = np.argsort(ends[inner], kind="stable")
+        ends, edges = ends[inner][order], edges[inner][order]
+        degree = np.bincount(ends, minlength=self.num_nodes)
+        slot = np.arange(ends.size) - (np.cumsum(degree) - degree)[ends]
+        width = int(degree.max(initial=1))
+        table = np.zeros((self.num_nodes, width), dtype=np.int64)
+        table[ends, slot] = edges
+        short = np.arange(width) >= degree[:, np.newaxis]
+        table[short] = np.broadcast_to(table[:, :1], table.shape)[short]
+        return table
 
 
 def _spatial_edges(
@@ -197,7 +238,7 @@ def build_space_time_graph(
 
 
 # ----------------------------------------------------------------------
-# Disjoint-set kernels
+# Disjoint-set kernels over k disjoint copies of one graph
 # ----------------------------------------------------------------------
 def find_roots(parent: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Vectorized root lookup with path compression.
@@ -209,7 +250,7 @@ def find_roots(parent: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     roots = parent[nodes]
     while True:
         above = parent[roots]
-        if np.array_equal(above, roots):
+        if (above == roots).all():
             break
         parent[nodes] = above
         roots = above
@@ -217,24 +258,52 @@ def find_roots(parent: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _union(
-    parent: np.ndarray, rank: np.ndarray, a: int, b: int
-) -> bool:
-    """Scalar union by rank; returns whether a merge happened."""
-    root_a = a
-    while parent[root_a] != root_a:
-        root_a = parent[root_a]
-    root_b = b
-    while parent[root_b] != root_b:
-        root_b = parent[root_b]
-    if root_a == root_b:
-        return False
-    if rank[root_a] < rank[root_b]:
-        root_a, root_b = root_b, root_a
-    parent[root_b] = root_a
-    if rank[root_a] == rank[root_b]:
-        rank[root_a] += 1
-    return True
+def _mark_incident(
+    graph: DecodingGraph, nodes: np.ndarray, mask: np.ndarray
+) -> None:
+    """Set ``mask`` on every copy-edge at the copy-nodes ``nodes``."""
+    rows, local = np.divmod(nodes, graph.num_nodes)
+    mask[
+        graph.incidence[local]
+        + (rows * graph.num_edges)[:, np.newaxis]
+    ] = True
+
+
+def _merge(
+    parent: np.ndarray,
+    edges: np.ndarray,
+    ends_a: np.ndarray,
+    ends_b: np.ndarray,
+    forest: np.ndarray,
+) -> None:
+    """Union the clusters that a step's filled ``edges`` join.
+
+    ``ends_a``/``ends_b`` are the cluster roots at either end of each
+    edge (never equal).  Unioning the edges one at a time in index
+    order keeps the ones that join two clusters: Kruskal with the edge
+    index as the weight, whose forest is unique.  Borůvka rounds pick
+    the same forest with array operations: each cluster takes its
+    lowest-index edge to another cluster and hooks onto that edge's
+    far end (an edge both ends took hooks the larger root onto the
+    smaller one, so hooks form no cycle), then pointer jumping
+    contracts the hooked clusters.
+    """
+    lowest = np.full(parent.shape[0], _NO_EDGE)
+    while edges.size:
+        np.minimum.at(lowest, ends_a, edges)
+        np.minimum.at(lowest, ends_b, edges)
+        by_a = lowest[ends_a] == edges
+        by_b = lowest[ends_b] == edges
+        forest[edges[by_a | by_b]] = True
+        hook_a = by_a & (~by_b | (ends_a > ends_b))
+        hook_b = by_b & (~by_a | (ends_b > ends_a))
+        parent[ends_a[hook_a]] = ends_b[hook_a]
+        parent[ends_b[hook_b]] = ends_a[hook_b]
+        lowest[ends_a] = lowest[ends_b] = _NO_EDGE
+        ends_a = find_roots(parent, ends_a)
+        ends_b = find_roots(parent, ends_b)
+        outer = ends_a != ends_b
+        edges, ends_a, ends_b = edges[outer], ends_a[outer], ends_b[outer]
 
 
 def grow_clusters(
@@ -242,49 +311,79 @@ def grow_clusters(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Grow odd clusters until even parity or boundary contact.
 
-    ``defects`` is a bool mask over the graph's nodes.  Returns
-    ``(parent, forest)``: the final disjoint-set parent array and a
-    bool mask of edges that merged two clusters when they filled —
-    by construction a spanning forest of every final cluster.
+    ``defects`` is a ``(k, num_nodes)`` bool array: row ``r`` marks the
+    defects of copy ``r`` of ``graph``, whose node ``n`` is
+    ``r * num_nodes + n`` and edge ``e`` is ``r * num_edges + e``.
+    Copies share no node or edge, so each grows exactly as it would
+    alone.  Returns ``(parent, forest)``: the ``(k * num_nodes,)``
+    disjoint-set parent array and the ``(k, num_edges)`` bool mask of
+    edges that merged two clusters when they filled -- by
+    construction a spanning forest of every final cluster.
     """
-    num_nodes = graph.num_nodes
-    parent = np.arange(num_nodes, dtype=np.int64)
-    rank = np.zeros(num_nodes, dtype=np.int64)
-    forest = np.zeros(graph.num_edges, dtype=bool)
-    if not defects.any() or graph.num_edges == 0:
-        return parent, forest
-    support = np.zeros(graph.num_edges, dtype=np.int64)
-    all_nodes = np.arange(num_nodes, dtype=np.int64)
     defects = np.asarray(defects, dtype=bool)
+    copies = defects.shape[0]
+    num_nodes, num_edges = graph.num_nodes, graph.num_edges
+    parent = np.arange(copies * num_nodes, dtype=np.int64)
+    forest = np.zeros((copies, num_edges), dtype=bool)
+    defect_nodes = np.flatnonzero(defects)
+    if defect_nodes.size == 0 or num_edges == 0:
+        return parent, forest
+    # Support never passes capacity + 1 (an edge below capacity grows
+    # by at most 2), so the smallest type holding that will do.
+    support = np.zeros(
+        copies * num_edges,
+        dtype=np.min_scalar_type(int(graph.edge_capacity.max()) + 1),
+    )
+    odd = np.zeros(copies * num_nodes, dtype=bool)
+    live = np.zeros(copies, dtype=bool)
+    boundaries = graph.boundary_node + num_nodes * np.arange(copies)
+    # Only an edge next to a defect-holding cluster can grow: an active
+    # cluster holds a defect, and clusters gain nodes only through
+    # filled edges, whose ends' edges join the frontier.
+    frontier = np.zeros(copies * num_edges, dtype=bool)
+    _mark_incident(graph, defect_nodes, frontier)
     # Any active cluster grows every iteration, so the total budget of
     # half-edge growth bounds the loop.
     for _ in range(int(graph.edge_capacity.sum()) + 1):
-        roots = find_roots(parent, all_nodes)
-        parity = np.bincount(
-            roots[defects], minlength=num_nodes
-        )
-        active = (parity % 2).astype(bool)
-        active[roots[graph.boundary_node]] = False
-        if not active.any():
+        roots = find_roots(parent, defect_nodes)
+        np.logical_xor.at(odd, roots, True)
+        odd[find_roots(parent, boundaries)] = False
+        active = roots[odd[roots]]
+        if active.size == 0:
             return parent, forest
-        root_u = roots[graph.edge_u]
-        root_v = roots[graph.edge_v]
-        growing = (root_u != root_v) & (support < graph.edge_capacity)
-        increment = active[root_u].astype(np.int64) + active[
-            root_v
-        ].astype(np.int64)
-        support[growing] += increment[growing]
-        filled = np.flatnonzero(
-            growing & (support >= graph.edge_capacity)
-        )
-        for edge in filled:
-            if _union(
+        live[:] = False
+        live[active // num_nodes] = True
+        edges = np.flatnonzero(frontier)
+        rows, local = np.divmod(edges, num_edges)
+        node_u = graph.edge_u[local] + rows * num_nodes
+        node_v = graph.edge_v[local] + rows * num_nodes
+        root_u = find_roots(parent, node_u)
+        root_v = find_roots(parent, node_v)
+        # An edge inside one cluster, or in a copy without active
+        # clusters, never grows again.  Every other edge is below
+        # capacity: a filled edge joins its ends in the step it fills.
+        keep = (root_u != root_v) & live[rows]
+        frontier[edges[~keep]] = False
+        edges, local = edges[keep], local[keep]
+        node_u, node_v = node_u[keep], node_v[keep]
+        root_u, root_v = root_u[keep], root_v[keep]
+        grown = support[edges] + odd[root_u] + odd[root_v]
+        support[edges] = grown
+        odd[roots] = False
+        filled = grown >= graph.edge_capacity[local]
+        if filled.any():
+            _merge(
                 parent,
-                rank,
-                int(graph.edge_u[edge]),
-                int(graph.edge_v[edge]),
-            ):
-                forest[edge] = True
+                edges[filled],
+                root_u[filled],
+                root_v[filled],
+                forest.reshape(-1),
+            )
+            _mark_incident(
+                graph,
+                np.concatenate([node_u[filled], node_v[filled]]),
+                frontier,
+            )
     raise RuntimeError(
         "union-find growth failed to converge"
     )  # pragma: no cover - defensive
@@ -293,77 +392,95 @@ def grow_clusters(
 def peel_forest(
     graph: DecodingGraph, forest: np.ndarray, defects: np.ndarray
 ) -> np.ndarray:
-    """Extract corrections from a grown spanning forest.
+    """Extract corrections from ``k`` grown spanning forests.
 
-    Leaves are peeled inward: a leaf holding a defect flips its tree
-    edge (recording the data qubit of spatial edges) and hands the
-    defect to its neighbour; the boundary node is never peeled and
-    absorbs whatever reaches it.  Returns the data-qubit correction
-    mask.
+    ``forest`` is ``(k, num_edges)`` and ``defects`` ``(k,
+    num_nodes)``, laid out as in :func:`grow_clusters`.  A forest edge
+    flips exactly when the subtree on its leaf side holds an odd
+    number of defects; the boundary node is never a leaf.  A tree
+    without the boundary holds an even number, so both sides of each
+    of its edges agree, and the flips do not depend on peel order.
+    Each round therefore peels every leaf at once (a leaf's last edge
+    is the XOR of its remaining edges' positions; when both ends of
+    an edge are leaves the smaller id peels) and hands each leaf's
+    defect parity to its neighbour.  Returns the ``(k, num_qubits)``
+    bool corrections: each flipped spatial edge flips its data qubit.
     """
-    correction = np.zeros(graph.num_qubits, dtype=bool)
-    defect = np.asarray(defects, dtype=bool).copy()
+    forest = np.asarray(forest, dtype=bool)
+    copies = forest.shape[0]
+    num_nodes, num_edges = graph.num_nodes, graph.num_edges
+    parity = np.asarray(defects, dtype=bool).ravel().copy()
     edges = np.flatnonzero(forest)
+    correction = np.zeros((copies, graph.num_qubits), dtype=bool)
     if edges.size == 0:
-        if defect.any():
+        if parity.any():
             raise RuntimeError("defects outside the grown forest")
         return correction
-    u = graph.edge_u[edges]
-    v = graph.edge_v[edges]
-    degree = np.bincount(u, minlength=graph.num_nodes) + np.bincount(
-        v, minlength=graph.num_nodes
+    rows, local = np.divmod(edges, num_edges)
+    node_u = graph.edge_u[local] + rows * num_nodes
+    node_v = graph.edge_v[local] + rows * num_nodes
+    size = parity.shape[0]
+    degree = np.bincount(
+        np.concatenate([node_u, node_v]), minlength=size
     )
-    adjacency: List[List[Tuple[int, int]]] = [
-        [] for _ in range(graph.num_nodes)
-    ]
-    for position in range(edges.size):
-        node_u = int(u[position])
-        node_v = int(v[position])
-        adjacency[node_u].append((position, node_v))
-        adjacency[node_v].append((position, node_u))
-    removed = np.zeros(edges.size, dtype=bool)
-    boundary = graph.boundary_node
-    stack = [
-        int(node)
-        for node in np.flatnonzero(degree == 1)
-        if node != boundary
-    ]
-    while stack:
-        node = stack.pop()
-        if degree[node] != 1:
-            continue
-        position = -1
-        other = -1
-        for candidate, neighbour in adjacency[node]:
-            if not removed[candidate]:
-                position = candidate
-                other = neighbour
-                break
-        removed[position] = True
-        degree[node] -= 1
-        degree[other] -= 1
-        if defect[node]:
-            qubit = int(graph.edge_qubit[edges[position]])
-            if qubit >= 0:
-                correction[qubit] ^= True
-            defect[node] = False
-            if other != boundary:
-                defect[other] = not defect[other]
-        if other != boundary and degree[other] == 1:
-            stack.append(other)
-    if defect.any():
+    positions = np.arange(edges.size, dtype=np.int64)
+    last = np.zeros(size, dtype=np.int64)
+    np.bitwise_xor.at(last, node_u, positions)
+    np.bitwise_xor.at(last, node_v, positions)
+    flips = np.zeros(edges.size, dtype=bool)
+    leaves = np.flatnonzero(degree == 1)
+    while leaves.size:
+        leaves = leaves[leaves % num_nodes != graph.boundary_node]
+        position = last[leaves]
+        other = node_u[position] + node_v[position] - leaves
+        peel = (degree[other] != 1) | (other > leaves) | (
+            other % num_nodes == graph.boundary_node
+        )
+        leaves, position, other = leaves[peel], position[peel], other[peel]
+        carry = parity[leaves]
+        flips[position] = carry
+        parity[leaves] = False
+        np.logical_xor.at(parity, other, carry)
+        degree[leaves] = 0
+        np.subtract.at(degree, other, 1)
+        np.bitwise_xor.at(last, other, position)
+        leaves = _distinct(other[degree[other] == 1])
+    parity[graph.boundary_node :: num_nodes] = False
+    if parity.any():
         raise RuntimeError("peeling left unpaired defects")
-    return correction
+    qubits = graph.edge_qubit[local[flips]]
+    spatial = qubits >= 0
+    counts = np.bincount(
+        rows[flips][spatial] * graph.num_qubits + qubits[spatial],
+        minlength=correction.size,
+    )
+    return (counts % 2 == 1).reshape(correction.shape)
 
 
-def _decode_defects(
-    graph: DecodingGraph, defect_nodes: np.ndarray
-) -> np.ndarray:
-    """Full union-find pass over the defect nodes: grow, then peel."""
-    defects = np.zeros(graph.num_nodes, dtype=bool)
-    defects[defect_nodes] = True
-    _parent, forest = grow_clusters(graph, defects)
-    return peel_forest(graph, forest, defects)
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a small index array, ascending."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def _decode_rows(graph: DecodingGraph, rows: np.ndarray) -> np.ndarray:
+    """Grow and peel ``(k, num_nodes - 1)`` defect rows, chunk by chunk.
+
+    Each chunk holds at most :data:`CHUNK_SLOTS` node and edge slots.
+    """
+    per_chunk = max(1, CHUNK_SLOTS // (graph.num_nodes + graph.num_edges))
+    table = np.empty((rows.shape[0], graph.num_qubits), dtype=bool)
+    for start in range(0, rows.shape[0], per_chunk):
+        chunk = rows[start : start + per_chunk]
+        defects = np.zeros((chunk.shape[0], graph.num_nodes), dtype=bool)
+        defects[:, : graph.boundary_node] = chunk
+        _parent, forest = grow_clusters(graph, defects)
+        table[start : start + chunk.shape[0]] = peel_forest(
+            graph, forest, defects
+        )
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +496,7 @@ class UnionFindDecoder(GraphDecoder):
 
     def _solver(self, rounds: int) -> Solver:
         graph = build_space_graph(self.check_matrix, self.boundary_qubits)
-        return partial(_decode_defects, graph)
+        return partial(_decode_rows, graph)
 
 
 class SpaceTimeUnionFindDecoder(SpaceTimeGraphDecoder):
@@ -397,7 +514,7 @@ class SpaceTimeUnionFindDecoder(SpaceTimeGraphDecoder):
             rounds,
             time_weight=self.time_weight,
         )
-        return partial(_decode_defects, graph)
+        return partial(_decode_rows, graph)
 
     # Bound in this class body so that tools resolving methods through
     # the class ``__dict__`` (the perf tracer) find it here.

@@ -4,8 +4,15 @@ Extends the future-work programme of the paper's ch. 6 with the
 standard phenomenological model: per syndrome round every data qubit
 suffers an X error with probability ``p`` *and* every syndrome bit is
 misread with probability ``q`` (``q = p`` by default).  Decoding uses
-the space-time MWPM decoder over ``d`` noisy rounds plus one reliable
-round (the transversal readout round).
+a space-time decoder over ``d`` noisy rounds plus one reliable round
+(the transversal readout round).
+
+Trials are drawn, turned into syndrome histories and scored as arrays
+(:meth:`PhenomenologicalSimulator.sample_histories`).  The uniforms
+come in the order one trial after another would draw them (per round,
+the data qubits' before the syndrome bits'), so a seed gives the same
+trials however they are blocked, and all of a point's histories
+decode in one ``decode_batch``.
 
 This is the realistic middle ground between the circuit-level QPDO
 simulation of SC17 (exact but slow, 17 qubits) and the code-capacity
@@ -17,12 +24,16 @@ scaling with noisy measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..codes.rotated.layout import RotatedSurfaceCode
 from ..decoders.mwpm import boundary_qubits_for
+
+#: Most uniforms :meth:`PhenomenologicalSimulator.sample_histories`
+#: holds at once: it draws trials in blocks of at most this many.
+DRAW_CAP = 1 << 16
 
 
 @dataclass
@@ -66,41 +77,71 @@ class PhenomenologicalSimulator:
         self._z_logical_mask = np.zeros(self.code.num_data, dtype=bool)
         for qubit in self.code.logical_z_support():
             self._z_logical_mask[qubit] = True
+        # Each Z check's data qubits, padded with the index past the
+        # last data qubit (a column the sampler keeps clear).
+        z_matrix = self.code.z_check_matrix
+        weight = int(z_matrix.sum(axis=1).max())
+        self._check_support = np.full(
+            (z_matrix.shape[0], weight), self.code.num_data, dtype=np.int64
+        )
+        for check, row in enumerate(z_matrix):
+            support = np.flatnonzero(row)
+            self._check_support[check, : support.size] = support
 
-    def _sample_trial(
+    def sample_histories(
         self,
         data_error_rate: float,
         measurement_error_rate: float,
+        trials: int,
         rng: np.random.Generator,
-        rounds: int,
-    ) -> tuple:
-        """Draw one trial's syndrome history and cumulative error."""
-        num_data = self.code.num_data
-        z_matrix = self.code.z_check_matrix
-        cumulative = np.zeros(num_data, dtype=np.uint8)
-        history: List[np.ndarray] = []
-        for _ in range(rounds):
-            fresh = (rng.random(num_data) < data_error_rate).astype(
-                np.uint8
-            )
-            cumulative ^= fresh
-            syndrome = (z_matrix @ cumulative) % 2
-            flips = (
-                rng.random(z_matrix.shape[0]) < measurement_error_rate
-            ).astype(np.uint8)
-            history.append(syndrome ^ flips)
-        # Final reliable round (transversal readout re-derives exact
-        # parities from the measured data bits).
-        history.append((z_matrix @ cumulative) % 2)
-        return history, cumulative
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(histories, errors)`` of ``trials`` seeded trials.
 
-    def _is_logical(
-        self, cumulative: np.ndarray, correction: np.ndarray
-    ) -> bool:
-        residual = cumulative.astype(bool) ^ correction
-        return bool(
-            np.count_nonzero(residual & self._z_logical_mask) % 2
-        )
+        ``histories`` is ``(trials, d + 1, checks)``: ``d`` noisy
+        rounds, then the reliable transversal-readout round, which
+        re-derives exact parities from the measured data bits.
+        ``errors`` is each trial's ``(trials, num_data)`` cumulative X
+        error.  Per trial and round, the data uniforms are drawn
+        before the measurement uniforms, in blocks of at most
+        :data:`DRAW_CAP` uniforms; a generator fills a block exactly
+        as it would make those draws one after the other.
+        """
+        rounds = self.code.distance
+        num_data = self.code.num_data
+        num_checks = self._check_support.shape[0]
+        histories = np.empty((trials, rounds + 1, num_checks), dtype=bool)
+        errors = np.empty((trials, num_data), dtype=bool)
+        block = max(1, DRAW_CAP // (rounds * (num_data + num_checks)))
+        for start in range(0, trials, block):
+            stop = min(trials, start + block)
+            draws = rng.random((stop - start, rounds, num_data + num_checks))
+            # One always-clear column past the data qubits pads the
+            # lighter checks' supports.
+            cumulative = np.zeros(
+                (stop - start, rounds, num_data + 1), dtype=bool
+            )
+            np.less(
+                draws[:, :, :num_data],
+                data_error_rate,
+                out=cumulative[:, :, :num_data],
+            )
+            np.logical_xor.accumulate(cumulative, axis=1, out=cumulative)
+            syndromes = cumulative[:, :, self._check_support[:, 0]]
+            for column in self._check_support.T[1:]:
+                syndromes ^= cumulative[:, :, column]
+            histories[start:stop, :rounds] = syndromes ^ (
+                draws[:, :, num_data:] < measurement_error_rate
+            )
+            histories[start:stop, rounds] = syndromes[:, -1]
+            errors[start:stop] = cumulative[:, -1, :num_data]
+        return histories, errors
+
+    def logical_failures(
+        self, errors: np.ndarray, corrections: np.ndarray
+    ) -> np.ndarray:
+        """Per trial: does the residual error flip logical Z?"""
+        residual = (errors ^ corrections) & self._z_logical_mask
+        return np.count_nonzero(residual, axis=1) % 2 == 1
 
     def estimate_ler(
         self,
@@ -113,34 +154,25 @@ class PhenomenologicalSimulator:
 
         Deterministic by default: with ``rng`` omitted a fixed-seed
         generator is used, so repeated calls reproduce bit-for-bit.
-        Sampling draws trial by trial; decoding is one batch.
+        Sampling, decoding and scoring each run over all trials as
+        arrays.
         """
         if measurement_error_rate is None:
             measurement_error_rate = data_error_rate
         if rng is None:
             rng = np.random.default_rng(0)
-        rounds = self.code.distance
-        histories = np.empty(
-            (trials, rounds + 1, self.code.z_check_matrix.shape[0]),
-            dtype=bool,
+        histories, errors = self.sample_histories(
+            data_error_rate, measurement_error_rate, trials, rng
         )
-        cumulatives = np.empty((trials, self.code.num_data), np.uint8)
-        for trial in range(trials):
-            histories[trial], cumulatives[trial] = self._sample_trial(
-                data_error_rate, measurement_error_rate, rng, rounds
-            )
         corrections = self.decoder.decode_batch(histories)
-        logical_errors = sum(
-            1
-            for cumulative, correction in zip(cumulatives, corrections)
-            if self._is_logical(cumulative, correction)
-        )
         return PhenomenologicalResult(
             distance=self.code.distance,
             data_error_rate=data_error_rate,
             measurement_error_rate=measurement_error_rate,
             trials=trials,
-            logical_errors=logical_errors,
+            logical_errors=int(
+                np.count_nonzero(self.logical_failures(errors, corrections))
+            ),
         )
 
 

@@ -58,12 +58,7 @@ def subcommand_invocations(trace_path: str) -> Dict[str, List[str]]:
         "report": ["report", trace_path],
         # Boots a real server on an ephemeral port, runs one job of
         # each kind over HTTP and schema-checks every wire document.
-        "serve": [
-            "serve", "--self-test", "--port", "0",
-            "--spool", os.path.join(
-                os.path.dirname(trace_path) or ".", "serve-spool"
-            ),
-        ],
+        "serve": ["serve", "--self-test", "--port", "0"],
         # Doubles as the zero-unsuppressed-findings lint gate: a
         # non-zero exit fails validation.
         "lint-code": ["lint-code"],

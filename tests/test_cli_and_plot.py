@@ -466,6 +466,33 @@ class TestSizeFlagsArePositive:
         assert f"argument {flag}: must be a positive integer" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ([command, "--distances", distance], "--distances")
+            for command in ("distance", "phenomenological", "memory")
+            for distance in ("2", "0", "1", "-3")
+        ]
+        + [
+            ([command, "--per", rate], "--per")
+            for command in ("distance", "phenomenological", "memory")
+            for rate in ("1.5", "-0.1", "nan")
+        ],
+    )
+    def test_bad_distance_or_rate_exits_2(self, argv, flag, capsys):
+        """The ch. 6 commands take odd distances >= 3 and rates in
+        [0, 1]; anything else is an argparse refusal naming the flag."""
+        with pytest.raises(SystemExit) as exited:
+            main(argv + ["--trials", "1", "--json"])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [
+            line for line in captured.err.splitlines() if "error:" in line
+        ]
+        assert len(errors) == 1
+        assert f"error: argument {flag}: must be " in errors[0]
+
     @pytest.mark.parametrize("shots", ["0", "-3"])
     def test_ler_batch_is_refused_by_the_runner(self, shots):
         with pytest.raises(ValueError, match="shots must be positive"):

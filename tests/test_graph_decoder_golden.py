@@ -6,7 +6,11 @@ protocol.  This file pins all three forms bit for bit, plus the
 ``--json`` reports of the four subcommands that decode with them, so
 that a refactor of the code around the solvers (batch dedupe,
 detection events, syndrome enumeration) cannot move an output bit
-unnoticed.  Union-find's rotated d = 3 tables are pinned in
+unnoticed.  Union-find is also pinned at d = 7 to 13, on batches with
+repeated rows (the space-time ones span several of its decode
+chunks), and through the ``phenom-uf`` benchmark operation and a
+``distance`` sweep.
+Union-find's rotated d = 3 tables are pinned in
 ``tests/test_unionfind.py`` (``GOLDEN_D3_DIGESTS``).
 
 If a decoder change is *intentional*, regenerate the constants (each
@@ -91,6 +95,41 @@ GOLDEN_REPORTS = {
     ("phenomenological", "sparse-mwpm"): "76891d3672ef7160",
 }
 
+#: SHA-256 prefixes of union-find ``decode_batch`` at the larger
+#: distances, keyed by ``(form, distance)``: each batch is
+#: :func:`repeated_rows` of the seeded batch below, so it holds
+#: duplicate rows; the space-time ones span 2, 3 and 7 chunks of
+#: ``CHUNK_SLOTS``.
+GOLDEN_UNIONFIND_BATCHES = {
+    ("space", 9): "139e85b77103873c",
+    ("space", 13): "8df29fab82dd5e53",
+    ("spacetime", 7): "6ee5f241d83e257e",
+    ("spacetime", 9): "b3c0c3f2f598100d",
+    ("spacetime", 13): "183543f22a9fd6d0",
+}
+
+#: SHA-256 prefixes of the union-find ``--json`` reports at the larger
+#: distances, keyed like :data:`LARGE_REPORTS`.
+GOLDEN_LARGE_REPORTS = {
+    "phenomenological": "3b70ec189b5201cc",
+    "distance": "b5e24aa46f498eb8",
+}
+
+#: ``phenomenological`` is one operation of the ``phenom-uf`` benchmark
+#: workload; ``distance`` runs the code-capacity sweep at its default
+#: rates and trials.
+LARGE_REPORTS = {
+    "phenomenological": [
+        "phenomenological", "--distances", "5", "9", "13", "--per",
+        "0.015", "--trials", "200", "--decoder", "unionfind", "--seed",
+        "1",
+    ],
+    "distance": [
+        "distance", "--decoder", "unionfind", "--distances", "7", "9",
+        "--seed", "3",
+    ],
+}
+
 REPORTS = {
     "distance": [
         "distance", "--distances", "3", "5", "--per", "0.05",
@@ -138,6 +177,17 @@ def history_batch(code: RotatedSurfaceCode) -> np.ndarray:
     flips = rng.random((200, rounds, checks)) < 0.03
     noisy = (exact == 1) ^ flips
     return np.concatenate([noisy, exact[:, -1:] == 1], axis=1)
+
+
+def repeated_rows(batch: np.ndarray, distance: int) -> np.ndarray:
+    """``len(batch)`` rows drawn from the first 60% of ``batch``.
+
+    A seeded draw with replacement, so the result repeats rows (the
+    dedupe path) in an order unrelated to the original one.
+    """
+    rng = np.random.default_rng(3000 + distance)
+    pool = (3 * batch.shape[0]) // 5
+    return batch[rng.integers(0, pool, size=batch.shape[0])]
 
 
 def decode_rows(decoder, batch: np.ndarray, single: str) -> np.ndarray:
@@ -229,6 +279,39 @@ def test_single_row_entry_points_match_the_batch(name):
         np.stack([spacetime.decode_history(row) for row in histories]),
         decode_rows(spacetime, histories, "decode_history"),
     )
+
+
+@pytest.mark.parametrize(
+    "form, distance",
+    [("space", 9), ("space", 13), ("spacetime", 7), ("spacetime", 9),
+     ("spacetime", 13)],
+)
+def test_unionfind_large_decode_batch(form, distance):
+    code = RotatedSurfaceCode(distance)
+    spec = get_decoder("unionfind")
+    boundary = boundary_qubits_for(code, "z")
+    if form == "space":
+        decoder = spec.build_space(code.z_check_matrix, boundary)
+        batch = repeated_rows(syndrome_batch(code), distance)
+    else:
+        decoder = spec.build_spacetime(code.z_check_matrix, boundary)
+        batch = repeated_rows(history_batch(code), distance)
+    rows = batch.reshape(batch.shape[0], -1)
+    assert np.unique(rows, axis=0).shape[0] < batch.shape[0]
+    corrections = np.asarray(decoder.decode_batch(batch), dtype=bool)
+    assert corrections.shape == (batch.shape[0], code.num_data)
+    assert (
+        _digest(corrections)
+        == GOLDEN_UNIONFIND_BATCHES[(form, distance)]
+    )
+
+
+@pytest.mark.parametrize("command", sorted(LARGE_REPORTS))
+def test_unionfind_large_json_reports(command, capsys):
+    assert main(LARGE_REPORTS[command] + ["--json"]) == 0
+    captured = capsys.readouterr()
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()[:16]
+    assert digest == GOLDEN_LARGE_REPORTS[command]
 
 
 @pytest.mark.parametrize("command", sorted(REPORTS))

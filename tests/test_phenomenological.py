@@ -1,11 +1,14 @@
 """Tests for the space-time decoder and the phenomenological model."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.codes.rotated import RotatedSurfaceCode
 from repro.decoders import boundary_qubits_for, syndrome_of
 from repro.decoders.spacetime import SpaceTimeMatchingDecoder
+from repro.experiments import phenomenological
 from repro.experiments.phenomenological import (
     PhenomenologicalSimulator,
     format_phenomenological_table,
@@ -83,6 +86,57 @@ class TestSpaceTimeDecoding:
         assert not syndrome_of(
             code.z_check_matrix, residual.astype(np.uint8)
         ).any()
+
+
+def _trial_by_trial(code, p, q, trials, rng):
+    """Reference sampler: one trial, then one round, at a time."""
+    histories, errors = [], []
+    for _ in range(trials):
+        cumulative = np.zeros(code.num_data, dtype=np.uint8)
+        history = []
+        for _ in range(code.distance):
+            cumulative ^= (rng.random(code.num_data) < p).astype(np.uint8)
+            syndrome = (code.z_check_matrix @ cumulative) % 2
+            flips = rng.random(code.z_check_matrix.shape[0]) < q
+            history.append(syndrome.astype(bool) ^ flips)
+        history.append((code.z_check_matrix @ cumulative) % 2 == 1)
+        histories.append(history)
+        errors.append(cumulative.astype(bool))
+    return np.asarray(histories, dtype=bool), np.asarray(errors)
+
+
+class TestArraySampler:
+    @pytest.mark.parametrize("cap", [None, 1, 5000])
+    @pytest.mark.parametrize(
+        "distance, p, q", [(3, 0.05, 0.05), (5, 0.02, 0.1), (7, 0.01, 0.0)]
+    )
+    def test_same_stream_as_trial_by_trial(self, distance, p, q, cap):
+        """Blocks of any size draw what the per-trial loop draws."""
+        simulator = PhenomenologicalSimulator(distance)
+        draw_cap = phenomenological.DRAW_CAP if cap is None else cap
+        with mock.patch.object(phenomenological, "DRAW_CAP", draw_cap):
+            histories, errors = simulator.sample_histories(
+                p, q, 23, np.random.default_rng(distance)
+            )
+        expected = _trial_by_trial(
+            simulator.code, p, q, 23, np.random.default_rng(distance)
+        )
+        assert np.array_equal(histories, expected[0])
+        assert np.array_equal(errors, expected[1])
+
+    def test_logical_failures_is_the_residual_parity(self):
+        simulator = PhenomenologicalSimulator(5)
+        rng = np.random.default_rng(4)
+        errors = rng.random((30, simulator.code.num_data)) < 0.2
+        corrections = rng.random((30, simulator.code.num_data)) < 0.2
+        support = list(simulator.code.logical_z_support())
+        expected = [
+            bool(np.count_nonzero((e ^ c)[support]) % 2)
+            for e, c in zip(errors, corrections)
+        ]
+        assert list(
+            simulator.logical_failures(errors, corrections)
+        ) == expected
 
 
 class TestPhenomenologicalSimulator:

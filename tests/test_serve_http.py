@@ -8,9 +8,15 @@ is plain enough to speak by hand), and shuts it down cleanly.
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.cli import main
 from repro.experiments.schemas import REPORT_SCHEMAS
 from repro.serve import ServeApp, ServeConfig
 from repro.serve.app import _http_request
@@ -377,3 +383,40 @@ def test_restart_preserves_done_results(tmp_path):
 async def scenario_noop(app, host, port):
     # Third boot over the same spool: recovery must stay idempotent.
     assert app.queue.get("keeper").state == "done"
+
+
+def test_self_test_twice_leaves_nothing_behind(tmp_path):
+    """``repro serve --self-test`` runs on its own temporary spool:
+    twice in one directory both runs pass, and neither the directory
+    nor the temporary area keeps a file afterwards."""
+    work = tmp_path / "work"
+    scratch = tmp_path / "tmp"
+    work.mkdir()
+    scratch.mkdir()
+    environment = dict(os.environ)
+    environment["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    environment["TMPDIR"] = str(scratch)
+    for _ in range(2):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--self-test",
+             "--port", "0", "--json"],
+            cwd=work,
+            capture_output=True,
+            text=True,
+            env=environment,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["passed"]
+    assert list(work.iterdir()) == []
+    assert list(scratch.iterdir()) == []
+
+
+def test_self_test_refuses_an_explicit_spool(tmp_path, capsys):
+    spool = tmp_path / "spool"
+    assert main(["serve", "--self-test", "--spool", str(spool)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("--spool")
+    assert captured.err.count("\n") == 1
+    assert not spool.exists()
