@@ -181,8 +181,10 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
         "--shard-shots",
         type=_positive_int,
         metavar="SHOTS",
-        help="shots per shard of the parallel runner (default "
-        f"{DEFAULT_SHARD_SHOTS})",
+        help="shots per shard of the sharded runner (default "
+        f"{DEFAULT_SHARD_SHOTS}): the granularity of seeds, records, "
+        "checkpoints and early stopping; one core call spans many "
+        "shards",
     )
     parser.add_argument(
         "--checkpoint",
@@ -576,6 +578,22 @@ def _parallel_config(args):
     )
 
 
+def _run_sharded(per_values, **kwargs):
+    """``run_parallel_sweep``, or ``None`` (after one line on stderr)
+    when ``--resume`` meets a checkpoint of a different sweep --
+    callers exit 2."""
+    from .experiments.parallel import (
+        CheckpointMismatchError,
+        run_parallel_sweep,
+    )
+
+    try:
+        return run_parallel_sweep(per_values, **kwargs)
+    except CheckpointMismatchError as error:
+        print(f"--resume: {error}", file=sys.stderr)
+        return None
+
+
 def _errors_or_default(args, default: int) -> Optional[int]:
     """The ``--errors`` quota, or ``None`` (after printing to stderr)
     when it is combined with ``--batch``.
@@ -708,11 +726,9 @@ def cmd_ler(args) -> int:
     if decoder is None:
         return 2
     if workers or batch:
-        from .experiments.parallel import run_parallel_sweep
-
         samples = LER_DEFAULT_SAMPLES if args.samples is None else args.samples
         windows = LER_DEFAULT_WINDOWS if args.windows is None else args.windows
-        parallel = run_parallel_sweep(
+        parallel = _run_sharded(
             [args.per],
             error_kind=args.kind,
             shots=args.batch if batch else samples,
@@ -723,6 +739,8 @@ def cmd_ler(args) -> int:
             engine=args.engine,
             decoder=decoder,
         )
+        if parallel is None:
+            return 2
         report = parallel.ler_report(args.seed)
     else:
         from .experiments.ler import LerExperiment
@@ -791,10 +809,8 @@ def cmd_sweep(args) -> int:
     if decoder_name is None:
         return 2
     if args.workers is not None:
-        from .experiments.parallel import run_parallel_sweep
-
-        parallel = run_parallel_sweep(
-            per_values=args.per,
+        parallel = _run_sharded(
+            args.per,
             error_kind=args.kind,
             shots=args.samples,
             windows=args.batch,
@@ -804,6 +820,8 @@ def cmd_sweep(args) -> int:
             engine=args.engine,
             decoder=decoder_name,
         )
+        if parallel is None:
+            return 2
         sweep = parallel.sweep
         arms = []
         for index in range(len(args.per)):

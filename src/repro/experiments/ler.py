@@ -55,7 +55,12 @@ from ..qpdo.core import Core
 from ..qpdo.cores import StabilizerCore
 from ..qpdo.counter_layer import CounterLayer
 from ..qpdo.error_layer import DepolarizingErrorLayer
-from ..qpdo.packed_core import PackedExecutionResult, PackedStabilizerCore
+from ..qpdo.packed_core import (
+    PackedExecutionResult,
+    PackedStabilizerCore,
+    Shard,
+    shard_list,
+)
 from ..qpdo.pauli_frame_layer import PauliFrameLayer
 from ..sim.framesim import NoiseParameters
 from ..sim.packedsim import unpack_bits
@@ -583,12 +588,19 @@ class BatchedLerExperiment:
     seed — identical :class:`BatchCounts`, minus the whole tableau
     pass.  Shards, arms and serve jobs of one protocol share one
     entry.
+
+    ``shards`` replaces ``num_shots`` and ``seed`` with a list of
+    :class:`~repro.qpdo.packed_core.Shard` blocks run side by side on
+    one core (``framesim`` only).  Each shard's counts equal those of
+    a run with its own shots and seed: its streams are its own, and
+    every data-dependent draw (the frame-less arm's correction slot)
+    is decided per shard.
     """
 
     def __init__(
         self,
         physical_error_rate: float,
-        num_shots: int,
+        num_shots: Optional[int] = None,
         use_pauli_frame: bool = True,
         error_kind: str = "x",
         windows: int = DEFAULT_BATCH_WINDOWS,
@@ -600,18 +612,21 @@ class BatchedLerExperiment:
         decoder_impl: str = "lut",
         engine: str = "framesim",
         reference_cache: bool = True,
+        shards: Optional[List[Shard]] = None,
     ) -> None:
         from ..decoders.registry import WindowContext, get_decoder
 
         if error_kind not in ("x", "z"):
             raise ValueError("error_kind must be 'x' or 'z'")
-        if num_shots < 1:
-            raise ValueError("num_shots must be positive")
+        shards = shard_list(num_shots, seed, shards)
         decoder_spec = get_decoder(decoder_impl)
         if engine not in ENGINES:
             raise ValueError(f"engine must be one of {list(ENGINES)}")
         self.physical_error_rate = float(physical_error_rate)
-        self.num_shots = int(num_shots)
+        sizes = [shard.shots for shard in shards]
+        self.num_shots = sum(sizes)
+        # First shot of every shard.
+        self._starts = np.cumsum([0] + sizes[:-1])
         self.use_pauli_frame = bool(use_pauli_frame)
         self.error_kind = error_kind
         self.windows = int(windows)
@@ -639,11 +654,10 @@ class BatchedLerExperiment:
                 )
             )
         self.core = PackedStabilizerCore(
-            self.num_shots,
             noise=noise,
-            seed=seed,
             rng_mode=ENGINES[engine],
             reference_key=reference_key,
+            shards=shards,
         )
         self.core.createqubit(NUM_QUBITS + 1)  # + diagnostic ancilla
         # Registry-driven construction: the WindowContext carries the
@@ -744,9 +758,15 @@ class BatchedLerExperiment:
                 # reaches the hardware, so its time slot is charged
                 # depolarizing noise (gate error on corrected qubits,
                 # idle error on the rest — the same channel either
-                # way) on exactly the shots that commanded it.
+                # way) on exactly the shots that commanded it.  A
+                # shard draws the slot only when one of its own shots
+                # commanded it, as it does when it runs alone.
                 self.core.inject_depolarizing(
-                    range(NUM_QUBITS), shot_mask=commanded
+                    range(NUM_QUBITS),
+                    shot_mask=commanded,
+                    shards=np.logical_or.reduceat(
+                        commanded, self._starts
+                    ),
                 )
         return commanded
 

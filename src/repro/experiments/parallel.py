@@ -2,11 +2,19 @@
 
 The paper's headline evaluation (Figs 5.17-5.24) wants tens of
 thousands of decode-and-correct windows per (PER, frame-arm) point.
-PR 1's batched sampler made a single process fast; this module scales
+The batched sampler made a single process fast; this module scales
 *across* processes the way Stim does (Gidney, Quantum 5, 497):
 logical-error-rate sampling is embarrassingly parallel over shots, so
-every sweep point is split into fixed-size **shards** that execute
-independently on a worker pool.
+every sweep point is split into fixed-size **shards**, each with its
+own seed tree and its own record.
+
+A shard is the unit of seeding, records, checkpointing, early stopping
+and worker-count invariance, not of execution: consecutive outstanding
+shards of one arm run side by side in one lockstep core
+(:func:`run_shards`, at most :data:`FUSED_SHOTS` shots per core call),
+inline or as one task of a worker pool, and hand back one record per
+shard, each equal to the shard's lone run (:func:`run_shard`).  Only
+the width of a core call depends on how shards are grouped.
 
 Three properties are load-bearing:
 
@@ -61,10 +69,11 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
+from ..qpdo.packed_core import Shard
 from .ler import (
     DEFAULT_BATCH_WINDOWS,
     ENGINES,
@@ -102,6 +111,15 @@ class PoolShutdownError(RuntimeError):
     the run bit-identically.
     """
 
+
+class CheckpointMismatchError(ValueError):
+    """A ``resume`` against a checkpoint that a different sweep wrote.
+
+    The message is one line: it names each differing header key with
+    its stored and planned values, or the shard the plan lacks.
+    """
+
+
 #: Arm identifier used in records and keys.
 ArmKey = Tuple[int, bool]
 
@@ -111,7 +129,7 @@ ArmKey = Tuple[int, bool]
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ShardSpec:
-    """One unit of work: a fixed block of shots of one (PER, arm).
+    """One shard: a fixed block of shots of one (PER, arm).
 
     Everything that determines the shard's random stream is in here,
     and nothing else is: the shard seed is ``(arm_seed, shard_index)``
@@ -230,57 +248,103 @@ def plan_shards(
 # ----------------------------------------------------------------------
 # Shard execution
 # ----------------------------------------------------------------------
+#: Most shots one fused run carries: 64 words per core call.
+FUSED_SHOTS = 4096
+
+
+def _fuses(spec: ShardSpec) -> bool:
+    """Whether ``spec`` may share a core with other shards of its arm:
+    a batch-mode shard on the exact frame stream."""
+    return spec.mode == "batch" and ENGINES[spec.engine] == "exact"
+
+
+def run_shards(specs: Sequence[ShardSpec]) -> List[ShardResult]:
+    """Execute shards of one arm; one record per spec, in order.
+
+    Record ``j`` equals ``run_shard(specs[j])``.  Several specs must
+    fuse (:func:`_fuses`) and differ only in ``shard_index`` and
+    ``shots``: they run side by side in one
+    :class:`BatchedLerExperiment`, each on its own ``(arm_seed,
+    shard_index)`` streams, so only the width of a core call changes.
+    This is the function worker processes run.
+    """
+    first = specs[0]
+    if len(specs) > 1:
+        shape = replace(first, shard_index=0, shots=0)
+        if any(replace(spec, shard_index=0, shots=0) != shape
+               for spec in specs):
+            raise ValueError(
+                "a fused run holds shards of one arm that differ only "
+                "in shard_index and shots"
+            )
+        if not _fuses(first):
+            raise ValueError(
+                f"{first.mode}-mode shards on the {first.engine!r} "
+                f"engine run one per core"
+            )
+    t = telemetry.ACTIVE
+    if t is None:
+        return _run_shards(specs)
+    with t.span(
+        "parallel",
+        "run_shards",
+        point_index=first.point_index,
+        use_pauli_frame=first.use_pauli_frame,
+        shard_index=first.shard_index,
+        shards=len(specs),
+        shots=sum(spec.shots for spec in specs),
+        mode=first.mode,
+    ):
+        return _run_shards(specs)
+
+
 def run_shard(spec: ShardSpec) -> ShardResult:
     """Execute one shard; pure function of its spec.
 
-    This is the function worker processes run.  Batch mode drives one
-    :class:`BatchedLerExperiment` over the shard's shots in lockstep;
-    loop mode runs ``spec.shots`` independent per-shot tableau
-    experiments, each seeded by ``(arm_seed, shard_index, shot)``.
+    The determinism reference of :func:`run_shards`.  Batch mode drives
+    one :class:`BatchedLerExperiment` over the shard's shots in
+    lockstep; loop mode runs ``spec.shots`` independent per-shot
+    tableau experiments, each seeded by ``(arm_seed, shard_index,
+    shot)``.
     """
-    t = telemetry.ACTIVE
-    if t is None:
-        return _run_shard(spec)
-    with t.span(
-        "parallel",
-        "run_shard",
-        point_index=spec.point_index,
-        use_pauli_frame=spec.use_pauli_frame,
-        shard_index=spec.shard_index,
-        shots=spec.shots,
-        mode=spec.mode,
-    ):
-        return _run_shard(spec)
+    return run_shards([spec])[0]
 
 
-def _run_shard(spec: ShardSpec) -> ShardResult:
+def _run_shards(specs: Sequence[ShardSpec]) -> List[ShardResult]:
+    spec = specs[0]
     if spec.mode == "batch":
         counts = BatchedLerExperiment(
             spec.physical_error_rate,
-            num_shots=spec.shots,
             use_pauli_frame=spec.use_pauli_frame,
             error_kind=spec.error_kind,
             windows=spec.windows,
-            seed=spec.shard_seed,
             engine=spec.engine,
             decoder_impl=spec.decoder,
+            shards=[Shard(one.shots, one.shard_seed) for one in specs],
         ).run_counts()
-        return ShardResult(
-            point_index=spec.point_index,
-            physical_error_rate=spec.physical_error_rate,
-            use_pauli_frame=spec.use_pauli_frame,
-            shard_index=spec.shard_index,
-            shots=spec.shots,
-            error_kind=spec.error_kind,
-            mode=spec.mode,
-            windows=spec.windows,
-            shot_errors=[int(v) for v in counts.logical_errors],
-            shot_windows=[spec.windows] * spec.shots,
-            shot_clean=[int(v) for v in counts.clean_windows],
-            shot_corrections=[
-                int(v) for v in counts.corrections_commanded
-            ],
-        )
+        records, start = [], 0
+        for one in specs:
+            stop = start + one.shots
+            records.append(
+                ShardResult(
+                    point_index=one.point_index,
+                    physical_error_rate=one.physical_error_rate,
+                    use_pauli_frame=one.use_pauli_frame,
+                    shard_index=one.shard_index,
+                    shots=one.shots,
+                    error_kind=one.error_kind,
+                    mode=one.mode,
+                    windows=one.windows,
+                    shot_errors=counts.logical_errors[start:stop].tolist(),
+                    shot_windows=[one.windows] * one.shots,
+                    shot_clean=counts.clean_windows[start:stop].tolist(),
+                    shot_corrections=counts.corrections_commanded[
+                        start:stop
+                    ].tolist(),
+                )
+            )
+            start = stop
+        return records
     if spec.mode != "loop":
         raise ValueError(f"unknown shard mode {spec.mode!r}")
     errors: List[int] = []
@@ -300,20 +364,22 @@ def _run_shard(spec: ShardSpec) -> ShardResult:
         windows.append(result.windows)
         clean.append(result.clean_windows)
         corrections.append(result.corrections_commanded)
-    return ShardResult(
-        point_index=spec.point_index,
-        physical_error_rate=spec.physical_error_rate,
-        use_pauli_frame=spec.use_pauli_frame,
-        shard_index=spec.shard_index,
-        shots=spec.shots,
-        error_kind=spec.error_kind,
-        mode=spec.mode,
-        windows=spec.windows,
-        shot_errors=errors,
-        shot_windows=windows,
-        shot_clean=clean,
-        shot_corrections=corrections,
-    )
+    return [
+        ShardResult(
+            point_index=spec.point_index,
+            physical_error_rate=spec.physical_error_rate,
+            use_pauli_frame=spec.use_pauli_frame,
+            shard_index=spec.shard_index,
+            shots=spec.shots,
+            error_kind=spec.error_kind,
+            mode=spec.mode,
+            windows=spec.windows,
+            shot_errors=errors,
+            shot_windows=windows,
+            shot_clean=clean,
+            shot_corrections=corrections,
+        )
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -508,13 +574,16 @@ def load_checkpoint(
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ParallelConfig:
-    """Execution knobs of the parallel sweep engine.
+    """Knobs of the parallel sweep engine.
 
-    None of these affect the physics: the shard records are a pure
-    function of the sweep parameters, so workers / checkpointing /
-    early-stop targets can vary between runs without changing any
-    committed number (early stopping changes *how many* shards are
-    committed, deterministically, never their content).
+    ``shard_shots`` is part of the sweep: it sets every shard's shots
+    and so its seed tree and record, and the checkpoint header pins
+    it.  It does not set the width of a core call (consecutive shards
+    of an arm share a core).  The other fields change no committed
+    number: shard records are a pure function of the sweep parameters
+    and ``shard_shots``, so workers, checkpointing and early-stop
+    targets can vary between runs (early stopping changes *how many*
+    shards are committed, deterministically, never their content).
     """
 
     workers: int = 1
@@ -640,6 +709,13 @@ def _checkpoint_config(
     return config
 
 
+def _header_value(config: Dict, key: str) -> str:
+    """One checkpoint header value as JSON, ``absent`` when missing."""
+    if key not in config:
+        return "absent"
+    return json.dumps(config[key], sort_keys=True)
+
+
 def _pool_context() -> mp.context.BaseContext:
     """Prefer fork (cheap start) and fall back to spawn."""
     methods = mp.get_all_start_methods()
@@ -666,6 +742,25 @@ def submit_to_pool(
         ) from error
 
 
+def _group_end(specs: Sequence[ShardSpec], start: int, budget: int) -> int:
+    """End of the fused run that starts at ``specs[start]``: the
+    following shards of its arm while they fuse and their shots stay
+    within ``budget`` (the first shard always runs)."""
+    first = specs[start]
+    end, shots = start + 1, first.shots
+    if not _fuses(first):
+        return end
+    while (
+        end < len(specs)
+        and specs[end].arm_key == first.arm_key
+        and _fuses(specs[end])
+        and shots + specs[end].shots <= budget
+    ):
+        shots += specs[end].shots
+        end += 1
+    return end
+
+
 def _execute_shards(
     specs: Sequence[ShardSpec],
     aggregators: Dict[ArmKey, ArmAggregator],
@@ -675,10 +770,20 @@ def _execute_shards(
 ) -> int:
     """Run the outstanding shards; returns how many executed.
 
+    Consecutive outstanding shards of one arm run as one fused run of
+    at most :data:`FUSED_SHOTS` shots (:func:`run_shards`), which hands
+    back one record per shard; records are committed one shard at a
+    time, as before.
+
     ``workers <= 1`` runs inline in spec order, which doubles as the
-    reference path for the determinism guarantees.  With a pool, all
-    outstanding shards are submitted up front and results stream back
-    as they finish; shards of arms whose frontier is already satisfied
+    reference path for the determinism guarantees.  Under early
+    stopping a fused run holds at most as many shots as its arm has
+    committed (its first run is one shard), and records past a
+    satisfied frontier are neither written nor counted.  With a pool,
+    every fused run is submitted up front as one task of at most
+    ``ceil(arm shots / workers)`` shots, so every worker gets work
+    (one shard per task under early stopping), and results stream back
+    as they finish; runs of arms whose frontier is already satisfied
     are cancelled where possible and discarded otherwise.
 
     An external ``pool`` (a long-lived executor such as the serve
@@ -687,42 +792,69 @@ def _execute_shards(
     what keeps their LUT and reference-trace caches warm across jobs.
     Without one, ``workers > 1`` creates a throwaway pool.
     """
-    executed = 0
     t = telemetry.ACTIVE
+
+    def dispatch(group: Sequence[ShardSpec]) -> None:
+        if t is None:
+            return
+        for spec in group:
+            t.event(
+                "parallel",
+                "shard_dispatch",
+                point_index=spec.point_index,
+                use_pauli_frame=spec.use_pauli_frame,
+                shard_index=spec.shard_index,
+                shots=spec.shots,
+            )
+
     if pool is None and workers <= 1:
-        for spec in specs:
-            if aggregators[spec.arm_key].done:
+        executed = start = 0
+        while start < len(specs):
+            aggregator = aggregators[specs[start].arm_key]
+            if aggregator.done:
+                start += 1
                 continue
-            if t is not None:
-                t.event(
-                    "parallel",
-                    "shard_dispatch",
-                    point_index=spec.point_index,
-                    use_pauli_frame=spec.use_pauli_frame,
-                    shard_index=spec.shard_index,
-                    shots=spec.shots,
+            budget = FUSED_SHOTS
+            if aggregator.target_halfwidth is not None:
+                budget = min(
+                    budget,
+                    sum(record.shots for record in aggregator.committed),
                 )
-            on_record(run_shard(spec))
-            executed += 1
+            end = _group_end(specs, start, budget)
+            dispatch(specs[start:end])
+            for record in run_shards(specs[start:end]):
+                if aggregator.done:
+                    break
+                on_record(record)
+                executed += 1
+            start = end
         return executed
 
     def _drain(pool: ProcessPoolExecutor) -> int:
         executed = 0
-        future_specs = {}
+        arm_shots: Dict[ArmKey, int] = {}
         for spec in specs:
-            if aggregators[spec.arm_key].done:
+            arm_shots[spec.arm_key] = arm_shots.get(spec.arm_key, 0) + (
+                spec.shots
+            )
+        future_groups = {}
+        start = 0
+        while start < len(specs):
+            arm = specs[start].arm_key
+            if aggregators[arm].done:
+                start += 1
                 continue
-            if t is not None:
-                t.event(
-                    "parallel",
-                    "shard_dispatch",
-                    point_index=spec.point_index,
-                    use_pauli_frame=spec.use_pauli_frame,
-                    shard_index=spec.shard_index,
-                    shots=spec.shots,
+            budget = 0  # one shard per task under early stopping
+            if aggregators[arm].target_halfwidth is None:
+                budget = min(
+                    FUSED_SHOTS, math.ceil(arm_shots[arm] / max(workers, 1))
                 )
-            future_specs[submit_to_pool(pool, run_shard, spec)] = spec
-        pending = set(future_specs)
+            end = _group_end(specs, start, budget)
+            dispatch(specs[start:end])
+            future = submit_to_pool(pool, run_shards, specs[start:end])
+            future_groups[future] = arm
+            start = end
+        pending = set(future_groups)
         try:
             while pending:
                 # The timeout is load-bearing: a pool shut down under
@@ -736,14 +868,15 @@ def _execute_shards(
                         raise PoolShutdownError(
                             "worker pool shut down mid-sweep"
                         )
-                    on_record(future.result())
-                    executed += 1
+                    for record in future.result():
+                        on_record(record)
+                        executed += 1
                 if any(f.cancelled() for f in pending):
                     raise PoolShutdownError(
                         "worker pool shut down mid-sweep"
                     )
                 for future in list(pending):
-                    arm = future_specs[future].arm_key
+                    arm = future_groups[future]
                     if aggregators[arm].done and future.cancel():
                         pending.discard(future)
         finally:
@@ -852,16 +985,25 @@ def run_parallel_sweep(
     if resuming:
         stored_config, records = load_checkpoint(config.checkpoint)
         if stored_config != header_config:
-            raise ValueError(
+            stored = stored_config or {}
+            differences = "; ".join(
+                f"{key}: stored {_header_value(stored, key)}, "
+                f"planned {_header_value(header_config, key)}"
+                for key in sorted(set(stored) | set(header_config))
+                if stored.get(key) != header_config.get(key)
+            )
+            raise CheckpointMismatchError(
                 f"checkpoint {config.checkpoint!r} was written for a "
-                f"different sweep configuration; refusing to resume"
+                f"different sweep configuration ({differences}); "
+                f"refusing to resume"
             )
         for record in records:
             spec = spec_by_key.get(record.key)
             if spec is None or spec.shots != record.shots:
-                raise ValueError(
+                raise CheckpointMismatchError(
                     f"checkpoint {config.checkpoint!r} holds shard "
-                    f"{record.key} that the planned sweep does not"
+                    f"{record.key} of {record.shots} shots that the "
+                    f"planned sweep does not; refusing to resume"
                 )
             if record.key in replayed_keys:
                 continue  # an interrupted resume may duplicate lines

@@ -9,7 +9,12 @@ from .error_layer import (
     ErrorCounts,
 )
 from .layer import ControlStack, Layer
-from .packed_core import PackedExecutionResult, PackedStabilizerCore, sample
+from .packed_core import (
+    PackedExecutionResult,
+    PackedStabilizerCore,
+    Shard,
+    sample,
+)
 from .pauli_frame_layer import PauliFrameLayer
 from .testbench import (
     BellStateHistoTb,
@@ -26,6 +31,7 @@ __all__ = [
     "StabilizerCore",
     "StateVectorCore",
     "PackedStabilizerCore",
+    "Shard",
     "PackedExecutionResult",
     "sample",
     "Layer",

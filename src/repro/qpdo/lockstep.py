@@ -35,7 +35,9 @@ three steps:
 1. draw the circuit's rows back to back, in runs of consecutive rows
    capped at :data:`DRAW_CAP` elements (``Generator.random`` fills a
    ``(k, n)`` block exactly like ``k`` consecutive ``(n,)`` draws, so
-   the stream is the kernels');
+   the stream is the kernels').  Shards side by side on the shot axis
+   each draw their own rows from their own Generator, into their own
+   slab of one block;
 2. find every noise hit with one comparison, and compute the error
    kind only at the hits, with the kernels' own arithmetic;
 3. XOR the incoming-frame and gauge rows into the outputs with one
@@ -65,7 +67,7 @@ from ..sim.framesim import (
     NoiseParameters,
     _slot_noise_events,
 )
-from ..sim.packedsim import pack_bits
+from ..sim.packedsim import RandomSource, ShotStreams, pack_bits
 from ..sim.refcache import ReferenceOp
 
 #: FIFO capacity of the process-level plan cache.
@@ -200,7 +202,7 @@ class FrameMap:
 
     def run(
         self,
-        rng: np.random.Generator,
+        rng: RandomSource,
         x: np.ndarray,
         z: np.ndarray,
         num_shots: int,
@@ -213,6 +215,9 @@ class FrameMap:
         slot kernels would, in runs of at most :data:`DRAW_CAP`
         elements, and returns ``(flips, x, z, hits)``: the packed
         measurement flips, the new planes and the number of noise hits.
+        With :class:`~repro.sim.packedsim.ShotStreams`, each block of
+        shots draws its ``(rows, block shots)`` uniforms from its own
+        Generator, as it does alone.
         """
         nq, words = self.num_qubits, x.shape[1]
         gauges = len(self.gauge_rows)
@@ -244,7 +249,7 @@ class FrameMap:
 
     def _draw(
         self,
-        rng: np.random.Generator,
+        rng: RandomSource,
         gauge_words: np.ndarray,
         num_shots: int,
         probability: float,
@@ -254,26 +259,42 @@ class FrameMap:
 
         A hit is ``u < p`` and its kind the kernels' own arithmetic,
         ``min(int(u * (kinds / p)), kinds - 1)``, so each channel
-        fires exactly where its kernel would have.
+        fires exactly where its kernel would have.  Adjacent blocks of
+        one size draw into one ``(blocks, rows, size)`` array, each
+        block into its own slab, and a hit's flat index gives its
+        block, row and shot.
         """
-        thresholds = np.where(self.noise_rows, probability, 0.0)
-        per_draw = max(1, DRAW_CAP // num_shots)
+        thresholds = np.where(self.noise_rows, probability, 0.0)[:, None]
+        gauge_bits = np.empty((len(self.gauge_rows), num_shots), dtype=bool)
         found: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        gauge = 0
-        for start in range(0, self.rows, per_draw):
-            block = rng.random((min(per_draw, self.rows - start), num_shots))
-            stop = start + len(block)
-            end = int(np.searchsorted(self.gauge_rows, stop))
-            if end > gauge:
-                gauge_words[gauge:end] = pack_bits(
-                    block[self.gauge_rows[gauge:end] - start] < 0.5
+        for first, streams, size in ShotStreams.of(rng, num_shots).runs():
+            width = len(streams) * size
+            per_draw = max(1, DRAW_CAP // width)
+            gauge = 0
+            for start in range(0, self.rows, per_draw):
+                stop = min(start + per_draw, self.rows)
+                block = np.empty((len(streams), stop - start, size))
+                for stream, slab in zip(streams, block):
+                    stream.random(out=slab)
+                end = int(np.searchsorted(self.gauge_rows, stop))
+                if end > gauge:
+                    bits = block[:, self.gauge_rows[gauge:end] - start] < 0.5
+                    gauge_bits[gauge:end, first:first + width] = (
+                        bits.transpose(1, 0, 2).reshape(end - gauge, width)
+                    )
+                    gauge = end
+                flat = np.flatnonzero(block < thresholds[start:stop])
+                line = flat // size  # slab * (stop - start) + row
+                slab = line // (stop - start)
+                found.append(
+                    (
+                        line - slab * (stop - start) + start,
+                        flat - (line - slab) * size + first,
+                        block.ravel()[flat],
+                    )
                 )
-                gauge = end
-            flat = np.flatnonzero(block < thresholds[start:stop, None])
-            rows = flat // num_shots
-            found.append(
-                (rows + start, flat - rows * num_shots, block.ravel()[flat])
-            )
+        if len(gauge_bits):
+            gauge_words[:] = pack_bits(gauge_bits)
         if not found:
             return _NO_COLUMNS, _NO_COLUMNS, _NO_COLUMNS
         if len(found) == 1:
@@ -309,6 +330,10 @@ class CircuitPlan:
     frame_map:
         The slots' action on the frames as one :class:`FrameMap`; the
         exact regime runs it in place of the slot kernels.
+    max_qubit:
+        The highest qubit the circuit addresses (``-1`` when none), so
+        a core checks a cached structure against its register without
+        walking the circuit.
     """
 
     slots: Tuple[SlotPlan, ...]
@@ -317,19 +342,20 @@ class CircuitPlan:
     positions: Tuple[Tuple[int, int], ...]
     final_bits: Tuple[Tuple[int, int], ...]
     frame_map: FrameMap
+    max_qubit: int
 
 
 #: structure key -> compiled plan.  Insertion-ordered for FIFO eviction.
 _PLAN_CACHE: "OrderedDict[tuple, CircuitPlan]" = OrderedDict()
 
 
-def circuit_plan(
+def _plan_key(
     circuit: Circuit, noise: Optional[NoiseParameters], num_qubits: int
-) -> CircuitPlan:
-    """The cached plan of ``circuit``'s structure, compiled on a miss."""
+) -> Tuple[Optional[NoiseParameters], tuple]:
+    """The noise model a circuit runs under, and its structure key."""
     if noise is None or noise.probability <= 0.0 or circuit.bypass:
         noise = None
-    key = (
+    return noise, (
         noise is not None,
         noise.active_qubits if noise is not None else None,
         num_qubits,
@@ -345,6 +371,21 @@ def circuit_plan(
             ]
         ),
     )
+
+
+def cached_plan(
+    circuit: Circuit, noise: Optional[NoiseParameters], num_qubits: int
+) -> Optional[CircuitPlan]:
+    """The cached plan of ``circuit``'s structure, or ``None``; never
+    compiles."""
+    return _PLAN_CACHE.get(_plan_key(circuit, noise, num_qubits)[1])
+
+
+def circuit_plan(
+    circuit: Circuit, noise: Optional[NoiseParameters], num_qubits: int
+) -> CircuitPlan:
+    """The cached plan of ``circuit``'s structure, compiled on a miss."""
+    noise, key = _plan_key(circuit, noise, num_qubits)
     plan = _PLAN_CACHE.get(key)
     if plan is None:
         active = noise.active_set(num_qubits) if noise is not None else set()
@@ -381,6 +422,7 @@ def _compile(
     measured: List[int] = []
     positions: List[Tuple[int, int]] = []
     final: Dict[int, int] = {}
+    top = -1
     for slot_index, slot in enumerate(circuit.slots):
         kernels: List[Kernel] = []
         rows = 0
@@ -412,6 +454,7 @@ def _compile(
         gates: Dict[str, List[Tuple[int, ...]]] = {}
         for index, operation in enumerate(slot):
             name, qubits = operation.name, operation.qubits
+            top = max([top, *qubits])
             if operation.is_preparation:
                 gauges.append((RESET, qubits[0]))
                 reference_ops.append(("prep_z", qubits))
@@ -463,6 +506,7 @@ def _compile(
         positions=tuple(positions),
         final_bits=tuple(sorted(final.items())),
         frame_map=_compile_frame_map(slots, num_qubits, len(measured)),
+        max_qubit=top,
     )
 
 

@@ -39,6 +39,15 @@ identically.
   words): the same channel, a different stream, and the speed that
   clears the E22 benchmark bar.
 
+**Shards side by side.**  A core may carry a list of :class:`Shard`
+blocks on its shot axis, each with its own seed.  Every shard keeps
+its own frame Generator and its own reference draws, both spawned from
+its seed exactly as a one-shard core spawns them, so a fused run gives
+every shard the bits it gets alone, while one core call (one plan
+lookup, one reference pass, one frame map) serves them all.  The
+shards share one reference recording or replay; each XORs its own
+reference bits into its own shots.  Only the exact stream fuses.
+
 Measurement results come back packed (``words_of``); ``bits_of``
 unpacks on demand, and ``measurements`` keeps the scalar Core
 contract by exposing shot 0.  :func:`sample` is the one-call entry
@@ -48,14 +57,19 @@ point: one circuit on a fresh core, its shots returned as bools.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ..circuits.circuit import Circuit
 from ..circuits.operation import Operation
 from ..sim.framesim import NoiseParameters, SeedLike, _seed_sequence
-from ..sim.packedsim import PackedFrameArray, unpack_bits
+from ..sim.packedsim import (
+    PackedFrameArray,
+    ShotStreams,
+    pack_bits,
+    unpack_bits,
+)
 from ..sim.refcache import ReferenceTableau
 from ..sim.state import State
 from .. import telemetry
@@ -68,8 +82,36 @@ from .lockstep import (
     UNKNOWN,
     CircuitPlan,
     FrameMap,
+    cached_plan,
     circuit_plan,
 )
+
+_ONE = np.uint64(1)
+
+
+class Shard(NamedTuple):
+    """One block of a core's shots and the seed of all its randomness."""
+
+    shots: int
+    seed: SeedLike
+
+
+def shard_list(
+    num_shots: Optional[int],
+    seed: SeedLike,
+    shards: Optional[Sequence[Shard]],
+) -> List[Shard]:
+    """``shards``, or the one shard of ``num_shots`` seeded by ``seed``."""
+    if shards is None:
+        if num_shots is None:
+            raise ValueError("give num_shots or shards")
+        shards = [Shard(num_shots, seed)]
+    elif num_shots is not None or seed is not None:
+        raise ValueError("shards carry their own shots and seeds")
+    shards = [Shard(int(shots), seed) for shots, seed in shards]
+    if not shards or min(shard.shots for shard in shards) < 1:
+        raise ValueError("num_shots must be positive")
+    return shards
 
 
 @dataclass
@@ -118,6 +160,10 @@ class PackedStabilizerCore(Core):
     seed:
         Seed for both the reference tableau and the per-shot fault /
         gauge randomness (two independent child streams).
+    shards:
+        Instead of ``num_shots`` and ``seed``: :class:`Shard` blocks
+        laid side by side on the shot axis, each seeded like a core of
+        its own (exact ``rng_mode`` only when there are several).
     rng_mode:
         ``"exact"`` (the compiled frame maps, bit-identical to the
         operation loop) or ``"fast"`` (word-level noise;
@@ -144,23 +190,46 @@ class PackedStabilizerCore(Core):
 
     def __init__(
         self,
-        num_shots: int,
+        num_shots: Optional[int] = None,
         noise: Optional[NoiseParameters] = None,
         seed: SeedLike = None,
         rng_mode: str = "exact",
         reference_key: Optional[str] = None,
+        shards: Optional[Sequence[Shard]] = None,
     ) -> None:
-        if num_shots < 1:
-            raise ValueError("num_shots must be positive")
-        self.frames = PackedFrameArray(num_shots, 0, rng_mode=rng_mode)
+        self.shards = tuple(shard_list(num_shots, seed, shards))
+        if len(self.shards) > 1 and rng_mode != "exact":
+            raise ValueError("only the exact frame stream fuses shards")
+        sizes = [shard.shots for shard in self.shards]
+        self.frames = PackedFrameArray(sum(sizes), 0, rng_mode=rng_mode)
+        starts = np.cumsum([0] + sizes[:-1])
+        shots = np.arange(sum(sizes))
+        # Row j: the words of shard j's shots.
+        self._shard_words = pack_bits(
+            (shots >= starts[:, None]) & (shots < (starts + sizes)[:, None])
+        )
         self.rng_mode = rng_mode
         self.noise = noise
-        reference_ss, frame_ss = _seed_sequence(seed).spawn(2)
-        self.simulator = ReferenceTableau(
-            np.random.default_rng(reference_ss), key=reference_key
+        reference_rngs, frame_rngs = zip(
+            *(
+                [
+                    np.random.default_rng(child)
+                    for child in _seed_sequence(shard.seed).spawn(2)
+                ]
+                for shard in self.shards
+            )
         )
-        self._frame_rng = np.random.default_rng(frame_ss)
+        self.simulator = ReferenceTableau(
+            list(reference_rngs), key=reference_key
+        )
+        self._streams = ShotStreams(frame_rngs, sizes)
+        # One shard draws straight from its Generator (packed-fast's
+        # word-level kernels take nothing else).
+        self._frame_rng = (
+            frame_rngs[0] if len(frame_rngs) == 1 else self._streams
+        )
         self._queue: List[Circuit] = []
+        self._plans: List[Optional[CircuitPlan]] = []
         self._state = State(0)
         self._num_qubits = 0
 
@@ -199,13 +268,17 @@ class PackedStabilizerCore(Core):
 
     # -- execution ------------------------------------------------------
     def add(self, circuit: Circuit) -> None:
-        top = circuit.max_qubit()
+        # A cached plan knows its highest qubit; only a structure not
+        # compiled yet is walked here (and compiled at execute).
+        plan = cached_plan(circuit, self.noise, self._num_qubits)
+        top = circuit.max_qubit() if plan is None else plan.max_qubit
         if top >= self._num_qubits:
             raise ValueError(
                 f"circuit addresses qubit {top} but only "
                 f"{self._num_qubits} are allocated"
             )
         self._queue.append(circuit)
+        self._plans.append(plan)
 
     def execute(self) -> PackedExecutionResult:
         t = telemetry.ACTIVE
@@ -222,8 +295,9 @@ class PackedStabilizerCore(Core):
 
     def _execute(self) -> PackedExecutionResult:
         result = PackedExecutionResult(num_shots=self.num_shots)
-        for circuit in self._queue:
-            plan = circuit_plan(circuit, self.noise, self._num_qubits)
+        for circuit, plan in zip(self._queue, self._plans):
+            if plan is None or plan.frame_map.num_qubits != self._num_qubits:
+                plan = circuit_plan(circuit, self.noise, self._num_qubits)
             reference = self.simulator.run(plan.reference_ops, plan.measured)
             uids = [
                 circuit.slots[slot].operations[index].uid
@@ -243,6 +317,7 @@ class PackedStabilizerCore(Core):
                         qubit, result.measurements[uids[effect]]
                     )
         self._queue.clear()
+        self._plans.clear()
         return result
 
     def _probability(self) -> float:
@@ -314,12 +389,14 @@ class PackedStabilizerCore(Core):
         uids: List[int],
     ) -> None:
         """Record ``k`` measurements' per-shot outcomes: their packed
-        ``(k, words)`` ``flips`` XOR their ``reference`` bits."""
-        # NOT over the valid shots of reference-1 rows; tails stay zero.
-        flips[reference] ^= self.frames.full_words
-        for row, uid in enumerate(uids):
-            result.bit_words[uid] = flips[row]
-            result.measurements[uid] = int(flips[row, 0] & np.uint64(1))
+        ``(k, words)`` ``flips`` XOR their ``(k, shards)`` ``reference``
+        bits, each shard's bit over its own shots."""
+        # NOT over each shard's shots where its reference bit is 1: the
+        # shards' word masks are disjoint, so the product adds no two
+        # bits, and tails stay zero.
+        flips ^= reference.astype(np.uint64) @ self._shard_words
+        result.bit_words.update(zip(uids, flips))
+        result.measurements.update(zip(uids, (flips[:, 0] & _ONE).tolist()))
 
     def getstate(self) -> State:
         """Binary state as seen by shot 0 (the scalar-Core view)."""
@@ -353,6 +430,7 @@ class PackedStabilizerCore(Core):
         qubits,
         shot_mask: Optional[np.ndarray] = None,
         probability: Optional[float] = None,
+        shards: Optional[np.ndarray] = None,
     ) -> None:
         """Charge one depolarizing slot to ``qubits``, optionally only
         on the shots selected by ``shot_mask``.
@@ -360,17 +438,23 @@ class PackedStabilizerCore(Core):
         Experiments use this for shot-dependent circuits the lockstep
         stream cannot express -- e.g. the frame-less arm's physical
         correction slot, which only exists on shots whose decoder
-        commanded corrections.  The probability defaults to the core's
-        noise model; without a noise model this is a no-op.
+        commanded corrections.  ``shards`` (one bool per shard, at
+        least one true) picks the shards whose streams draw the slot;
+        the others draw nothing, as their lone runs would without the
+        slot.  The probability defaults to the core's noise model;
+        without a noise model this is a no-op.
         """
         if probability is None:
             probability = self._probability()
         if probability <= 0.0:
             return
+        rng = self._frame_rng
+        if shards is not None and len(self.shards) > 1:
+            rng = self._streams.select(shards)
         self.frames.depolarize1(
             np.array(list(qubits), dtype=np.int64),
             probability,
-            self._frame_rng,
+            rng,
             shot_mask=shot_mask,
         )
 

@@ -44,6 +44,11 @@ decoder.
     different stream, whose per-event cost no longer scales with the
     shot count.
 
+**Shards side by side.**  In exact mode the shot axis may hold several
+shards, each with its own Generator (:class:`ShotStreams`).  A shard
+draws exactly what it draws alone, in the same order, so every shard
+of a fused run gets the bits of its lone run.
+
 The **tail invariant**: bits at positions ``>= num_shots`` in the last
 word of any row are always zero.  Packing pads with zeros, word
 kernels (XOR/AND/copy) preserve zeros, random word rows and logical
@@ -54,7 +59,7 @@ never see ghost shots.
 from __future__ import annotations
 
 import sys
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -136,6 +141,76 @@ def unpack_bits(words: np.ndarray, num_shots: int) -> np.ndarray:
     return bits.astype(bool)
 
 
+class ShotStreams:
+    """One Generator per block of consecutive shots.
+
+    Block ``j`` holds shots ``starts[j]`` up to ``starts[j] +
+    sizes[j]`` and draws from ``rngs[j]`` alone, in the order its
+    shots draw when they run on their own.  The exact-mode kernels that
+    take ``rng`` accept a plain Generator as the one block of every
+    shot (:meth:`of`).
+    """
+
+    __slots__ = ("rngs", "sizes", "starts")
+
+    def __init__(
+        self,
+        rngs: Sequence[np.random.Generator],
+        sizes: Sequence[int],
+        starts: Optional[Sequence[int]] = None,
+    ) -> None:
+        self.rngs = tuple(rngs)
+        self.sizes = tuple(int(size) for size in sizes)
+        if starts is None:
+            starts = np.cumsum((0,) + self.sizes[:-1])
+        self.starts = tuple(int(start) for start in starts)
+
+    @classmethod
+    def of(cls, rng: "RandomSource", num_shots: int) -> "ShotStreams":
+        """``rng`` as streams: a Generator is one block of every shot."""
+        if isinstance(rng, ShotStreams):
+            return rng
+        return cls((rng,), (num_shots,))
+
+    def blocks(self) -> Iterator[Tuple[np.random.Generator, int, int]]:
+        """``(rng, start, stop)`` of every block, in shot order."""
+        for rng, start, size in zip(self.rngs, self.starts, self.sizes):
+            yield rng, start, start + size
+
+    def select(self, keep: Sequence[bool]) -> "ShotStreams":
+        """The blocks for which ``keep`` is true, on their own shots;
+        the shots of the others draw nothing."""
+        chosen = [j for j, flag in enumerate(keep) if flag]
+        return ShotStreams(
+            [self.rngs[j] for j in chosen],
+            [self.sizes[j] for j in chosen],
+            [self.starts[j] for j in chosen],
+        )
+
+    def runs(
+        self,
+    ) -> Iterator[Tuple[int, Tuple[np.random.Generator, ...], int]]:
+        """Maximal runs of adjacent blocks of one size, as ``(first
+        shot, rngs, size)``: each run draws as one ``(blocks, rows,
+        size)`` array, one contiguous slab per block."""
+        j = 0
+        while j < len(self.rngs):
+            start, size = self.starts[j], self.sizes[j]
+            end = j + 1
+            while (
+                end < len(self.rngs)
+                and self.sizes[end] == size
+                and self.starts[end] == start + (end - j) * size
+            ):
+                end += 1
+            yield start, self.rngs[j:end], size
+            j = end
+
+
+#: What the exact-mode kernels draw from.
+RandomSource = Union[np.random.Generator, ShotStreams]
+
+
 def _toggle(
     plane: np.ndarray, rows: List[int], hits: List[np.ndarray]
 ) -> None:
@@ -199,15 +274,21 @@ class PackedFrameArray:
         return unpack_bits(self.z, self.num_shots).T
 
     # -- register -------------------------------------------------------
-    def add_qubits(self, count: int, rng: np.random.Generator) -> None:
-        """Append ``count`` fresh ``|0>`` qubits (Z gauge randomized)."""
+    def add_qubits(self, count: int, rng: RandomSource) -> None:
+        """Append ``count`` fresh ``|0>`` qubits (Z gauge randomized).
+
+        Exact mode draws the gauges shot-major, ``(shots, count)`` per
+        block of ``rng``."""
         if count <= 0:
             return
         pad_x = np.zeros((count, self.num_words), dtype=np.uint64)
         if self.rng_mode == "exact":
-            pad_z = pack_bits(
-                (rng.random((self.num_shots, count)) < 0.5).T
-            )
+            u = np.empty((self.num_shots, count))
+            for stream, start, stop in ShotStreams.of(
+                rng, self.num_shots
+            ).blocks():
+                stream.random(out=u[start:stop])
+            pad_z = pack_bits((u < 0.5).T)
         else:
             pad_z = self._random_words((count, self.num_words), rng)
         self.x = np.concatenate([self.x, pad_x], axis=0)
@@ -303,24 +384,36 @@ class PackedFrameArray:
         self,
         qubits: Qubits,
         probability: float,
-        rng: np.random.Generator,
+        rng: RandomSource,
         shot_mask: Optional[np.ndarray] = None,
     ) -> None:
         """Single-qubit depolarizing: X/Y/Z with probability ``p/3``.
 
         ``shot_mask`` (bool, per shot) restricts the channel to a
         subset of shots; in both modes the stream consumption is
-        mask-independent, exactly like the unpacked kernel.
+        mask-independent, exactly like the unpacked kernel.  In exact
+        mode each block of ``rng`` draws ``(qubits, block shots)``
+        uniforms, and shots outside every block are not charged.
         """
         if self.rng_mode == "exact":
-            # Same double-duty draw as FrameArray.depolarize1.
-            u = rng.random(np.shape(qubits) + (self.num_shots,))
-            hit = u < probability
-            if shot_mask is not None:
-                hit &= shot_mask
-            kind = np.minimum((u * (3.0 / probability)).astype(np.int64), 2)
-            self.x[qubits] ^= pack_bits(hit & (kind != 2))
-            self.z[qubits] ^= pack_bits(hit & (kind != 0))
+            shape = np.shape(qubits)
+            x_hits = np.zeros(shape + (self.num_shots,), dtype=bool)
+            z_hits = np.zeros(shape + (self.num_shots,), dtype=bool)
+            for stream, start, stop in ShotStreams.of(
+                rng, self.num_shots
+            ).blocks():
+                # Same double-duty draw as FrameArray.depolarize1.
+                u = stream.random(shape + (stop - start,))
+                hit = u < probability
+                if shot_mask is not None:
+                    hit &= shot_mask[start:stop]
+                kind = np.minimum(
+                    (u * (3.0 / probability)).astype(np.int64), 2
+                )
+                x_hits[..., start:stop] = hit & (kind != 2)
+                z_hits[..., start:stop] = hit & (kind != 0)
+            self.x[qubits] ^= pack_bits(x_hits)
+            self.z[qubits] ^= pack_bits(z_hits)
             return
         rows: List[int] = []
         x_flips: List[np.ndarray] = []

@@ -48,7 +48,7 @@ import hashlib
 import json
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -89,12 +89,48 @@ class ReferenceTrace:
 
     def evaluate(self, rng: np.random.Generator) -> np.ndarray:
         """Every measurement's reference bit under ``rng``'s draws."""
-        drawn = np.array(
-            [int(rng.integers(2)) for _ in range(self.num_outcomes)],
-            dtype=np.int64,
+        return self.evaluate_shards([rng])[:, 0]
+
+    def evaluate_shards(
+        self, rngs: Sequence[np.random.Generator]
+    ) -> np.ndarray:
+        """Bools ``(M, len(rngs))``: column ``j`` is :meth:`evaluate`
+        under ``rngs[j]``."""
+        return _evaluate(
+            self.constants, self.forms, _draw_outcomes(rngs, self.num_outcomes)
         )
-        parity = (self.forms.astype(np.int64) @ drawn) & 1
-        return self.constants ^ parity.astype(bool)
+
+
+def _draw_outcomes(
+    rngs: Sequence[np.random.Generator], count: int
+) -> np.ndarray:
+    """Int ``(count, len(rngs))``: each Generator's next ``count``
+    ``rng.integers(2)`` draws, the live tableau's draws."""
+    return np.array(
+        [[int(rng.integers(2)) for rng in rngs] for _ in range(count)],
+        dtype=np.int64,
+    ).reshape(count, len(rngs))
+
+
+def _evaluate(
+    constants: np.ndarray, forms: np.ndarray, drawn: np.ndarray
+) -> np.ndarray:
+    """Bools ``(M, shards)``: each form's value per column of
+    ``drawn`` outcomes."""
+    parity = (forms.astype(np.int64) @ drawn) & 1
+    return constants[:, None] ^ parity.astype(bool)
+
+
+def _forms(masks: Sequence[int], count: int) -> np.ndarray:
+    """Outcome masks (``int`` bitsets) as bools ``(len(masks), count)``."""
+    width = (count + 7) // 8
+    packed = np.frombuffer(
+        b"".join(mask.to_bytes(width, "little") for mask in masks),
+        dtype=np.uint8,
+    ).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=1, bitorder="little")[
+        :, :count
+    ].astype(bool)
 
 
 #: key -> frozen trace.  Insertion-ordered for FIFO eviction.
@@ -252,32 +288,37 @@ class ReferenceTableau:
       bits.
 
     Both modes return what a live :class:`StabilizerSimulator` driven
-    by ``rng`` returns.  A replay that runs out of recorded
-    measurements, or measures a different qubit than the recording,
-    raises ``RuntimeError``: two different circuit streams hashed to
-    one key, a caller bug the cache must never paper over.
+    by ``rng`` returns.  ``rng`` may also be a list, one Generator per
+    shard of a fused lockstep run: one recording (or one replay) then
+    serves every shard, each shard draws its own fresh outcomes where
+    its lone run draws them, and :meth:`run` returns one column per
+    shard.  A replay that runs out of recorded measurements, or
+    measures a different qubit than the recording, raises
+    ``RuntimeError``: two different circuit streams hashed to one key,
+    a caller bug the cache must never paper over.
     """
 
     def __init__(
         self,
-        rng: np.random.Generator,
+        rng: Union[np.random.Generator, Sequence[np.random.Generator]],
         key: Optional[str] = None,
     ) -> None:
         self.key = key
-        self._rng = rng
+        self._single = isinstance(rng, np.random.Generator)
+        self._rngs = [rng] if self._single else list(rng)
         self._cursor = 0
         trace = lookup_reference_trace(key) if key is not None else None
         self._tableau: Optional[SymbolicTableau] = None
         if trace is None:
             self._tableau = SymbolicTableau()
-            self._drawn = 0  # bit k = the drawn value of outcome k
-            self._num_drawn = 0
+            # Row k: every shard's drawn value of outcome k.
+            self._drawn: List[List[int]] = []
             self._constants: List[bool] = []
             self._masks: List[int] = []
             self._qubits: List[int] = []
             self._stored = False
         else:
-            self._bits = trace.evaluate(rng)
+            self._bits = trace.evaluate_shards(self._rngs)
             self._trace_qubits = trace.qubits
 
     @property
@@ -296,17 +337,20 @@ class ReferenceTableau:
 
         ``operations`` is the circuit's reference stream (every
         operation but identities, in slot order); ``measured`` holds the
-        qubits of its measurements.
+        qubits of its measurements.  Bools ``(M,)``, or ``(M, shards)``
+        when the tableau was built with one Generator per shard.
         """
         t = telemetry.ACTIVE
         if t is None:
-            return self._run(operations, measured)
-        with t.span(
-            "sim.stabilizer",
-            "reference.replay" if self.replaying else "reference.record",
-            measurements=len(measured),
-        ):
-            return self._run(operations, measured)
+            bits = self._run(operations, measured)
+        else:
+            with t.span(
+                "sim.stabilizer",
+                "reference.replay" if self.replaying else "reference.record",
+                measurements=len(measured),
+            ):
+                bits = self._run(operations, measured)
+        return bits[:, 0] if self._single else bits
 
     def _run(
         self, operations: Sequence[ReferenceOp], measured: np.ndarray
@@ -324,8 +368,7 @@ class ReferenceTableau:
             self._cursor = stop
             return self._bits[start:stop]
         tableau = self._tableau
-        bits = np.empty(len(measured), dtype=bool)
-        column = 0
+        first = len(self._masks)
         for name, qubits in operations:
             if name == "prep_z":
                 tableau.reset(qubits[0])
@@ -336,19 +379,23 @@ class ReferenceTableau:
                 self._constants.append(constant)
                 self._masks.append(mask)
                 self._qubits.append(qubits[0])
-                parity = bin(mask & self._drawn).count("1") & 1
-                bits[column] = constant ^ bool(parity)
-                column += 1
             else:
                 tableau.apply_gate(name, qubits)
-        return bits
+        # A form only names outcomes drawn before its measurement, so
+        # evaluating after the circuit gives the bits the live run saw.
+        return _evaluate(
+            np.array(self._constants[first:], dtype=bool),
+            _forms(self._masks[first:], len(self._drawn)),
+            np.array(self._drawn, dtype=np.int64).reshape(
+                len(self._drawn), len(self._rngs)
+            ),
+        )
 
     def _draw_fresh(self, tableau: SymbolicTableau) -> None:
-        """The live tableau's ``rng.integers(2)`` for an outcome the
-        last measurement made fresh, drawn where the live run draws it."""
-        if tableau.num_outcomes > self._num_drawn:
-            self._drawn |= int(self._rng.integers(2)) << self._num_drawn
-            self._num_drawn += 1
+        """Each shard's ``rng.integers(2)`` for an outcome the last
+        measurement made fresh, drawn where the live run draws it."""
+        if tableau.num_outcomes > len(self._drawn):
+            self._drawn.append([int(rng.integers(2)) for rng in self._rngs])
 
     def commit(self) -> None:
         """Store a freshly recorded trace under the key.
@@ -361,18 +408,12 @@ class ReferenceTableau:
         if self.key is None or self._tableau is None or self._stored:
             return
         count = self._tableau.num_outcomes
-        width = (count + 7) // 8
-        packed = np.frombuffer(
-            b"".join(mask.to_bytes(width, "little") for mask in self._masks),
-            dtype=np.uint8,
-        ).reshape(len(self._masks), width)
-        forms = np.unpackbits(packed, axis=1, bitorder="little")[:, :count]
         store_reference_trace(
             self.key,
             ReferenceTrace(
                 num_outcomes=count,
                 constants=np.array(self._constants, dtype=bool),
-                forms=forms.astype(bool),
+                forms=_forms(self._masks, count),
                 qubits=np.array(self._qubits, dtype=np.int64),
             ),
         )

@@ -342,6 +342,63 @@ class TestRunnerFlagsNeedTheirMode:
         assert seen["config"].shard_shots == 100
 
 
+class TestResumeRefusesAnotherSweep:
+    """``--resume`` against a checkpoint that another sweep wrote exits
+    2 with one stderr line naming what differs, and prints nothing."""
+
+    LER = ["ler", "--per", "1e-2", "--batch", "20", "--seed", "1"]
+    SWEEP = ["sweep", "--per", "1e-2", "--workers", "1", "--seed", "1"]
+
+    @staticmethod
+    def refusal(argv, capsys) -> str:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("--resume: ")
+        return lines[0]
+
+    def test_ler_names_the_differing_key(self, tmp_path, capsys):
+        checkpoint = str(tmp_path / "ck.jsonl")
+        base = self.LER + ["--checkpoint", checkpoint]
+        assert main(base + ["--windows", "2"]) == 0
+        capsys.readouterr()
+        line = self.refusal(base + ["--windows", "3", "--resume"], capsys)
+        assert "(windows: stored 2, planned 3)" in line
+
+    def test_sweep_names_every_differing_key(self, tmp_path, capsys):
+        checkpoint = str(tmp_path / "ck.jsonl")
+        base = self.SWEEP + ["--checkpoint", checkpoint]
+        assert main(base + ["--samples", "4", "--batch", "3"]) == 0
+        capsys.readouterr()
+        line = self.refusal(
+            base + ["--samples", "6", "--batch", "4", "--resume"], capsys
+        )
+        assert (
+            "(shots: stored 4, planned 6; windows: stored 3, planned 4)"
+            in line
+        )
+
+    def test_shard_outside_the_plan(self, tmp_path, capsys):
+        checkpoint = tmp_path / "ck.jsonl"
+        argv = self.LER + [
+            "--windows", "2", "--shard-shots", "10",
+            "--checkpoint", str(checkpoint),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        lines = checkpoint.read_text().splitlines()
+        record = json.loads(lines[-1])
+        assert (record["use_pauli_frame"], record["shard_index"]) == (
+            True, 1
+        )
+        record["shard_index"] = 7
+        lines[-1] = json.dumps(record)
+        checkpoint.write_text("\n".join(lines) + "\n")
+        line = self.refusal(argv + ["--resume"], capsys)
+        assert "holds shard (0, True, 7) of 10 shots" in line
+
+
 class TestDecoderIsAName:
     """``--decoder`` takes a registered name.  A ``KEY=VALUE`` tail, or
     a decoder without the subcommand's capability, exits 2 with one

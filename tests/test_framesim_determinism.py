@@ -26,11 +26,12 @@ from repro.sim import NoiseParameters
 
 class TestBatchedCoreDeterminism:
     @staticmethod
-    def _run_core(seed: int, shots: int = 250) -> np.ndarray:
+    def _run_core(seed=None, shots=250, shards=None) -> np.ndarray:
         core = PackedStabilizerCore(
-            shots,
+            None if shards else shots,
             noise=NoiseParameters(0.02, active_qubits=range(17)),
             seed=seed,
+            shards=shards,
         )
         core.createqubit(17)
         prep = Circuit("prep")
@@ -61,6 +62,24 @@ class TestBatchedCoreDeterminism:
         whole = self._run_core(31)
         monkeypatch.setattr(lockstep, "DRAW_CAP", rows_per_draw * 250)
         assert np.array_equal(self._run_core(31), whole)
+
+    @pytest.mark.parametrize("rows_per_draw", [None, 1, 3])
+    def test_fused_shards_equal_lone_cores(self, rows_per_draw, monkeypatch):
+        """Shards side by side on one core -- equal sizes drawn as one
+        block, a ragged one alone, under any draw cap -- give every
+        shard the bits of a core of its own."""
+        from repro.qpdo import Shard, lockstep
+
+        sizes, seeds = (30, 30, 30, 7), (31, 32, 33, 34)
+        if rows_per_draw is not None:
+            monkeypatch.setattr(lockstep, "DRAW_CAP", rows_per_draw * 90)
+        fused = self._run_core(
+            shards=[Shard(n, seed) for n, seed in zip(sizes, seeds)]
+        )
+        lone = np.concatenate(
+            [self._run_core(seed, n) for n, seed in zip(sizes, seeds)]
+        )
+        assert np.array_equal(fused, lone)
 
     def test_batched_ler_experiment_reproducible(self):
         def run():

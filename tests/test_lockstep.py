@@ -145,7 +145,9 @@ class LoopCore:
     def apply_pauli_frame(self, x_mask, z_mask):
         self.frames.apply_pauli_masks(x_mask, z_mask)
 
-    def inject_depolarizing(self, qubits, shot_mask=None):
+    def inject_depolarizing(self, qubits, shot_mask=None, shards=None):
+        # One shard, so a call is made only when it draws.
+        assert shards is None or list(shards) == [True]
         self.frames.depolarize1(
             np.array(list(qubits)),
             self.noise.probability,
