@@ -10,12 +10,13 @@ approach paper scale.
 
 The LER sweep (E7) is computed once per session and shared by the
 difference/CoV/t-test/savings benchmarks (E8-E11), mirroring how the
-paper derives Figs 5.15-5.26 from one data set.
+paper derives Figs 5.15-5.26 from one data set.  It runs on the
+sharded runner's per-shot loop mode, inline, as ``repro sweep`` does.
 """
 
 import pytest
 
-from repro.experiments.sweep import run_ler_sweep
+from repro.experiments.parallel import run_parallel_sweep
 
 #: PER grid of the scaled sweep (the paper: 1e-4..1e-2, step 1e-4).
 SWEEP_PER_VALUES = (3e-3, 6e-3, 1e-2)
@@ -28,10 +29,11 @@ SWEEP_MAX_LOGICAL_ERRORS = 4
 @pytest.fixture(scope="session")
 def ler_sweep_x():
     """The shared scaled X-error LER sweep (with and without frame)."""
-    return run_ler_sweep(
-        per_values=SWEEP_PER_VALUES,
+    return run_parallel_sweep(
+        SWEEP_PER_VALUES,
         error_kind="x",
-        samples=SWEEP_SAMPLES,
+        shots=SWEEP_SAMPLES,
+        windows=None,
         max_logical_errors=SWEEP_MAX_LOGICAL_ERRORS,
         seed=2017,
-    )
+    ).sweep

@@ -8,8 +8,8 @@ than a small multiple of the sampling sigma.
 
 Scale note: the paper sweeps ~100 PER values with 10-20 seeds x 50
 logical errors each; this bench uses the grid in
-``benchmarks/conftest.py``.  The library API (`run_ler_sweep`) takes
-the paper-scale parameters directly.
+``benchmarks/conftest.py``.  The library API (`run_parallel_sweep`)
+takes the paper-scale parameters directly.
 """
 
 from repro.experiments.stats import pseudo_threshold

@@ -7,10 +7,11 @@ analytic upper bound -- the complete argument of the paper's Figs
 5.11-5.27 in one table.
 
 The example uses a small grid and a few logical errors per run so it
-finishes in about a minute; the underlying API
-(``repro.experiments.run_ler_sweep``) takes the paper-scale parameters
-directly (``samples=10..20``, ``max_logical_errors=50``, PER from 1e-4
-to 1e-2).
+finishes in under a minute; the underlying API, the sharded runner
+(``repro.experiments.run_parallel_sweep``, here in its per-shot loop
+mode), takes the paper-scale parameters directly (``shots=10..20``
+runs per arm, ``max_logical_errors=50``, PER from 1e-4 to 1e-2) and
+spreads them over worker processes with ``ParallelConfig(workers=N)``.
 
 Run with::
 
@@ -20,21 +21,22 @@ Run with::
 from repro.experiments import (
     format_sweep_table,
     format_upper_bound_table,
-    run_ler_sweep,
+    run_parallel_sweep,
 )
 from repro.experiments.stats import mean_rho, significant_fraction
 
 
 def main() -> None:
     per_values = [2e-3, 5e-3, 1e-2]
-    print("running the scaled LER sweep (this takes ~1 minute)...")
-    sweep = run_ler_sweep(
-        per_values=per_values,
+    print("running the scaled LER sweep (this takes under a minute)...")
+    sweep = run_parallel_sweep(
+        per_values,
         error_kind="x",
-        samples=3,
+        shots=3,
+        windows=None,
         max_logical_errors=4,
         seed=1234,
-    )
+    ).sweep
     print()
     print("PER vs LER, with and without Pauli frame (Figs 5.11-5.16):")
     print(format_sweep_table(sweep))

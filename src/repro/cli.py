@@ -53,10 +53,8 @@ SWEEP_DEFAULT_ERRORS = 4
 #: flag is absent.  The flags themselves default to ``None`` so that a
 #: mode which does not read one can refuse it.
 DEFAULT_SHARD_SHOTS = 100
-LER_DEFAULT_SAMPLES = 10
+LER_DEFAULT_SAMPLES = 1
 LER_DEFAULT_WINDOWS = 200
-#: The sharded runner's flags.
-RUNNER_FLAGS = ("--checkpoint", "--resume", "--target-ci", "--shard-shots")
 
 
 def _add_output_arguments(
@@ -144,7 +142,7 @@ def _code_distance(text: str) -> int:
 
 
 def _probability(text: str) -> float:
-    """Argparse type of the ch. 6 ``--per``: a finite rate in [0, 1]."""
+    """Argparse type of every ``--per``: a finite rate in [0, 1]."""
     try:
         value = float(text)
     except ValueError:
@@ -190,9 +188,8 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=_positive_int,
         metavar="N",
-        help="run shot-sharded across N worker processes "
-        "(1 runs the same sharded schedule inline); results are "
-        "bit-identical for any N",
+        help="run the shards across N worker processes (default: "
+        "inline); results are bit-identical for any N",
     )
     parser.add_argument(
         "--shard-shots",
@@ -252,10 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     ler = add_parser(
         "ler", help="one logical-error-rate point, both arms (section 5.3)"
     )
-    ler.add_argument("--per", type=float, default=5e-3)
+    ler.add_argument("--per", type=_probability, default=5e-3)
     ler.add_argument(
         "--errors",
-        type=int,
+        type=_positive_int,
         help="stop each run after this many logical errors (loop mode "
         f"only; default {LER_DEFAULT_ERRORS})",
     )
@@ -272,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SHOTS",
         help="use the batched frame sampler with this many lockstep "
         "shots per arm (default 25 when the flag is bare) instead of "
-        "the per-shot tableau loop; runs through the shot-sharded "
-        "engine (inline unless --workers is given)",
+        "the per-shot tableau loop",
     )
     ler.add_argument(
         "--windows",
@@ -284,9 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     ler.add_argument(
         "--samples",
         type=_positive_int,
-        help="independent per-shot runs per arm when the parallel "
-        "runner is used without --batch (loop mode; default "
-        f"{LER_DEFAULT_SAMPLES})",
+        help="independent per-shot runs per arm (loop mode only; "
+        f"default {LER_DEFAULT_SAMPLES})",
     )
     _add_engine_argument(ler)
     _add_decoder_argument(ler)
@@ -297,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--per",
-        type=float,
+        type=_probability,
         nargs="+",
         default=[3e-3, 6e-3, 1e-2],
         help="PER grid",
@@ -305,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--samples", type=_positive_int, default=3)
     sweep.add_argument(
         "--errors",
-        type=int,
+        type=_positive_int,
         help="stop each run after this many logical errors (loop mode "
         f"only; default {SWEEP_DEFAULT_ERRORS})",
     )
@@ -618,7 +613,7 @@ def _errors_or_default(args, default: int) -> Optional[int]:
     The batched protocol runs a fixed number of windows per shot and
     has no logical-error stopping rule, so an explicit ``--errors``
     there would be silently ignored.  Without the flag the default is
-    still passed on: it is part of the parallel checkpoint header.
+    still passed on: it is part of the runner's checkpoint header.
     """
     if args.errors is None:
         return default
@@ -636,20 +631,15 @@ def _errors_or_default(args, default: int) -> Optional[int]:
 def _refuse_unread_flags(args, checks) -> bool:
     """Refuse a flag the selected mode would silently ignore.
 
-    ``checks`` holds ``(flags, read, mode)`` triples: when ``read`` is
-    false, the first of ``flags`` given on the command line is refused
-    with ``<flag> applies to <mode>`` on stderr, and ``True`` is
-    returned (callers exit 2).  The flags default to ``None``
-    (``--resume`` to ``False``), so any other value means it was given.
+    ``checks`` holds ``(flag, read, mode)`` triples: when ``read`` is
+    false and ``flag`` was given (it defaults to ``None``), it is
+    refused with ``<flag> applies to <mode>`` on stderr, and ``True``
+    is returned (callers exit 2).
     """
-    for flags, read, mode in checks:
-        if read:
-            continue
-        for flag in flags:
-            value = getattr(args, flag[2:].replace("-", "_"))
-            if value is not None and value is not False:
-                print(f"{flag} applies to {mode}", file=sys.stderr)
-                return True
+    for flag, read, mode in checks:
+        if not read and getattr(args, flag[2:]) is not None:
+            print(f"{flag} applies to {mode}", file=sys.stderr)
+            return True
     return False
 
 
@@ -708,30 +698,23 @@ def _parse_decoder(args) -> Optional[str]:
 
 def cmd_ler(args) -> int:
     from .cli_format import render_ler
-    from .experiments.results import ArmReport, LerReport
 
     if not _require_batch_for_engine(args):
         return 2
-    batch, workers = args.batch is not None, args.workers is not None
+    batch = args.batch is not None
     if _refuse_unread_flags(
         args,
         [
             (
-                RUNNER_FLAGS,
-                batch or workers,
-                "the sharded runner only; add --batch SHOTS or "
-                "--workers N to use it",
-            ),
-            (
-                ("--windows",),
+                "--windows",
                 batch,
                 "the batched sampler only; add --batch SHOTS to use it",
             ),
             (
-                ("--samples",),
-                workers and not batch,
-                "the sharded per-shot loop only (--workers N without "
-                "--batch); with --batch, SHOTS sets the shots per arm",
+                "--samples",
+                not batch,
+                "the per-shot loop only (no --batch); with --batch, "
+                "SHOTS sets the shots per arm",
             ),
         ],
     ):
@@ -742,54 +725,22 @@ def cmd_ler(args) -> int:
     decoder = _parse_decoder(args)
     if decoder is None:
         return 2
-    if workers or batch:
-        samples = LER_DEFAULT_SAMPLES if args.samples is None else args.samples
-        windows = LER_DEFAULT_WINDOWS if args.windows is None else args.windows
-        parallel = _run_sharded(
-            [args.per],
-            error_kind=args.kind,
-            shots=args.batch if batch else samples,
-            windows=windows if batch else None,
-            seed=args.seed,
-            config=_parallel_config(args),
-            max_logical_errors=errors,
-            engine=args.engine,
-            decoder=decoder,
-        )
-        if parallel is None:
-            return 2
-        report = parallel.ler_report(args.seed)
-    else:
-        from .experiments.ler import LerExperiment
-
-        arms = []
-        for use_frame in (False, True):
-            result = LerExperiment(
-                args.per,
-                use_pauli_frame=use_frame,
-                error_kind=args.kind,
-                max_logical_errors=errors,
-                seed=args.seed,
-            ).run()
-            arms.append(
-                ArmReport(
-                    use_pauli_frame=use_frame,
-                    logical_errors=result.logical_errors,
-                    windows=result.windows,
-                    logical_error_rate=result.logical_error_rate,
-                    corrections_commanded=result.corrections_commanded,
-                    saved_slots_fraction=(
-                        result.saved_slots_fraction if use_frame else None
-                    ),
-                )
-            )
-        report = LerReport(
-            physical_error_rate=args.per,
-            error_kind=args.kind,
-            mode="loop",
-            seed=args.seed,
-            arms=arms,
-        )
+    samples = LER_DEFAULT_SAMPLES if args.samples is None else args.samples
+    windows = LER_DEFAULT_WINDOWS if args.windows is None else args.windows
+    parallel = _run_sharded(
+        [args.per],
+        error_kind=args.kind,
+        shots=args.batch if batch else samples,
+        windows=windows if batch else None,
+        seed=args.seed,
+        config=_parallel_config(args),
+        max_logical_errors=errors,
+        engine=args.engine,
+        decoder=decoder,
+    )
+    if parallel is None:
+        return 2
+    report = parallel.ler_report(args.seed)
     _emit(args, report, lambda: render_ler(report))
     return 0
 
@@ -808,75 +759,43 @@ def cmd_sweep(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if _refuse_unread_flags(
-        args,
-        [
-            (
-                RUNNER_FLAGS,
-                args.workers is not None,
-                "the sharded runner only; add --workers N to use it",
-            )
-        ],
-    ):
-        return 2
     errors = _errors_or_default(args, SWEEP_DEFAULT_ERRORS)
     if errors is None:
         return 2
     decoder_name = _parse_decoder(args)
     if decoder_name is None:
         return 2
-    if args.workers is not None:
-        parallel = _run_sharded(
-            args.per,
-            error_kind=args.kind,
-            shots=args.samples,
-            windows=args.batch,
-            seed=args.seed,
-            config=_parallel_config(args),
-            max_logical_errors=errors,
-            engine=args.engine,
-            decoder=decoder_name,
-        )
-        if parallel is None:
-            return 2
-        sweep = parallel.sweep
-        arms = []
-        for index in range(len(args.per)):
-            for use_frame in (False, True):
-                arm_dict = parallel.arm_report(
-                    index, use_frame
-                ).to_json_dict()
-                arm_dict.pop("kind")
-                arms.append({"point_index": index, **arm_dict})
-        extra = {
-            "arms": arms,
-            "committed_shards": parallel.committed_shards,
-            "executed_shards": parallel.executed_shards,
-            "resumed_shards": parallel.resumed_shards,
-        }
-    else:
-        from .experiments.sweep import run_ler_sweep
-
-        sweep = run_ler_sweep(
-            per_values=args.per,
-            error_kind=args.kind,
-            samples=args.samples,
-            max_logical_errors=errors,
-            seed=args.seed,
-            batch_windows=args.batch,
-            decoder_impl=decoder_name,
-            engine=args.engine,
-        )
-        extra = {}
-    comparisons = [point.comparison for point in sweep.points]
+    parallel = _run_sharded(
+        args.per,
+        error_kind=args.kind,
+        shots=args.samples,
+        windows=args.batch,
+        seed=args.seed,
+        config=_parallel_config(args),
+        max_logical_errors=errors,
+        engine=args.engine,
+        decoder=decoder_name,
+    )
+    if parallel is None:
+        return 2
+    arms = []
+    for index in range(len(args.per)):
+        for use_frame in (False, True):
+            arm_dict = parallel.arm_report(index, use_frame).to_json_dict()
+            arm_dict.pop("kind")
+            arms.append({"point_index": index, **arm_dict})
+    comparisons = [point.comparison for point in parallel.sweep.points]
     report = SweepReport(
         error_kind=args.kind,
         seed=args.seed,
         mean_rho=mean_rho(comparisons),
         significant_fraction=significant_fraction(comparisons),
-        sweep=sweep,
-        decoder=decoder_name if args.batch is not None else None,
-        **extra,
+        sweep=parallel.sweep,
+        arms=arms,
+        committed_shards=parallel.committed_shards,
+        executed_shards=parallel.executed_shards,
+        resumed_shards=parallel.resumed_shards,
+        decoder=parallel.decoder,
     )
     _emit(args, report, lambda: render_sweep(report, plot=args.plot))
     return 0

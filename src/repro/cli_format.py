@@ -50,23 +50,7 @@ def render_verify(report: VerifyReport) -> str:
     return "\n".join(lines)
 
 
-def _loop_arm_lines(arm: ArmReport) -> list:
-    lines = [
-        f"{_arm_label(arm.use_pauli_frame)}: "
-        f"LER = {arm.logical_error_rate:.5f} "
-        f"({arm.logical_errors} errors / {arm.windows} windows, "
-        f"{arm.corrections_commanded} corrections)"
-    ]
-    if arm.use_pauli_frame and arm.saved_slots_fraction is not None:
-        lines.append(
-            f"               saved slots: "
-            f"{100 * arm.saved_slots_fraction:.2f}% "
-            f"(bound 5.88%)"
-        )
-    return lines
-
-
-def _parallel_arm_line(arm: ArmReport) -> str:
+def _arm_line(arm: ArmReport) -> str:
     return (
         f"{_arm_label(arm.use_pauli_frame)}: "
         f"LER = {arm.logical_error_rate:.5f} "
@@ -85,15 +69,17 @@ def _shards_line(report) -> str:
 
 
 def render_ler(report: LerReport) -> str:
-    """One LER point, both arms (loop or shot-sharded)."""
+    """One LER point, both arms, with the frame's saved slots when the
+    per-shot loop counted them."""
     lines = []
-    if report.mode == "loop":
-        for arm in report.arms:
-            lines.extend(_loop_arm_lines(arm))
-    else:
-        for arm in report.arms:
-            lines.append(_parallel_arm_line(arm))
-        lines.append(_shards_line(report))
+    for arm in report.arms:
+        lines.append(_arm_line(arm))
+        if arm.saved_slots_fraction is not None:
+            lines.append(
+                f"               saved slots: "
+                f"{100 * arm.saved_slots_fraction:.2f}% (bound 5.88%)"
+            )
+    lines.append(_shards_line(report))
     return "\n".join(lines)
 
 
@@ -110,7 +96,7 @@ def render_sweep(report: SweepReport, plot: bool = False) -> str:
                 if arm_data["point_index"] != index:
                     continue
                 lines.append(
-                    _parallel_arm_line(
+                    _arm_line(
                         ArmReport.from_json_dict(
                             {"kind": "ler_arm", **arm_data}
                         )

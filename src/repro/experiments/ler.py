@@ -861,56 +861,3 @@ class BatchedLerExperiment:
             clean_windows=clean_windows,
             corrections_commanded=corrections,
         )
-
-
-def run_ler_point(
-    physical_error_rate: float,
-    use_pauli_frame: bool,
-    error_kind: str = "x",
-    samples: int = 10,
-    max_logical_errors: int = 50,
-    seed: int = 0,
-    max_windows: int = 2_000_000,
-    batch_windows: Optional[int] = None,
-    decoder_impl: str = "lut",
-    engine: str = "framesim",
-) -> List[RunResult]:
-    """Repeat the experiment ``samples`` times with distinct seeds.
-
-    Matches the paper's protocol: 10 (or 20 near the pseudo-threshold)
-    independent simulations per PER value, each terminated at
-    ``max_logical_errors`` logical errors.
-
-    With ``batch_windows`` set, the batched sampler replaces the
-    per-shot tableau loop: ``samples`` becomes the number of lockstep
-    shots, each running exactly ``batch_windows`` windows
-    (``max_logical_errors`` and ``max_windows`` are then unused — the
-    stopping rule is the fixed window count).  ``decoder_impl`` names
-    the registry's windowed decoder and ``engine`` the core's frame
-    stream (``"packed-fast"`` is statistically identical to
-    ``"framesim"``; see :class:`BatchedLerExperiment`).
-    """
-    if batch_windows is not None:
-        experiment = BatchedLerExperiment(
-            physical_error_rate,
-            num_shots=samples,
-            use_pauli_frame=use_pauli_frame,
-            error_kind=error_kind,
-            windows=batch_windows,
-            seed=seed,
-            decoder_impl=decoder_impl,
-            engine=engine,
-        )
-        return experiment.run()
-    results = []
-    for sample in range(samples):
-        experiment = LerExperiment(
-            physical_error_rate,
-            use_pauli_frame,
-            error_kind=error_kind,
-            max_logical_errors=max_logical_errors,
-            max_windows=max_windows,
-            seed=seed + sample,
-        )
-        results.append(experiment.run())
-    return results

@@ -1,12 +1,14 @@
-"""Shot-sharded parallel LER sweeps with checkpoint/resume.
+"""Shot-sharded LER sweeps with checkpoint/resume: the one LER runner.
 
-The paper's headline evaluation (Figs 5.17-5.24) wants tens of
-thousands of decode-and-correct windows per (PER, frame-arm) point.
-The batched sampler made a single process fast; this module scales
-*across* processes the way Stim does (Gidney, Quantum 5, 497):
-logical-error-rate sampling is embarrassingly parallel over shots, so
-every sweep point is split into fixed-size **shards**, each with its
-own seed tree and its own record.
+Every ``repro ler`` and ``repro sweep`` runs here, inline unless
+``--workers`` is given.  The paper's headline evaluation (Figs
+5.17-5.24) wants tens of thousands of decode-and-correct windows per
+(PER, frame-arm) point.  The batched sampler made a single process
+fast; this module scales *across* processes the way Stim does
+(Gidney, Quantum 5, 497): logical-error-rate sampling is
+embarrassingly parallel over shots, so every sweep point is split
+into fixed-size **shards**, each with its own seed tree and its own
+record.
 
 A shard is the unit of seeding, records, checkpointing, early stopping
 and worker-count invariance, not of execution: the outstanding shards
@@ -44,7 +46,10 @@ Three properties are load-bearing:
 Shards run either the batched lockstep sampler
 (:class:`~repro.experiments.ler.BatchedLerExperiment`, ``mode="batch"``)
 or the per-shot tableau loop
-(:class:`~repro.experiments.ler.LerExperiment`, ``mode="loop"``).
+(:class:`~repro.experiments.ler.LerExperiment`, ``mode="loop"``), the
+one engine that counts the frame's saved gates and slots (Figs
+5.25/5.26): a frame-arm loop shard carries each shot's
+:class:`~repro.pauliframe.unit.FrameStatistics`.
 
 A :class:`ParallelSweepReport` folds each arm into an
 :class:`~repro.experiments.results.ArmReport`
@@ -88,6 +93,7 @@ from .results import (
     RunResult,
     ShardResult,
     SweepResult,
+    mean_frame_fraction,
 )
 from .stats import wilson_halfwidth, wilson_interval
 from .sweep import (
@@ -360,12 +366,8 @@ def _run_shards(specs: Sequence[ShardSpec]) -> List[ShardResult]:
         return records
     if spec.mode != "loop":
         raise ValueError(f"unknown shard mode {spec.mode!r}")
-    errors: List[int] = []
-    windows: List[int] = []
-    clean: List[int] = []
-    corrections: List[int] = []
-    for shot in range(spec.shots):
-        result = LerExperiment(
+    results = [
+        LerExperiment(
             spec.physical_error_rate,
             use_pauli_frame=spec.use_pauli_frame,
             error_kind=spec.error_kind,
@@ -373,10 +375,8 @@ def _run_shards(specs: Sequence[ShardSpec]) -> List[ShardResult]:
             max_windows=spec.max_windows,
             seed=(spec.arm_seed, spec.shard_index, shot),
         ).run()
-        errors.append(result.logical_errors)
-        windows.append(result.windows)
-        clean.append(result.clean_windows)
-        corrections.append(result.corrections_commanded)
+        for shot in range(spec.shots)
+    ]
     return [
         ShardResult(
             point_index=spec.point_index,
@@ -387,10 +387,17 @@ def _run_shards(specs: Sequence[ShardSpec]) -> List[ShardResult]:
             error_kind=spec.error_kind,
             mode=spec.mode,
             windows=spec.windows,
-            shot_errors=errors,
-            shot_windows=windows,
-            shot_clean=clean,
-            shot_corrections=corrections,
+            shot_errors=[result.logical_errors for result in results],
+            shot_windows=[result.windows for result in results],
+            shot_clean=[result.clean_windows for result in results],
+            shot_corrections=[
+                result.corrections_commanded for result in results
+            ],
+            shot_frame_statistics=(
+                [result.frame_statistics for result in results]
+                if spec.use_pauli_frame
+                else None
+            ),
         )
     ]
 
@@ -629,7 +636,9 @@ class ParallelSweepReport:
         self, point_index: int, use_pauli_frame: bool
     ) -> ArmReport:
         """One arm's committed shards folded into an :class:`ArmReport`:
-        pooled counts, Wilson interval and shard progress."""
+        pooled counts, Wilson interval, shard progress and, on a loop
+        frame arm, the mean of its shots' saved-slot fractions (what
+        the point's ``mean_saved_slots`` reads)."""
         aggregator = self.arms[(point_index, use_pauli_frame)]
         low, high = aggregator.wilson()
         corrections = sum(
@@ -644,6 +653,14 @@ class ParallelSweepReport:
             corrections_commanded=corrections,
             wilson_low=low,
             wilson_high=high,
+            saved_slots_fraction=mean_frame_fraction(
+                (
+                    shot
+                    for record in aggregator.committed
+                    for shot in record.shot_frame_statistics or ()
+                ),
+                "saved_slots_fraction",
+            ),
             committed_shards=len(aggregator.committed),
             num_shards=aggregator.num_shards,
         )
@@ -983,7 +1000,8 @@ def run_parallel_sweep(
     Parameters
     ----------
     per_values:
-        The PER grid, as in :func:`~repro.experiments.sweep.run_ler_sweep`.
+        The PER grid; point ``i`` seeds its arms from
+        :func:`~repro.experiments.sweep.point_base_seed`.
     shots:
         Shots per (PER, arm) point, split into
         ``ceil(shots / config.shard_shots)`` shards.
@@ -1007,10 +1025,9 @@ def run_parallel_sweep(
         Windowed registry decoder of batch-mode shards, by name
         (:mod:`repro.decoders.registry`).
 
-    Returns a :class:`ParallelSweepReport` whose ``sweep`` is the same
-    :class:`~repro.experiments.results.SweepResult` structure the
-    sequential path produces, built from the committed shard records
-    when first read.
+    Returns a :class:`ParallelSweepReport` whose ``sweep`` is the
+    :class:`~repro.experiments.results.SweepResult` of the committed
+    shard records, built when first read.
     """
     specs = plan_shards(
         per_values,

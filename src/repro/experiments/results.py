@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -322,6 +322,10 @@ class ShardResult(ResultBase):
     :class:`RunResult` views without re-running anything.  Serializes
     to one JSON object per checkpoint line; the byte format is pinned
     (golden digests) and identical to the historical ``ShardRecord``.
+    ``shot_frame_statistics`` holds each shot's frame counters on
+    frame-arm loop shards only; elsewhere it is ``None`` and left out
+    of the JSON, so those lines keep their bytes and a record written
+    without it still loads.
     """
 
     kind = "shard"
@@ -338,6 +342,7 @@ class ShardResult(ResultBase):
     shot_windows: List[int]
     shot_clean: List[int]
     shot_corrections: List[int]
+    shot_frame_statistics: Optional[List[FrameStatistics]] = None
 
     @property
     def key(self) -> Tuple[int, bool, int]:
@@ -357,6 +362,7 @@ class ShardResult(ResultBase):
 
     def to_results(self) -> List[RunResult]:
         """Expand into per-shot :class:`RunResult` views."""
+        statistics = self.shot_frame_statistics or [None] * self.shots
         return [
             RunResult(
                 physical_error_rate=self.physical_error_rate,
@@ -366,18 +372,41 @@ class ShardResult(ResultBase):
                 logical_errors=self.shot_errors[shot],
                 clean_windows=self.shot_clean[shot],
                 corrections_commanded=self.shot_corrections[shot],
+                frame_statistics=statistics[shot],
             )
             for shot in range(self.shots)
         ]
 
+    def to_json_dict(self) -> Dict:
+        payload = super().to_json_dict()
+        if self.shot_frame_statistics is None:
+            del payload["shot_frame_statistics"]
+        return payload
+
     @classmethod
     def from_json_dict(cls, payload: Dict) -> "ShardResult":
-        return cls(
-            **{
-                f.name: payload[f.name]
-                for f in fields(cls)
-            }
-        )
+        values = {
+            f.name: payload[f.name]
+            for f in fields(cls)
+            if f.name != "shot_frame_statistics"
+        }
+        statistics = payload.get("shot_frame_statistics")
+        if statistics is not None:
+            values["shot_frame_statistics"] = [
+                FrameStatistics(**shot) for shot in statistics
+            ]
+        return cls(**values)
+
+
+def mean_frame_fraction(
+    statistics: Iterable[Optional[FrameStatistics]], name: str
+) -> Optional[float]:
+    """Mean of one :class:`FrameStatistics` fraction (``name``) over the
+    shots that measured it; ``None`` when none did."""
+    fractions = [
+        getattr(shot, name) for shot in statistics if shot is not None
+    ]
+    return float(np.mean(fractions)) if fractions else None
 
 
 @dataclass
@@ -409,21 +438,19 @@ class SweepPointResult(ResultBase):
     def mean_saved_slots(self) -> Optional[float]:
         """Mean fraction of time slots the frame filtered (Fig 5.26);
         ``None`` when no with-frame run measured it."""
-        return self._mean_frame_statistic("saved_slots_fraction")
+        return mean_frame_fraction(
+            (r.frame_statistics for r in self.with_frame),
+            "saved_slots_fraction",
+        )
 
     @property
     def mean_saved_operations(self) -> Optional[float]:
         """Mean fraction of gates the frame filtered (Fig 5.25);
         ``None`` when no with-frame run measured it."""
-        return self._mean_frame_statistic("saved_operations_fraction")
-
-    def _mean_frame_statistic(self, name: str) -> Optional[float]:
-        fractions = [
-            getattr(r.frame_statistics, name)
-            for r in self.with_frame
-            if r.frame_statistics is not None
-        ]
-        return float(np.mean(fractions)) if fractions else None
+        return mean_frame_fraction(
+            (r.frame_statistics for r in self.with_frame),
+            "saved_operations_fraction",
+        )
 
     def to_json_dict(self) -> Dict:
         return {
@@ -580,7 +607,7 @@ class LerReport(ResultBase):
 
     physical_error_rate: float
     error_kind: str
-    mode: str  # "loop", "batch" or "parallel"
+    mode: str  # always "parallel": every ler runs the sharded runner
     seed: int
     arms: List[ArmReport]
     committed_shards: Optional[int] = None

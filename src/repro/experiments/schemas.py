@@ -170,7 +170,7 @@ REPORT_SCHEMAS: Dict[str, Dict] = {
             "kind": _kind("ler_report"),
             "physical_error_rate": _NUMBER,
             "error_kind": _STRING,
-            "mode": {"enum": ["loop", "batch", "parallel"]},
+            "mode": {"enum": ["parallel"]},
             "seed": _INT,
             "arms": _array(_ARM),
             "committed_shards": _nullable(_INT),

@@ -176,9 +176,11 @@ def compare_point(
     b = summary_with.ler_values
     # Zero-variance data decide a t-test outright (scipy would compute
     # t from rounding noise): equal constants give t = 0/0, maximally
-    # non-significant, and different ones an infinite t, p = 0.
+    # non-significant, and different ones an infinite t, p = 0.  One
+    # sample per arm leaves no degrees of freedom, so the pooled
+    # variance is 0/0 too, whatever the two values.
     if np.all(a == a[0]) and np.all(b == b[0]):
-        rho_ind = 1.0 if a[0] == b[0] else 0.0
+        rho_ind = 1.0 if a[0] == b[0] or a.size + b.size == 2 else 0.0
     else:
         from scipy import stats as scipy_stats
 

@@ -2,24 +2,23 @@
 
 The paper sweeps the Physical Error Rate and, for every value, runs
 several independent LER simulations with and without a Pauli frame.
-This module orchestrates such sweeps and packages the per-point
-comparisons, savings statistics and summary series that the benchmark
-harness prints as the paper's figure data.
+The sharded runner (:func:`~repro.experiments.parallel.run_parallel_sweep`)
+runs such sweeps; this module holds their seed layout, packages each
+point's per-shot results into its comparison and savings statistics,
+and renders the table the CLI and the examples print.
 
 The paper's full scale (PER from 1e-4 to 1e-2 in 1e-4 steps, 10-20
 seeds, 50 logical errors per run) takes CPU-days in pure Python; the
-sweep therefore takes all scale knobs as parameters and the benchmarks
-run a reduced grid that still exhibits the shapes: LER(+PF) = LER(-PF)
-within noise, rho values scattered around 0.5, slot savings below 6%.
-Batched sweeps decode with a windowed registry decoder chosen by name
-alone; every result is labelled with that name.
+runner therefore takes all scale knobs as parameters and the
+benchmarks run a reduced grid that still exhibits the shapes:
+LER(+PF) = LER(-PF) within noise, rho values scattered around 0.5,
+slot savings below 6%.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from .ler import run_ler_point
 from .results import RunResult, SweepPointResult, SweepResult
 from .stats import compare_point
 
@@ -35,10 +34,9 @@ def point_base_seed(seed: int, point_index: int) -> int:
     """Base seed of sweep point ``point_index`` (without-frame arm).
 
     The with-frame arm of the same point uses
-    ``point_base_seed(...) + ARM_SEED_OFFSET``.  Shared by the
-    sequential sweep below and the shot-sharded parallel engine
-    (:mod:`repro.experiments.parallel`) so both derive their RNG trees
-    from the same per-point entropy.
+    ``point_base_seed(...) + ARM_SEED_OFFSET``; the sharded runner
+    (:mod:`repro.experiments.parallel`) derives every shard's RNG tree
+    from these per-arm seeds.
     """
     return seed + POINT_SEED_STRIDE * point_index
 
@@ -58,70 +56,6 @@ def build_sweep_point(
         comparison=compare_point(without_frame, with_frame),
         decoder=decoder,
     )
-
-
-def run_ler_sweep(
-    per_values: Sequence[float],
-    error_kind: str = "x",
-    samples: int = 10,
-    max_logical_errors: int = 50,
-    seed: int = 0,
-    max_windows: int = 2_000_000,
-    batch_windows: Optional[int] = None,
-    decoder_impl: str = "lut",
-    engine: str = "framesim",
-) -> SweepResult:
-    """Run the full with/without-frame sweep.
-
-    Parameters mirror the paper: ``samples`` independent simulations
-    per PER (10 for the broad sweep, 20 near the pseudo-threshold),
-    each terminated at ``max_logical_errors`` logical errors.
-
-    With ``batch_windows`` set, every point uses the batched sampler
-    (:class:`~repro.experiments.ler.BatchedLerExperiment`):
-    ``samples`` becomes the number of lockstep shots per arm and each
-    shot runs exactly ``batch_windows`` windows, so far larger shot
-    counts per PER become affordable.  ``decoder_impl`` then names a
-    windowed registry decoder (:mod:`repro.decoders.registry`) —
-    ``"lut"`` (array-native dense table, the default), ``"mwpm"``,
-    ``"unionfind"`` or ``"sparse-mwpm"``.  ``engine`` selects the
-    batched core's frame stream — ``"framesim"`` (exact) or
-    ``"packed-fast"`` (statistically identical; faster).
-    """
-    decoder_label = decoder_impl if batch_windows is not None else None
-    sweep = SweepResult(error_kind=error_kind)
-    for index, per in enumerate(per_values):
-        base_seed = point_base_seed(seed, index)
-        without = run_ler_point(
-            per,
-            use_pauli_frame=False,
-            error_kind=error_kind,
-            samples=samples,
-            max_logical_errors=max_logical_errors,
-            seed=base_seed,
-            max_windows=max_windows,
-            batch_windows=batch_windows,
-            decoder_impl=decoder_impl,
-            engine=engine,
-        )
-        with_frame = run_ler_point(
-            per,
-            use_pauli_frame=True,
-            error_kind=error_kind,
-            samples=samples,
-            max_logical_errors=max_logical_errors,
-            seed=base_seed + ARM_SEED_OFFSET,
-            max_windows=max_windows,
-            batch_windows=batch_windows,
-            decoder_impl=decoder_impl,
-            engine=engine,
-        )
-        sweep.points.append(
-            build_sweep_point(
-                per, without, with_frame, decoder=decoder_label
-            )
-        )
-    return sweep
 
 
 def format_sweep_table(sweep: SweepResult) -> str:

@@ -32,14 +32,16 @@ gauge bits and its noise bits -- the map SymPhase samples through and
 Stim samples detectors with.  A :class:`FrameMap` runs a circuit in
 three steps:
 
-1. draw the circuit's rows back to back, in runs of consecutive rows
-   capped at :data:`DRAW_CAP` elements (``Generator.random`` fills a
-   ``(k, n)`` block exactly like ``k`` consecutive ``(n,)`` draws, so
-   the stream is the kernels').  Shards side by side on the shot axis
-   each draw their own rows from their own Generator, into their own
-   slab of one block;
-2. find every noise hit with one comparison, and compute the error
-   kind only at the hits, with the kernels' own arithmetic;
+1. draw the circuit's rows back to back, in blocks capped at
+   :data:`DRAW_CAP` elements (``Generator.random`` fills a ``(k, n)``
+   block exactly like ``k`` consecutive ``(n,)`` draws, so the stream
+   is the kernels').  Shards side by side on the shot axis each draw
+   their own rows from their own Generator, into their own slab of a
+   block: all of them in one call when they fit the cap, as many
+   shards to a block as fit, else in runs of consecutive rows;
+2. find every noise hit with one comparison against the rate, keep
+   those on noise rows, and compute the error kind only at the hits,
+   with the kernels' own arithmetic;
 3. XOR the incoming-frame and gauge rows into the outputs with one
    ``np.bitwise_xor.reduceat`` on packed words, and flip each hit's
    outputs through the map's transpose.
@@ -99,8 +101,8 @@ GATE, RESET, MEASURE, NOISE = "gate", "reset", "measure", "noise"
 #: ``final_bits`` effects other than a measurement column.
 PREPARED, UNKNOWN = -1, -2
 
-#: Most uniforms a frame map holds at once: it draws a circuit's rows
-#: in runs of consecutive rows of at most this many elements.
+#: Most uniforms a frame map holds at once (one shard's rows beyond it
+#: are drawn in runs of consecutive rows).
 DRAW_CAP = 1 << 20
 
 #: Which frame components each error kind of a noise kernel flips, in
@@ -255,44 +257,53 @@ class FrameMap:
         probability: float,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Draw every row; pack the gauges into ``gauge_words`` and
-        return the noise hits as ``(rows, shots, kinds)``.
+        return the noise hits as ``(rows, shots, kinds)``, in no fixed
+        order.
 
-        A hit is ``u < p`` and its kind the kernels' own arithmetic,
-        ``min(int(u * (kinds / p)), kinds - 1)``, so each channel
-        fires exactly where its kernel would have.  Adjacent blocks of
-        one size draw into one ``(blocks, rows, size)`` array, each
-        block into its own slab, and a hit's flat index gives its
-        block, row and shot.
+        A hit is ``u < p`` on a noise row and its kind the kernels' own
+        arithmetic, ``min(int(u * (kinds / p)), kinds - 1)``, so each
+        channel fires exactly where its kernel would have.  Adjacent
+        blocks of one size draw into one ``(blocks, rows, size)``
+        array, each block into its own slab, and a hit's flat index
+        gives its block, row and shot.  A block draws all its rows in
+        one call when they fit :data:`DRAW_CAP`, and as many blocks
+        share an array as fit; a larger block draws its rows in runs.
         """
-        thresholds = np.where(self.noise_rows, probability, 0.0)[:, None]
         gauge_bits = np.empty((len(self.gauge_rows), num_shots), dtype=bool)
         found: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for first, streams, size in ShotStreams.of(rng, num_shots).runs():
-            width = len(streams) * size
-            per_draw = max(1, DRAW_CAP // width)
-            gauge = 0
-            for start in range(0, self.rows, per_draw):
-                stop = min(start + per_draw, self.rows)
-                block = np.empty((len(streams), stop - start, size))
-                for stream, slab in zip(streams, block):
-                    stream.random(out=slab)
-                end = int(np.searchsorted(self.gauge_rows, stop))
-                if end > gauge:
-                    bits = block[:, self.gauge_rows[gauge:end] - start] < 0.5
-                    gauge_bits[gauge:end, first:first + width] = (
-                        bits.transpose(1, 0, 2).reshape(end - gauge, width)
+            per_draw = max(1, min(self.rows, DRAW_CAP // size))
+            group = max(1, DRAW_CAP // (per_draw * size))
+            for lo in range(0, len(streams), group):
+                drawing = streams[lo:lo + group]
+                shot, width = first + lo * size, len(drawing) * size
+                gauge = 0
+                for start in range(0, self.rows, per_draw):
+                    stop = min(start + per_draw, self.rows)
+                    block = np.empty((len(drawing), stop - start, size))
+                    for stream, slab in zip(drawing, block):
+                        stream.random(out=slab)
+                    end = int(np.searchsorted(self.gauge_rows, stop))
+                    if end > gauge:
+                        bits = (
+                            block[:, self.gauge_rows[gauge:end] - start] < 0.5
+                        )
+                        gauge_bits[gauge:end, shot:shot + width] = (
+                            bits.transpose(1, 0, 2).reshape(end - gauge, width)
+                        )
+                        gauge = end
+                    flat = np.flatnonzero(block < probability)
+                    line = flat // size  # slab * (stop - start) + row
+                    slab = line // (stop - start)
+                    rows = line - slab * (stop - start) + start
+                    noise = self.noise_rows[rows]
+                    found.append(
+                        (
+                            rows[noise],
+                            (flat - (line - slab) * size + shot)[noise],
+                            block.ravel()[flat[noise]],
+                        )
                     )
-                    gauge = end
-                flat = np.flatnonzero(block < thresholds[start:stop])
-                line = flat // size  # slab * (stop - start) + row
-                slab = line // (stop - start)
-                found.append(
-                    (
-                        line - slab * (stop - start) + start,
-                        flat - (line - slab) * size + first,
-                        block.ravel()[flat],
-                    )
-                )
         if len(gauge_bits):
             gauge_words[:] = pack_bits(gauge_bits)
         if not found:

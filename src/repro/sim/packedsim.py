@@ -397,23 +397,20 @@ class PackedFrameArray:
         """
         if self.rng_mode == "exact":
             shape = np.shape(qubits)
-            x_hits = np.zeros(shape + (self.num_shots,), dtype=bool)
-            z_hits = np.zeros(shape + (self.num_shots,), dtype=bool)
+            # A shot outside every block keeps u = 1, which no
+            # probability exceeds: it draws nothing and is not charged.
+            u = np.ones(shape + (self.num_shots,))
             for stream, start, stop in ShotStreams.of(
                 rng, self.num_shots
             ).blocks():
-                # Same double-duty draw as FrameArray.depolarize1.
-                u = stream.random(shape + (stop - start,))
-                hit = u < probability
-                if shot_mask is not None:
-                    hit &= shot_mask[start:stop]
-                kind = np.minimum(
-                    (u * (3.0 / probability)).astype(np.int64), 2
-                )
-                x_hits[..., start:stop] = hit & (kind != 2)
-                z_hits[..., start:stop] = hit & (kind != 0)
-            self.x[qubits] ^= pack_bits(x_hits)
-            self.z[qubits] ^= pack_bits(z_hits)
+                u[..., start:stop] = stream.random(shape + (stop - start,))
+            # Same double-duty draw as FrameArray.depolarize1.
+            hit = u < probability
+            if shot_mask is not None:
+                hit &= shot_mask
+            kind = np.minimum((u * (3.0 / probability)).astype(np.int64), 2)
+            self.x[qubits] ^= pack_bits(hit & (kind != 2))
+            self.z[qubits] ^= pack_bits(hit & (kind != 0))
             return
         rows: List[int] = []
         x_flips: List[np.ndarray] = []

@@ -175,22 +175,28 @@ class TestErrorsFlagNeedsTheLoop:
 
 
 class TestLerReadsOnlyTheArms:
-    """``repro ler`` reports each arm's pooled counts: it builds no
-    per-shot results or t-tests, and loads neither scipy nor
-    networkx."""
+    """``repro ler`` reports each arm's pooled counts, batched or on the
+    bare per-shot loop: it builds no per-shot results or t-tests, and
+    loads neither scipy nor networkx."""
 
-    ARGV = ["ler", "--batch", "4", "--windows", "2", "--json"]
+    ARGVS = [
+        ["ler", "--batch", "4", "--windows", "2", "--json"],
+        ["ler", "--errors", "2", "--json"],
+    ]
 
     def test_ler_never_builds_the_sweep(self, monkeypatch, capsys):
-        assert main(self.ARGV) == 0
-        expected = capsys.readouterr().out
+        expected = []
+        for argv in self.ARGVS:
+            assert main(argv) == 0
+            expected.append(capsys.readouterr().out)
 
         def refuse(*args, **kwargs):
             raise AssertionError("repro ler compared the arms")
 
         monkeypatch.setattr("repro.experiments.sweep.compare_point", refuse)
-        assert main(self.ARGV) == 0
-        assert capsys.readouterr().out == expected
+        for argv, output in zip(self.ARGVS, expected):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == output
 
     def test_ler_loads_neither_scipy_nor_networkx(self):
         import repro
@@ -200,9 +206,9 @@ class TestLerReadsOnlyTheArms:
                 "import contextlib, io, sys",
                 "import repro.cli",
                 "with contextlib.redirect_stdout(io.StringIO()):",
-                "    code = repro.cli.main("
-                "['ler', '--batch', '2', '--windows', '2', '--json'])",
-                "print(code, [m for m in ('scipy', 'networkx')"
+                f"    codes = {{repro.cli.main(argv) for argv in "
+                f"{self.ARGVS!r}}}",
+                "print(*codes, [m for m in ('scipy', 'networkx')"
                 " if m in sys.modules])",
             ]
         )
@@ -235,6 +241,24 @@ class TestSweepReportIsStrictJson:
         )
         assert report["mean_rho"] == 1.0
 
+    def test_one_sample_per_arm_is_not_significant(self, capsys):
+        """Early stopping can commit one sample in each arm, which
+        leaves the t-test no degrees of freedom: not significant,
+        however the two LERs differ."""
+        argv = ["sweep", "--per", "2e-2", "--batch", "4", "--samples", "4"]
+        argv += ["--shard-shots", "1", "--target-ci", "0.45", "--seed", "2"]
+        assert main(argv + ["--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [arm["committed_shards"] for arm in report["arms"]] == [1, 1]
+        comparison = report["sweep"]["points"][0]["comparison"]
+        assert (
+            comparison["without_frame"]["ler_values"]
+            != comparison["with_frame"]["ler_values"]
+        )
+        assert comparison["rho_independent"] == 1.0
+        assert comparison["rho_paired"] is None
+        assert report["significant_fraction"] == 0.0
+
     def test_single_sample_exits_2(self, capsys):
         argv = ["sweep", "--per", "1e-2", "--samples", "1", "--batch", "2"]
         assert main(argv) == 2
@@ -244,89 +268,46 @@ class TestSweepReportIsStrictJson:
 
 
 class TestRunnerFlagsNeedTheirMode:
-    """A flag the selected mode would not read is refused with exit 2,
-    naming the flag and the mode it needs, before anything runs."""
+    """Every ``ler`` and ``sweep`` runs the sharded runner, so its flags
+    apply to every line.  ``ler --windows`` needs ``--batch`` and
+    ``ler --samples`` the per-shot loop: either one given to the other
+    mode is refused with exit 2, naming the flag and the mode it needs,
+    before anything runs."""
 
     LOOP = ["ler", "--per", "5e-2", "--errors", "1"]
     SWEEP = ["sweep", "--per", "1e-2", "--batch", "2", "--samples", "2"]
+    SWEEP_LOOP = [
+        "sweep", "--per", "1e-2", "--samples", "2", "--errors", "1"
+    ]
 
     @pytest.mark.parametrize(
         "argv, flag, mode",
         [
-            (LOOP + ["--checkpoint", "CK"], "--checkpoint", "--workers"),
-            (LOOP + ["--resume"], "--resume", "--workers"),
-            (LOOP + ["--target-ci", "0.01"], "--target-ci", "--workers"),
-            (LOOP + ["--shard-shots", "7"], "--shard-shots", "--workers"),
-            (LOOP + ["--samples", "3"], "--samples", "--workers"),
             (LOOP + ["--windows", "2"], "--windows", "--batch"),
-            (
-                LOOP
-                + ["--checkpoint", "CK", "--target-ci", "0.01"]
-                + ["--samples", "3", "--shard-shots", "7"],
-                "--checkpoint",
-                "--workers",
-            ),
             (
                 ["ler", "--batch", "20", "--windows", "2", "--samples", "7"],
                 "--samples",
-                "--workers",
+                "--batch",
             ),
             (
                 ["ler", "--workers", "1", "--samples", "2", "--windows", "2"],
                 "--windows",
                 "--batch",
             ),
-            (SWEEP + ["--checkpoint", "CK"], "--checkpoint", "--workers"),
-            (SWEEP + ["--resume"], "--resume", "--workers"),
-            (SWEEP + ["--target-ci", "0.01"], "--target-ci", "--workers"),
-            (SWEEP + ["--shard-shots", "7"], "--shard-shots", "--workers"),
-            (
-                ["sweep", "--per", "1e-2", "--samples", "2", "--errors", "1"]
-                + ["--checkpoint", "CK"],
-                "--checkpoint",
-                "--workers",
-            ),
         ],
-        ids=[
-            "ler-loop-checkpoint",
-            "ler-loop-resume",
-            "ler-loop-target-ci",
-            "ler-loop-shard-shots",
-            "ler-loop-samples",
-            "ler-loop-windows",
-            "ler-loop-all",
-            "ler-batch-samples",
-            "ler-workers-windows",
-            "sweep-batch-checkpoint",
-            "sweep-batch-resume",
-            "sweep-batch-target-ci",
-            "sweep-batch-shard-shots",
-            "sweep-loop-checkpoint",
-        ],
+        ids=["ler-loop-windows", "ler-batch-samples", "ler-workers-windows"],
     )
-    def test_unused_flag_exits_2(self, argv, flag, mode, tmp_path, capsys):
-        checkpoint = tmp_path / "ck.jsonl"
-        argv = [str(checkpoint) if arg == "CK" else arg for arg in argv]
+    def test_unused_flag_exits_2(self, argv, flag, mode, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"{flag} applies to ")
         assert mode in captured.err
         assert captured.out == ""
-        assert not checkpoint.exists()
 
-    @pytest.mark.parametrize(
-        "argv, shots, windows",
-        [
-            (["ler", "--batch", "4"], 4, 200),
-            (["ler", "--workers", "1"], 10, None),
-        ],
-        ids=["batch", "workers"],
-    )
-    def test_defaults_reach_the_runner(
-        self, argv, shots, windows, monkeypatch
-    ):
-        """Absent flags still hand the runner (and so the checkpoint
-        header) 100 shots per shard, 10 samples and 200 windows."""
+    @staticmethod
+    def runner_kwargs(argv, monkeypatch):
+        """What ``main(argv)`` hands ``run_parallel_sweep``, which is
+        stopped before it runs anything."""
         from repro.experiments import parallel
 
         seen = {}
@@ -338,6 +319,85 @@ class TestRunnerFlagsNeedTheirMode:
         monkeypatch.setattr(parallel, "run_parallel_sweep", record)
         with pytest.raises(KeyboardInterrupt):
             main(argv)
+        return seen
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            LOOP + ["--checkpoint", "CK"],
+            LOOP + ["--resume"],
+            LOOP + ["--target-ci", "0.01"],
+            LOOP + ["--shard-shots", "7"],
+            LOOP + ["--samples", "3"],
+            LOOP
+            + ["--checkpoint", "CK", "--target-ci", "0.01"]
+            + ["--samples", "3", "--shard-shots", "7"],
+            SWEEP + ["--checkpoint", "CK"],
+            SWEEP + ["--resume"],
+            SWEEP + ["--target-ci", "0.01"],
+            SWEEP + ["--shard-shots", "7"],
+            SWEEP_LOOP + ["--checkpoint", "CK"],
+        ],
+        ids=[
+            "ler-loop-checkpoint",
+            "ler-loop-resume",
+            "ler-loop-target-ci",
+            "ler-loop-shard-shots",
+            "ler-loop-samples",
+            "ler-loop-all",
+            "sweep-batch-checkpoint",
+            "sweep-batch-resume",
+            "sweep-batch-target-ci",
+            "sweep-batch-shard-shots",
+            "sweep-loop-checkpoint",
+        ],
+    )
+    def test_runner_reads(self, argv, monkeypatch):
+        """Loop or batch, with or without ``--workers``: each runner
+        flag given reaches the runner's configuration."""
+        seen = self.runner_kwargs(argv, monkeypatch)
+        config = seen["config"]
+        given = {
+            "--checkpoint": ("checkpoint", "CK"),
+            "--resume": ("resume", True),
+            "--target-ci": ("target_ci", 0.01),
+            "--shard-shots": ("shard_shots", 7),
+        }
+        for flag, (field, value) in given.items():
+            if flag in argv:
+                assert getattr(config, field) == value
+        assert config.workers == 1
+        if "--samples" in argv:
+            assert seen["shots"] == int(argv[argv.index("--samples") + 1])
+
+    def test_loop_ler_checkpoint_resumes(self, tmp_path, capsys):
+        """A bare loop ``ler`` writes a checkpoint and resumes from it,
+        printing the same arms."""
+        argv = self.LOOP + ["--checkpoint", str(tmp_path / "ck.jsonl")]
+        assert main(argv + ["--json"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--resume", "--json"]) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert first["arms"] == second["arms"]
+        assert (second["executed_shards"], second["resumed_shards"]) == (
+            0, 2
+        )
+
+    @pytest.mark.parametrize(
+        "argv, shots, windows",
+        [
+            (["ler", "--batch", "4"], 4, 200),
+            (["ler", "--workers", "1"], 1, None),
+        ],
+        ids=["batch", "workers"],
+    )
+    def test_defaults_reach_the_runner(
+        self, argv, shots, windows, monkeypatch
+    ):
+        """Absent flags still hand the runner (and so the checkpoint
+        header) 100 shots per shard, 1 loop shot per arm and 200
+        windows."""
+        seen = self.runner_kwargs(argv, monkeypatch)
         assert (seen["shots"], seen["windows"]) == (shots, windows)
         assert seen["config"].shard_shots == 100
 
@@ -443,14 +503,15 @@ class TestDecoderIsAName:
 
 
 class TestSweepSavedSlots:
-    """Only the per-shot loop counts the frame's saved slots; the
-    batched and the sharded sweeps print ``-`` in that column."""
+    """Only the per-shot loop counts the frame's saved slots, with or
+    without ``--workers``; a batched sweep prints ``-`` in that
+    column."""
 
     @pytest.mark.parametrize(
         "argv, measured",
         [
             (["--errors", "1"], True),
-            (["--errors", "1", "--workers", "1"], False),
+            (["--errors", "1", "--workers", "1"], True),
             (["--batch", "2"], False),
         ],
         ids=["loop", "workers", "batch"],
@@ -499,6 +560,13 @@ class TestSizeFlagsArePositive:
             (["distance", "--trials", "0"], "--trials"),
             (["memory", "--distances", "3", "--trials", "-1"], "--trials"),
             (["verify", "--iterations", "0"], "--iterations"),
+            (["ler", "--errors", "0", "--json"], "--errors"),
+            (["ler", "--errors", "-2"], "--errors"),
+            (
+                ["sweep", "--per", "2e-2", "--samples", "2"]
+                + ["--errors", "0", "--json"],
+                "--errors",
+            ),
         ],
         ids=[
             "sweep-batch-0",
@@ -513,6 +581,9 @@ class TestSizeFlagsArePositive:
             "distance-trials-0",
             "memory-trials-negative",
             "verify-iterations-0",
+            "ler-errors-0",
+            "ler-errors-negative",
+            "sweep-errors-0",
         ],
     )
     def test_non_positive_size_exits_2(self, argv, flag, capsys):
@@ -526,21 +597,31 @@ class TestSizeFlagsArePositive:
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            ([command, "--distances", distance], "--distances")
+            ([command, "--distances", d, "--trials", "1"], "--distances")
             for command in ("distance", "phenomenological", "memory")
-            for distance in ("2", "0", "1", "-3")
+            for d in ("2", "0", "1", "-3")
         ]
         + [
-            ([command, "--per", rate], "--per")
+            ([command, "--per", rate, "--trials", "1"], "--per")
             for command in ("distance", "phenomenological", "memory")
             for rate in ("1.5", "-0.1", "nan")
+        ]
+        + [
+            (["ler", "--per", "1.5"], "--per"),
+            (["ler", "--per", "1.5", "--batch", "4", "--windows", "2"],
+             "--per"),
+            (["ler", "--per", "nan"], "--per"),
+            (["sweep", "--per", "nan", "--samples", "2", "--batch", "2"],
+             "--per"),
+            (["sweep", "--per", "1e-2", "-0.1"], "--per"),
         ],
     )
     def test_bad_distance_or_rate_exits_2(self, argv, flag, capsys):
-        """The ch. 6 commands take odd distances >= 3 and rates in
-        [0, 1]; anything else is an argparse refusal naming the flag."""
+        """The ch. 6 commands take odd distances >= 3, and every
+        ``--per`` rates in [0, 1]; anything else is an argparse refusal
+        naming the flag."""
         with pytest.raises(SystemExit) as exited:
-            main(argv + ["--trials", "1", "--json"])
+            main(argv + ["--json"])
         assert exited.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""

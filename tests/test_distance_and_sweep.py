@@ -8,7 +8,8 @@ from repro.experiments.distance import (
     format_distance_table,
     run_distance_scaling,
 )
-from repro.experiments.sweep import format_sweep_table, run_ler_sweep
+from repro.experiments.parallel import run_parallel_sweep
+from repro.experiments.sweep import format_sweep_table
 
 
 class TestCodeCapacity:
@@ -67,12 +68,13 @@ class TestCodeCapacity:
 class TestLerSweep:
     @pytest.fixture(scope="class")
     def sweep(self):
-        return run_ler_sweep(
-            per_values=[6e-3, 1.2e-2],
-            samples=2,
+        return run_parallel_sweep(
+            [6e-3, 1.2e-2],
+            shots=2,
+            windows=None,
             max_logical_errors=2,
             seed=100,
-        )
+        ).sweep
 
     def test_point_structure(self, sweep):
         assert sweep.per_values() == [6e-3, 1.2e-2]

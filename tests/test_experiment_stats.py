@@ -106,6 +106,25 @@ class TestComparison:
             )
             assert comparison.rho_paired == 0.0
 
+    def test_one_sample_per_arm_is_not_significant(self):
+        """One sample in each arm leaves the pooled variance 0/0 (no
+        degrees of freedom): not significant, whatever the values.  A
+        single sample in one arm only keeps the zero-variance rule."""
+        comparison = compare_point(
+            [make_result(1e-3, False, 4, 1)],
+            [make_result(1e-3, True, 4, 0)],
+        )
+        assert comparison.rho_independent == 1.0
+        assert comparison.rho_paired is None
+        assert not comparison.significant
+        assert significant_fraction([comparison]) == 0.0
+        comparison = compare_point(
+            [make_result(1e-3, False, 4, 1)],
+            [make_result(1e-3, True, 4, 0)] * 3,
+        )
+        assert comparison.rho_independent == 0.0
+        assert comparison.rho_paired is None
+
     def test_wildly_different_samples_are_significant(self):
         without = [
             make_result(1e-3, False, w, 10) for w in (100, 101, 99, 100)

@@ -81,6 +81,23 @@ class TestBatchedCoreDeterminism:
         )
         assert np.array_equal(fused, lone)
 
+    def test_whole_shards_share_a_draw(self, monkeypatch):
+        """A cap that holds every row of the ESM circuit (128 rows) for
+        two 30-shot shards but not three: the equal shards draw their
+        rows whole, two to a block then one, and each still gets the
+        bits of a core of its own."""
+        from repro.qpdo import Shard, lockstep
+
+        sizes, seeds = (30, 30, 30, 7), (31, 32, 33, 34)
+        monkeypatch.setattr(lockstep, "DRAW_CAP", 2 * 30 * 128)
+        fused = self._run_core(
+            shards=[Shard(n, seed) for n, seed in zip(sizes, seeds)]
+        )
+        lone = np.concatenate(
+            [self._run_core(seed, n) for n, seed in zip(sizes, seeds)]
+        )
+        assert np.array_equal(fused, lone)
+
     def test_batched_ler_experiment_reproducible(self):
         def run():
             results = BatchedLerExperiment(

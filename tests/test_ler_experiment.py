@@ -9,11 +9,8 @@ import pytest
 
 from repro.circuits import Circuit
 from repro.circuits.operation import Operation
-from repro.experiments.ler import (
-    LerExperiment,
-    build_ler_stack,
-    run_ler_point,
-)
+from repro.experiments.ler import LerExperiment, build_ler_stack
+from repro.experiments.parallel import run_parallel_sweep
 
 
 def inject_error(experiment, kind, qubit):
@@ -177,15 +174,15 @@ class TestStatisticalRuns:
         assert 0.0 < result.saved_slots_fraction <= 1.0 / 17.0 + 1e-9
         assert 0.0 < result.saved_operations_fraction < 0.05
 
-    def test_run_ler_point_samples(self):
-        results = run_ler_point(
-            8e-3,
-            use_pauli_frame=False,
-            samples=3,
-            max_logical_errors=2,
-            seed=6,
+    def test_runner_loop_samples(self):
+        """The runner's loop mode: ``shots`` independent per-shot runs
+        per arm, each stopped at the error quota."""
+        report = run_parallel_sweep(
+            [8e-3], shots=3, windows=None, max_logical_errors=2, seed=6
         )
+        results = report.arms[(0, False)].results()
         assert len(results) == 3
+        assert all(r.logical_errors == 2 for r in results)
         assert len({r.windows for r in results}) >= 1
 
     def test_higher_per_gives_higher_ler(self):

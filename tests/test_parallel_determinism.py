@@ -17,6 +17,7 @@ import pytest
 from repro import telemetry
 from repro.cli import main as cli_main
 from repro.decoders.registry import CAP_WINDOWED, list_decoders
+from repro.experiments.ler import LerExperiment
 from repro.experiments.parallel import (
     ArmAggregator,
     CheckpointWriter,
@@ -555,3 +556,108 @@ class TestFusedRunsEqualLoneShards:
         assert committed_records(resumed) == committed_records(full)
         _header, records = load_checkpoint(checkpoint)
         assert len(records) == full.total_shards
+
+
+class TestOneRunner:
+    """Every ``ler`` and ``sweep`` runs the sharded runner on one seed
+    tree: a line prints the same bytes inline, with ``--workers 1`` and
+    with ``--workers 2``, and loop shards keep the frame's counters."""
+
+    LOOP = dict(
+        per_values=[2e-2], shots=3, windows=None, shard_shots=2,
+        max_logical_errors=1, max_windows=60,
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ler", "--per", "2e-2", "--errors", "2", "--seed", "1"],
+            ["ler", "--per", "2e-2", "--errors", "2", "--kind", "z"]
+            + ["--samples", "3", "--shard-shots", "2", "--seed", "1"],
+            ["ler", "--per", "1e-2", "--batch", "40", "--windows", "3"]
+            + ["--shard-shots", "16", "--seed", "1"],
+            ["ler", "--per", "1e-2", "--batch", "40", "--windows", "3"]
+            + ["--shard-shots", "16", "--kind", "z", "--seed", "1"],
+            ["sweep", "--per", "1e-2", "2e-2", "--samples", "2"]
+            + ["--errors", "1", "--seed", "1"],
+            ["sweep", "--per", "1e-2", "2e-2", "--samples", "6"]
+            + ["--batch", "3", "--shard-shots", "4", "--seed", "1"],
+        ],
+        ids=["ler-loop", "ler-loop-z", "ler-batch", "ler-batch-z",
+             "sweep-loop", "sweep-batch"],
+    )
+    def test_worker_count_never_moves_a_byte(self, argv, capsys):
+        printed = []
+        for workers in ([], ["--workers", "1"], ["--workers", "2"]):
+            for output in (["--json"], []):
+                assert cli_main(argv + workers + output) == 0
+                printed.append(capsys.readouterr().out)
+        assert printed[2:] == printed[:2] * 2
+        if argv[0] == "sweep" and "--batch" not in argv:
+            assert "          -" not in printed[1]
+
+    def test_frame_shards_carry_each_shots_frame_statistics(self):
+        """A frame-arm loop record carries, per shot, the counters of a
+        lone ``LerExperiment`` seeded ``(arm_seed, shard_index, shot)``;
+        a frame-less record carries none."""
+        specs = plan_shards(
+            self.LOOP["per_values"], "x", self.LOOP["shots"],
+            self.LOOP["shard_shots"], None, SEED,
+            max_logical_errors=1, max_windows=60,
+        )
+        for spec in specs:
+            record = run_shard(spec)
+            if not spec.use_pauli_frame:
+                assert record.shot_frame_statistics is None
+                continue
+            lone = [
+                LerExperiment(
+                    spec.physical_error_rate,
+                    use_pauli_frame=True,
+                    max_logical_errors=1,
+                    max_windows=60,
+                    seed=(spec.arm_seed, spec.shard_index, shot),
+                ).run()
+                for shot in range(spec.shots)
+            ]
+            assert record.shot_frame_statistics == [
+                result.frame_statistics for result in lone
+            ]
+            assert [
+                result.frame_statistics for result in record.to_results()
+            ] == [result.frame_statistics for result in lone]
+
+    def test_frame_arm_saved_slots_is_the_points_mean(self):
+        report = run_sweep(seed=SEED, **self.LOOP)
+        saved = report.arm_report(0, True).saved_slots_fraction
+        assert saved is not None and 0.0 < saved <= 1.0 / 17.0
+        assert saved == report.sweep.points[0].mean_saved_slots
+        assert report.arm_report(0, False).saved_slots_fraction is None
+
+    def test_checkpoint_without_frame_statistics_resumes(self, tmp_path):
+        """A loop checkpoint whose records lack the frame statistics
+        (the format before loop records carried them) resumes: its
+        shards replay with their counts, the rest run as usual."""
+        checkpoint = str(tmp_path / "sweep.jsonl")
+        full = run_sweep(checkpoint=checkpoint, **self.LOOP)
+        with open(checkpoint) as handle:
+            header, *records = handle.read().strip().split("\n")
+        kept = []
+        for line in records[:3]:
+            payload = json.loads(line)
+            payload.pop("shot_frame_statistics", None)
+            kept.append(json.dumps(payload, sort_keys=True))
+        with open(checkpoint, "w") as handle:
+            handle.write("\n".join([header] + kept) + "\n")
+        resumed = run_sweep(checkpoint=checkpoint, resume=True, **self.LOOP)
+        assert resumed.resumed_shards == 3
+        assert resumed.executed_shards == full.total_shards - 3
+        for arm in full.arms:
+            assert (resumed.arms[arm].errors, resumed.arms[arm].windows) == (
+                full.arms[arm].errors, full.arms[arm].windows
+            )
+        replayed, executed = resumed.arms[(0, True)].committed
+        assert replayed.shot_frame_statistics is None
+        assert executed.shot_frame_statistics == (
+            full.arms[(0, True)].committed[1].shot_frame_statistics
+        )

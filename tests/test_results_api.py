@@ -117,7 +117,8 @@ class TestRoundTrips:
         assert rebuilt.total_windows == 50
 
     def test_shard_checkpoint_byte_format_is_pinned(self):
-        """The historical ShardRecord line format must not drift."""
+        """The historical ShardRecord line format must not drift: a
+        record without frame statistics leaves that field out."""
         shard = ShardResult(
             point_index=0,
             physical_error_rate=5e-3,
@@ -132,10 +133,52 @@ class TestRoundTrips:
             shot_clean=[38],
             shot_corrections=[9],
         )
-        expected = json.dumps(
-            {"kind": "shard", **asdict(shard)}, sort_keys=True
+        expected = {"kind": "shard", **asdict(shard)}
+        del expected["shot_frame_statistics"]
+        assert shard.to_json() == json.dumps(expected, sort_keys=True)
+        assert shard.to_json() == (
+            '{"error_kind": "x", "kind": "shard", "mode": "loop", '
+            '"physical_error_rate": 0.005, "point_index": 0, '
+            '"shard_index": 0, "shot_clean": [38], '
+            '"shot_corrections": [9], "shot_errors": [2], '
+            '"shot_windows": [40], "shots": 1, '
+            '"use_pauli_frame": false, "windows": 0}'
         )
-        assert shard.to_json() == expected
+        assert ShardResult.from_json(shard.to_json()) == shard
+
+    def test_shard_frame_statistics_round_trip(self):
+        """A frame-arm loop shard carries each shot's frame counters,
+        and its per-shot results get them back."""
+        statistics = [
+            FrameStatistics(operations_in=100, operations_out=97,
+                            slots_in=50, slots_out=48),
+            FrameStatistics(operations_in=80, operations_out=80,
+                            slots_in=40, slots_out=40),
+        ]
+        shard = ShardResult(
+            point_index=0,
+            physical_error_rate=5e-3,
+            use_pauli_frame=True,
+            shard_index=1,
+            shots=2,
+            error_kind="x",
+            mode="loop",
+            windows=0,
+            shot_errors=[2, 2],
+            shot_windows=[40, 31],
+            shot_clean=[38, 30],
+            shot_corrections=[9, 4],
+            shot_frame_statistics=statistics,
+        )
+        payload = json.loads(shard.to_json())
+        assert payload["shot_frame_statistics"] == [
+            asdict(shot) for shot in statistics
+        ]
+        rebuilt = ShardResult.from_json(shard.to_json())
+        assert rebuilt == shard
+        assert [r.frame_statistics for r in rebuilt.to_results()] == (
+            statistics
+        )
 
     def test_sweep_round_trip(self):
         without = [_run(), _run(errors=3)]
