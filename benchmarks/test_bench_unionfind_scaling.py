@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.codes.rotated import RotatedSurfaceCode
 from repro.decoders import boundary_qubits_for
-from repro.decoders.spacetime import SpaceTimeMatchingDecoder
+from repro.decoders.mwpm import SpaceTimeMatchingDecoder
 from repro.decoders.unionfind import SpaceTimeUnionFindDecoder
 from repro.experiments.phenomenological import (
     PhenomenologicalSimulator,

@@ -9,8 +9,8 @@ verifies the contracts between them **without sampling a single
 shot**:
 
 * **registry consistency** -- a capability flag and its builder must
-  agree (``windowed`` <-> ``window_builder``, ``spacetime`` <-> both
-  graph builders), names are well-formed CLI tokens;
+  agree (``windowed`` <-> ``window_builder``, ``spacetime`` <->
+  ``spacetime_builder``), names are well-formed CLI tokens;
 * **experiment matrix** -- windowed experiments (``ler``, ``sweep``,
   serve jobs) require ``windowed``; graph experiments
   (``phenomenological``, ``distance``, ``memory``) require
@@ -102,17 +102,13 @@ def check_registry(
                 f"{'missing' if windowed else 'present'}"
             )
         spacetime = CAP_SPACETIME in spec.capabilities
-        has_graph = (
-            spec.space_builder is not None
-            and spec.spacetime_builder is not None
-        )
-        if spacetime != has_graph:
+        if spacetime != (spec.spacetime_builder is not None):
             problems.append(
                 f"decoder {spec.name!r}: capability "
                 f"{CAP_SPACETIME!r} is "
-                f"{'claimed' if spacetime else 'absent'} but the "
-                f"space/spacetime builders are "
-                f"{'incomplete' if spacetime else 'present'}"
+                f"{'claimed' if spacetime else 'absent'} but "
+                f"spacetime_builder is "
+                f"{'missing' if spacetime else 'present'}"
             )
     return problems
 

@@ -592,8 +592,8 @@ def _parallel_config(args):
 
 def _run_sharded(per_values, **kwargs):
     """``run_parallel_sweep``, or ``None`` (after one line on stderr)
-    when ``--resume`` meets a checkpoint of a different sweep --
-    callers exit 2."""
+    when ``--resume`` has no ``--checkpoint`` or meets a checkpoint of
+    a different sweep -- callers exit 2."""
     from .experiments.parallel import (
         CheckpointMismatchError,
         run_parallel_sweep,
@@ -747,8 +747,6 @@ def cmd_ler(args) -> int:
 
 def cmd_sweep(args) -> int:
     from .cli_format import render_sweep
-    from .experiments.results import SweepReport
-    from .experiments.stats import mean_rho, significant_fraction
 
     if not _require_batch_for_engine(args):
         return 2
@@ -778,25 +776,7 @@ def cmd_sweep(args) -> int:
     )
     if parallel is None:
         return 2
-    arms = []
-    for index in range(len(args.per)):
-        for use_frame in (False, True):
-            arm_dict = parallel.arm_report(index, use_frame).to_json_dict()
-            arm_dict.pop("kind")
-            arms.append({"point_index": index, **arm_dict})
-    comparisons = [point.comparison for point in parallel.sweep.points]
-    report = SweepReport(
-        error_kind=args.kind,
-        seed=args.seed,
-        mean_rho=mean_rho(comparisons),
-        significant_fraction=significant_fraction(comparisons),
-        sweep=parallel.sweep,
-        arms=arms,
-        committed_shards=parallel.committed_shards,
-        executed_shards=parallel.executed_shards,
-        resumed_shards=parallel.resumed_shards,
-        decoder=parallel.decoder,
-    )
+    report = parallel.sweep_report(args.seed)
     _emit(args, report, lambda: render_sweep(report, plot=args.plot))
     return 0
 
@@ -895,8 +875,10 @@ def cmd_bound(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    from .cli_format import render_distance
-    from .experiments.distance import run_distance_scaling
+    from .experiments.distance import (
+        format_distance_table,
+        run_distance_scaling,
+    )
     from .experiments.results import DistanceReport
 
     decoder = _parse_decoder(args)
@@ -924,13 +906,13 @@ def cmd_distance(args) -> int:
             for r in results[d]
         ],
     )
-    _emit(args, report, lambda: render_distance(report))
+    _emit(args, report, lambda: format_distance_table(results))
     return 0
 
 
 def cmd_phenomenological(args) -> int:
-    from .cli_format import render_phenomenological
     from .experiments.phenomenological import (
+        format_phenomenological_table,
         run_phenomenological_scaling,
     )
     from .experiments.results import PhenomenologicalReport
@@ -961,7 +943,7 @@ def cmd_phenomenological(args) -> int:
             for r in results[d]
         ],
     )
-    _emit(args, report, lambda: render_phenomenological(report))
+    _emit(args, report, lambda: format_phenomenological_table(results))
     return 0
 
 

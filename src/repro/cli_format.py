@@ -3,7 +3,9 @@
 Every ``print()``-bound string of :mod:`repro.cli` is built here, from
 the same unified report dataclasses
 (:mod:`repro.experiments.results`) that back ``--json`` — one source
-of truth, two presentations.  Each ``render_*`` function returns a
+of truth, two presentations — except the ch. 6 scaling tables, which
+``distance`` and ``phenomenological`` print through their experiment
+modules' own formatters.  Each ``render_*`` function returns a
 complete multi-line string; the CLI only decides *which* document to
 emit, never how it looks.
 """
@@ -17,13 +19,11 @@ from .experiments.results import (
     BoundReport,
     CircuitReport,
     DecodersReport,
-    DistanceReport,
     InjectReport,
     LerReport,
     LintReport,
     MatrixReport,
     MemoryReport,
-    PhenomenologicalReport,
     ScheduleReport,
     SweepReport,
     TraceReport,
@@ -158,58 +158,6 @@ def render_decoders(report: DecodersReport) -> str:
         caps = ",".join(row["capabilities"])
         lines.append(f"{row['name']:<14} {caps}")
         lines.append(f"    {row['summary']}")
-    return "\n".join(lines)
-
-
-def render_distance(report: DistanceReport) -> str:
-    """The code-capacity distance-scaling table (ch. 6)."""
-    distances = sorted({row["distance"] for row in report.rows})
-    per_values = [
-        row["physical_error_rate"]
-        for row in report.rows
-        if row["distance"] == distances[0]
-    ]
-    by_key = {
-        (row["distance"], row["physical_error_rate"]): row
-        for row in report.rows
-    }
-    lines = [
-        "p         " + "  ".join(f"LER(d={d})" for d in distances)
-    ]
-    for p in per_values:
-        lines.append(
-            f"{p:8.4f}  "
-            + "  ".join(
-                f"{by_key[(d, p)]['logical_error_rate']:8.5f}"
-                for d in distances
-            )
-        )
-    return "\n".join(lines)
-
-
-def render_phenomenological(report: PhenomenologicalReport) -> str:
-    """The phenomenological distance-scaling table (ch. 6)."""
-    distances = sorted({row["distance"] for row in report.rows})
-    per_values = [
-        row["data_error_rate"]
-        for row in report.rows
-        if row["distance"] == distances[0]
-    ]
-    by_key = {
-        (row["distance"], row["data_error_rate"]): row
-        for row in report.rows
-    }
-    lines = [
-        "p = q      " + "  ".join(f"LER(d={d})" for d in distances)
-    ]
-    for p in per_values:
-        lines.append(
-            f"{p:8.4f}   "
-            + "  ".join(
-                f"{by_key[(d, p)]['logical_error_rate']:8.5f}"
-                for d in distances
-            )
-        )
     return "\n".join(lines)
 
 

@@ -6,13 +6,15 @@ window through one driver,
 :class:`~repro.decoders.batched.BatchedWindowedLutDecoder`: a numpy
 gather over two process-cached dense tables, which the LUT, MWPM,
 union-find and sparse-matching algorithms each fill in their own way.
-The three graph algorithms (MWPM, union-find, sparse matching)
-supply only their defect solvers to one seam,
-:mod:`~repro.decoders.graph`, which dedupes batches, derives
-detection events and fills their dense tables; union-find and sparse
-matching also scale past the dense-table ceiling (d >= 15).  All of
-them register in the :mod:`~repro.decoders.registry`, which is how
-experiments, the CLI and the serve fleet select decoders by name.
+The three graph algorithms (MWPM, union-find, sparse matching) are
+one class each, over one graph type
+(:class:`~repro.decoders.unionfind.DecodingGraph`), and supply only
+their defect solvers to one seam, :mod:`~repro.decoders.graph`, which
+dedupes batches, derives detection events, decodes a single round as
+a one-round history and fills their dense tables; union-find and
+sparse matching also scale past the dense-table ceiling (d >= 15).
+All of them register in the :mod:`~repro.decoders.registry`, which is
+how experiments, the CLI and the serve fleet select decoders by name.
 """
 
 from .batched import (
@@ -34,10 +36,9 @@ from .lut import (
     syndrome_of,
     unpack_syndrome,
 )
-from .graph import GraphDecoder, SpaceTimeGraphDecoder, graph_dense_lut
+from .graph import GraphDecoder, graph_dense_lut
 from .mwpm import (
-    MatchingGraph,
-    MwpmDecoder,
+    SpaceTimeMatchingDecoder,
     boundary_qubits_for,
     mwpm_dense_lut,
 )
@@ -64,17 +65,14 @@ from .rule_based import (
     WindowedLutDecoder,
     majority_vote,
 )
-from .spacetime import SpaceTimeMatchingDecoder
 from .sparse import (
     SparseMatchingGraph,
-    SparseMwpmDecoder,
     SparseSpaceTimeMatchingDecoder,
     sparse_mwpm_dense_lut,
 )
 from .unionfind import (
     DecodingGraph,
     SpaceTimeUnionFindDecoder,
-    UnionFindDecoder,
     build_space_graph,
     build_space_time_graph,
     find_roots,
@@ -95,8 +93,6 @@ __all__ = [
     "WindowDecision",
     "WindowedLutDecoder",
     "majority_vote",
-    "MwpmDecoder",
-    "MatchingGraph",
     "boundary_qubits_for",
     "SpaceTimeMatchingDecoder",
     "WindowedMatchingDecoder",
@@ -111,7 +107,6 @@ __all__ = [
     "lut_cache_size",
     # the graph-decoder seam
     "GraphDecoder",
-    "SpaceTimeGraphDecoder",
     "graph_dense_lut",
     # union-find
     "DecodingGraph",
@@ -120,12 +115,10 @@ __all__ = [
     "find_roots",
     "grow_clusters",
     "peel_forest",
-    "UnionFindDecoder",
     "SpaceTimeUnionFindDecoder",
     "unionfind_dense_lut",
     # sparse matching
     "SparseMatchingGraph",
-    "SparseMwpmDecoder",
     "SparseSpaceTimeMatchingDecoder",
     "sparse_mwpm_dense_lut",
     # registry

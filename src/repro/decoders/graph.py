@@ -5,20 +5,18 @@ The three graph algorithms (Blossom :mod:`~repro.decoders.mwpm`,
 differ only in how they pair up defects.  Everything around that
 solver lives here, once:
 
-* :class:`GraphDecoder` decodes one check species from a single
-  syndrome round: ``decode`` and ``decode_batch`` over
-  ``(shots, checks)`` arrays.  A batch is deduplicated with one
-  ``np.unique`` over its rows packed to bytes, so the solver's work
-  scales with the number of *distinct* syndromes, not with shots;
-* :class:`SpaceTimeGraphDecoder` decodes a history of noisy rounds
-  (Dennis et al., J. Math. Phys. 43, 4452): a *detection event*
-  fires at ``(round t, check c)`` when check ``c`` changed since
-  round ``t - 1`` (round 0 is compared against the all-zero
-  codespace syndrome).  ``decode_batch`` over ``(shots, rounds,
-  checks)`` histories is one XOR with the previous round, then the
-  same dedupe;
+* :class:`GraphDecoder` decodes a history of noisy syndrome rounds of
+  one check species (Dennis et al., J. Math. Phys. 43, 4452): a
+  *detection event* fires at ``(round t, check c)`` when check ``c``
+  changed since round ``t - 1`` (round 0 is compared against the
+  all-zero codespace syndrome).  ``decode_batch`` over ``(shots,
+  rounds, checks)`` histories is one XOR with the previous round,
+  then one ``np.unique`` over the event rows packed to bytes, so the
+  solver's work scales with the number of *distinct* histories, not
+  with shots.  A single perfect round (``decode``) is the one-round
+  history;
 * :func:`graph_dense_lut` decodes every one of the ``2^checks``
-  syndromes through ``decode_batch`` into the process-cached gather
+  syndromes, as one-round histories, into the process-cached gather
   table the batched windowed decoder consumes (Surface-17).
 
 A subclass supplies ``_solver(rounds)``: a callable that maps a
@@ -28,8 +26,8 @@ A subclass supplies ``_solver(rounds)``: a callable that maps a
 batch, ``decode_events`` with a single row.  Union-find decodes the
 rows together; Blossom and sparse matching solve one row at a time
 through :func:`row_by_row`, which hands each row's defect nodes over
-in ascending order, the order :meth:`SpaceTimeGraphDecoder.
-detection_events` lists them in.
+in ascending order, the order :meth:`GraphDecoder.detection_events`
+lists them in.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ def row_by_row(
 
 
 class GraphDecoder:
-    """Single-round graph decoding of one check species.
+    """Graph decoding of repeated syndrome rounds of one check species.
 
     Parameters
     ----------
@@ -79,16 +77,21 @@ class GraphDecoder:
     boundary_qubits:
         Data qubits through which error chains can leave the lattice
         (see :func:`repro.decoders.mwpm.boundary_qubits_for`).
+    time_weight:
+        Cost of one temporal step relative to one spatial step.  Equal
+        data and measurement error rates give 1.0 (the default).
     """
 
     def __init__(
         self,
         check_matrix: np.ndarray,
         boundary_qubits: Sequence[int],
+        time_weight: float = 1.0,
     ) -> None:
         self.check_matrix = np.asarray(check_matrix, dtype=np.uint8)
         self.boundary_qubits = [int(q) for q in boundary_qubits]
         self.num_checks, self.num_qubits = self.check_matrix.shape
+        self.time_weight = float(time_weight)
         self._solvers: Dict[int, Solver] = {}
 
     def _solver(self, rounds: int) -> Solver:
@@ -103,73 +106,8 @@ class GraphDecoder:
 
     def decode(self, syndrome: Sequence[int]) -> np.ndarray:
         """Correction bit-vector for one syndrome (one perfect round)."""
-        rows = np.asarray(syndrome, dtype=bool).reshape(1, -1)
-        return self._solve_rows(rows, 1)[0]
-
-    def decode_batch(self, syndromes: np.ndarray) -> np.ndarray:
-        """Corrections for a ``(shots, checks)`` syndrome batch."""
-        return self._solve_rows(np.asarray(syndromes, dtype=bool), 1)
-
-    def _solve_rows(self, rows: np.ndarray, rounds: int) -> np.ndarray:
-        """Decode each distinct row of ``rows`` once; gather them back.
-
-        ``rows`` is ``(shots, rounds * checks)`` detection events.
-        """
-        shots, width = rows.shape
-        if width != rounds * self.num_checks:
-            raise ValueError(
-                f"expected {self.num_checks} checks per round, got "
-                f"{width} bits over {rounds} round(s)"
-            )
-        if shots == 0 or rounds == 0:
-            return np.zeros((shots, self.num_qubits), dtype=bool)
-        solve = self._solver_for(rounds)
-        t = telemetry.ACTIVE
-        name = type(self).__name__ + ".decode_batch"
-        if t is None:
-            return _dedupe_solve(rows, solve)[0]
-        with t.span(
-            "decoder.graph", name, shots=int(shots), rounds=int(rounds)
-        ):
-            corrections, unique = _dedupe_solve(rows, solve)
-        t.count("decoder.graph", name, "shots", int(shots))
-        t.count("decoder.graph", name, "unique_syndromes", unique)
-        return corrections
-
-
-def _dedupe_solve(
-    rows: np.ndarray, solve: Solver
-) -> Tuple[np.ndarray, int]:
-    """``(corrections, distinct rows)``: one solve of the distinct rows.
-
-    Rows are compared as packed bytes, one opaque item per row, which
-    sorts them in the order ``np.unique(rows, axis=0)`` would.
-    """
-    packed = np.packbits(rows, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _keys, first, inverse = np.unique(
-        keys, return_index=True, return_inverse=True
-    )
-    table = solve(rows[first])
-    return table[inverse.reshape(-1)], int(first.shape[0])
-
-
-class SpaceTimeGraphDecoder(GraphDecoder):
-    """Graph decoding of repeated noisy syndrome rounds.
-
-    ``time_weight`` is the cost of one temporal step relative to one
-    spatial step; equal data and measurement error rates give 1.0
-    (the default).
-    """
-
-    def __init__(
-        self,
-        check_matrix: np.ndarray,
-        boundary_qubits: Sequence[int],
-        time_weight: float = 1.0,
-    ) -> None:
-        super().__init__(check_matrix, boundary_qubits)
-        self.time_weight = float(time_weight)
+        history = np.asarray(syndrome, dtype=bool).reshape(1, 1, -1)
+        return self.decode_batch(history)[0]
 
     def detection_events(
         self, syndrome_history: Sequence[Sequence[int]]
@@ -208,11 +146,33 @@ class SpaceTimeGraphDecoder(GraphDecoder):
         return self._solver_for(rounds)(defects[np.newaxis])[0]
 
     def decode_batch(self, histories: np.ndarray) -> np.ndarray:
-        """Corrections for ``(shots, rounds, checks)`` histories."""
+        """Corrections for ``(shots, rounds, checks)`` histories.
+
+        Each distinct row of detection events is decoded once and
+        gathered back to its shots.
+        """
         histories = np.asarray(histories, dtype=bool)
         shots, rounds, checks = histories.shape
-        events = self._events(histories).reshape(shots, rounds * checks)
-        return self._solve_rows(events, rounds)
+        if checks != self.num_checks:
+            raise ValueError(
+                f"expected {self.num_checks} checks per round, got "
+                f"{checks}"
+            )
+        if shots == 0 or rounds == 0:
+            return np.zeros((shots, self.num_qubits), dtype=bool)
+        rows = self._events(histories).reshape(shots, rounds * checks)
+        solve = self._solver_for(rounds)
+        t = telemetry.ACTIVE
+        name = type(self).__name__ + ".decode_batch"
+        if t is None:
+            return _dedupe_solve(rows, solve)[0]
+        with t.span(
+            "decoder.graph", name, shots=int(shots), rounds=int(rounds)
+        ):
+            corrections, unique = _dedupe_solve(rows, solve)
+        t.count("decoder.graph", name, "shots", int(shots))
+        t.count("decoder.graph", name, "unique_syndromes", unique)
+        return corrections
 
     def _history(self, syndrome_history) -> np.ndarray:
         """One history as a ``(1, rounds, checks)`` bool array."""
@@ -229,6 +189,23 @@ class SpaceTimeGraphDecoder(GraphDecoder):
         return events
 
 
+def _dedupe_solve(
+    rows: np.ndarray, solve: Solver
+) -> Tuple[np.ndarray, int]:
+    """``(corrections, distinct rows)``: one solve of the distinct rows.
+
+    Rows are compared as packed bytes, one opaque item per row, which
+    sorts them in the order ``np.unique(rows, axis=0)`` would.
+    """
+    packed = np.packbits(rows, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _keys, first, inverse = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    table = solve(rows[first])
+    return table[inverse.reshape(-1)], int(first.shape[0])
+
+
 def graph_dense_lut(
     kind: str,
     decoder_class: Callable[..., GraphDecoder],
@@ -237,12 +214,12 @@ def graph_dense_lut(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Dense gather table filled by one graph decoder.
 
-    Every one of the ``2^num_checks`` syndromes is decoded once by a
-    ``decoder_class(check_matrix, boundary_qubits)``, process-cached
-    under ``(kind, check digest, boundary)`` like the minimum-weight
-    tables, so the batched window decoder consumes the algorithm as
-    one gather per window.  All syndromes are reachable by
-    construction.
+    Every one of the ``2^num_checks`` syndromes is decoded once, as a
+    one-round history, by a ``decoder_class(check_matrix,
+    boundary_qubits)``, process-cached under ``(kind, check digest,
+    boundary)`` like the minimum-weight tables, so the batched window
+    decoder consumes the algorithm as one gather per window.  All
+    syndromes are reachable by construction.
     """
     check = np.ascontiguousarray(np.asarray(check_matrix, dtype=np.uint8))
     key = (kind, *_check_digest(check), tuple(boundary_qubits))
@@ -257,7 +234,7 @@ def graph_dense_lut(
         decoder = decoder_class(check, boundary_qubits)
         size = 1 << num_checks
         table = decoder.decode_batch(
-            unpack_syndromes(np.arange(size), num_checks)
+            unpack_syndromes(np.arange(size), num_checks)[:, np.newaxis]
         )
         return table, np.ones(size, dtype=bool)
 

@@ -3,178 +3,178 @@
 The paper repeatedly points at the Blossom algorithm (Edmonds 1965) as
 the production decoder for surface codes (sections 2.6.1, 3.5.1) and
 its future work calls for "error syndrome decoders that are suitable
-for larger surface codes".  This module supplies that decoder for the
-:class:`~repro.codes.rotated.layout.RotatedSurfaceCode` family: defect
-pairs are matched by minimum total path length on the plaquette graph,
-with boundary connections for odd defect clusters.
+for larger surface codes" and "more realistic error models" (ch. 6).
+This module supplies that decoder for the
+:class:`~repro.codes.rotated.layout.RotatedSurfaceCode` family, under
+the *phenomenological* noise model: data qubits suffer independent
+Pauli errors per round *and* every syndrome bit is read out wrongly
+with some probability, so decoding matches detection events in
+space-time (Dennis et al., J. Math. Phys. 43, 4452):
 
-networkx's ``max_weight_matching`` implements Blossom; we feed it
-negated distances so that maximum weight equals minimum cost.
-networkx is imported where the graphs are built, so importing the
-package does not load it.
+* two events can be explained by a chain of data errors (spatial hops
+  on the check graph), by a repeated measurement error (temporal
+  steps), or a mix -- edge weight = spatial hops + ``time_weight`` x
+  temporal steps;
+* events can also terminate on the spatial boundary.
 
-:class:`MwpmDecoder` supplies only the Blossom solver; ``decode``,
-the deduplicating ``decode_batch`` and the dense-table form
-(:func:`mwpm_dense_lut`) come from :mod:`repro.decoders.graph`.
+Matched pairs contribute the *spatial* projection of their connecting
+path as data-qubit corrections; temporal segments correct nothing
+(they re-interpret measurements).  A single perfect round is the
+one-round history.
+
+Spatial hops and paths come from :class:`HopPaths`, a breadth-first
+pass over :func:`~repro.decoders.unionfind.build_space_graph`'s
+:class:`~repro.decoders.unionfind.DecodingGraph`, the graph union-find
+and sparse matching decode on.  networkx's ``max_weight_matching``
+implements Blossom; we feed it negated distances so that maximum
+weight equals minimum cost.  networkx is imported where a matching is
+solved, so importing the package does not load it.
+
+:class:`SpaceTimeMatchingDecoder` supplies only the Blossom solver;
+the detection-event transform, ``decode``, ``decode_history``,
+``decode_events``, the deduplicating ``decode_batch`` and the
+dense-table form (:func:`mwpm_dense_lut`) come from
+:mod:`repro.decoders.graph`.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .graph import GraphDecoder, Solver, graph_dense_lut, row_by_row
+from .unionfind import DecodingGraph, build_space_graph
 
 
-class MatchingGraph:
-    """Distance structure over one species of checks.
+class HopPaths:
+    """Hop distances and shortest paths over one :class:`DecodingGraph`.
 
-    Parameters
-    ----------
-    check_matrix:
-        Binary ``k x n`` matrix of the checks (all of one basis).
-    boundary_qubits:
-        Data qubits adjacent to the boundary of this species: a defect
-        can be matched "to the boundary" through any of them for cost
-        1 + (its distance to the boundary qubit's check).
+    A breadth-first pass from every node visits each node's neighbours
+    in edge order (qubit order) and keeps the first path that reaches
+    a node.  That is what networkx's unit-weight
+    ``single_source_dijkstra`` finds, since its heap pops equal
+    distances first-in, first-out, so Blossom's tie-breaks between
+    equal-length paths are networkx's.
     """
 
-    def __init__(
-        self,
-        check_matrix: np.ndarray,
-        boundary_qubits: Sequence[int],
-    ) -> None:
-        self.check_matrix = np.asarray(check_matrix, dtype=np.uint8)
-        self.num_checks, self.num_qubits = self.check_matrix.shape
-        self.boundary_qubits = set(int(q) for q in boundary_qubits)
-        import networkx as nx
+    def __init__(self, graph: DecodingGraph) -> None:
+        self.graph = graph
+        neighbours: List[List[Tuple[int, int]]] = [
+            [] for _ in range(graph.num_nodes)
+        ]
+        for u, v, qubit in zip(
+            graph.edge_u.tolist(),
+            graph.edge_v.tolist(),
+            graph.edge_qubit.tolist(),
+        ):
+            neighbours[u].append((v, qubit))
+            neighbours[v].append((u, qubit))
+        self._hops: List[Dict[int, int]] = []
+        self._via: List[Dict[int, Tuple[int, int]]] = []
+        for source in range(graph.num_nodes):
+            hops = {source: 0}
+            via: Dict[int, Tuple[int, int]] = {}
+            queue = deque([source])
+            while queue:
+                node = queue.popleft()
+                for other, qubit in neighbours[node]:
+                    if other not in hops:
+                        hops[other] = hops[node] + 1
+                        via[other] = (node, qubit)
+                        queue.append(other)
+            self._hops.append(hops)
+            self._via.append(via)
 
-        self._graph = nx.Graph()
-        self._build_graph()
-        self._distances: Dict[int, Dict[int, int]] = {}
-        self._paths: Dict[int, Dict[int, List[int]]] = {}
-        self._precompute_paths()
+    def distance(self, source: int, target: int) -> int:
+        """Hops (data-qubit steps) between two nodes."""
+        return self._hops[source][target]
 
-    def _build_graph(self) -> None:
-        """Checks are nodes; each data qubit is an edge.
-
-        A data qubit touched by two checks links them; a data qubit
-        touched by one check links that check to the virtual boundary
-        node ``-1``.
-        """
-        self._graph.add_node(-1)  # the boundary
-        for check in range(self.num_checks):
-            self._graph.add_node(check)
-        for qubit in range(self.num_qubits):
-            touching = np.flatnonzero(self.check_matrix[:, qubit])
-            if len(touching) == 2:
-                self._graph.add_edge(
-                    int(touching[0]), int(touching[1]), qubit=qubit
-                )
-            elif len(touching) == 1 and qubit in self.boundary_qubits:
-                # Keep the shortest boundary edge per check.
-                check = int(touching[0])
-                if not self._graph.has_edge(check, -1):
-                    self._graph.add_edge(check, -1, qubit=qubit)
-
-    def _precompute_paths(self) -> None:
-        import networkx as nx
-
-        for source in self._graph.nodes:
-            lengths, paths = nx.single_source_dijkstra(
-                self._graph, source, weight=None
-            )
-            self._distances[source] = lengths
-            self._paths[source] = paths
-
-    def distance(self, a: int, b: int) -> int:
-        """Graph distance (in data-qubit steps) between two checks."""
-        return self._distances[a][b]
-
-    def correction_path(self, a: int, b: int) -> List[int]:
-        """Data qubits along a shortest path between two checks."""
-        nodes = self._paths[a][b]
+    def path_qubits(self, source: int, target: int) -> List[int]:
+        """Data qubits along the ``source -> target`` path, target first."""
+        via = self._via[source]
         qubits = []
-        for first, second in zip(nodes, nodes[1:]):
-            qubits.append(self._graph.edges[first, second]["qubit"])
+        while target != source:
+            target, qubit = via[target]
+            qubits.append(qubit)
         return qubits
 
 
-class MwpmDecoder(GraphDecoder):
-    """Blossom decoding of one check species.
+class SpaceTimeMatchingDecoder(GraphDecoder):
+    """Blossom decoding of one check species' syndrome rounds.
 
-    Given a syndrome (set of violated checks), pairs the defects --
-    possibly with the boundary -- so that the total correction weight
-    is minimal, and returns the data qubits to flip.
+    Pairs the detection events -- possibly with the boundary -- so
+    that the total weight is minimal, and returns the data qubits to
+    flip.  Parameters as :class:`~repro.decoders.graph.GraphDecoder`.
     """
 
     def __init__(
         self,
         check_matrix: np.ndarray,
         boundary_qubits: Sequence[int],
+        time_weight: float = 1.0,
     ) -> None:
-        super().__init__(check_matrix, boundary_qubits)
-        self.graph = MatchingGraph(check_matrix, boundary_qubits)
+        super().__init__(check_matrix, boundary_qubits, time_weight)
+        self.paths = HopPaths(
+            build_space_graph(self.check_matrix, self.boundary_qubits)
+        )
 
     def _solver(self, rounds: int) -> Solver:
-        return row_by_row(self._decode, self.num_qubits)
+        return row_by_row(self._decode_events, self.num_qubits)
 
-    def _decode(self, nodes: np.ndarray) -> np.ndarray:
-        """Match the defect checks; each gets a private boundary copy.
+    def _decode_events(self, defects: np.ndarray) -> np.ndarray:
+        """Match the events at the flat ``round * checks + check`` nodes.
 
-        Any number of defects can then terminate on the boundary;
-        boundary-boundary pairings are free, which makes the matching
-        perfect.
+        Events enter the matching graph in ``detection_events`` order,
+        each with a private boundary copy, so any number of them can
+        terminate on the boundary; boundary-boundary pairings are
+        free, which makes the matching perfect.  networkx breaks ties
+        by insertion order.
         """
-        defects = [int(i) for i in nodes]
-        correction = np.zeros(self.graph.num_qubits, dtype=bool)
-        if not defects:
+        events = [divmod(int(node), self.num_checks) for node in defects]
+        correction = np.zeros(self.num_qubits, dtype=bool)
+        if not events:
             return correction
         import networkx as nx
 
+        boundary = self.paths.graph.boundary_node
         matching_graph = nx.Graph()
-        boundary_nodes = [f"b{i}" for i in range(len(defects))]
-        for i, a in enumerate(defects):
-            for j in range(i + 1, len(defects)):
-                b = defects[j]
+        boundary_nodes = [f"b{index}" for index in range(len(events))]
+        for index, (t_a, c_a) in enumerate(events):
+            for other in range(index + 1, len(events)):
+                t_b, c_b = events[other]
+                weight = self.paths.distance(c_a, c_b) + (
+                    self.time_weight * abs(t_a - t_b)
+                )
                 matching_graph.add_edge(
-                    a, b, weight=-self.graph.distance(a, b)
+                    ("e", index), ("e", other), weight=-weight
                 )
             matching_graph.add_edge(
-                a,
-                boundary_nodes[i],
-                weight=-self.graph.distance(a, -1),
+                ("e", index),
+                boundary_nodes[index],
+                weight=-self.paths.distance(c_a, boundary),
             )
-        for i, j in itertools.combinations(range(len(defects)), 2):
+        for i, j in itertools.combinations(range(len(events)), 2):
             matching_graph.add_edge(
                 boundary_nodes[i], boundary_nodes[j], weight=0
             )
         matching = nx.max_weight_matching(
             matching_graph, maxcardinality=True
         )
-        for first, second in matching:
-            pair = self._normalize_pair(first, second)
-            if pair is None:
+        for pair in matching:
+            # The path runs from the check of the pair's first event as
+            # networkx orders the pair (a path and its reverse may
+            # differ); a lone event leaves through the boundary.
+            checks = [events[node[1]][1] for node in pair if node[0] == "e"]
+            if not checks:
                 continue
-            a, b = pair
-            for qubit in self.graph.correction_path(a, b):
+            if len(checks) == 1:
+                checks.append(boundary)
+            for qubit in self.paths.path_qubits(*checks):
                 correction[qubit] ^= True
         return correction
-
-    @staticmethod
-    def _normalize_pair(first, second):
-        """Translate a matching edge into a (check, check|-1) pair."""
-        first_is_boundary = isinstance(first, str)
-        second_is_boundary = isinstance(second, str)
-        if first_is_boundary and second_is_boundary:
-            return None
-        if first_is_boundary:
-            return second, -1
-        if second_is_boundary:
-            return first, -1
-        return first, second
 
 
 def boundary_qubits_for(code, basis: str) -> List[int]:
@@ -199,4 +199,6 @@ def mwpm_dense_lut(
     check_matrix: np.ndarray, boundary_qubits: Sequence[int]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Dense table filled by Blossom matching instead of enumeration."""
-    return graph_dense_lut("mwpm", MwpmDecoder, check_matrix, boundary_qubits)
+    return graph_dense_lut(
+        "mwpm", SpaceTimeMatchingDecoder, check_matrix, boundary_qubits
+    )

@@ -4,17 +4,17 @@ Every decoder registers a :class:`RegisteredDecoder` — canonical
 ``name``, one-line ``summary``, a frozenset of **capability flags**
 and the builder callables for the contexts it supports.  Consumers
 call :func:`get_decoder`, then ``spec.build(window)`` for the
-Surface-17 windowed protocol or ``spec.build_space`` /
-``spec.build_spacetime`` for the code-capacity and phenomenological
-scaling experiments.
+Surface-17 windowed protocol or ``spec.build_spacetime`` for the
+code-capacity, phenomenological and memory scaling experiments (a
+code-capacity syndrome is a one-round history).
 
 Every batched windowed decoder is the one
 :class:`~repro.decoders.batched.BatchedWindowedLutDecoder`: an
 algorithm contributes only its process-cached dense-table function
 (``dense_lut``, ``mwpm_dense_lut``, ``unionfind_dense_lut``,
 ``sparse_mwpm_dense_lut``), and one generic window builder turns it
-into the decoder's two gather tables.  A graph decoder's space and
-space-time builders are its two classes (each a
+into the decoder's two gather tables.  A graph decoder's space-time
+builder is its one class (a
 :class:`~repro.decoders.graph.GraphDecoder` subclass).  Every decoder
 is chosen by name alone: no build takes parameters.
 
@@ -26,7 +26,7 @@ Capability flags:
 :data:`CAP_SPARSE`           scales past the dense-LUT check-count
                              ceiling (no ``2^checks`` tables)
 :data:`CAP_WINDOWED`         builds the SC17 windowed protocol form
-:data:`CAP_SPACETIME`        builds space / space-time graph forms
+:data:`CAP_SPACETIME`        builds the space-time graph decoder
 =========================== =======================================
 
 The CLI surfaces the registry as ``repro decoders`` and takes
@@ -40,18 +40,13 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .batched import BatchedWindowedLutDecoder, dense_lut
-from .mwpm import MwpmDecoder, boundary_qubits_for, mwpm_dense_lut
-from .spacetime import SpaceTimeMatchingDecoder
-from .sparse import (
-    SparseMwpmDecoder,
-    SparseSpaceTimeMatchingDecoder,
-    sparse_mwpm_dense_lut,
+from .mwpm import (
+    SpaceTimeMatchingDecoder,
+    boundary_qubits_for,
+    mwpm_dense_lut,
 )
-from .unionfind import (
-    SpaceTimeUnionFindDecoder,
-    UnionFindDecoder,
-    unionfind_dense_lut,
-)
+from .sparse import SparseSpaceTimeMatchingDecoder, sparse_mwpm_dense_lut
+from .unionfind import SpaceTimeUnionFindDecoder, unionfind_dense_lut
 
 #: Corrections are provably minimum-weight (or bit-identical to the
 #: reference LUT protocol) — what the golden digests pin.
@@ -60,7 +55,7 @@ CAP_EXACT = "exact"
 CAP_SPARSE = "sparse"
 #: Builds the Surface-17 windowed-protocol decoder.
 CAP_WINDOWED = "windowed"
-#: Builds single-species space / space-time graph decoders.
+#: Builds single-species space-time graph decoders.
 CAP_SPACETIME = "spacetime"
 
 
@@ -108,17 +103,15 @@ class RegisteredDecoder:
     """One registry entry: identity, capabilities and builders.
 
     ``window_builder`` receives the :class:`WindowContext` alone;
-    ``space_builder`` / ``spacetime_builder`` receive
-    ``(check_matrix, boundary_qubits)``.  Missing builders mean the
-    capability is absent and :class:`CapabilityError` is raised on
-    use.
+    ``spacetime_builder`` receives ``(check_matrix, boundary_qubits)``.
+    Missing builders mean the capability is absent and
+    :class:`CapabilityError` is raised on use.
     """
 
     name: str
     summary: str
     capabilities: frozenset
     window_builder: Optional[Callable[..., Any]] = None
-    space_builder: Optional[Callable[..., Any]] = None
     spacetime_builder: Optional[Callable[..., Any]] = None
 
     # ------------------------------------------------------------------
@@ -139,21 +132,14 @@ class RegisteredDecoder:
             )
         return self.window_builder(window)
 
-    def build_space(
-        self, check_matrix: Any, boundary_qubits: Sequence[int]
-    ) -> Any:
-        """Build the single-round (space-graph) decoder."""
-        if self.space_builder is None:
-            raise CapabilityError(
-                f"decoder {self.name!r} does not support graph "
-                f"decoding (capability {CAP_SPACETIME!r} missing)"
-            )
-        return self.space_builder(check_matrix, boundary_qubits)
-
     def build_spacetime(
         self, check_matrix: Any, boundary_qubits: Sequence[int]
     ) -> Any:
-        """Build the space-time (repeated-rounds) decoder."""
+        """Build the graph decoder of one check species.
+
+        It decodes ``(shots, rounds, checks)`` histories; a single
+        perfect round is the one-round history (``decode``).
+        """
         if self.spacetime_builder is None:
             raise CapabilityError(
                 f"decoder {self.name!r} does not support space-time "
@@ -267,7 +253,6 @@ def _register_builtins() -> None:
                 (CAP_EXACT, CAP_WINDOWED, CAP_SPACETIME)
             ),
             window_builder=partial(_build_window, mwpm_dense_lut),
-            space_builder=MwpmDecoder,
             spacetime_builder=SpaceTimeMatchingDecoder,
         )
     )
@@ -282,7 +267,6 @@ def _register_builtins() -> None:
                 (CAP_SPARSE, CAP_WINDOWED, CAP_SPACETIME)
             ),
             window_builder=partial(_build_window, unionfind_dense_lut),
-            space_builder=UnionFindDecoder,
             spacetime_builder=SpaceTimeUnionFindDecoder,
         )
     )
@@ -299,7 +283,6 @@ def _register_builtins() -> None:
             window_builder=partial(
                 _build_window, sparse_mwpm_dense_lut
             ),
-            space_builder=SparseMwpmDecoder,
             spacetime_builder=SparseSpaceTimeMatchingDecoder,
         )
     )

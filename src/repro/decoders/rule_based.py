@@ -303,7 +303,7 @@ class WindowedMatchingDecoder(WindowedLutDecoder):
     """
 
     def __init__(self, code, use_majority_vote: bool = True):
-        from .mwpm import MwpmDecoder, boundary_qubits_for
+        from .mwpm import SpaceTimeMatchingDecoder, boundary_qubits_for
 
         # Skip the (exponential) LUT construction of the parent by
         # initialising state directly.
@@ -315,10 +315,10 @@ class WindowedMatchingDecoder(WindowedLutDecoder):
         )
         self.use_majority_vote = bool(use_majority_vote)
         self._previous = None
-        self._x_error_decoder = MwpmDecoder(
+        self._x_error_decoder = SpaceTimeMatchingDecoder(
             self.z_check_matrix, boundary_qubits_for(code, "z")
         )
-        self._z_error_decoder = MwpmDecoder(
+        self._z_error_decoder = SpaceTimeMatchingDecoder(
             self.x_check_matrix, boundary_qubits_for(code, "x")
         )
 

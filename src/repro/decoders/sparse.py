@@ -21,13 +21,18 @@ sparse, array-native machinery:
   logical class against Blossom at small d.
 
 Graphs are the shared edge-list :class:`~repro.decoders.unionfind.
-DecodingGraph` structures, so space and space-time layouts come for
-free.  The two decoder classes supply only the matcher's
-``match_defects``, solved row by row through
-:func:`~repro.decoders.graph.row_by_row`; ``decode_batch`` over
-``(shots, [rounds,] checks)`` arrays with row dedupe and the
-dense-table form for the Surface-17 LER pipeline
-(:func:`sparse_mwpm_dense_lut`) come from :mod:`repro.decoders.graph`.
+DecodingGraph` structures, so space-time layouts come for free.  The
+decoder class supplies only the matcher's ``match_defects``, solved
+row by row through :func:`~repro.decoders.graph.row_by_row`;
+``decode`` (a one-round history), ``decode_batch`` over ``(shots,
+rounds, checks)`` arrays with row dedupe and the dense-table form for
+the Surface-17 LER pipeline (:func:`sparse_mwpm_dense_lut`) come from
+:mod:`repro.decoders.graph`.
+
+Paths are scipy's: where several shortest paths tie, scipy picks
+other ones than :class:`~repro.decoders.mwpm.HopPaths` (networkx's
+breadth-first order), so the two matchers keep their own path
+oracles.
 """
 
 from __future__ import annotations
@@ -36,18 +41,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import (
-    GraphDecoder,
-    Solver,
-    SpaceTimeGraphDecoder,
-    graph_dense_lut,
-    row_by_row,
-)
-from .unionfind import (
-    DecodingGraph,
-    build_space_graph,
-    build_space_time_graph,
-)
+from .graph import GraphDecoder, Solver, graph_dense_lut, row_by_row
+from .unionfind import DecodingGraph, build_space_time_graph
 
 #: ``predecessors`` sentinel of scipy's ``shortest_path`` for "no
 #: path / self".
@@ -239,25 +234,11 @@ class SparseMatchingGraph:
         return pairs
 
 
-class SparseMwpmDecoder(GraphDecoder):
-    """Single-round sparse local-matching decoding of one species.
-
-    Drop-in for :class:`~repro.decoders.mwpm.MwpmDecoder` -- same
-    constructor, same ``decode`` / ``decode_batch`` contract.
-    """
-
-    def _solver(self, rounds: int) -> Solver:
-        graph = build_space_graph(self.check_matrix, self.boundary_qubits)
-        return row_by_row(
-            SparseMatchingGraph(graph).match_defects, self.num_qubits
-        )
-
-
-class SparseSpaceTimeMatchingDecoder(SpaceTimeGraphDecoder):
-    """Sparse matching over repeated noisy syndrome rounds.
+class SparseSpaceTimeMatchingDecoder(GraphDecoder):
+    """Sparse matching of one check species' syndrome rounds.
 
     API-compatible with
-    :class:`~repro.decoders.spacetime.SpaceTimeMatchingDecoder`;
+    :class:`~repro.decoders.mwpm.SpaceTimeMatchingDecoder`;
     matchers are built once per round count.
     """
 
@@ -278,5 +259,8 @@ def sparse_mwpm_dense_lut(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Dense gather table filled by sparse local matching."""
     return graph_dense_lut(
-        "sparse-mwpm", SparseMwpmDecoder, check_matrix, boundary_qubits
+        "sparse-mwpm",
+        SparseSpaceTimeMatchingDecoder,
+        check_matrix,
+        boundary_qubits,
     )

@@ -12,7 +12,8 @@ over the decoding graph.
 
 Everything is laid out as flat numpy arrays:
 
-* the decoding graph is an **edge list** — ``edge_u`` / ``edge_v``
+* the decoding graph (:class:`DecodingGraph`, the one graph type of
+  every graph decoder) is an **edge list** — ``edge_u`` / ``edge_v``
   node indices, ``edge_qubit`` (the data qubit a spatial edge
   corrects; ``-1`` for temporal edges, which re-interpret measurements
   and correct nothing), ``edge_capacity`` in half-edge growth units;
@@ -33,11 +34,11 @@ Everything is laid out as flat numpy arrays:
   at once, round after round, and flips the data qubit of each
   spatial tree edge whose leaf side holds an odd number of defects.
 
-:class:`UnionFindDecoder` and :class:`SpaceTimeUnionFindDecoder`
-supply only that grow-and-peel solver over the space or space-time
-graph; batched decoding with row dedupe, the detection-event
-transform and the dense gather-table form for the Surface-17 windowed
-protocol (:func:`unionfind_dense_lut`) come from
+:class:`SpaceTimeUnionFindDecoder` supplies only that grow-and-peel
+solver over the space-time graph of each round count; ``decode`` (a
+one-round history), batched decoding with row dedupe, the
+detection-event transform and the dense gather-table form for the
+Surface-17 windowed protocol (:func:`unionfind_dense_lut`) come from
 :mod:`repro.decoders.graph`.
 """
 
@@ -49,12 +50,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .graph import (
-    GraphDecoder,
-    Solver,
-    SpaceTimeGraphDecoder,
-    graph_dense_lut,
-)
+from .graph import GraphDecoder, Solver, graph_dense_lut
 
 
 #: Most ``rows x (nodes + edges)`` slots one grow-and-peel pass holds
@@ -123,11 +119,10 @@ def _spatial_edges(
 ) -> Tuple[List[int], List[int], List[int]]:
     """Per-species ``(u, v, qubit)`` triples; boundary encoded as -1.
 
-    The same construction rule as
-    :class:`~repro.decoders.mwpm.MatchingGraph`: a data qubit touched
-    by two checks links them; a qubit touched by one check links that
-    check to the boundary if it is a boundary qubit (keeping the first
-    boundary edge per check).
+    A data qubit touched by two checks links them (keeping the first
+    qubit per pair); a qubit touched by one check links that check to
+    the boundary if it is a boundary qubit (keeping the first boundary
+    edge per check).  Triples come in qubit order.
     """
     check = np.asarray(check_matrix, dtype=np.uint8)
     boundary = set(int(q) for q in boundary_qubits)
@@ -160,24 +155,12 @@ def _spatial_edges(
 def build_space_graph(
     check_matrix: np.ndarray, boundary_qubits: Sequence[int]
 ) -> DecodingGraph:
-    """The single-round decoding graph of one check species."""
-    check = np.asarray(check_matrix, dtype=np.uint8)
-    num_checks, num_qubits = check.shape
-    edge_u, edge_v, edge_q = _spatial_edges(check, boundary_qubits)
-    boundary_node = num_checks
-    u = np.asarray(edge_u, dtype=np.int64)
-    v = np.asarray(edge_v, dtype=np.int64)
-    v = np.where(v < 0, boundary_node, v)
-    return DecodingGraph(
-        num_nodes=num_checks + 1,
-        num_checks=num_checks,
-        num_qubits=num_qubits,
-        boundary_node=boundary_node,
-        edge_u=u,
-        edge_v=v,
-        edge_qubit=np.asarray(edge_q, dtype=np.int64),
-        edge_capacity=np.full(len(edge_q), 2, dtype=np.int64),
-    )
+    """The single-round decoding graph of one check species.
+
+    It is the one-round space-time graph: node ``c`` is check ``c``
+    and the boundary node is ``num_checks``.
+    """
+    return build_space_time_graph(check_matrix, boundary_qubits, 1)
 
 
 def build_space_time_graph(
@@ -486,24 +469,11 @@ def _decode_rows(graph: DecodingGraph, rows: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Decoder frontends
 # ----------------------------------------------------------------------
-class UnionFindDecoder(GraphDecoder):
-    """Single-round union-find decoding of one check species.
-
-    Drop-in for :class:`~repro.decoders.mwpm.MwpmDecoder`: same
-    constructor signature, same ``decode`` / ``decode_batch``
-    contract.
-    """
-
-    def _solver(self, rounds: int) -> Solver:
-        graph = build_space_graph(self.check_matrix, self.boundary_qubits)
-        return partial(_decode_rows, graph)
-
-
-class SpaceTimeUnionFindDecoder(SpaceTimeGraphDecoder):
-    """Union-find decoding of repeated noisy syndrome rounds.
+class SpaceTimeUnionFindDecoder(GraphDecoder):
+    """Union-find decoding of one check species' syndrome rounds.
 
     API-compatible with
-    :class:`~repro.decoders.spacetime.SpaceTimeMatchingDecoder`;
+    :class:`~repro.decoders.mwpm.SpaceTimeMatchingDecoder`;
     space-time graphs are built once per round count.
     """
 
@@ -518,7 +488,7 @@ class SpaceTimeUnionFindDecoder(SpaceTimeGraphDecoder):
 
     # Bound in this class body so that tools resolving methods through
     # the class ``__dict__`` (the perf tracer) find it here.
-    decode_batch = SpaceTimeGraphDecoder.decode_batch
+    decode_batch = GraphDecoder.decode_batch
 
 
 def unionfind_dense_lut(
@@ -526,5 +496,8 @@ def unionfind_dense_lut(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Dense gather table filled by union-find decoding."""
     return graph_dense_lut(
-        "unionfind", UnionFindDecoder, check_matrix, boundary_qubits
+        "unionfind",
+        SpaceTimeUnionFindDecoder,
+        check_matrix,
+        boundary_qubits,
     )

@@ -47,11 +47,11 @@ class DistanceLerResult:
 class CodeCapacitySimulator:
     """Reusable X-error Monte-Carlo engine for one code distance.
 
-    ``decoder`` names a registry decoder with a space-graph builder
+    ``decoder`` names a registry graph decoder
     (:mod:`repro.decoders.registry`): ``"mwpm"`` (default, Blossom),
     ``"unionfind"`` or ``"sparse-mwpm"``.  A Monte-Carlo batch is
-    decoded in one ``decode_batch`` call, so ``(seed, decoder)``
-    reproduces bit-for-bit.
+    decoded in one ``decode_batch`` call, each syndrome a one-round
+    history, so ``(seed, decoder)`` reproduces bit-for-bit.
     """
 
     def __init__(self, distance: int, decoder: str = "mwpm"):
@@ -60,7 +60,7 @@ class CodeCapacitySimulator:
         self.code = RotatedSurfaceCode(distance)
         spec = get_decoder(decoder)
         self.decoder_name = spec.name
-        self.decoder = spec.build_space(
+        self.decoder = spec.build_spacetime(
             self.code.z_check_matrix, boundary_qubits_for(self.code, "z")
         )
         self._z_logical_mask = np.zeros(self.code.num_data, dtype=bool)
@@ -85,7 +85,9 @@ class CodeCapacitySimulator:
         syndromes = (
             errors.astype(np.uint8) @ self.code.z_check_matrix.T
         ) % 2
-        residual = errors ^ self.decoder.decode_batch(syndromes)
+        residual = errors ^ self.decoder.decode_batch(
+            syndromes[:, np.newaxis]
+        )
         # A logical X error flips the Z logical operator's parity.
         parities = np.count_nonzero(residual & self._z_logical_mask, axis=1)
         return DistanceLerResult(

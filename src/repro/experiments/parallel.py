@@ -92,10 +92,16 @@ from .results import (
     LerReport,
     RunResult,
     ShardResult,
+    SweepReport,
     SweepResult,
     mean_frame_fraction,
 )
-from .stats import wilson_halfwidth, wilson_interval
+from .stats import (
+    mean_rho,
+    significant_fraction,
+    wilson_halfwidth,
+    wilson_interval,
+)
 from .sweep import (
     ARM_SEED_OFFSET,
     build_sweep_point,
@@ -121,10 +127,12 @@ class PoolShutdownError(RuntimeError):
 
 
 class CheckpointMismatchError(ValueError):
-    """A ``resume`` against a checkpoint that a different sweep wrote.
+    """A ``resume`` without a checkpoint of the planned sweep: none was
+    given, or a different sweep wrote it.
 
-    The message is one line: it names each differing header key with
-    its stored and planned values, or the shard the plan lacks.
+    The message is one line: it names the missing checkpoint, each
+    differing header key with its stored and planned values, or the
+    shard the plan lacks.
     """
 
 
@@ -420,11 +428,9 @@ class ArmAggregator:
         self,
         num_shards: int,
         target_halfwidth: Optional[float] = None,
-        confidence: float = 0.95,
     ) -> None:
         self.num_shards = int(num_shards)
         self.target_halfwidth = target_halfwidth
-        self.confidence = float(confidence)
         self.committed: List[ShardResult] = []
         self.errors = 0
         self.windows = 0
@@ -442,16 +448,12 @@ class ArmAggregator:
         return self.satisfied or self.next_index >= self.num_shards
 
     def halfwidth(self) -> float:
-        """Wilson CI half-width of the committed pooled LER."""
-        return wilson_halfwidth(
-            self.errors, self.windows, self.confidence
-        )
+        """Wilson 95% CI half-width of the committed pooled LER."""
+        return wilson_halfwidth(self.errors, self.windows)
 
     def wilson(self) -> Tuple[float, float]:
-        """Wilson CI of the committed pooled LER."""
-        return wilson_interval(
-            self.errors, self.windows, self.confidence
-        )
+        """Wilson 95% CI of the committed pooled LER."""
+        return wilson_interval(self.errors, self.windows)
 
     @property
     def pooled_ler(self) -> float:
@@ -611,7 +613,6 @@ class ParallelConfig:
     checkpoint: Optional[str] = None
     resume: bool = False
     target_ci: Optional[float] = None
-    confidence: float = 0.95
 
 
 @dataclass
@@ -673,6 +674,30 @@ class ParallelSweepReport:
             mode="parallel",
             seed=seed,
             arms=[self.arm_report(0, frame) for frame in (False, True)],
+            committed_shards=self.committed_shards,
+            executed_shards=self.executed_shards,
+            resumed_shards=self.resumed_shards,
+            decoder=self.decoder,
+        )
+
+    def sweep_report(self, seed: int) -> SweepReport:
+        """Every point as a ``repro sweep`` document: the sweep, its
+        aggregate t-test statistics and one ``arms`` row per point and
+        arm (:meth:`arm_report`)."""
+        arms = []
+        for index in range(len(self.per_values)):
+            for frame in (False, True):
+                row = self.arm_report(index, frame).to_json_dict()
+                row.pop("kind")
+                arms.append({"point_index": index, **row})
+        comparisons = [point.comparison for point in self.sweep.points]
+        return SweepReport(
+            error_kind=self.error_kind,
+            seed=seed,
+            mean_rho=mean_rho(comparisons),
+            significant_fraction=significant_fraction(comparisons),
+            sweep=self.sweep,
+            arms=arms,
             committed_shards=self.committed_shards,
             executed_shards=self.executed_shards,
             resumed_shards=self.resumed_shards,
@@ -1013,7 +1038,9 @@ def run_parallel_sweep(
         Root seed; per-point/arm/shard entropy derives from it exactly
         as documented in :func:`plan_shards`.
     config:
-        Execution knobs (:class:`ParallelConfig`).
+        Execution knobs (:class:`ParallelConfig`).  A ``resume``
+        without a ``checkpoint`` has nothing to replay and raises
+        :class:`CheckpointMismatchError` before any shard runs.
     engine:
         Batch-mode frame stream (``"framesim"`` or ``"packed-fast"``;
         see :class:`~repro.experiments.ler.BatchedLerExperiment`).
@@ -1029,6 +1056,11 @@ def run_parallel_sweep(
     :class:`~repro.experiments.results.SweepResult` of the committed
     shard records, built when first read.
     """
+    if config.resume and config.checkpoint is None:
+        raise CheckpointMismatchError(
+            "nothing to replay without a checkpoint: name one "
+            "(--checkpoint PATH)"
+        )
     specs = plan_shards(
         per_values,
         error_kind,
@@ -1047,9 +1079,7 @@ def run_parallel_sweep(
     for index in range(len(per_values)):
         for use_frame in (False, True):
             aggregators[(index, use_frame)] = ArmAggregator(
-                num_shards,
-                target_halfwidth=target,
-                confidence=config.confidence,
+                num_shards, target_halfwidth=target
             )
     spec_by_key = {spec.key: spec for spec in specs}
     header_config = _checkpoint_config(

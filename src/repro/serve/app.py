@@ -38,8 +38,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional
 
-from ..experiments.results import SweepReport
-from ..experiments.stats import mean_rho, significant_fraction
 from .. import telemetry
 from .jobs import (
     Job,
@@ -335,20 +333,7 @@ class ServeApp:
         if job.job_kind == "ler":
             document = report.ler_report(job.seed).to_json_dict()
         else:
-            comparisons = [
-                point.comparison for point in report.sweep.points
-            ]
-            document = SweepReport(
-                error_kind=params.get("error_kind", "x"),
-                seed=job.seed,
-                mean_rho=mean_rho(comparisons),
-                significant_fraction=significant_fraction(comparisons),
-                sweep=report.sweep,
-                committed_shards=report.committed_shards,
-                executed_shards=report.executed_shards,
-                resumed_shards=report.resumed_shards,
-                decoder=report.decoder,
-            ).to_json_dict()
+            document = report.sweep_report(job.seed).to_json_dict()
         # Shard counts are execution metadata: a resumed run legally
         # differs there, and the result document must not.
         for key in ("executed_shards", "resumed_shards"):

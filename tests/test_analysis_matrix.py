@@ -57,7 +57,6 @@ def test_broken_registry_entry_fails_matrix():
         summary="intentionally inconsistent entry",
         capabilities=frozenset((CAP_WINDOWED, CAP_SPACETIME)),
         window_builder=None,
-        space_builder=None,
         spacetime_builder=None,
     )
     register_decoder(broken)

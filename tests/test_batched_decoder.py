@@ -211,13 +211,16 @@ class TestLutCache:
 
 class TestMwpmDenseTable:
     def test_rows_reproduce_mwpm_decisions(self):
-        from repro.decoders import MwpmDecoder, boundary_qubits_for
+        from repro.decoders import (
+            SpaceTimeMatchingDecoder,
+            boundary_qubits_for,
+        )
 
         code = RotatedSurfaceCode(3)
         boundary = boundary_qubits_for(code, "z")
         table, reachable = mwpm_dense_lut(code.z_check_matrix, boundary)
         assert reachable.all()
-        decoder = MwpmDecoder(code.z_check_matrix, boundary)
+        decoder = SpaceTimeMatchingDecoder(code.z_check_matrix, boundary)
         num_checks = code.z_check_matrix.shape[0]
         for packed in range(1 << num_checks):
             syndrome = unpack_syndrome(packed, num_checks)

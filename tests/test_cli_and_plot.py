@@ -404,7 +404,8 @@ class TestRunnerFlagsNeedTheirMode:
 
 class TestResumeRefusesAnotherSweep:
     """``--resume`` against a checkpoint that another sweep wrote exits
-    2 with one stderr line naming what differs, and prints nothing."""
+    2 with one stderr line naming what differs, and prints nothing;
+    so does ``--resume`` without any ``--checkpoint``."""
 
     LER = ["ler", "--per", "1e-2", "--batch", "20", "--seed", "1"]
     SWEEP = ["sweep", "--per", "1e-2", "--workers", "1", "--seed", "1"]
@@ -417,6 +418,20 @@ class TestResumeRefusesAnotherSweep:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("--resume: ")
         return lines[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ler", "--per", "1e-2"],
+            ["ler", "--batch", "4", "--windows", "2"],
+            ["sweep", "--per", "1e-2", "--samples", "2"],
+            ["sweep", "--per", "1e-2", "--samples", "2", "--batch", "2"],
+        ],
+        ids=["ler-loop", "ler-batch", "sweep-loop", "sweep-batch"],
+    )
+    def test_resume_without_checkpoint(self, argv, capsys):
+        line = self.refusal(argv + ["--resume", "--json"], capsys)
+        assert "--checkpoint" in line
 
     def test_ler_names_the_differing_key(self, tmp_path, capsys):
         checkpoint = str(tmp_path / "ck.jsonl")

@@ -149,7 +149,7 @@ class TestExperimentWiring:
         code = RotatedSurfaceCode(3)
         boundary = boundary_qubits_for(code, "z")
         for name in ("mwpm", "unionfind", "sparse-mwpm"):
-            decoder = get_decoder(name).build_space(
+            decoder = get_decoder(name).build_spacetime(
                 code.z_check_matrix, boundary
             )
             error = np.zeros(code.num_data, dtype=np.uint8)

@@ -1,17 +1,20 @@
 """Dedicated unit tests for the space-time MWPM decoder.
 
-Exercises :mod:`repro.decoders.spacetime` directly (previously only
-covered indirectly through the phenomenological experiment): detection
-event extraction, temporal vs spatial matching, boundary termination
-and the ``time_weight`` knob, on a rotated d=3 surface code.
+Exercises :class:`repro.decoders.mwpm.SpaceTimeMatchingDecoder`
+directly (previously only covered indirectly through the
+phenomenological experiment): detection event extraction, temporal vs
+spatial matching, boundary termination and the ``time_weight`` knob,
+on a rotated d=3 surface code.
 """
 
 import numpy as np
 import pytest
 
 from repro.codes.rotated.layout import RotatedSurfaceCode
-from repro.decoders.mwpm import boundary_qubits_for
-from repro.decoders.spacetime import SpaceTimeMatchingDecoder
+from repro.decoders.mwpm import (
+    SpaceTimeMatchingDecoder,
+    boundary_qubits_for,
+)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +52,7 @@ def assert_corrects(code, decoder, error, history):
 
 class TestDetectionEvents:
     def test_no_events_on_clean_history(self, decoder):
-        clean = [np.zeros(decoder.graph.num_checks, dtype=np.uint8)] * 4
+        clean = [np.zeros(decoder.num_checks, dtype=np.uint8)] * 4
         assert decoder.detection_events(clean) == []
 
     def test_persistent_error_fires_once(self, code, decoder):

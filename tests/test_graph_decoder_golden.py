@@ -234,10 +234,12 @@ def test_rotated_d3_dense_tables(name, species):
 @pytest.mark.parametrize("name", GRAPH_DECODERS)
 def test_space_decode_batch(name, distance):
     code = RotatedSurfaceCode(distance)
-    decoder = get_decoder(name).build_space(
+    decoder = get_decoder(name).build_spacetime(
         code.z_check_matrix, boundary_qubits_for(code, "z")
     )
-    corrections = decode_rows(decoder, syndrome_batch(code), "decode")
+    corrections = decode_rows(
+        decoder, syndrome_batch(code)[:, np.newaxis], "decode_history"
+    )
     assert corrections.shape == (300, code.num_data)
     assert (
         _digest(corrections) == GOLDEN_BATCHES[(name, "space", distance)]
@@ -267,11 +269,11 @@ def test_single_row_entry_points_match_the_batch(name):
     code = RotatedSurfaceCode(3)
     spec = get_decoder(name)
     boundary = boundary_qubits_for(code, "z")
-    space = spec.build_space(code.z_check_matrix, boundary)
+    space = spec.build_spacetime(code.z_check_matrix, boundary)
     syndromes = syndrome_batch(code)[:40]
     assert np.array_equal(
         np.stack([space.decode(row) for row in syndromes]),
-        decode_rows(space, syndromes, "decode"),
+        decode_rows(space, syndromes[:, np.newaxis], "decode_history"),
     )
     spacetime = spec.build_spacetime(code.z_check_matrix, boundary)
     histories = history_batch(code)[:40]
@@ -290,11 +292,10 @@ def test_unionfind_large_decode_batch(form, distance):
     code = RotatedSurfaceCode(distance)
     spec = get_decoder("unionfind")
     boundary = boundary_qubits_for(code, "z")
+    decoder = spec.build_spacetime(code.z_check_matrix, boundary)
     if form == "space":
-        decoder = spec.build_space(code.z_check_matrix, boundary)
-        batch = repeated_rows(syndrome_batch(code), distance)
+        batch = repeated_rows(syndrome_batch(code), distance)[:, np.newaxis]
     else:
-        decoder = spec.build_spacetime(code.z_check_matrix, boundary)
         batch = repeated_rows(history_batch(code), distance)
     rows = batch.reshape(batch.shape[0], -1)
     assert np.unique(rows, axis=0).shape[0] < batch.shape[0]

@@ -7,7 +7,7 @@ import pytest
 
 from repro.codes.rotated import RotatedSurfaceCode
 from repro.decoders import boundary_qubits_for, syndrome_of
-from repro.decoders.spacetime import SpaceTimeMatchingDecoder
+from repro.decoders.mwpm import SpaceTimeMatchingDecoder
 from repro.experiments import phenomenological
 from repro.experiments.phenomenological import (
     PhenomenologicalSimulator,

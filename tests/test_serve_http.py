@@ -35,6 +35,18 @@ TINY_LER = {
     },
 }
 
+#: A two-point sweep job of the same size.
+TINY_SWEEP = {
+    "job_kind": "sweep",
+    "params": {
+        "per_values": [0.002, 0.004],
+        "shots": 4,
+        "windows": 3,
+        "shard_shots": 2,
+        "seed": 11,
+    },
+}
+
 TINY_DECODE = {
     "job_kind": "decode",
     "params": {
@@ -118,6 +130,47 @@ def test_ler_job_end_to_end(tmp_path):
         assert len(inner["arms"]) == 2
 
     with_server(scenario, tmp_path)
+
+
+def test_sweep_job_reports_every_arm(tmp_path):
+    """A sweep job's report is ``repro sweep --json``'s document: one
+    ``arms`` row per point and arm, each the runner's
+    ``arm_report``."""
+    from repro.experiments.parallel import (
+        ParallelConfig,
+        run_parallel_sweep,
+    )
+
+    async def scenario(app, host, port):
+        await _http_request(
+            host, port, "POST", "/v1/jobs", {"job_id": "sw", **TINY_SWEEP}
+        )
+        final = await poll_until_terminal(host, port, "sw")
+        assert final["state"] == "done"
+        _, result = await _http_request(
+            host, port, "GET", "/v1/jobs/sw/result", None
+        )
+        return result["result"]["report"]
+
+    report = with_server(scenario, tmp_path)
+    jsonschema.validate(report, REPORT_SCHEMAS["sweep_report"])
+    params = TINY_SWEEP["params"]
+    parallel = run_parallel_sweep(
+        params["per_values"],
+        shots=params["shots"],
+        windows=params["windows"],
+        seed=params["seed"],
+        config=ParallelConfig(shard_shots=params["shard_shots"]),
+    )
+    expected = []
+    for index in range(len(params["per_values"])):
+        for frame in (False, True):
+            row = parallel.arm_report(index, frame).to_json_dict()
+            row.pop("kind")
+            expected.append({"point_index": index, **row})
+    assert report["arms"] == expected
+    assert report["executed_shards"] is None
+    assert report["resumed_shards"] is None
 
 
 def test_decode_job_end_to_end(tmp_path):

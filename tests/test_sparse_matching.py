@@ -17,13 +17,12 @@ from hypothesis import strategies as st
 
 from repro.codes.rotated import RotatedSurfaceCode
 from repro.decoders import (
-    MwpmDecoder,
+    SpaceTimeMatchingDecoder,
     boundary_qubits_for,
     syndrome_of,
 )
 from repro.decoders.sparse import (
     MAX_EXACT_DEFECTS,
-    SparseMwpmDecoder,
     SparseSpaceTimeMatchingDecoder,
     _min_cost_pairing,
 )
@@ -33,8 +32,8 @@ def _decoders(code):
     check = code.z_check_matrix
     boundary = boundary_qubits_for(code, "z")
     return (
-        SparseMwpmDecoder(check, boundary),
-        MwpmDecoder(check, boundary),
+        SparseSpaceTimeMatchingDecoder(check, boundary),
+        SpaceTimeMatchingDecoder(check, boundary),
     )
 
 
@@ -169,7 +168,7 @@ class TestBatchAndSpaceTime:
         syndromes = (
             errors.astype(np.uint8) @ code.z_check_matrix.T
         ) % 2
-        batch = sparse.decode_batch(syndromes.astype(bool))
+        batch = sparse.decode_batch(syndromes.astype(bool)[:, np.newaxis])
         for shot in range(syndromes.shape[0]):
             assert np.array_equal(
                 batch[shot], sparse.decode(syndromes[shot])

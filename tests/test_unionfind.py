@@ -27,15 +27,13 @@ from hypothesis import strategies as st
 
 from repro.codes.rotated import RotatedSurfaceCode
 from repro.decoders import (
-    MwpmDecoder,
+    SpaceTimeMatchingDecoder,
     boundary_qubits_for,
     syndrome_of,
     unionfind,
 )
-from repro.decoders.spacetime import SpaceTimeMatchingDecoder
 from repro.decoders.unionfind import (
     SpaceTimeUnionFindDecoder,
-    UnionFindDecoder,
     build_space_graph,
     build_space_time_graph,
     find_roots,
@@ -54,7 +52,7 @@ GOLDEN_D3_DIGESTS = {
 
 
 def _decoder(code, species="z"):
-    return UnionFindDecoder(
+    return SpaceTimeUnionFindDecoder(
         getattr(code, f"{species}_check_matrix"),
         boundary_qubits_for(code, species),
     )
@@ -81,7 +79,7 @@ class TestAgainstMwpm:
     def test_single_errors_match_mwpm_class(self, distance):
         code = RotatedSurfaceCode(distance)
         uf = _decoder(code)
-        mwpm = MwpmDecoder(
+        mwpm = SpaceTimeMatchingDecoder(
             code.z_check_matrix, boundary_qubits_for(code, "z")
         )
         logical = _logical_mask(code)
@@ -106,7 +104,7 @@ class TestAgainstMwpm:
         # disagreement is legitimate, so d = 3 is excluded.
         code = RotatedSurfaceCode(5)
         uf = _decoder(code)
-        mwpm = MwpmDecoder(
+        mwpm = SpaceTimeMatchingDecoder(
             code.z_check_matrix, boundary_qubits_for(code, "z")
         )
         logical = _logical_mask(code)
@@ -377,7 +375,7 @@ class TestBatchSemantics:
         syndromes = (
             errors.astype(np.uint8) @ code.z_check_matrix.T
         ) % 2
-        batch = decoder.decode_batch(syndromes.astype(bool))
+        batch = decoder.decode_batch(syndromes.astype(bool)[:, np.newaxis])
         for shot in range(syndromes.shape[0]):
             assert np.array_equal(
                 batch[shot], decoder.decode(syndromes[shot])
@@ -386,7 +384,7 @@ class TestBatchSemantics:
     def test_wrong_check_count_rejected(self):
         code = RotatedSurfaceCode(3)
         with pytest.raises(ValueError, match="4 checks per round"):
-            _decoder(code).decode_batch(np.zeros((2, 5), dtype=bool))
+            _decoder(code).decode_batch(np.zeros((2, 1, 5), dtype=bool))
 
     def test_spacetime_batch_equals_history(self):
         rng = np.random.default_rng(5)
