@@ -96,19 +96,38 @@ def _add_output_arguments(
     )
 
 
-def _positive_int(text: str) -> int:
-    """Argparse type of the size flags: an integer of at least 1."""
+def _int(text: str) -> int:
+    """An integer flag value, or argparse's ``invalid int value``."""
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}"
         ) from None
+
+
+def _positive_int(text: str) -> int:
+    """Argparse type of the size flags: an integer of at least 1."""
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {value}"
         )
     return value
+
+
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """Argparse type: an integer of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = _int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {minimum}, got {value}"
+            )
+        return value
+
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -128,12 +147,7 @@ def _positive_float(text: str) -> float:
 
 def _code_distance(text: str) -> int:
     """Argparse type of ``--distances``: an odd integer of at least 3."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}"
-        ) from None
+    value = _int(text)
     if value < 3 or value % 2 == 0:
         raise argparse.ArgumentTypeError(
             f"must be an odd integer >= 3, got {value}"
@@ -242,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="Pauli-frame verification benches (section 5.2)"
     )
     verify.add_argument("--iterations", type=_positive_int, default=10)
-    verify.add_argument("--qubits", type=int, default=5)
+    verify.add_argument("--qubits", type=_int_at_least(2), default=5)
     verify.add_argument("--gates", type=int, default=100)
     verify.add_argument("--seed", type=int, default=0)
 
@@ -335,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     bound = add_parser(
         "bound", help="analytic improvement upper bound (Fig 5.27)"
     )
-    bound.add_argument("--max-distance", type=int, default=11)
-    bound.add_argument("--ts-esm", type=int, default=8)
+    bound.add_argument("--max-distance", type=_int_at_least(3), default=11)
+    bound.add_argument("--ts-esm", type=_positive_int, default=8)
 
     distance = add_parser(
         "distance", help="code-capacity distance scaling (ch. 6)"
@@ -458,13 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=2,
         help="worker processes in the persistent fleet (default 2)",
     )
     serve.add_argument(
         "--job-concurrency",
-        type=int,
+        type=_positive_int,
         default=1,
         help="jobs executed concurrently; 1 (default) also enables "
         "full per-job shard telemetry on the /events stream",
@@ -1017,7 +1031,12 @@ def cmd_report(args) -> int:
     from .experiments.results import TraceReport
     from .telemetry.report import aggregate_trace, load_trace
 
-    aggregate = aggregate_trace(load_trace(args.trace_file))
+    try:
+        records = load_trace(args.trace_file)
+    except (OSError, ValueError) as error:
+        print(f"report: {error}", file=sys.stderr)
+        return 2
+    aggregate = aggregate_trace(records)
     report = TraceReport(
         path=args.trace_file,
         spans=aggregate.span_rows(),

@@ -21,11 +21,19 @@ section 5.3.1):
 The Logical Error Rate for a given Physical Error Rate ``p`` is then
 ``P_L = m / R`` with ``m`` logical errors over ``R`` windows (Eq. 5.1).
 
+Everything the protocol reads off the code -- the register width, the
+data qubits, the ESM round, the preparation, the logical probe and the
+window decoder with its registry name -- is one :class:`Lattice`.
+:data:`SC17` is the ninja star; :class:`LerExperiment` runs its loop
+on it, and :mod:`repro.experiments.memory` on rotated codes of any
+odd distance.
+
 In :class:`BatchedLerExperiment` the only per-shot feedback is the
 decoder's Pauli corrections, so each stretch between two corrections
-is one circuit of :func:`protocol_circuits`, built once per process: a
-window is two core calls, its noisy rounds, then the diagnostic round
-with the probe.  Its decoder is one
+is one circuit of :func:`protocol_circuits`, built once per process
+from :data:`SC17`'s preparation, ESM round and probe: a window is two
+core calls, its noisy rounds, then the diagnostic round with the
+probe.  Its decoder is one
 :class:`~repro.decoders.batched.BatchedWindowedLutDecoder` for all
 shots, chosen from the registry by name alone.
 """
@@ -34,7 +42,16 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -42,6 +59,7 @@ from ..circuits.circuit import Circuit
 from ..circuits.operation import Operation
 from ..codes.surface17.esm import EsmRound, parallel_esm
 from ..codes.surface17.layout import (
+    NUM_DATA,
     NUM_QUBITS,
     X_CHECK_MATRIX,
     X_LOGICAL_SUPPORT,
@@ -75,6 +93,93 @@ DEFAULT_ROUNDS_PER_WINDOW = 2
 DEFAULT_INIT_ROUNDS = 3
 
 
+class Lattice(NamedTuple):
+    """Everything Listing 5.7 reads off the code it runs on.
+
+    The register holds the code qubits ``0 .. num_qubits - 1``, data
+    qubits first, plus the probe's bookkeeping ancilla at index
+    ``num_qubits``.
+    """
+
+    num_qubits: int
+    num_data: int
+    #: The ``Z_L`` chain (watched in x-kind runs) and the ``X_L`` chain
+    #: (z-kind runs).
+    z_logical: Tuple[int, ...]
+    x_logical: Tuple[int, ...]
+    #: One fresh ESM round.
+    esm: Callable[[], EsmRound]
+    #: The window decoder, built with ``use_majority_vote=...``.
+    window_decoder: Callable[..., WindowedLutDecoder]
+    #: The registry name of the decoder that makes its decisions.
+    decoder: str
+
+    def preparation(self, error_kind: str) -> Circuit:
+        """The FT preparation circuit of ``|0>_L`` / ``|+>_L``."""
+        prepare = Circuit("prepare")
+        slot = prepare.new_slot()
+        for data in range(self.num_data):
+            slot.add(Operation("prep_z", (data,)))
+        if error_kind == "z":
+            slot = prepare.new_slot()
+            for data in range(self.num_data):
+                slot.add(Operation("h", (data,)))
+        return prepare
+
+    def logical_probe(self, error_kind: str) -> Circuit:
+        """The bypass logical-stabilizer probe of Fig. 5.10 for our kind
+        (``Z_L`` for x, ``X_L`` for z), on the bookkeeping ancilla."""
+        circuit = Circuit("logical_probe", bypass=True)
+        ancilla = self.num_qubits
+        circuit.add("prep_z", ancilla)
+        if error_kind == "x":
+            # Data qubits control CNOTs onto the ancilla.
+            for data in self.z_logical:
+                circuit.add("cnot", data, ancilla)
+        else:
+            # The H-bracketed ancilla controls CNOTs onto data.
+            circuit.add("h", ancilla)
+            for data in self.x_logical:
+                circuit.add("cnot", ancilla, data)
+            circuit.add("h", ancilla)
+        circuit.add("measure", ancilla)
+        return circuit
+
+    def measure_syndrome(
+        self, top: Core, bypass: bool = False
+    ) -> SyndromeRound:
+        """Execute one ESM round on ``top``; returns its syndrome."""
+        esm = self.esm()
+        esm.circuit.bypass = bypass
+        top.add(esm.circuit)
+        return SyndromeRound.from_bits(*esm.syndromes(top.execute()))
+
+    def measure_logical(self, top: Core, error_kind: str) -> int:
+        """Execute the logical probe on ``top``; returns its outcome."""
+        probe = self.logical_probe(error_kind)
+        top.add(probe)
+        return top.execute().result_of(probe.measurements()[0])
+
+
+def _sc17_esm() -> EsmRound:
+    """One ninja-star ESM round on the identity qubit map."""
+    return parallel_esm(range(NUM_QUBITS))
+
+
+#: The ninja star of Fig. 5.8, decoded by the rule-based LUT windows.
+SC17 = Lattice(
+    num_qubits=NUM_QUBITS,
+    num_data=NUM_DATA,
+    z_logical=Z_LOGICAL_SUPPORT,
+    x_logical=X_LOGICAL_SUPPORT,
+    esm=_sc17_esm,
+    window_decoder=functools.partial(
+        WindowedLutDecoder, X_CHECK_MATRIX, Z_CHECK_MATRIX
+    ),
+    decoder="lut",
+)
+
+
 @dataclass
 class LerStack:
     """The assembled control stack of Fig. 5.8.
@@ -104,8 +209,10 @@ def build_ler_stack(
     use_pauli_frame: bool,
     seed: Optional[int] = None,
     frame_placement: str = "physical",
+    num_qubits: int = NUM_QUBITS,
 ) -> LerStack:
-    """Assemble the LER control stack (17 code qubits + 1 probe ancilla).
+    """Assemble the LER control stack (``num_qubits`` code qubits, 17
+    for SC17, + 1 probe ancilla).
 
     ``frame_placement`` selects where the Pauli frame sits relative to
     the noise source:
@@ -122,14 +229,14 @@ def build_ler_stack(
         raise ValueError("frame_placement must be 'physical' or 'paper'")
     rng = np.random.default_rng(seed)
     core = StabilizerCore(rng=rng)
-    core.createqubit(NUM_QUBITS + 1)  # + diagnostic ancilla (index 17)
+    core.createqubit(num_qubits + 1)  # + diagnostic ancilla
 
     def make_error_layer(lower, layer_rng):
         return DepolarizingErrorLayer(
             lower,
             probability=physical_error_rate,
             rng=layer_rng,
-            active_qubits=range(NUM_QUBITS),
+            active_qubits=range(num_qubits),
         )
 
     if frame_placement == "physical" or not use_pauli_frame:
@@ -158,8 +265,37 @@ def build_ler_stack(
     )
 
 
+def _preflight(
+    circuits: Sequence[Circuit], target: Core
+) -> List["CircuitAnalysis"]:
+    """Statically verify every circuit *structure* a protocol submits.
+
+    Each is verified once against ``target``'s capabilities, under the
+    strict frame policy (the protocol must stay in the commuting
+    regime, paper section 5.3).  Raises
+    :class:`~repro.analysis.preflight.PreflightError` before a single
+    window executes if any check fails.
+    """
+    from ..analysis.preflight import PreflightError
+    from ..analysis.verifier import FRAME_FORBID, verify_circuit
+
+    analyses = []
+    for circuit in circuits:
+        analysis = verify_circuit(
+            circuit, target=target, frame_policy=FRAME_FORBID
+        )
+        if not analysis.passed:
+            raise PreflightError(analysis)
+        analyses.append(analysis)
+    return analyses
+
+
 class LerExperiment:
     """One LER simulation: fixed PER, error kind, frame choice, seed.
+
+    The loop runs on :attr:`lattice`: the SC17 ninja star here, a
+    rotated code of any odd distance in
+    :class:`~repro.experiments.memory.CircuitLevelMemoryExperiment`.
 
     Parameters
     ----------
@@ -180,6 +316,9 @@ class LerExperiment:
     rounds_per_window, init_rounds:
         Window geometry (defaults follow the paper).
     """
+
+    #: The code the loop runs on.
+    lattice: Lattice = SC17
 
     def __init__(
         self,
@@ -210,14 +349,11 @@ class LerExperiment:
             self.use_pauli_frame,
             seed=seed,
             frame_placement=frame_placement,
+            num_qubits=self.lattice.num_qubits,
         )
-        self.decoder = WindowedLutDecoder(
-            X_CHECK_MATRIX,
-            Z_CHECK_MATRIX,
-            use_majority_vote=use_majority_vote,
+        self.decoder = self.lattice.window_decoder(
+            use_majority_vote=use_majority_vote
         )
-        self.qubit_map = list(range(NUM_QUBITS))
-        self.probe_ancilla = NUM_QUBITS  # physical index 17
         self._reference_eigenvalue: Optional[int] = None
         self.preflight_analyses = (
             self.run_preflight() if preflight else None
@@ -228,18 +364,13 @@ class LerExperiment:
     # ------------------------------------------------------------------
     def _esm_round(self, bypass: bool = False) -> SyndromeRound:
         """Execute one ESM round; returns its syndrome."""
-        esm = parallel_esm(self.qubit_map, name="esm")
-        esm.circuit.bypass = bypass
-        self.stack.top.add(esm.circuit)
-        result = self.stack.top.execute()
-        x_bits, z_bits = esm.syndromes(result)
-        return SyndromeRound.from_bits(x_bits, z_bits)
+        return self.lattice.measure_syndrome(self.stack.top, bypass)
 
     def _apply_corrections(self, decision) -> None:
         gates = correction_operations(
             decision.x_corrections,
             decision.z_corrections,
-            self.qubit_map[:9],
+            range(self.lattice.num_data),
         )
         if not gates:
             return
@@ -251,29 +382,8 @@ class LerExperiment:
         self.stack.top.add(circuit)
         self.stack.top.execute()
 
-    def _logical_probe_circuit(self) -> Tuple[Circuit, Operation]:
-        """The bypass stabilizer circuit of Fig. 5.10 for our kind."""
-        circuit = Circuit("logical_probe", bypass=True)
-        ancilla = self.probe_ancilla
-        circuit.add("prep_z", ancilla)
-        if self.error_kind == "x":
-            # Z0 Z4 Z8: data qubits control CNOTs onto the ancilla.
-            for data in Z_LOGICAL_SUPPORT:
-                circuit.add("cnot", data, ancilla)
-        else:
-            # X2 X4 X6: H-bracketed ancilla controls CNOTs onto data.
-            circuit.add("h", ancilla)
-            for data in X_LOGICAL_SUPPORT:
-                circuit.add("cnot", ancilla, data)
-            circuit.add("h", ancilla)
-        measure = circuit.add("measure", ancilla)
-        return circuit, measure
-
     def _measure_logical_eigenvalue(self) -> int:
-        circuit, measure = self._logical_probe_circuit()
-        self.stack.top.add(circuit)
-        result = self.stack.top.execute()
-        return result.result_of(measure)
+        return self.lattice.measure_logical(self.stack.top, self.error_kind)
 
     def _no_observable_errors(self) -> bool:
         """Perfect diagnostic ESM round: all parities must pass."""
@@ -282,56 +392,22 @@ class LerExperiment:
     # ------------------------------------------------------------------
     # Phases
     # ------------------------------------------------------------------
-    def _prepare_circuit(self) -> Circuit:
-        """The FT preparation circuit of ``|0>_L`` / ``|+>_L``."""
-        prepare = Circuit("prepare")
-        slot = prepare.new_slot()
-        for data in range(9):
-            slot.add(Operation("prep_z", (data,)))
-        if self.error_kind == "z":
-            slot = prepare.new_slot()
-            for data in range(9):
-                slot.add(Operation("h", (data,)))
-        return prepare
-
-    def _prototype_circuits(self) -> List[Circuit]:
-        """One instance of every circuit structure the protocol runs."""
-        return [
-            self._prepare_circuit(),
-            parallel_esm(self.qubit_map, name="esm").circuit,
-            self._logical_probe_circuit()[0],
-        ]
-
     def run_preflight(self) -> List["CircuitAnalysis"]:
-        """Statically verify the protocol's circuits at compile time.
-
-        Every circuit *structure* the experiment will submit -- FT
-        preparation, the parallel ESM round, the logical probe -- is
-        verified once against the assembled stack's capabilities,
-        under the strict frame policy (the protocol must stay in the
-        commuting regime, paper section 5.3).  Raises
-        :class:`~repro.analysis.preflight.PreflightError` before a
-        single window executes if any check fails.
-        """
-        from ..analysis.preflight import PreflightError
-        from ..analysis.verifier import FRAME_FORBID, verify_circuit
-
-        analyses = []
-        for circuit in self._prototype_circuits():
-            analysis = verify_circuit(
-                circuit,
-                target=self.stack.top,
-                frame_policy=FRAME_FORBID,
-            )
-            if not analysis.passed:
-                raise PreflightError(analysis)
-            analyses.append(analysis)
-        return analyses
+        """Statically verify the protocol's circuits at compile time:
+        the FT preparation, the parallel ESM round and the logical
+        probe, against the assembled stack (:func:`_preflight`)."""
+        return _preflight(
+            [
+                self.lattice.preparation(self.error_kind),
+                self.lattice.esm().circuit,
+                self.lattice.logical_probe(self.error_kind),
+            ],
+            self.stack.top,
+        )
 
     def initialize_logical_qubit(self) -> None:
         """Noisy FT preparation of ``|0>_L`` / ``|+>_L`` + decoding."""
-        prepare = self._prepare_circuit()
-        self.stack.top.add(prepare)
+        self.stack.top.add(self.lattice.preparation(self.error_kind))
         self.stack.top.execute()
         rounds = [self._esm_round() for _ in range(self.init_rounds)]
         self.decoder.reset()
@@ -405,9 +481,7 @@ class LerExperiment:
             frame_statistics=frame_stats,
             counts_above=self.stack.counter_above.counts.snapshot(),
             counts_below=self.stack.counter_below.counts.snapshot(),
-            # The loop's scalar windowed LUT decoder makes the decisions
-            # of the registry's "lut".
-            decoder="lut",
+            decoder=self.lattice.decoder,
         )
 
 
@@ -453,9 +527,7 @@ def _stretch(
 ) -> Stretch:
     """``prepare``, ``num_rounds`` fresh ESM rounds, then ``probe``, as
     one circuit in which every part keeps its own time slots."""
-    rounds = tuple(
-        parallel_esm(range(NUM_QUBITS)) for _ in range(num_rounds)
-    )
+    rounds = tuple(SC17.esm() for _ in range(num_rounds))
     circuit = Circuit(name, bypass=bypass)
     for part in [prepare, *(esm.circuit for esm in rounds), probe]:
         if part is not None:
@@ -463,24 +535,6 @@ def _stretch(
     return Stretch(
         circuit, rounds, probe.measurements()[0] if probe else None
     )
-
-
-def _logical_probe(error_kind: str) -> Circuit:
-    """The logical-stabilizer probe of Fig. 5.10 for our kind, on the
-    18th (bookkeeping) qubit."""
-    circuit = Circuit("logical_probe")
-    ancilla = NUM_QUBITS
-    circuit.add("prep_z", ancilla)
-    if error_kind == "x":
-        for data in Z_LOGICAL_SUPPORT:
-            circuit.add("cnot", data, ancilla)
-    else:
-        circuit.add("h", ancilla)
-        for data in X_LOGICAL_SUPPORT:
-            circuit.add("cnot", ancilla, data)
-        circuit.add("h", ancilla)
-    circuit.add("measure", ancilla)
-    return circuit
 
 
 # Keyed by geometry alone, so a process holds a handful of entries.
@@ -491,23 +545,18 @@ def protocol_circuits(
     """The batched protocol's circuits, built once per process and
     shared read-only by its experiments.  Fusing is bit-identical: noise
     is charged per slot, a frame map draws a circuit's rows back to
-    back, and the reference replays measurements in operation order."""
-    prepare = Circuit("prepare")
-    slot = prepare.new_slot()
-    for data in range(9):
-        slot.add(Operation("prep_z", (data,)))
-    if error_kind == "z":
-        slot = prepare.new_slot()
-        for data in range(9):
-            slot.add(Operation("h", (data,)))
+    back, and the reference replays measurements in operation order.
+    The preparation and the probe are the loop's own (:data:`SC17`)."""
     return ProtocolCircuits(
-        init=_stretch("init", init_rounds, prepare=prepare),
+        init=_stretch(
+            "init", init_rounds, prepare=SC17.preparation(error_kind)
+        ),
         window=_stretch("window", rounds_per_window),
         check=_stretch(
-            "check", 1, bypass=True, probe=_logical_probe(error_kind)
+            "check", 1, bypass=True, probe=SC17.logical_probe(error_kind)
         ),
         probe=_stretch(
-            "probe", 0, bypass=True, probe=_logical_probe(error_kind)
+            "probe", 0, bypass=True, probe=SC17.logical_probe(error_kind)
         ),
     )
 
@@ -689,7 +738,6 @@ class BatchedLerExperiment:
                 use_majority_vote=use_majority_vote,
             )
         )
-        self.qubit_map = list(range(NUM_QUBITS))
         self.circuits = protocol_circuits(
             error_kind, self.init_rounds, self.rounds_per_window
         )
@@ -698,27 +746,13 @@ class BatchedLerExperiment:
         )
 
     def run_preflight(self) -> List["CircuitAnalysis"]:
-        """Statically verify the batched protocol's circuits.
-
-        Mirrors :meth:`LerExperiment.run_preflight`: the four circuits
+        """Statically verify the batched protocol's circuits: the four
         of :func:`protocol_circuits` (the only non-Pauli streams the
-        batched core ever sees) are checked against the core's
-        capabilities before any shot executes.
+        batched core ever sees), against the core (:func:`_preflight`).
         """
-        from ..analysis.preflight import PreflightError
-        from ..analysis.verifier import FRAME_FORBID, verify_circuit
-
-        analyses = []
-        for stretch in self.circuits:
-            analysis = verify_circuit(
-                stretch.circuit,
-                target=self.core,
-                frame_policy=FRAME_FORBID,
-            )
-            if not analysis.passed:
-                raise PreflightError(analysis)
-            analyses.append(analysis)
-        return analyses
+        return _preflight(
+            [stretch.circuit for stretch in self.circuits], self.core
+        )
 
     # ------------------------------------------------------------------
     # Building blocks (batched)
@@ -764,9 +798,8 @@ class BatchedLerExperiment:
             width = self.core.frames.num_qubits
             x_mask = np.zeros((self.num_shots, width), dtype=bool)
             z_mask = np.zeros((self.num_shots, width), dtype=bool)
-            data = self.qubit_map[:9]
-            x_mask[:, data] = decision.x_corrections
-            z_mask[:, data] = decision.z_corrections
+            x_mask[:, :NUM_DATA] = decision.x_corrections
+            z_mask[:, :NUM_DATA] = decision.z_corrections
             self.core.apply_pauli_frame(x_mask, z_mask)
             # Frame-less arm: the correction circuit physically reaches
             # the hardware, so its time slot is charged depolarizing

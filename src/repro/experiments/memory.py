@@ -1,17 +1,18 @@
-"""Circuit-level memory experiment for distance-d rotated codes.
+"""Circuit-level memory experiments for distance-d rotated codes.
 
 The paper's future work (ch. 6) proposes to "repeat these experiments
 using a larger distance surface code" -- with decoders "suitable for
-larger surface codes".  This module is that experiment: the same
-window loop, diagnostic probes and Pauli-frame plumbing as the SC17
-LER study (:mod:`repro.experiments.ler`), generalised over
-:class:`~repro.codes.rotated.layout.RotatedSurfaceCode` and decoded by
-the windowed MWPM decoder.
+larger surface codes".  This module runs them on
+:class:`~repro.codes.rotated.layout.RotatedSurfaceCode`, whose lattice
+(register, ESM round, preparation, logical probe and a Blossom window
+decoder) it supplies to the SC17 machinery of
+:mod:`repro.experiments.ler`.
 
 Two protocols are provided:
 
-* :class:`CircuitLevelMemoryExperiment` -- the literal SC17 window
-  protocol generalised to any distance.  Its fixed three-round vote
+* :class:`CircuitLevelMemoryExperiment` -- Listing 5.7 itself: it is
+  :class:`~repro.experiments.ler.LerExperiment`'s loop on the rotated
+  lattice and has no loop of its own.  Its fixed three-round vote
   caps the *temporal* distance, so ``d = 5`` gains nothing over
   ``d = 3`` under it -- an instructive negative result about shallow
   decoding windows (kept, and asserted, in the test suite).
@@ -26,6 +27,7 @@ Two protocols are provided:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -35,17 +37,15 @@ from ..circuits.circuit import Circuit
 from ..circuits.operation import Operation
 from ..codes.rotated.esm import parallel_esm, total_qubits
 from ..codes.rotated.layout import RotatedSurfaceCode
-from ..decoders.lut import correction_operations
-from ..decoders.rule_based import SyndromeRound, WindowedMatchingDecoder
+from ..decoders.rule_based import WindowedMatchingDecoder
 from ..qpdo.cores import StabilizerCore
-from ..qpdo.counter_layer import CounterLayer
 from ..qpdo.error_layer import DepolarizingErrorLayer
-from ..qpdo.pauli_frame_layer import PauliFrameLayer
+from .ler import DEFAULT_ROUNDS_PER_WINDOW, Lattice, LerExperiment
 
 
 @dataclass
 class MemoryResult:
-    """Outcome of one circuit-level memory run."""
+    """Outcome of one block-protocol memory run."""
 
     distance: int
     physical_error_rate: float
@@ -62,12 +62,27 @@ class MemoryResult:
         return self.logical_errors / self.windows
 
 
-class CircuitLevelMemoryExperiment:
+def _rotated_lattice(code: RotatedSurfaceCode) -> Lattice:
+    """A rotated code as Listing 5.7 reads it, its windows decoded by
+    Blossom matching."""
+    return Lattice(
+        num_qubits=total_qubits(code),
+        num_data=code.num_data,
+        z_logical=code.logical_z_support(),
+        x_logical=code.logical_x_support(),
+        esm=functools.partial(parallel_esm, code),
+        window_decoder=functools.partial(WindowedMatchingDecoder, code),
+        decoder="mwpm",
+    )
+
+
+class CircuitLevelMemoryExperiment(LerExperiment):
     """The SC17 LER protocol on a rotated code of any odd distance.
 
-    Parameters mirror :class:`~repro.experiments.ler.LerExperiment`;
-    only X-error memory (``|0>_L``, probing the ``Z_L`` chain) is run
-    here -- the Z-error variant is symmetric under the code's duality.
+    :class:`~repro.experiments.ler.LerExperiment`'s own loop on the
+    rotated lattice, with ``d`` initialization rounds.  Only X-error
+    memory (``|0>_L``, probing the ``Z_L`` chain) is run here -- the
+    Z-error variant is symmetric under the code's duality.
     """
 
     def __init__(
@@ -78,135 +93,19 @@ class CircuitLevelMemoryExperiment:
         max_logical_errors: int = 10,
         max_windows: int = 1_000_000,
         seed: Optional[int] = None,
-        rounds_per_window: int = 2,
+        rounds_per_window: int = DEFAULT_ROUNDS_PER_WINDOW,
     ) -> None:
         self.code = RotatedSurfaceCode(distance)
-        self.physical_error_rate = float(physical_error_rate)
-        self.use_pauli_frame = bool(use_pauli_frame)
-        self.max_logical_errors = int(max_logical_errors)
-        self.max_windows = int(max_windows)
-        self.rounds_per_window = int(rounds_per_window)
-        num_qubits = total_qubits(self.code)
-        self.probe_ancilla = num_qubits
-        rng = np.random.default_rng(seed)
-        self.core = StabilizerCore(rng=rng)
-        self.core.createqubit(num_qubits + 1)
-        error_layer = DepolarizingErrorLayer(
-            self.core,
-            probability=self.physical_error_rate,
-            rng=rng,
-            active_qubits=range(num_qubits),
-        )
-        element = CounterLayer(error_layer)
-        if self.use_pauli_frame:
-            element = PauliFrameLayer(element)
-        self.top = element
-        self.decoder = WindowedMatchingDecoder(self.code)
-        self._reference: Optional[int] = None
-
-    # ------------------------------------------------------------------
-    def _esm_round(self, bypass: bool = False) -> SyndromeRound:
-        esm = parallel_esm(self.code)
-        esm.circuit.bypass = bypass
-        self.top.add(esm.circuit)
-        result = self.top.execute()
-        x_bits, z_bits = esm.syndromes(result)
-        return SyndromeRound.from_bits(x_bits, z_bits)
-
-    def _apply_corrections(self, decision) -> None:
-        gates = correction_operations(
-            decision.x_corrections,
-            decision.z_corrections,
-            list(range(self.code.num_data)),
-        )
-        if not gates:
-            return
-        circuit = Circuit("corrections")
-        slot = circuit.new_slot()
-        for gate, physical in gates:
-            slot.add(Operation(gate, (physical,)))
-        self.top.add(circuit)
-        self.top.execute()
-
-    def _probe_logical_z(self) -> int:
-        circuit = Circuit("probe", bypass=True)
-        circuit.add("prep_z", self.probe_ancilla)
-        for data in self.code.logical_z_support():
-            circuit.add("cnot", data, self.probe_ancilla)
-        measure = circuit.add("measure", self.probe_ancilla)
-        self.top.add(circuit)
-        return self.top.execute().result_of(measure)
-
-    # ------------------------------------------------------------------
-    def initialize(self) -> None:
-        """Noisy FT preparation of ``|0>_L`` + windowed decoding."""
-        prepare = Circuit("prepare")
-        slot = prepare.new_slot()
-        for data in range(self.code.num_data):
-            slot.add(Operation("prep_z", (data,)))
-        self.top.add(prepare)
-        self.top.execute()
-        init_rounds = self.code.distance
-        if init_rounds % 2 == 0:
-            init_rounds += 1
-        rounds = [self._esm_round() for _ in range(init_rounds)]
-        self.decoder.reset()
-        decision = self.decoder.initialize(rounds)
-        self._apply_corrections(decision)
-        self._reference = self._probe_logical_z()
-
-    def run(self) -> MemoryResult:
-        """Execute the Listing 5.7 loop at this distance."""
-        self.initialize()
-        windows = 0
-        logical_errors = 0
-        clean_windows = 0
-        while (
-            logical_errors < self.max_logical_errors
-            and windows < self.max_windows
-        ):
-            rounds = [
-                self._esm_round()
-                for _ in range(self.rounds_per_window)
-            ]
-            decision = self.decoder.decode_window(rounds)
-            self._apply_corrections(decision)
-            windows += 1
-            if self._esm_round(bypass=True).is_trivial():
-                clean_windows += 1
-                eigenvalue = self._probe_logical_z()
-                if eigenvalue != self._reference:
-                    logical_errors += 1
-                self._reference = eigenvalue
-        return MemoryResult(
-            distance=self.code.distance,
-            physical_error_rate=self.physical_error_rate,
-            use_pauli_frame=self.use_pauli_frame,
-            windows=windows,
-            logical_errors=logical_errors,
-            clean_windows=clean_windows,
-        )
-
-
-def run_circuit_level_scaling(
-    distances=(3, 5),
-    physical_error_rate: float = 2e-3,
-    max_logical_errors: int = 5,
-    seed: int = 0,
-    max_windows: int = 200_000,
-) -> List[MemoryResult]:
-    """LER at several distances, fixed PER (the future-work question)."""
-    results = []
-    for distance in distances:
-        experiment = CircuitLevelMemoryExperiment(
-            distance,
+        self.lattice = _rotated_lattice(self.code)
+        super().__init__(
             physical_error_rate,
+            use_pauli_frame,
             max_logical_errors=max_logical_errors,
-            seed=seed + distance,
             max_windows=max_windows,
+            seed=seed,
+            rounds_per_window=rounds_per_window,
+            init_rounds=self.code.distance,
         )
-        results.append(experiment.run())
-    return results
 
 
 class CircuitLevelBlockExperiment:
@@ -234,10 +133,10 @@ class CircuitLevelBlockExperiment:
         from ..decoders.registry import get_decoder
 
         self.code = RotatedSurfaceCode(distance)
+        self.lattice = _rotated_lattice(self.code)
         self.physical_error_rate = float(physical_error_rate)
         self.rounds = int(rounds) if rounds is not None else distance
-        num_qubits = total_qubits(self.code)
-        self.probe_ancilla = num_qubits
+        num_qubits = self.lattice.num_qubits
         rng = np.random.default_rng(seed)
         self.core = StabilizerCore(rng=rng)
         self.core.createqubit(num_qubits + 1)
@@ -254,36 +153,16 @@ class CircuitLevelBlockExperiment:
             self.code.z_check_matrix, boundary_qubits_for(self.code, "z")
         )
 
-    # ------------------------------------------------------------------
-    def _esm_round(self, bypass: bool) -> List[int]:
-        esm = parallel_esm(self.code)
-        esm.circuit.bypass = bypass
-        self.top.add(esm.circuit)
-        result = self.top.execute()
-        _x_bits, z_bits = esm.syndromes(result)
-        return z_bits
-
-    def _probe_logical_z(self) -> int:
-        circuit = Circuit("probe", bypass=True)
-        circuit.add("prep_z", self.probe_ancilla)
-        for data in self.code.logical_z_support():
-            circuit.add("cnot", data, self.probe_ancilla)
-        measure = circuit.add("measure", self.probe_ancilla)
-        self.top.add(circuit)
-        return self.top.execute().result_of(measure)
-
     def run_trial(self) -> bool:
         """One block; returns ``True`` on a logical X error."""
-        prepare = Circuit("prepare", bypass=True)
-        slot = prepare.new_slot()
-        for data in range(self.code.num_data):
-            slot.add(Operation("prep_z", (data,)))
+        prepare = self.lattice.preparation("x")
+        prepare.bypass = True
         self.top.add(prepare)
         self.top.execute()
         history = [
-            self._esm_round(bypass=False) for _ in range(self.rounds)
+            self.lattice.measure_syndrome(self.top, bypass).z_syndrome
+            for bypass in [False] * self.rounds + [True]
         ]
-        history.append(self._esm_round(bypass=True))
         correction = self.decoder.decode_history(history)
         if correction.any():
             fixup = Circuit("fixup", bypass=True)
@@ -292,7 +171,7 @@ class CircuitLevelBlockExperiment:
                 slot.add(Operation("x", (int(data),)))
             self.top.add(fixup)
             self.top.execute()
-        return self._probe_logical_z() == 1
+        return self.lattice.measure_logical(self.top, "x") == 1
 
     def estimate_ler(self, trials: int) -> MemoryResult:
         """Logical X error probability per ``rounds``-round block."""

@@ -81,6 +81,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..qpdo.packed_core import Shard
+from ..utils.jsonl import read_json_lines
 from .ler import (
     DEFAULT_BATCH_WINDOWS,
     ENGINES,
@@ -560,19 +561,7 @@ def load_checkpoint(
     """
     header: Optional[Dict] = None
     records: List[ShardResult] = []
-    with open(path) as handle:
-        lines = handle.read().split("\n")
-    for number, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError:
-            if number == len(lines) - 1:
-                break  # torn final line from an interrupted write
-            raise ValueError(
-                f"{path}:{number + 1}: malformed checkpoint line"
-            )
+    for number, payload in read_json_lines(path, "checkpoint"):
         kind = payload.get("kind")
         if kind == "header":
             if payload.get("version") != CHECKPOINT_VERSION:
@@ -585,9 +574,7 @@ def load_checkpoint(
         elif kind == "shard":
             records.append(ShardResult.from_json_dict(payload))
         else:
-            raise ValueError(
-                f"{path}:{number + 1}: unknown record kind {kind!r}"
-            )
+            raise ValueError(f"{path}:{number}: unknown record kind {kind!r}")
     return header, records
 
 

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..experiments.parallel import AtomicJsonLinesWriter
+from ..utils.jsonl import read_json_lines
 from .wire import JOB_KINDS
 
 PENDING = "pending"
@@ -337,22 +338,10 @@ def load_job_journal(path: str) -> List[Dict]:
     mid-write) is dropped, any other malformed line raises.
     """
     events: List[Dict] = []
-    with open(path) as handle:
-        lines = handle.read().split("\n")
-    for number, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError:
-            if number == len(lines) - 1:
-                break  # torn final line from an interrupted write
-            raise ValueError(
-                f"{path}:{number + 1}: malformed journal line"
-            )
+    for number, payload in read_json_lines(path, "journal"):
         if payload.get("kind") != "job_event":
             raise ValueError(
-                f"{path}:{number + 1}: unknown journal record "
+                f"{path}:{number}: unknown journal record "
                 f"{payload.get('kind')!r}"
             )
         events.append(payload)

@@ -10,28 +10,20 @@ grouped by category (``qpdo``, ``sim.*``, ``decoder.*``,
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
+
+from ..utils.jsonl import read_json_lines
 
 
 def load_trace(path: str) -> List[dict]:
     """Parse a JSON-lines trace file into a list of record dicts.
 
-    Tolerates a torn final line (e.g. from an interrupted run) by
-    dropping it, mirroring the checkpoint reader's behaviour.
+    A torn final line (e.g. from an interrupted run) is dropped; a
+    malformed line anywhere else raises :class:`ValueError`, as in the
+    checkpoint reader.
     """
-    records: List[dict] = []
-    with open(path, "r", encoding="utf-8") as stream:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                break
-    return records
+    return [record for _, record in read_json_lines(path, "trace")]
 
 
 @dataclass

@@ -40,17 +40,15 @@ on a comment-only line directly above::
 The code list is comma-separated and the trailing reason is
 **required** -- a suppression without a reason does not suppress.
 
-Run directly as a CI gate (exits non-zero on unsuppressed findings)::
-
-    python -m repro.tools.lint [--json] [root]
+``repro lint-code [ROOT ...]`` runs it as the CI gate: it prints the
+report (``--json`` for the schema'd document) and exits non-zero on
+unsuppressed findings.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import json
-import sys
 import tokenize
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -428,36 +426,3 @@ def lint_paths(root: Optional[Path] = None) -> List[Finding]:
 def unsuppressed(findings: Sequence[Finding]) -> List[Finding]:
     """The findings that actually gate (not acknowledged inline)."""
     return [f for f in findings if not f.suppressed]
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CI entry point: ``python -m repro.tools.lint [--json] [root]``."""
-    arguments = list(sys.argv[1:] if argv is None else argv)
-    as_json = "--json" in arguments
-    if as_json:
-        arguments.remove("--json")
-    root = Path(arguments[0]) if arguments else None
-    findings = lint_paths(root)
-    offending = unsuppressed(findings)
-    if as_json:
-        payload = {
-            "files_checked": len(
-                iter_source_files(default_root() if root is None else root)
-            ),
-            "findings": [f.to_json_dict() for f in findings],
-            "unsuppressed": len(offending),
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for finding in findings:
-            marker = " (suppressed)" if finding.suppressed else ""
-            print(f"{finding}{marker}")
-        print(
-            f"{len(findings)} finding(s), "
-            f"{len(offending)} unsuppressed"
-        )
-    return 1 if offending else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI shim
-    sys.exit(main())

@@ -1,4 +1,5 @@
-"""Small shared helpers (ASCII figure rendering)."""
+"""Small shared helpers: ASCII figure rendering, and
+:mod:`repro.utils.jsonl`, the one JSON-lines reader."""
 
 from . import ascii_plot
 

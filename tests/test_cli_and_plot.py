@@ -646,6 +646,34 @@ class TestSizeFlagsArePositive:
         assert len(errors) == 1
         assert f"error: argument {flag}: must be " in errors[0]
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["verify", "--qubits", n], "--qubits") for n in ("0", "1", "-2")]
+        + [(["bound", "--ts-esm", n], "--ts-esm") for n in ("0", "-1")]
+        + [
+            (["bound", "--max-distance", "2"], "--max-distance"),
+            (
+                ["serve", "--self-test", "--port", "0", "--workers", "0"],
+                "--workers",
+            ),
+            (["serve", "--job-concurrency", "0"], "--job-concurrency"),
+        ],
+    )
+    def test_out_of_range_flag_exits_2(self, argv, flag, capsys):
+        """Flags that used to raise a traceback, print nonsense or queue
+        jobs nothing claims are refused by argparse, naming the flag."""
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [
+            line
+            for line in captured.err.splitlines()
+            if f"argument {flag}:" in line
+        ]
+        assert len(errors) == 1
+
     @pytest.mark.parametrize("shots", ["0", "-3"])
     def test_ler_batch_is_refused_by_the_runner(self, shots):
         with pytest.raises(ValueError, match="shots must be positive"):

@@ -16,7 +16,7 @@ commit message.
 
 import hashlib
 
-from repro.experiments.ler import BatchedLerExperiment
+from repro.experiments.ler import BatchedLerExperiment, LerExperiment
 from repro.experiments.parallel import (
     ParallelConfig,
     run_parallel_sweep,
@@ -115,6 +115,20 @@ GOLDEN_LER_COUNTS_PACKED_FAST = {
     ),
 }
 
+#: (windows, logical_errors, clean_windows, corrections) of one
+#: Listing 5.7 loop run (``LerExperiment``) to two logical errors,
+#: keyed by (error kind, seed, PER, frame).
+GOLDEN_LOOP_COUNTS = {
+    ("x", 11, 2e-3, False): (156, 2, 131, 36),
+    ("x", 11, 2e-3, True): (154, 2, 125, 37),
+    ("x", 23, 8e-3, False): (6, 2, 3, 6),
+    ("x", 23, 8e-3, True): (27, 2, 12, 17),
+    ("z", 11, 2e-3, False): (333, 2, 277, 73),
+    ("z", 11, 2e-3, True): (32, 2, 25, 10),
+    ("z", 23, 8e-3, False): (19, 2, 5, 17),
+    ("z", 23, 8e-3, True): (38, 2, 14, 29),
+}
+
 SEED_PER_CASES = [(11, 2e-3), (23, 8e-3)]
 
 
@@ -179,6 +193,26 @@ def test_golden_ler_counts_packed_fast(seed, per, use_frame):
     assert counts.logical_errors.tolist() == errors
     assert counts.clean_windows.tolist() == clean
     assert counts.corrections_commanded.tolist() == corrections
+
+
+@pytest.mark.parametrize("error_kind", ["x", "z"])
+@pytest.mark.parametrize("seed,per", SEED_PER_CASES)
+@pytest.mark.parametrize("use_frame", [False, True])
+def test_golden_loop_counts(error_kind, seed, per, use_frame):
+    """Exact counts of the per-shot Listing 5.7 loop (tableau core)."""
+    result = LerExperiment(
+        per,
+        use_pauli_frame=use_frame,
+        error_kind=error_kind,
+        max_logical_errors=2,
+        seed=seed,
+    ).run()
+    assert (
+        result.windows,
+        result.logical_errors,
+        result.clean_windows,
+        result.corrections_commanded,
+    ) == GOLDEN_LOOP_COUNTS[(error_kind, seed, per, use_frame)]
 
 
 @pytest.mark.parametrize("engine", ["framesim"])

@@ -289,9 +289,9 @@ def test_default_root_is_the_package_tree():
     assert files == sorted(files)
 
 
-def test_lint_module_cli_entry_point():
+def test_lint_code_cli_entry_point():
     result = subprocess.run(
-        [sys.executable, "-m", "repro.tools.lint"],
+        [sys.executable, "-m", "repro", "lint-code"],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},

@@ -153,6 +153,35 @@ class TestWindowedMemoryExperiment:
         assert result.logical_errors == 2
 
 
+#: (windows, logical_errors, clean_windows) of windowed runs, keyed by
+#: (distance, PER, frame, seed, max_logical_errors).
+WINDOWED_PINS = {
+    (3, 8e-3, False, 2, 3): (63, 3, 22),
+    (3, 8e-3, True, 4, 3): (36, 3, 17),
+    (3, 6e-3, False, 3, 6): (107, 6, 51),
+    (5, 3e-3, False, 5, 2): (58, 2, 20),
+    (5, 3e-3, True, 6, 2): (47, 2, 13),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WINDOWED_PINS))
+def test_windowed_runs_are_pinned(case):
+    """Exact counts of the windowed experiment at d = 3 and d = 5."""
+    distance, per, use_frame, seed, max_errors = case
+    result = CircuitLevelMemoryExperiment(
+        distance,
+        per,
+        use_pauli_frame=use_frame,
+        max_logical_errors=max_errors,
+        seed=seed,
+    ).run()
+    assert (
+        result.windows,
+        result.logical_errors,
+        result.clean_windows,
+    ) == WINDOWED_PINS[case]
+
+
 class TestBlockExperiment:
     def test_noiseless_block_never_fails(self):
         experiment = CircuitLevelBlockExperiment(3, 0.0, seed=5)

@@ -93,6 +93,52 @@ class TestCounters:
         assert len(sink.of_type("event")) == 2
 
 
+#: One trace line: the counter ``c/n`` adding ``x``.
+COUNTER = (
+    '{"category": "c", "fields": {"x": %d}, "name": "n", "type": "counter"}'
+    "\n"
+)
+
+
+class TestReportCommand:
+    """``repro report`` on traces it cannot read, and on a torn one."""
+
+    @pytest.mark.parametrize(
+        "contents, names",
+        [
+            (None, "No such file"),
+            (
+                COUNTER % 1 + "NOT JSON\n" + COUNTER % 5,
+                "trace.jsonl:2: malformed trace line",
+            ),
+        ],
+        ids=["missing", "malformed-interior-line"],
+    )
+    def test_unreadable_trace_exits_2(
+        self, tmp_path, capsys, contents, names
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "trace.jsonl"
+        if contents is not None:
+            path.write_text(contents)
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("report: ")
+        assert names in captured.err
+
+    def test_torn_final_line_is_dropped(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "trace.jsonl"
+        path.write_text(COUNTER % 1 + COUNTER % 5 + '{"category": "c"')
+        assert main(["report", str(path), "--json"]) == 0
+        (counter,) = json.loads(capsys.readouterr().out)["counters"]
+        assert counter["fields"] == {"x": 6}
+
+
 class TestSinks:
     def test_jsonl_round_trip_through_report(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
