@@ -100,6 +100,11 @@ OWNERSHIP_CONTRACTS: Dict[str, str] = {
         "register_decoder; runtime mutation only via the "
         "register/unregister test hooks"
     ),
+    "repro.experiments.schemas:_VALIDATORS": (
+        "process-level cache of jsonschema validators keyed by schema "
+        "identity; each entry pins its schema, a validator is a pure "
+        "function of it and draws no randomness, idempotent rebuild"
+    ),
     "repro.experiments.results:RESULT_KINDS": (
         "kind discriminator registry, populated by "
         "ResultBase.__init_subclass__ at class-definition time"

@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--iterations", type=_positive_int, default=10)
     verify.add_argument("--qubits", type=_int_at_least(2), default=5)
-    verify.add_argument("--gates", type=int, default=100)
+    verify.add_argument("--gates", type=_positive_int, default=100)
     verify.add_argument("--seed", type=int, default=0)
 
     ler = add_parser(

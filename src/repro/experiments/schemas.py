@@ -8,11 +8,15 @@ pin the machine-readable output contract of every subcommand.
 The schemas are draft 2020-12 and deliberately strict about the
 top-level shape (``additionalProperties: false``, all fields
 required) while leaving free-form row/metadata dicts open.
+
+:func:`validate` checks a document against any of these schemas (or
+the serve submission schema) the way ``jsonschema.validate`` does,
+with each schema's validator built once per process.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Any, Dict, Tuple
 
 _NUMBER = {"type": "number"}
 _INT = {"type": "integer"}
@@ -516,3 +520,29 @@ REPORT_SCHEMAS["serve_selftest"] = _obj(
         "health": {"type": "object"},
     }
 )
+
+
+#: ``id(schema) -> (schema, validator)``, filled on first use.  Each
+#: entry holds its schema, so no other object can take over its id.
+_VALIDATORS: Dict[int, Tuple[Dict, Any]] = {}
+
+
+def validate(document: Any, schema: Dict) -> None:
+    """Raise what ``jsonschema.validate(document, schema)`` raises.
+
+    The same validator class, meta-schema check and error
+    (``best_match`` over every error), but each schema is checked
+    against its meta-schema and its validator built once per process,
+    on first use, not on every call.  ``jsonschema`` is imported here,
+    not with the module.
+    """
+    import jsonschema
+
+    entry = _VALIDATORS.get(id(schema))
+    if entry is None:
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        entry = _VALIDATORS[id(schema)] = (schema, cls(schema))
+    error = jsonschema.exceptions.best_match(entry[1].iter_errors(document))
+    if error is not None:
+        raise error

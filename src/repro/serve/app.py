@@ -8,9 +8,11 @@
 * the **worker fleet** (:mod:`.workers`) — one persistent process
   pool whose LUT/reference caches stay warm across jobs;
 * the **scheduler** — an asyncio task that claims jobs (priority
-  order) into a bounded number of executor threads; simulation work
-  never blocks the event loop, so status/health requests stay
-  responsive mid-sweep;
+  order) into a bounded number of executor threads, and between
+  claims waits on a wake-up that every journalled transition, every
+  freed slot and a stop request set, so a job submitted to a free
+  slot starts at once; simulation work never blocks the event loop,
+  so status/health requests stay responsive mid-sweep;
 * **per-job telemetry** — each job gets a JSON-lines trace under
   ``<spool>/traces/<job_id>.jsonl`` (lifecycle events always; full
   shard-level telemetry when ``job_concurrency == 1``, since the
@@ -88,8 +90,10 @@ class ServeConfig:
 def _validate_submit_document(payload: Dict) -> None:
     """Schema-check a submission body; raises :class:`HttpError`."""
     if jsonschema is not None:
+        from ..experiments.schemas import validate
+
         try:
-            jsonschema.validate(payload, JOB_SUBMIT_SCHEMA)
+            validate(payload, JOB_SUBMIT_SCHEMA)
         except jsonschema.ValidationError as error:
             raise HttpError(
                 400, "bad_document", f"job document: {error.message}"
@@ -110,6 +114,10 @@ class ServeApp:
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
         self.spool = Path(config.spool)
+        # Set by every journalled queue transition (boot recovery
+        # included), a slot freed in _run_one and request_stop; the
+        # scheduler waits on it whenever it has nothing to claim.
+        self._wake = asyncio.Event()
         (self.spool / "checkpoints").mkdir(parents=True, exist_ok=True)
         (self.spool / "traces").mkdir(parents=True, exist_ok=True)
         self.queue = JobQueue(on_transition=self._journal_transition)
@@ -163,6 +171,7 @@ class ServeApp:
     def _journal_transition(self, event: str, job: Job) -> None:
         if self._journal is not None:
             self._journal.record(event, job)
+        self._wake.set()
 
     # -- submission -----------------------------------------------------
     def submit_job(self, payload: Dict) -> Job:
@@ -344,11 +353,14 @@ class ServeApp:
     async def _scheduler(self) -> None:
         loop = asyncio.get_running_loop()
         while not self._stopping:
+            # Every setter runs on this loop and nothing awaits between
+            # this clear and the wait, so no wake-up is lost.
+            self._wake.clear()
             job = None
             if self._active < self.config.job_concurrency:
                 job = self.queue.claim()
             if job is None:
-                await asyncio.sleep(0.02)
+                await self._wake.wait()
                 continue
             self._active += 1
             asyncio.ensure_future(self._run_one(loop, job))
@@ -376,6 +388,7 @@ class ServeApp:
             )
         finally:
             self._active -= 1
+            self._wake.set()
 
     def _safe_transition(self, transition) -> None:
         """Apply a settle transition, tolerating lost races.
@@ -392,6 +405,7 @@ class ServeApp:
     # -- server lifecycle -----------------------------------------------
     def request_stop(self) -> None:
         self._stopping = True
+        self._wake.set()
         if self._stop_event is not None:
             self._stop_event.set()
 
@@ -483,9 +497,9 @@ def _check_schema(document: Dict) -> None:
     """Validate a wire document against its registered schema."""
     if jsonschema is None:  # pragma: no cover - CI image has it
         return
-    from ..experiments.schemas import REPORT_SCHEMAS
+    from ..experiments.schemas import REPORT_SCHEMAS, validate
 
-    jsonschema.validate(document, REPORT_SCHEMAS[document["kind"]])
+    validate(document, REPORT_SCHEMAS[document["kind"]])
 
 
 async def _self_test(config: ServeConfig) -> ServeSelfTestReport:

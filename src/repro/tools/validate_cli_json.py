@@ -79,10 +79,8 @@ def run_subcommand(argv: List[str]) -> Tuple[int, str]:
 
 def validate_document(command: str, output: str) -> Dict:
     """Assert one valid, schema-conforming, round-trippable document."""
-    import jsonschema
-
     from repro.experiments.results import result_from_json_dict
-    from repro.experiments.schemas import REPORT_SCHEMAS
+    from repro.experiments.schemas import REPORT_SCHEMAS, validate
 
     documents = [
         line for line in output.splitlines() if line.strip()
@@ -99,7 +97,7 @@ def validate_document(command: str, output: str) -> Dict:
         raise AssertionError(
             f"{command}: no schema registered for kind {kind!r}"
         )
-    jsonschema.validate(payload, schema)
+    validate(payload, schema)
     rebuilt = result_from_json_dict(payload)
     if json.loads(rebuilt.to_json()) != payload:
         raise AssertionError(

@@ -575,6 +575,8 @@ class TestSizeFlagsArePositive:
             (["distance", "--trials", "0"], "--trials"),
             (["memory", "--distances", "3", "--trials", "-1"], "--trials"),
             (["verify", "--iterations", "0"], "--iterations"),
+            (["verify", "--gates", "0"], "--gates"),
+            (["verify", "--gates", "-3", "--iterations", "1"], "--gates"),
             (["ler", "--errors", "0", "--json"], "--errors"),
             (["ler", "--errors", "-2"], "--errors"),
             (
@@ -596,6 +598,8 @@ class TestSizeFlagsArePositive:
             "distance-trials-0",
             "memory-trials-negative",
             "verify-iterations-0",
+            "verify-gates-0",
+            "verify-gates-negative",
             "ler-errors-0",
             "ler-errors-negative",
             "sweep-errors-0",

@@ -83,11 +83,7 @@ class TestRotatedEsm:
 
 class TestWindowedMatchingDecoder:
     def test_matches_lut_behaviour_on_d3(self):
-        from repro.decoders import (
-            SyndromeRound,
-            WindowedLutDecoder,
-            syndrome_of,
-        )
+        from repro.decoders import SyndromeRound, syndrome_of
 
         code = RotatedSurfaceCode(3)
         matching = WindowedMatchingDecoder(code)
@@ -102,11 +98,18 @@ class TestWindowedMatchingDecoder:
             code.z_check_matrix, residual.astype(np.uint8)
         ).any()
 
-    def test_no_lut_is_built(self):
-        """d=7 construction must be instant (no 2^24 LUT)."""
+    def test_no_lut_is_built(self, monkeypatch):
+        """d=7 construction builds no LUT (2^24 rows per species)."""
+        from repro.decoders import lut, rule_based
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a TwoLutDecoder was constructed")
+
+        for module in (lut, rule_based):
+            monkeypatch.setattr(module, "TwoLutDecoder", refuse)
         code = RotatedSurfaceCode(7)
         decoder = WindowedMatchingDecoder(code)
-        assert not hasattr(decoder, "two_lut") or True
+        assert not hasattr(decoder, "two_lut")
         assert decoder.x_check_matrix.shape[0] == len(code.x_plaquettes)
 
 

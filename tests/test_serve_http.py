@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ import pytest
 import repro
 from repro.cli import main
 from repro.experiments.schemas import REPORT_SCHEMAS
-from repro.serve import ServeApp, ServeConfig
+from repro.serve import Job, JobJournal, JobQueue, ServeApp, ServeConfig
 from repro.serve.app import _http_request
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -486,3 +487,146 @@ def test_self_test_refuses_an_explicit_spool(tmp_path, capsys):
     assert captured.err.startswith("--spool")
     assert captured.err.count("\n") == 1
     assert not spool.exists()
+
+
+# -- scheduling ---------------------------------------------------------
+# The scheduler claims on a wake-up, not on a timer: each test bounds
+# the claim by event-loop turns, never by elapsed time.
+
+
+class HeldJobs:
+    """Stands in for ``ServeApp.execute_job``.
+
+    An attempt listed in ``failing`` (``(job_id, attempt)``) raises at
+    once; every other attempt holds its executor thread until
+    :attr:`release` is set, so the job stays RUNNING meanwhile.
+    """
+
+    def __init__(self, failing=()):
+        self.failing = set(failing)
+        self.release = threading.Event()
+
+    def __call__(self, job):
+        if (job.job_id, job.attempts) in self.failing:
+            raise RuntimeError("injected failure")
+        assert self.release.wait(timeout=60)
+        return {"job_kind": job.job_kind, "decode": {}}
+
+
+async def within_turns(predicate, turns=5):
+    """Whether ``predicate`` holds within ``turns`` event-loop turns.
+
+    A turn is one ``asyncio.sleep(0)``; no timer runs out in a few of
+    them, so a scheduler that waits on a timer misses this bound.
+    """
+    for _ in range(turns):
+        if predicate():
+            return True
+        await asyncio.sleep(0)
+    return predicate()
+
+
+async def until(predicate, timeout=60.0):
+    """Turn the loop until ``predicate`` holds (an executor thread's
+    outcome lands on no fixed turn), failing after ``timeout`` s."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not predicate():
+        assert loop.time() < deadline, "condition never held"
+        await asyncio.sleep(0)
+
+
+async def drain(app, held):
+    """Release every held attempt and wait until none is running."""
+    held.release.set()
+    await until(lambda: app.queue.counts()["running"] == 0)
+
+
+def test_submission_to_an_idle_server_starts_at_once(
+    tmp_path, monkeypatch
+):
+    held = HeldJobs()
+    monkeypatch.setattr(ServeApp, "execute_job", held)
+
+    async def scenario(app, host, port):
+        for _ in range(3):  # the scheduler finds nothing and waits
+            await asyncio.sleep(0)
+        job = app.submit_job({"job_id": "now", **TINY_DECODE})
+        try:
+            assert await within_turns(lambda: job.state == "running")
+        finally:
+            await drain(app, held)
+        assert job.state == "done"
+
+    with_server(scenario, tmp_path)
+
+
+def test_idle_scheduler_claims_once(tmp_path):
+    async def scenario(app, host, port):
+        claims = []
+        claim = app.queue.claim
+
+        def counted():
+            claims.append(True)
+            return claim()
+
+        app.queue.claim = counted
+        await asyncio.sleep(0.2)
+        assert len(claims) <= 1
+
+    with_server(scenario, tmp_path)
+
+
+def test_failed_attempt_is_claimed_again_at_once(tmp_path, monkeypatch):
+    held = HeldJobs(failing={("retry", 1)})
+    monkeypatch.setattr(ServeApp, "execute_job", held)
+
+    async def scenario(app, host, port):
+        job = app.submit_job(
+            {"job_id": "retry", "max_attempts": 2, **TINY_DECODE}
+        )
+        try:
+            await until(lambda: job.error is not None)
+            assert await within_turns(
+                lambda: job.state == "running" and job.attempts == 2
+            )
+        finally:
+            await drain(app, held)
+        assert job.state == "done"
+
+    with_server(scenario, tmp_path)
+
+
+def test_recovered_jobs_are_claimed_as_slots_free(tmp_path, monkeypatch):
+    """Two jobs pending in the journal at boot: the first is claimed
+    at once, the second as soon as the first's slot frees."""
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    journal = JobJournal(str(spool / "jobs.jsonl"))
+    queue = JobQueue(on_transition=journal.record)
+    for job_id, priority in (("first", 1), ("second", 0)):
+        queue.submit(
+            Job(
+                job_id=job_id,
+                job_kind="decode",
+                params=TINY_DECODE["params"],
+                priority=priority,
+                max_attempts=1,
+            )
+        )
+    journal.close()
+    held = HeldJobs(failing={("first", 1)})
+    monkeypatch.setattr(ServeApp, "execute_job", held)
+
+    async def scenario(app, host, port):
+        first = app.queue.get("first")
+        second = app.queue.get("second")
+        try:
+            assert await within_turns(lambda: first.state != "pending")
+            await until(lambda: first.state == "failed")
+            assert await within_turns(lambda: second.state == "running")
+        finally:
+            await drain(app, held)
+        assert second.state == "done"
+
+    with_server(scenario, tmp_path)

@@ -8,6 +8,7 @@ malformed job document must fail validation *before* it can enter
 the queue.
 """
 
+import copy
 import json
 
 import pytest
@@ -16,7 +17,7 @@ from repro.experiments.results import (
     RESULT_KINDS,
     result_from_json_dict,
 )
-from repro.experiments.schemas import REPORT_SCHEMAS
+from repro.experiments.schemas import REPORT_SCHEMAS, validate
 from repro.serve import (
     JOB_SUBMIT_SCHEMA,
     JobListReport,
@@ -26,6 +27,9 @@ from repro.serve import (
     ServeHealthReport,
     ServeSelfTestReport,
 )
+from repro.serve.app import _check_schema, _validate_submit_document
+from repro.serve.routes import HttpError
+from repro.tools.validate_cli_json import validate_document
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -162,6 +166,65 @@ class TestSubmitSchema:
             {"job_kind": "ler", "params": {}, "max_attempts": 0}
         )
         self._rejected({"job_kind": "ler", "params": {}, "job_id": ""})
+
+
+class TestCachedValidator:
+    """:func:`repro.experiments.schemas.validate` is
+    ``jsonschema.validate`` with each schema checked once a process."""
+
+    #: Refused submissions: five with several schema errors, in each
+    #: of which the first error found is not the one reported, and a
+    #: body that is not an object.
+    SEVERAL_ERRORS = [
+        {"job_kind": "mystery", "params": [], "extra": 1},
+        {"priority": "high", "max_attempts": 0, "job_id": ""},
+        {"job_kind": "ler", "params": 3, "priority": 1.5, "color": "x"},
+        {"params": [], "job_id": 7, "max_attempts": "2"},
+        {"job_id": "", "job_kind": "x", "params": {}},
+        [],
+    ]
+
+    @pytest.mark.parametrize("payload", SEVERAL_ERRORS)
+    def test_several_errors_report_what_jsonschema_reports(
+        self, payload
+    ):
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(payload, JOB_SUBMIT_SCHEMA)
+        with pytest.raises(jsonschema.ValidationError) as cached:
+            validate(payload, JOB_SUBMIT_SCHEMA)
+        assert str(cached.value) == str(expected.value)
+        if isinstance(payload, dict):
+            with pytest.raises(HttpError) as refused:
+                _validate_submit_document(payload)
+            assert refused.value.status == 400
+            assert refused.value.report.error == "bad_document"
+            assert refused.value.report.message == (
+                f"job document: {expected.value.message}"
+            )
+
+    def test_check_schema_runs_once_per_schema(self, monkeypatch):
+        cls = jsonschema.validators.validator_for(JOB_SUBMIT_SCHEMA)
+        original = cls.check_schema
+        checked = []
+
+        def counted(schema, *args, **kwargs):
+            checked.append(id(schema))
+            return original(schema, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "check_schema", staticmethod(counted))
+        fresh = copy.deepcopy(JOB_SUBMIT_SCHEMA)
+        error = ServeErrorReport(error="e", message="m")
+        for _ in range(3):
+            validate({"job_kind": "ler", "params": {}}, fresh)
+            with pytest.raises(jsonschema.ValidationError):
+                validate({"params": {}}, fresh)
+            _validate_submit_document({"job_kind": "ler", "params": {}})
+            _check_schema(error.to_json_dict())
+            validate_document("serve_error", error.to_json())
+        assert checked.count(id(fresh)) == 1
+        # Filled earlier in this process or in this test: at most once.
+        assert checked.count(id(JOB_SUBMIT_SCHEMA)) <= 1
+        assert checked.count(id(REPORT_SCHEMAS["serve_error"])) <= 1
 
 
 class TestStatusResultSplit:
